@@ -47,7 +47,7 @@ from .optimizer import (
 )
 from .phy import LinkSuccess, PhyParams, SensingPoint, link_success
 from .schemes import SchemeConfig, Variant, service_rates
-from .sim import SimConfig, SimMode, measure_stability, run, write_trace_csv
+from .sim import SimConfig, SimMode, run, stability, write_trace_csv
 from .estimator import EstimatorMode, learning_then_regular
 
 __all__ = ["main", "load_config", "RunConfig"]
@@ -532,7 +532,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         phy=cfg.channel,
         mode=cfg.sim["mode"],
         feedback_error=cfg.sim["feedback_error"],
-        record_traces=cfg.sim["record_traces"],
+        record_traces=True,  # the stability probe reads this run's primary queue trace
     )
     result = run(sim_cfg)
 
@@ -583,7 +583,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     payload.update(note)
 
     if sim_cfg.slots >= 10_000:
-        probe = measure_stability(sim_cfg, window=sim_cfg.slots)
+        probe = stability(result.trace.qp)
         payload["stability"] = {
             "stable": probe.stable,
             "drift": probe.drift,
@@ -592,7 +592,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     else:
         payload["stability"] = {"note": "slots < 1e4: stability window too short"}
 
-    if sim_cfg.record_traces:
+    if cfg.sim["record_traces"]:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         trace_path = cfg.output_dir / "trace.csv"
         write_trace_csv(result.trace, str(trace_path))

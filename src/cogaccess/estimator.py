@@ -22,18 +22,16 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import numpy as np
-
 from .errors import DomainError, InfeasibleError
 from .optimizer import (
-    default_b_s_grid,
+    b_s_scan_grid,
     optimal_as_s0,
     optimal_as_s1,
     optimal_as_s2_given,
 )
 from .phy import SensingPoint
 from .schemes import SchemeConfig, Variant, effective_sensing
-from .sim import DRIFT_EPSILON, TERMINAL_FACTOR, SimConfig, SimMode, SimResult, run
+from .sim import SimConfig, SimMode, SimResult, run, stability
 
 __all__ = [
     "EstimatorMode",
@@ -42,7 +40,6 @@ __all__ = [
     "TwoPhaseReport",
     "MARGIN_SE_MULTIPLIER",
     "estimate",
-    "recommend_margin",
     "learning_then_regular",
     "feedback_log_from_result",
     "feedback_log_from_trace_csv",
@@ -133,17 +130,10 @@ def estimate(log: FeedbackLog, mode: EstimatorMode = EstimatorMode.UNBIASED) -> 
         mu_p_est=mu,
         p_nonempty_est=p_nonempty,
         lambda_p_se=lam_se,
-        recommended_mu_pe=recommend_margin(MARGIN_SE_MULTIPLIER * lam_se),
+        recommended_mu_pe=MARGIN_SE_MULTIPLIER * lam_se,
         estimator_mode=mode,
         link_estimate_available=available,
     )
-
-
-def recommend_margin(error_bound: float) -> float:
-    """Minimal protection margin covering the given positive error bound."""
-    if not (math.isfinite(error_bound) and error_bound >= 0.0):
-        raise DomainError(f"error bound must be >= 0, got {error_bound!r}")
-    return float(error_bound)
 
 
 def feedback_log_from_result(result: SimResult, p_e_assumed: float = 0.0) -> FeedbackLog:
@@ -206,7 +196,7 @@ def _policy_from_estimates(
         return replace(template_scheme, a_s=a, b_s=0.0)
     # S2: scan b_s, a_s closed-form per cell
     best: tuple[float, float, float] | None = None
-    for b in b_s_grid:
+    for b in b_s_scan_grid(b_s_grid):
         try:
             a = optimal_as_s2_given(b, lam_est, p_md, p_fa, p_bar_est, margin=margin)
         except InfeasibleError:
@@ -242,6 +232,8 @@ def learning_then_regular(
         raise DomainError("learning phase needs at least one slot")
     if rp_slots < 10 * lp_slots:
         raise DomainError("regular phase must be at least 10x the learning phase")
+    if margin is not None and not (math.isfinite(margin) and margin >= 0.0):
+        raise DomainError(f"margin must be >= 0, got {margin!r}")
 
     lp_cfg = replace(
         template, slots=lp_slots, scheme=_SILENT, mode=SimMode.ORIGINAL, record_traces=False
@@ -249,7 +241,7 @@ def learning_then_regular(
     lp_result = run(lp_cfg)
     log = feedback_log_from_result(lp_result, p_e_assumed=template.feedback_error)
     report = estimate(log, mode=mode)
-    mu_pe = report.recommended_mu_pe if margin is None else recommend_margin(margin)
+    mu_pe = report.recommended_mu_pe if margin is None else float(margin)
 
     fallback = False
     if report.link_estimate_available and report.p_bar_p_pd_est > 0.0:
@@ -259,7 +251,7 @@ def learning_then_regular(
                 report.lambda_p_est,
                 report.p_bar_p_pd_est,
                 mu_pe,
-                b_s_grid or default_b_s_grid(),
+                b_s_grid,
             )
         except InfeasibleError:
             policy = _SILENT
@@ -272,9 +264,7 @@ def learning_then_regular(
         template, slots=rp_slots, scheme=policy, seed=template.seed + 1, record_traces=True
     )
     rp_result = run(rp_cfg)
-    qp = rp_result.trace.qp.astype(np.float64)
-    drift = float(np.polyfit(np.arange(rp_slots), qp, 1)[0])
-    stable = bool(drift <= DRIFT_EPSILON and qp[-1] <= TERMINAL_FACTOR * math.sqrt(rp_slots))
+    probe = stability(rp_result.trace.qp)
 
     return TwoPhaseReport(
         estimates=report,
@@ -282,7 +272,7 @@ def learning_then_regular(
         policy=policy,
         fallback_silent=fallback,
         rp_result=rp_result,
-        primary_stable=stable,
-        primary_drift=drift,
+        primary_stable=probe.stable,
+        primary_drift=probe.drift,
         secondary_throughput=rp_result.secondary_departures / rp_slots,
     )

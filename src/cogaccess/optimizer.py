@@ -15,7 +15,7 @@ and less interference at equal throughput.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -53,6 +53,7 @@ __all__ = [
     "UNION",
     "default_tau_grid",
     "default_b_s_grid",
+    "b_s_scan_grid",
     "operating_points",
     "optimal_as_s1",
     "optimal_as_s2_given",
@@ -176,7 +177,6 @@ class RegionPoint:
 class RegionCurve:
     scheme: str
     points: tuple[RegionPoint, ...]
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         lams = [p.lambda_p for p in self.points]
@@ -212,6 +212,14 @@ def default_tau_grid(slot_duration: float, count: int = 64) -> tuple[float, ...]
 
 def default_b_s_grid(count: int = 33) -> tuple[float, ...]:
     return tuple(float(b) for b in np.linspace(0.0, 1.0, count))
+
+
+def b_s_scan_grid(grid: Sequence[float]) -> tuple[float, ...]:
+    """The b_s values an S2 scan visits: `grid` (default_b_s_grid() when
+    empty) with b_s = 0 put in front when missing, so the scan always
+    contains the S1 policy (S1 is S2 with b_s = 0)."""
+    grid = tuple(grid) or default_b_s_grid()
+    return grid if 0.0 in grid else (0.0,) + grid
 
 
 def operating_points(req: OptimizationRequest, channel: Channel) -> list[OperatingPoint]:
@@ -439,7 +447,7 @@ def optimize_s2(req: OptimizationRequest, channel: Channel) -> OptimizationResul
     lam, m = req.lambda_p, req.margin
     pp = link_success(channel, 0.0).p_bar_p_pd
     pts = operating_points(req, channel)
-    b_grid = req.b_s_grid or default_b_s_grid()
+    b_grid = b_s_scan_grid(req.b_s_grid)
     rows = []
     for pt in pts:
         best_cell: tuple[float, float, float] | None = None  # (lambda_s, a, b)
@@ -580,14 +588,7 @@ def trace_region(
             points.append(
                 RegionPoint(lambda_p=lam, lambda_s=0.0, scheme=label, tau=0.0, a_s=0.0, b_s=0.0)
             )
-    name = UNION if union else scheme.value
-    meta = {
-        "target_mode": type(req.target_mode).__name__,
-        "margin": req.margin,
-        "tau_grid_size": len(req.tau_grid),
-        "b_s_grid_size": len(req.b_s_grid),
-    }
-    return RegionCurve(scheme=name, points=tuple(points), metadata=meta)
+    return RegionCurve(scheme=UNION if union else scheme.value, points=tuple(points))
 
 
 def switch_policy(curve: RegionCurve) -> SwitchPolicy:

@@ -42,16 +42,15 @@ from .schemes import SchemeConfig, effective_sensing
 __all__ = [
     "SimMode",
     "SimConfig",
-    "SlotOutcome",
     "SimTrace",
     "FeedbackCounts",
     "SimResult",
     "StabilityProbe",
     "DominanceReport",
     "run",
+    "stability",
     "measure_stability",
     "compare_dominant",
-    "decode_slot",
     "write_trace_csv",
     "DRIFT_EPSILON",
 ]
@@ -110,21 +109,6 @@ class SimConfig:
             raise DomainError(f"feedback_error must be in [0, 1), got {self.feedback_error!r}")
         if self.initial_qp < 0 or self.initial_qs < 0:
             raise DomainError("initial queue sizes must be >= 0")
-
-
-@dataclass(frozen=True)
-class SlotOutcome:
-    """Decoded view of one simulated slot (see decode_slot)."""
-
-    primary_nonempty: bool
-    sensed_busy: bool
-    primary_tx: bool
-    secondary_tx: bool
-    collision: bool
-    primary_success: bool
-    secondary_success: bool
-    feedback: str  # "ACK" | "NACK" | "none"
-    feedback_heard: bool
 
 
 @dataclass(frozen=True)
@@ -356,39 +340,17 @@ def run(cfg: SimConfig) -> SimResult:
     )
 
 
-def decode_slot(trace: SimTrace, index: int) -> SlotOutcome:
-    """Expand one trace row into a SlotOutcome."""
-    ev = int(trace.events[index])
-    fb = int(trace.feedback[index])
-    return SlotOutcome(
-        primary_nonempty=int(trace.qp[index]) > 0,
-        sensed_busy=bool(ev & EV_SENSED_BUSY),
-        primary_tx=bool(ev & EV_PRIMARY_TX),
-        secondary_tx=bool(ev & EV_SECONDARY_TX),
-        collision=bool(ev & EV_COLLISION),
-        primary_success=bool(ev & EV_PRIMARY_SUCCESS),
-        secondary_success=bool(ev & EV_SECONDARY_SUCCESS),
-        feedback="none" if fb == FB_NONE else ("ACK" if fb in (FB_ACK_HEARD, FB_ACK_MISSED) else "NACK"),
-        feedback_heard=fb in (FB_ACK_HEARD, FB_NACK_HEARD),
-    )
+def stability(series: np.ndarray) -> StabilityProbe:
+    """Finite-run stability verdict from one queue's per-slot sizes.
 
-
-def measure_stability(cfg: SimConfig, window: int, queue: str = "primary") -> StabilityProbe:
-    """Finite-run stability verdict from the queue trace over `window` slots.
-
-    The drift is the least-squares slope of the selected queue's trace;
-    stable means drift <= DRIFT_EPSILON and a terminal size below
-    TERMINAL_FACTOR * sqrt(window).
+    The drift is the least-squares slope of the series; stable means
+    drift <= DRIFT_EPSILON and a terminal size below
+    TERMINAL_FACTOR * sqrt(len(series)).
     """
-    if window < 10_000:
-        raise DomainError(f"stability window must be >= 1e4 slots, got {window!r}")
-    if queue not in ("primary", "secondary"):
-        raise DomainError(f"queue must be 'primary' or 'secondary', got {queue!r}")
-    result = run(replace(cfg, slots=window, record_traces=True))
-    series = result.trace.qp if queue == "primary" else result.trace.qs
-    drift = float(np.polyfit(np.arange(window), series.astype(np.float64), 1)[0])
+    n = len(series)
+    drift = float(np.polyfit(np.arange(n), series.astype(np.float64), 1)[0])
     terminal = int(series[-1])
-    terminal_threshold = TERMINAL_FACTOR * math.sqrt(window)
+    terminal_threshold = TERMINAL_FACTOR * math.sqrt(n)
     return StabilityProbe(
         stable=(drift <= DRIFT_EPSILON and terminal <= terminal_threshold),
         drift=drift,
@@ -396,6 +358,17 @@ def measure_stability(cfg: SimConfig, window: int, queue: str = "primary") -> St
         drift_threshold=DRIFT_EPSILON,
         terminal_threshold=terminal_threshold,
     )
+
+
+def measure_stability(cfg: SimConfig, window: int, queue: str = "primary") -> StabilityProbe:
+    """Run `window` slots of cfg with traces, then judge the selected queue
+    with `stability`."""
+    if window < 10_000:
+        raise DomainError(f"stability window must be >= 1e4 slots, got {window!r}")
+    if queue not in ("primary", "secondary"):
+        raise DomainError(f"queue must be 'primary' or 'secondary', got {queue!r}")
+    trace = run(replace(cfg, slots=window, record_traces=True)).trace
+    return stability(trace.qp if queue == "primary" else trace.qs)
 
 
 def compare_dominant(cfg: SimConfig) -> DominanceReport:
@@ -429,22 +402,23 @@ def compare_dominant(cfg: SimConfig) -> DominanceReport:
 
 
 TRACE_CSV_SCHEMA = "trace/1"
-_FEEDBACK_NAMES = {
-    FB_NONE: "none",
-    FB_ACK_HEARD: "ack",
-    FB_NACK_HEARD: "nack",
-    FB_ACK_MISSED: "ack-missed",
-    FB_NACK_MISSED: "nack-missed",
-}
+_FEEDBACK_NAMES = ("none", "ack", "nack", "ack-missed", "nack-missed")  # indexed by FB_* code
+_TRACE_CSV_CHUNK = 65_536  # rows per writerows call: bounds the memory of the formatted rows
 
 
 def write_trace_csv(trace: SimTrace, path: str) -> None:
     """One row per slot: slot, queue sizes at slot start, event bits, feedback."""
+    n = len(trace.qp)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "qp", "qs", "events", "feedback"])
-        for t in range(len(trace.qp)):
-            writer.writerow(
-                [t, int(trace.qp[t]), int(trace.qs[t]), int(trace.events[t]),
-                 _FEEDBACK_NAMES[int(trace.feedback[t])]]
-            )
+        for lo in range(0, n, _TRACE_CSV_CHUNK):
+            hi = min(lo + _TRACE_CSV_CHUNK, n)
+            names = map(_FEEDBACK_NAMES.__getitem__, trace.feedback[lo:hi].tolist())
+            writer.writerows(zip(
+                range(lo, hi),
+                trace.qp[lo:hi].tolist(),
+                trace.qs[lo:hi].tolist(),
+                trace.events[lo:hi].tolist(),
+                names,
+            ))

@@ -7,6 +7,8 @@ paths it is used to check.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 
@@ -65,6 +67,20 @@ def replay_queue(q0, departures, arrivals):
         q = max(q - int(departures[t]), 0) + int(arrivals[t])
         out[t + 1] = q
     return out
+
+
+def write_trace_csv_rowwise(trace, path):
+    """Trace CSV written one csv.writerow per slot, the reference the
+    chunked writer must match byte for byte."""
+    names = {0: "none", 1: "ack", 2: "nack", 3: "ack-missed", 4: "nack-missed"}
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["slot", "qp", "qs", "events", "feedback"])
+        for t in range(len(trace.qp)):
+            writer.writerow(
+                [t, int(trace.qp[t]), int(trace.qs[t]), int(trace.events[t]),
+                 names[int(trace.feedback[t])]]
+            )
 
 
 def random_feasible_program(rng):

@@ -3,7 +3,11 @@ import json
 import pytest
 import yaml
 
+from cogaccess import cli, sim
 from cogaccess.cli import main
+from cogaccess.phy import LinkSuccess, SensingPoint
+from cogaccess.schemes import SchemeConfig, Variant
+from cogaccess.sim import SimConfig, SimMode, measure_stability
 
 BENCH_BASE = {
     "channel": {"p_bar_p_pd": 0.9, "p_bar_s_sd": 0.8},
@@ -182,6 +186,32 @@ class TestSimulate:
         trace = payload["trace_file"]
         assert (tmp_path / "out" / "trace.csv").exists()
         assert open(trace).readline().strip() == "slot,qp,qs,events,feedback"
+
+    def test_one_simulation_per_command(self, tmp_path, capsys, monkeypatch):
+        slots = []
+
+        def counting_run(cfg, real_run=sim.run):
+            slots.append(cfg.slots)
+            return real_run(cfg)
+
+        monkeypatch.setattr(cli, "run", counting_run)
+        monkeypatch.setattr(sim, "run", counting_run)  # what measure_stability would call
+        code, _, _ = run_cli(capsys, ["simulate", "-c", write_config(tmp_path, self.simulate_doc(tmp_path))])
+        assert code == 0
+        assert slots == [20_000]
+
+    def test_stability_block_matches_measure_stability(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, ["simulate", "-c", write_config(tmp_path, self.simulate_doc(tmp_path))])
+        assert code == 0
+        scheme = SchemeConfig(Variant.S1, 0.5, 0.0, SensingPoint(tau=0.05, p_fa=0.2, p_md=0.3))
+        cfg = SimConfig(slots=20_000, seed=1, lambda_p=0.3, lambda_s=0.1, scheme=scheme,
+                        phy=LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8), mode=SimMode.DOMINANT)
+        probe = measure_stability(cfg, window=20_000)
+        assert json.loads(out)["stability"] == {
+            "stable": probe.stable,
+            "drift": probe.drift,
+            "terminal_queue": probe.terminal_queue,
+        }
 
     def test_mode_override(self, tmp_path, capsys):
         doc = self.simulate_doc(tmp_path)

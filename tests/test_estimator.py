@@ -10,7 +10,6 @@ from cogaccess.estimator import (
     feedback_log_from_result,
     feedback_log_from_trace_csv,
     learning_then_regular,
-    recommend_margin,
 )
 from cogaccess.optimizer import optimal_as_s1
 from cogaccess.phy import LinkSuccess, SensingPoint
@@ -101,23 +100,33 @@ class TestEstimate:
 
 
 class TestRecommendMargin:
+    def template(self):
+        scheme = SchemeConfig(Variant.S1, 1.0, 0.0, BENCH_POINT)
+        return SimConfig(slots=1, seed=11, lambda_p=0.3, lambda_s=0.1, scheme=scheme,
+                         phy=BENCH_LINKS, mode=SimMode.ORIGINAL)
+
     def test_zero_bound(self):
-        assert recommend_margin(0.0) == 0.0
+        assert learning_then_regular(100, 1_000, self.template(), margin=0.0).margin == 0.0
 
     def test_bound_passthrough_with_delay_implication(self):
-        mu_pe = recommend_margin(0.05)
+        mu_pe = learning_then_regular(100, 1_000, self.template(), margin=0.05).margin
         assert mu_pe == 0.05
         assert (1 - 0.4) / mu_pe == pytest.approx(12.0)
 
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            recommend_margin(-0.01)
+    def test_negative_rejected(self, monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("margin must be checked before the learning run")
+
+        monkeypatch.setattr("cogaccess.estimator.run", no_run)
+        for margin in (-0.01, math.nan):
+            with pytest.raises(DomainError):
+                learning_then_regular(100, 1_000, self.template(), margin=margin)
 
     def test_margin_covers_overestimated_load(self):
         # policy built from lambda_hat = lambda + e with margin e still
         # leaves the true primary stable
         lam, e = 0.4, 0.05
-        a = optimal_as_s1(lam + e, 0.3, 0.9, margin=recommend_margin(e))
+        a = optimal_as_s1(lam + e, 0.3, 0.9, margin=e)
         scheme = SchemeConfig(Variant.S1, a, 0.0, BENCH_POINT)
         cfg = SimConfig(slots=1, seed=3, lambda_p=lam, lambda_s=0.0, scheme=scheme,
                         phy=BENCH_LINKS, mode=SimMode.DOMINANT)

@@ -1,0 +1,83 @@
+"""Golden outputs of the shipped configs.
+
+Each config in `configs/` runs through `cli.main` from a fresh working
+directory with `--output-dir out`; the SHA-256 of stdout and of every file
+written under `out/` must match `tests/golden.json`.  The digests hold for
+the numpy version recorded next to them (random streams and float
+formatting may shift across numpy releases), so the test skips on any
+other version.
+
+Regenerate the digests only on purpose, after a change that is meant to
+alter the shipped outputs, and say so in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cogaccess.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden.json"
+COMMANDS = {
+    "estimate_two_phase": "estimate",
+    "region_fixed_roc": "region",
+    "sweep_sensing_durations": "sweep",
+    "validate_simulation": "simulate",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_config(name: str, workdir: Path) -> dict:
+    """Run one shipped config in `workdir` and digest what it printed and wrote."""
+    stdout = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = main([COMMANDS[name], "-c", str(ROOT / "configs" / f"{name}.yaml"), "--output-dir", "out"])
+    finally:
+        os.chdir(cwd)
+    out = workdir / "out"
+    files = sorted(p for p in out.rglob("*") if p.is_file()) if out.exists() else []
+    return {
+        "exit": code,
+        "stdout": _sha256(stdout.getvalue().encode()),
+        "files": {p.relative_to(workdir).as_posix(): _sha256(p.read_bytes()) for p in files},
+    }
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_shipped_config_outputs_unchanged(name, tmp_path):
+    golden = _golden()
+    if np.__version__ != golden["numpy"]:
+        pytest.skip(f"golden digests were recorded with numpy {golden['numpy']}, running {np.__version__}")
+    assert run_config(name, tmp_path) == golden["configs"][name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    configs = {}
+    for name in sorted(COMMANDS):
+        with tempfile.TemporaryDirectory() as tmp:
+            configs[name] = run_config(name, Path(tmp))
+    GOLDEN_PATH.write_text(json.dumps({"numpy": np.__version__, "configs": configs}, indent=2) + "\n")
+    print(f"wrote {GOLDEN_PATH}")

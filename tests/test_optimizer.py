@@ -9,6 +9,7 @@ from cogaccess.optimizer import (
     FixedFalseAlarm,
     FixedSensing,
     OptimizationRequest,
+    b_s_scan_grid,
     default_b_s_grid,
     optimal_as_s0,
     optimal_as_s1,
@@ -290,6 +291,25 @@ class TestRegionTracing:
             assert u.lambda_s >= a.lambda_s - 1e-15
             assert u.lambda_s >= b.lambda_s - 1e-15
             assert u.lambda_s == pytest.approx(max(a.lambda_s, b.lambda_s), abs=1e-15)
+
+    def test_union_is_the_union_without_zero_in_b_s_grid(self):
+        # the S2 scan always includes b_s = 0 (S1 is S2 with b_s = 0), so a
+        # b_s grid without 0 still nests S1 in S2 and UNION above every scheme
+        lambdas = tuple(0.63 / 63 * i for i in range(64))
+        req = bench_request(Variant.S2, 0.0, b_s_grid=(0.5, 1.0))
+        curves = {
+            scheme: [p.lambda_s for p in trace_region(scheme, lambdas, req, BENCH_LINKS).points]
+            for scheme in (Variant.SC, Variant.S1, Variant.S2, Variant.S0, "UNION")
+        }
+        for i in range(len(lambdas)):
+            assert curves[Variant.S2][i] >= curves[Variant.S1][i] - 1e-12
+            best_other = max(curves[v][i] for v in (Variant.SC, Variant.S1, Variant.S0))
+            assert curves["UNION"][i] >= best_other - 1e-12
+
+    def test_b_s_scan_grid_puts_zero_first(self):
+        assert b_s_scan_grid((0.5, 1.0)) == (0.0, 0.5, 1.0)
+        assert b_s_scan_grid((0.0, 1.0)) == (0.0, 1.0)
+        assert b_s_scan_grid(()) == default_b_s_grid()
 
     def test_boundaries_monotone_non_increasing(self):
         req = bench_request(Variant.S2, 0.0, b_s_grid=default_b_s_grid())

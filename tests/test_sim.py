@@ -15,13 +15,14 @@ from cogaccess.sim import (
     SimConfig,
     SimMode,
     compare_dominant,
-    decode_slot,
     measure_stability,
     run,
+    stability,
     write_trace_csv,
 )
+from cogaccess import sim
 
-from oracles import replay_queue
+from oracles import replay_queue, write_trace_csv_rowwise
 
 BENCH_LINKS = LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8)
 BENCH_POINT = SensingPoint(tau=0.05, p_fa=0.2, p_md=0.3)
@@ -89,14 +90,6 @@ class TestQueueRecursion:
         assert np.array_equal(ptx, r.trace.qp > 0)
         # feedback accompanies exactly the primary transmissions
         assert np.array_equal(r.trace.feedback > 0, ptx)
-
-    def test_decode_slot_consistency(self):
-        r = run(sim_config(slots=2_000, record_traces=True))
-        for i in (0, 1, 100, 1999):
-            out = decode_slot(r.trace, i)
-            assert out.collision == (out.primary_tx and out.secondary_tx)
-            if out.feedback != "none":
-                assert out.primary_tx
 
 
 class TestRateConvergence:
@@ -183,6 +176,16 @@ class TestStabilityProbe:
         with pytest.raises(DomainError):
             measure_stability(sim_config(), window=5_000)
 
+    def test_series_probe_has_no_window_precondition(self):
+        flat = stability(np.zeros(100, dtype=np.int64))
+        assert flat.stable is True
+        assert flat.drift == pytest.approx(0.0, abs=1e-12)
+        assert flat.terminal_threshold == pytest.approx(100.0)
+        ramp = stability(np.arange(5_000, dtype=np.int64))
+        assert ramp.stable is False
+        assert ramp.drift == pytest.approx(1.0)
+        assert ramp.terminal_queue == 4_999
+
     def test_secondary_queue_probe(self):
         cfg = sim_config(a_s=1.0, lambda_p=0.0, lambda_s=0.3, slots=1,
                          mode=SimMode.ORIGINAL)
@@ -240,6 +243,16 @@ class TestTraceExport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "slot,qp,qs,events,feedback"
         assert len(lines) == 501
+
+    def test_chunked_writer_matches_rowwise_reference(self, tmp_path):
+        slots = 2 * sim._TRACE_CSV_CHUNK + 1_234  # ends in a partial chunk
+        r = run(sim_config(slots=slots, lambda_p=0.4, feedback_error=0.2,
+                           mode=SimMode.ORIGINAL, record_traces=True))
+        assert set(np.unique(r.trace.feedback).tolist()) == {0, 1, 2, 3, 4}
+        fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
+        write_trace_csv(r.trace, str(fast))
+        write_trace_csv_rowwise(r.trace, str(reference))
+        assert fast.read_bytes() == reference.read_bytes()
 
 
 class TestValidation:
