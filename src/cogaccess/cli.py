@@ -61,6 +61,14 @@ REGION_JSON_SCHEMA = "region-summary/1"
 
 MAX_SWEEP_CELLS = 10_000_000
 
+# Memory a simulate or estimate run holds per slot, from the growth of peak
+# RSS between 1e6- and 4e6-slot runs: the int64 primary queue series (8 B)
+# and np.polyfit's working set in sim.stability (~72 B); a recorded trace
+# adds the qs, events and feedback columns (10 B).
+SIM_BYTES_PER_SLOT = 80
+TRACE_BYTES_PER_SLOT = 10
+MAX_SIM_BYTES = 4 * 2**30
+
 _SCHEME_NAMES = [v.value for v in Variant]
 
 
@@ -521,7 +529,19 @@ def _resolve_scheme_config(cfg: RunConfig) -> tuple[SchemeConfig, dict]:
     return SchemeConfig(variant=cfg.scheme, a_s=cfg.access["a_s"], b_s=b_s, sensing=point), note
 
 
+def _check_sim_memory(slots: int, per_slot: int, keys: str) -> None:
+    """Reject a run whose estimated memory passes MAX_SIM_BYTES, with a sizing hint."""
+    if slots * per_slot > MAX_SIM_BYTES:
+        raise ConfigError(
+            f"{slots} slots would hold about {slots * per_slot / 2**20:.0f} MiB "
+            f"({per_slot} B/slot, > {MAX_SIM_BYTES / 2**20:.0f} MiB); "
+            f"shrink {keys} to at most {MAX_SIM_BYTES // per_slot} slots"
+        )
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
+    per_slot = SIM_BYTES_PER_SLOT + (TRACE_BYTES_PER_SLOT if cfg.sim["record_traces"] else 0)
+    _check_sim_memory(cfg.sim["slots"], per_slot, "sim.slots")
     scheme, note = _resolve_scheme_config(cfg)
     sim_cfg = SimConfig(
         slots=cfg.sim["slots"],
@@ -532,7 +552,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         phy=cfg.channel,
         mode=cfg.sim["mode"],
         feedback_error=cfg.sim["feedback_error"],
-        record_traces=True,  # the stability probe reads this run's primary queue trace
+        record_traces=cfg.sim["record_traces"],
     )
     result = run(sim_cfg)
 
@@ -583,7 +603,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     payload.update(note)
 
     if sim_cfg.slots >= 10_000:
-        probe = stability(result.trace.qp)
+        probe = stability(result.primary_queue)
         payload["stability"] = {
             "stable": probe.stable,
             "drift": probe.drift,
@@ -602,6 +622,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
+    _check_sim_memory(cfg.estimate["lp_slots"] + cfg.estimate["rp_slots"], SIM_BYTES_PER_SLOT,
+                      "estimate.lp_slots + estimate.rp_slots")
     scheme, _ = _resolve_scheme_config(cfg)
     template = SimConfig(
         slots=cfg.estimate["rp_slots"],

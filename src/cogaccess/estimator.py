@@ -260,11 +260,8 @@ def learning_then_regular(
         policy = _SILENT
         fallback = True
 
-    rp_cfg = replace(
-        template, slots=rp_slots, scheme=policy, seed=template.seed + 1, record_traces=True
-    )
-    rp_result = run(rp_cfg)
-    probe = stability(rp_result.trace.qp)
+    rp_result = run(replace(template, slots=rp_slots, scheme=policy, seed=template.seed + 1))
+    probe = stability(rp_result.primary_queue)
 
     return TwoPhaseReport(
         estimates=report,

@@ -22,13 +22,30 @@ share arrivals, sensing outcomes, coin tosses, channel realizations, and
 feedback noise, which is exactly the coupling the dominant-system
 argument needs.  Failed packets stay at the head of their queue; a packet
 leaves only on success.
+
+The engine solves the queues with array passes over chunks of
+_SIM_CHUNK slots, carrying both queue sizes and the arrival slots of the
+queued primary packets across chunk boundaries; a stream read in chunks
+yields the same numbers as one read of the whole run.  Given its service
+opportunities, a queue follows Lindley's recursion, which one cumsum and
+one running minimum solve.  In dominant mode the primary's opportunities
+(no secondary coin, no outage) do not depend on the secondary queue, so
+one pass gives qp and a second, with service only in silent slots, gives
+qs.  In original mode the secondary contends only when backlogged, so
+the passes start from the all-backlogged (dominant) qs > 0 pattern and
+re-solve both queues until the pattern stops changing.  Slot t's qs
+depends only on the pattern before t, so everything before the first
+changed slot is exact and the next pass resumes there: every pass fixes
+at least one more slot.  Memory per slot of a run is the int64 primary
+queue series the result keeps (8 B), plus 10 B for the qs, events and
+feedback columns of a recorded trace; the rest is a per-chunk working
+set, and the arrival slots of queued primary packets (8 B each).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
@@ -60,6 +77,10 @@ __all__ = [
 # terminal size stays below TERMINAL_FACTOR * sqrt(slots).
 DRIFT_EPSILON = 1e-3
 TERMINAL_FACTOR = 10.0
+
+# Slots per engine chunk: the draws and per-slot arrays of one chunk are
+# the working set that does not grow with the run.
+_SIM_CHUNK = 65_536
 
 # Event bitfield layout (trace CSV "events" column).
 EV_ARRIVAL_P = 1 << 0
@@ -142,6 +163,7 @@ class SimResult:
     primary_departures: int
     secondary_departures: int
     feedback_counts: FeedbackCounts
+    primary_queue: np.ndarray  # primary queue size at the start of each slot
     trace: SimTrace | None
 
 
@@ -167,24 +189,76 @@ def _success_threshold(p_bar: float) -> float:
     return -math.log(p_bar)
 
 
-def _batch_ratio_se(num: np.ndarray, den: np.ndarray, batches: int = 50) -> float:
-    """Standard error of sum(num)/sum(den) from contiguous batch ratios.
+def _batch_edges(n: int, batches: int = 50) -> np.ndarray:
+    """Slot boundaries of the contiguous batches behind the batch-mean SEs."""
+    if n < batches * 2:
+        batches = max(2, n // 2)
+    return np.linspace(0, n, batches + 1, dtype=np.int64)
+
+
+def _batch_ratio_se(num: np.ndarray, den: np.ndarray) -> float:
+    """Standard error of sum(num)/sum(den) from contiguous batch ratios,
+    given each batch's integer sums.
 
     Batch means absorb the serial correlation the queue state induces;
     for independent slots this reduces to the binomial standard error.
     """
-    n = len(num)
-    if n < batches * 2:
-        batches = max(2, n // 2)
-    edges = np.linspace(0, n, batches + 1, dtype=np.int64)
-    ratios = []
-    for i in range(batches):
-        d = float(den[edges[i]:edges[i + 1]].sum())
-        if d > 0.0:
-            ratios.append(float(num[edges[i]:edges[i + 1]].sum()) / d)
+    ratios = [float(a) / float(b) for a, b in zip(num.tolist(), den.tolist()) if b > 0]
     if len(ratios) < 2:
         return math.nan
     return float(np.std(ratios, ddof=1) / math.sqrt(len(ratios)))
+
+
+def _lindley(q0: int, service: np.ndarray, arrivals: np.ndarray, out: np.ndarray) -> int:
+    """Queue sizes at slot start under Q[t+1] = max(Q[t] - S[t], 0) + A[t].
+
+    Writes Q[0..m-1] (Q[0] = q0) into `out` and returns Q[m].  The size
+    just after slot t-1's departures, Y[t] = Q[t] - A[t-1], follows
+    Lindley's recursion Y[t+1] = max(Y[t] + A[t-1] - S[t], 0), whose
+    solution is the free walk minus its running minimum below zero.
+    """
+    walk = np.empty(len(service), dtype=np.int64)
+    walk[0] = q0 - int(service[0])
+    np.subtract(arrivals[:-1], service[1:], out=walk[1:], dtype=np.int64)
+    np.cumsum(walk, out=walk)
+    floor = np.minimum.accumulate(walk)
+    np.minimum(floor, 0, out=floor)
+    walk -= floor
+    out[0] = q0
+    np.add(walk[:-1], arrivals[:-1], out=out[1:])
+    return int(walk[-1]) + int(arrivals[-1])
+
+
+def _solve_queues(qp0: int, qs0: int, p_service: np.ndarray, p_blocked: np.ndarray,
+                  s_service: np.ndarray, arrival_p: np.ndarray, arrival_s: np.ndarray,
+                  qp: np.ndarray, qs: np.ndarray, dominant: bool) -> tuple[int, int]:
+    """Both queues of one chunk, written into qp and qs; returns the sizes
+    after the chunk's last slot.
+
+    The primary is served when p_service and not (p_blocked and the
+    secondary contends); the secondary is served when s_service and the
+    primary is silent.  The first pass lets the secondary contend in every
+    slot, which is the dominant system.  In original mode it contends only
+    when backlogged: each further pass solves both queues for the qs > 0
+    pattern of the pass before, resuming from the first slot whose bit
+    changed.  Slot t's qs depends only on the pattern before t, so
+    everything before that slot is exact and every pass fixes at least one
+    more slot.
+    """
+    backlog = np.ones(len(p_service), dtype=bool)
+    lo = 0
+    while True:
+        qp_end = _lindley(qp0, p_service[lo:] & ~(p_blocked[lo:] & backlog[lo:]), arrival_p[lo:], qp[lo:])
+        qs_end = _lindley(qs0, s_service[lo:] & (qp[lo:] == 0), arrival_s[lo:], qs[lo:])
+        if dominant:
+            return qp_end, qs_end
+        solved = qs[lo:] > 0
+        changed = np.flatnonzero(solved != backlog[lo:])
+        if changed.size == 0:
+            return qp_end, qs_end
+        backlog[lo:] = solved
+        lo += int(changed[0])
+        qp0, qs0 = int(qp[lo]), int(qs[lo])
 
 
 def run(cfg: SimConfig) -> SimResult:
@@ -193,137 +267,102 @@ def run(cfg: SimConfig) -> SimResult:
     links = link_success(cfg.phy, cfg.scheme.sensing.tau)
     p_fa, p_md = effective_sensing(cfg.scheme)
     dominant = cfg.mode is SimMode.DOMINANT
+    threshold_p = _success_threshold(links.p_bar_p_pd)
+    threshold_s = _success_threshold(links.p_bar_s_sd)
 
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(7)]
     rng_arr_p, rng_arr_s, rng_sense, rng_coin, rng_chan_p, rng_chan_s, rng_fb = streams
 
-    arrival_p = (rng_arr_p.random(n) < cfg.lambda_p).tolist()
-    arrival_s = (rng_arr_s.random(n) < cfg.lambda_s).tolist()
-    u = rng_sense.random(n)
-    busy_if_tx = (u < 1.0 - p_md).tolist()
-    busy_if_idle = (u < p_fa).tolist()
-    u = rng_coin.random(n)
-    coin_idle = (u < cfg.scheme.a_s).tolist()
-    coin_busy = (u < cfg.scheme.b_s).tolist()
-    chan_p_ok = (rng_chan_p.standard_exponential(n) >= _success_threshold(links.p_bar_p_pd)).tolist()
-    chan_s_ok = (rng_chan_s.standard_exponential(n) >= _success_threshold(links.p_bar_s_sd)).tolist()
-    fb_heard = (rng_fb.random(n) < 1.0 - cfg.feedback_error).tolist()
-    del u
-
-    # per-slot indicator series (batch-mean standard errors need them)
-    ser_ptx = bytearray(n)
-    ser_pdep = bytearray(n)
-    ser_ssucc = bytearray(n)
-    ser_snon = bytearray(n)
-    ser_sdep = bytearray(n)
+    edges = _batch_edges(n)
+    # per-batch counts of the indicator series behind the batch-mean SEs
+    batch = {k: np.zeros(len(edges) - 1, dtype=np.int64) for k in ("ptx", "pdep", "ssucc", "snon", "sdep")}
 
     record = cfg.record_traces
+    qp_series = np.empty(n, dtype=np.int64)
     if record:
-        tr_qp = np.zeros(n, dtype=np.int64)
-        tr_qs = np.zeros(n, dtype=np.int64)
-        tr_events = bytearray(n)
-        tr_feedback = bytearray(n)
+        qs_series = np.empty(n, dtype=np.int64)
+        events = np.empty(n, dtype=np.uint8)
+        feedback = np.empty(n, dtype=np.uint8)
 
-    pending: deque[int] = deque([-1] * cfg.initial_qp)  # arrival slot per queued primary packet
-    qs = cfg.initial_qs
-    acks_heard = 0
-    heard = 0
-    delay_sum = 0
-    p_dep_total = 0
-    s_dep_total = 0
+    qp, qs = cfg.initial_qp, cfg.initial_qs
+    initial_left = cfg.initial_qp  # queued packets that count as arriving in slot -1
+    pending = np.empty(0, dtype=np.int64)  # arrival slots of the other queued primary packets
+    acks_heard = heard = delay_sum = 0
 
-    for t in range(n):
-        qp_start = len(pending)
-        qs_start = qs
-        ptx = qp_start > 0
-        sensed_busy = busy_if_tx[t] if ptx else busy_if_idle[t]
-        coin = coin_busy[t] if sensed_busy else coin_idle[t]
-        s_has_packet = qs_start > 0
-        stx = coin and (s_has_packet or dominant)
-        collision = ptx and stx
-        p_succ = ptx and not stx and chan_p_ok[t]
-        s_succ = stx and not ptx and chan_s_ok[t]
+    for lo in range(0, n, _SIM_CHUNK):
+        hi = min(lo + _SIM_CHUNK, n)
+        m = hi - lo
+        arrival_p = rng_arr_p.random(m) < cfg.lambda_p
+        arrival_s = rng_arr_s.random(m) < cfg.lambda_s
+        u = rng_sense.random(m)
+        busy_if_tx = u < 1.0 - p_md
+        busy_if_idle = u < p_fa
+        u = rng_coin.random(m)
+        coin_idle = u < cfg.scheme.a_s
+        coin_busy = u < cfg.scheme.b_s
+        chan_p_ok = rng_chan_p.standard_exponential(m) >= threshold_p
+        chan_s_ok = rng_chan_s.standard_exponential(m) >= threshold_s
+        fb_heard = rng_fb.random(m) < 1.0 - cfg.feedback_error
+        del u
+        # the access coin as it falls when the primary transmits / is silent
+        coin_if_tx = np.where(busy_if_tx, coin_busy, coin_idle)
+        coin_if_idle = np.where(busy_if_idle, coin_busy, coin_idle)
 
-        if p_succ:
-            delay_sum += t - pending.popleft()
-            p_dep_total += 1
-            ser_pdep[t] = 1
-        s_dep = s_succ and s_has_packet
-        if s_dep:
-            qs -= 1
-            s_dep_total += 1
-            ser_sdep[t] = 1
-        if ptx:
-            ser_ptx[t] = 1
-            if fb_heard[t]:
-                heard += 1
-                if p_succ:
-                    acks_heard += 1
-        if s_succ:
-            ser_ssucc[t] = 1
-        if s_has_packet:
-            ser_snon[t] = 1
+        qp_c = qp_series[lo:hi]
+        qs_c = qs_series[lo:hi] if record else np.empty(m, dtype=np.int64)
+        qp, qs = _solve_queues(qp, qs, chan_p_ok, coin_if_tx, coin_if_idle & chan_s_ok,
+                               arrival_p, arrival_s, qp_c, qs_c, dominant)
+
+        ptx = qp_c > 0
+        s_has_packet = qs_c > 0
+        coin = np.where(ptx, coin_if_tx, coin_if_idle)
+        stx = coin if dominant else coin & s_has_packet
+        p_succ = ptx & ~stx & chan_p_ok
+        s_succ = stx & ~ptx & chan_s_ok
+        s_dep = s_succ & s_has_packet
+
+        heard += int(np.count_nonzero(ptx & fb_heard))
+        acks_heard += int(np.count_nonzero(p_succ & fb_heard))
+        slot_batch = np.searchsorted(edges, np.arange(lo, hi), side="right") - 1
+        for key, series in (("ptx", ptx), ("pdep", p_succ), ("ssucc", s_succ),
+                            ("snon", s_has_packet), ("sdep", s_dep)):
+            batch[key] += np.bincount(slot_batch[series], minlength=len(batch[key]))
+
+        # FIFO delay: departure slots minus the arrival slots of as many
+        # packets from the head of the queue
+        departed = np.flatnonzero(p_succ)
+        from_initial = min(len(departed), initial_left)
+        initial_left -= from_initial
+        queue = np.concatenate((pending, lo + np.flatnonzero(arrival_p)))
+        taken = len(departed) - from_initial
+        delay_sum += lo * len(departed) + int(departed.sum()) + from_initial - int(queue[:taken].sum())
+        pending = queue[taken:]
 
         if record:
-            tr_qp[t] = qp_start
-            tr_qs[t] = qs_start
-            ev = 0
-            if arrival_p[t]:
-                ev |= EV_ARRIVAL_P
-            if arrival_s[t]:
-                ev |= EV_ARRIVAL_S
-            if ptx:
-                ev |= EV_PRIMARY_TX
-            if stx:
-                ev |= EV_SECONDARY_TX
-            if collision:
-                ev |= EV_COLLISION
-            if p_succ:
-                ev |= EV_PRIMARY_SUCCESS
-            if s_succ:
-                ev |= EV_SECONDARY_SUCCESS
-            if sensed_busy:
-                ev |= EV_SENSED_BUSY
-            tr_events[t] = ev
-            if ptx:
-                if fb_heard[t]:
-                    tr_feedback[t] = FB_ACK_HEARD if p_succ else FB_NACK_HEARD
-                else:
-                    tr_feedback[t] = FB_ACK_MISSED if p_succ else FB_NACK_MISSED
+            collision = ptx & stx
+            sensed_busy = np.where(ptx, busy_if_tx, busy_if_idle)
+            bits = (arrival_p, arrival_s, ptx, stx, collision, p_succ, s_succ, sensed_busy)  # EV_* order
+            events[lo:hi] = np.packbits(np.stack(bits, axis=1), axis=1, bitorder="little")[:, 0]
+            # FB_* codes: 1 + (NACK) + 2 * (missed), on primary transmissions only
+            code = 1 + (~p_succ).view(np.uint8) + 2 * (~fb_heard).view(np.uint8)
+            feedback[lo:hi] = code * ptx
 
-        if arrival_p[t]:
-            pending.append(t)
-        if arrival_s[t]:
-            qs += 1
-
-    ptx_arr = np.frombuffer(bytes(ser_ptx), dtype=np.uint8)
-    pdep_arr = np.frombuffer(bytes(ser_pdep), dtype=np.uint8)
-    ssucc_arr = np.frombuffer(bytes(ser_ssucc), dtype=np.uint8)
-    snon_arr = np.frombuffer(bytes(ser_snon), dtype=np.uint8)
-    sdep_arr = np.frombuffer(bytes(ser_sdep), dtype=np.uint8)
-
-    ptx_slots = int(ptx_arr.sum())
+    ptx_slots = int(batch["ptx"].sum())
+    p_dep_total = int(batch["pdep"].sum())
+    s_dep_total = int(batch["sdep"].sum())
     mu_p = p_dep_total / ptx_slots if ptx_slots else math.nan
-    mu_p_se = _batch_ratio_se(pdep_arr, ptx_arr) if ptx_slots else math.nan
+    mu_p_se = _batch_ratio_se(batch["pdep"], batch["ptx"]) if ptx_slots else math.nan
     if dominant:
         # the secondary always has something to send: its service rate is
         # the unconditional per-slot success rate, dummies included
-        mu_s = float(ssucc_arr.mean())
-        mu_s_se = _batch_ratio_se(ssucc_arr, np.ones(n, dtype=np.uint8))
+        mu_s = int(batch["ssucc"].sum()) / n
+        mu_s_se = _batch_ratio_se(batch["ssucc"], np.diff(edges))
     else:
-        snon_slots = int(snon_arr.sum())
+        snon_slots = int(batch["snon"].sum())
         mu_s = s_dep_total / snon_slots if snon_slots else math.nan
-        mu_s_se = _batch_ratio_se(sdep_arr, snon_arr) if snon_slots else math.nan
+        mu_s_se = _batch_ratio_se(batch["sdep"], batch["snon"]) if snon_slots else math.nan
 
-    trace = None
-    if record:
-        trace = SimTrace(
-            qp=tr_qp,
-            qs=tr_qs,
-            events=np.frombuffer(bytes(tr_events), dtype=np.uint8),
-            feedback=np.frombuffer(bytes(tr_feedback), dtype=np.uint8),
-        )
-
+    trace = SimTrace(qp=qp_series, qs=qs_series, events=events, feedback=feedback) if record else None
     return SimResult(
         slots=n,
         mode=cfg.mode,
@@ -336,6 +375,7 @@ def run(cfg: SimConfig) -> SimResult:
         primary_departures=p_dep_total,
         secondary_departures=s_dep_total,
         feedback_counts=FeedbackCounts(A=acks_heard, M=heard, N=n),
+        primary_queue=qp_series,
         trace=trace,
     )
 
@@ -361,14 +401,15 @@ def stability(series: np.ndarray) -> StabilityProbe:
 
 
 def measure_stability(cfg: SimConfig, window: int, queue: str = "primary") -> StabilityProbe:
-    """Run `window` slots of cfg with traces, then judge the selected queue
-    with `stability`."""
+    """Run `window` slots of cfg, then judge the selected queue with
+    `stability`."""
     if window < 10_000:
         raise DomainError(f"stability window must be >= 1e4 slots, got {window!r}")
     if queue not in ("primary", "secondary"):
         raise DomainError(f"queue must be 'primary' or 'secondary', got {queue!r}")
-    trace = run(replace(cfg, slots=window, record_traces=True)).trace
-    return stability(trace.qp if queue == "primary" else trace.qs)
+    if queue == "primary":
+        return stability(run(replace(cfg, slots=window)).primary_queue)
+    return stability(run(replace(cfg, slots=window, record_traces=True)).trace.qs)
 
 
 def compare_dominant(cfg: SimConfig) -> DominanceReport:

@@ -1,15 +1,21 @@
-"""Brute-force oracles for the closed-form results under test.
+"""Brute-force oracles and scalar references for the fast paths under test.
 
 Everything here evaluates objectives from first principles (plain grid
-search over the feasible interval) and never calls the closed-form code
-paths it is used to check.
+search over the feasible interval, one Python step per slot or per row)
+and never calls the code paths it is used to check.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from collections import deque
 
 import numpy as np
+
+from cogaccess import sim
+from cogaccess.phy import link_success
+from cogaccess.schemes import effective_sensing
 
 
 def grid_max_fractional(a, f, c, d, K, w, step=1e-6):
@@ -81,6 +87,187 @@ def write_trace_csv_rowwise(trace, path):
                 [t, int(trace.qp[t]), int(trace.qs[t]), int(trace.events[t]),
                  names[int(trace.feedback[t])]]
             )
+
+
+def _success_threshold(p_bar):
+    """Exponential-gain threshold whose exceedance probability is p_bar."""
+    return -math.log(p_bar) if p_bar > 0.0 else math.inf
+
+
+def batch_ratio_se_loop(num: np.ndarray, den: np.ndarray, batches: int = 50) -> float:
+    """Standard error of sum(num)/sum(den) from contiguous batch ratios.
+
+    Batch means absorb the serial correlation the queue state induces;
+    for independent slots this reduces to the binomial standard error.
+    """
+    n = len(num)
+    if n < batches * 2:
+        batches = max(2, n // 2)
+    edges = np.linspace(0, n, batches + 1, dtype=np.int64)
+    ratios = []
+    for i in range(batches):
+        d = float(den[edges[i]:edges[i + 1]].sum())
+        if d > 0.0:
+            ratios.append(float(num[edges[i]:edges[i + 1]].sum()) / d)
+    if len(ratios) < 2:
+        return math.nan
+    return float(np.std(ratios, ddof=1) / math.sqrt(len(ratios)))
+
+
+def run_loop(cfg):
+    """The scalar per-slot simulator, one Python step per slot: the
+    reference `cogaccess.sim.run` must match field for field and trace for
+    trace."""
+    n = cfg.slots
+    links = link_success(cfg.phy, cfg.scheme.sensing.tau)
+    p_fa, p_md = effective_sensing(cfg.scheme)
+    dominant = cfg.mode is sim.SimMode.DOMINANT
+
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(7)]
+    rng_arr_p, rng_arr_s, rng_sense, rng_coin, rng_chan_p, rng_chan_s, rng_fb = streams
+
+    arrival_p = (rng_arr_p.random(n) < cfg.lambda_p).tolist()
+    arrival_s = (rng_arr_s.random(n) < cfg.lambda_s).tolist()
+    u = rng_sense.random(n)
+    busy_if_tx = (u < 1.0 - p_md).tolist()
+    busy_if_idle = (u < p_fa).tolist()
+    u = rng_coin.random(n)
+    coin_idle = (u < cfg.scheme.a_s).tolist()
+    coin_busy = (u < cfg.scheme.b_s).tolist()
+    chan_p_ok = (rng_chan_p.standard_exponential(n) >= _success_threshold(links.p_bar_p_pd)).tolist()
+    chan_s_ok = (rng_chan_s.standard_exponential(n) >= _success_threshold(links.p_bar_s_sd)).tolist()
+    fb_heard = (rng_fb.random(n) < 1.0 - cfg.feedback_error).tolist()
+    del u
+
+    # per-slot indicator series (batch-mean standard errors need them)
+    ser_ptx = bytearray(n)
+    ser_pdep = bytearray(n)
+    ser_ssucc = bytearray(n)
+    ser_snon = bytearray(n)
+    ser_sdep = bytearray(n)
+
+    record = cfg.record_traces
+    tr_qp = np.zeros(n, dtype=np.int64)
+    if record:
+        tr_qs = np.zeros(n, dtype=np.int64)
+        tr_events = bytearray(n)
+        tr_feedback = bytearray(n)
+
+    pending: deque[int] = deque([-1] * cfg.initial_qp)  # arrival slot per queued primary packet
+    qs = cfg.initial_qs
+    acks_heard = 0
+    heard = 0
+    delay_sum = 0
+    p_dep_total = 0
+    s_dep_total = 0
+
+    for t in range(n):
+        qp_start = len(pending)
+        qs_start = qs
+        ptx = qp_start > 0
+        sensed_busy = busy_if_tx[t] if ptx else busy_if_idle[t]
+        coin = coin_busy[t] if sensed_busy else coin_idle[t]
+        s_has_packet = qs_start > 0
+        stx = coin and (s_has_packet or dominant)
+        collision = ptx and stx
+        p_succ = ptx and not stx and chan_p_ok[t]
+        s_succ = stx and not ptx and chan_s_ok[t]
+
+        if p_succ:
+            delay_sum += t - pending.popleft()
+            p_dep_total += 1
+            ser_pdep[t] = 1
+        s_dep = s_succ and s_has_packet
+        if s_dep:
+            qs -= 1
+            s_dep_total += 1
+            ser_sdep[t] = 1
+        if ptx:
+            ser_ptx[t] = 1
+            if fb_heard[t]:
+                heard += 1
+                if p_succ:
+                    acks_heard += 1
+        if s_succ:
+            ser_ssucc[t] = 1
+        if s_has_packet:
+            ser_snon[t] = 1
+
+        tr_qp[t] = qp_start
+        if record:
+            tr_qs[t] = qs_start
+            ev = 0
+            if arrival_p[t]:
+                ev |= sim.EV_ARRIVAL_P
+            if arrival_s[t]:
+                ev |= sim.EV_ARRIVAL_S
+            if ptx:
+                ev |= sim.EV_PRIMARY_TX
+            if stx:
+                ev |= sim.EV_SECONDARY_TX
+            if collision:
+                ev |= sim.EV_COLLISION
+            if p_succ:
+                ev |= sim.EV_PRIMARY_SUCCESS
+            if s_succ:
+                ev |= sim.EV_SECONDARY_SUCCESS
+            if sensed_busy:
+                ev |= sim.EV_SENSED_BUSY
+            tr_events[t] = ev
+            if ptx:
+                if fb_heard[t]:
+                    tr_feedback[t] = sim.FB_ACK_HEARD if p_succ else sim.FB_NACK_HEARD
+                else:
+                    tr_feedback[t] = sim.FB_ACK_MISSED if p_succ else sim.FB_NACK_MISSED
+
+        if arrival_p[t]:
+            pending.append(t)
+        if arrival_s[t]:
+            qs += 1
+
+    ptx_arr = np.frombuffer(bytes(ser_ptx), dtype=np.uint8)
+    pdep_arr = np.frombuffer(bytes(ser_pdep), dtype=np.uint8)
+    ssucc_arr = np.frombuffer(bytes(ser_ssucc), dtype=np.uint8)
+    snon_arr = np.frombuffer(bytes(ser_snon), dtype=np.uint8)
+    sdep_arr = np.frombuffer(bytes(ser_sdep), dtype=np.uint8)
+
+    ptx_slots = int(ptx_arr.sum())
+    mu_p = p_dep_total / ptx_slots if ptx_slots else math.nan
+    mu_p_se = batch_ratio_se_loop(pdep_arr, ptx_arr) if ptx_slots else math.nan
+    if dominant:
+        # the secondary always has something to send: its service rate is
+        # the unconditional per-slot success rate, dummies included
+        mu_s = float(ssucc_arr.mean())
+        mu_s_se = batch_ratio_se_loop(ssucc_arr, np.ones(n, dtype=np.uint8))
+    else:
+        snon_slots = int(snon_arr.sum())
+        mu_s = s_dep_total / snon_slots if snon_slots else math.nan
+        mu_s_se = batch_ratio_se_loop(sdep_arr, snon_arr) if snon_slots else math.nan
+
+    trace = None
+    if record:
+        trace = sim.SimTrace(
+            qp=tr_qp,
+            qs=tr_qs,
+            events=np.frombuffer(bytes(tr_events), dtype=np.uint8),
+            feedback=np.frombuffer(bytes(tr_feedback), dtype=np.uint8),
+        )
+
+    return sim.SimResult(
+        slots=n,
+        mode=cfg.mode,
+        empirical_mu_p=mu_p,
+        empirical_mu_p_se=mu_p_se,
+        empirical_mu_s=mu_s,
+        empirical_mu_s_se=mu_s_se,
+        empirical_p_empty=1.0 - ptx_slots / n,
+        mean_primary_delay=delay_sum / p_dep_total if p_dep_total else math.nan,
+        primary_departures=p_dep_total,
+        secondary_departures=s_dep_total,
+        feedback_counts=sim.FeedbackCounts(A=acks_heard, M=heard, N=n),
+        primary_queue=tr_qp,
+        trace=trace,
+    )
 
 
 def random_feasible_program(rng):

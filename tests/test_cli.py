@@ -5,6 +5,7 @@ import yaml
 
 from cogaccess import cli, sim
 from cogaccess.cli import main
+from cogaccess.errors import ConfigError
 from cogaccess.phy import LinkSuccess, SensingPoint
 from cogaccess.schemes import SchemeConfig, Variant
 from cogaccess.sim import SimConfig, SimMode, measure_stability
@@ -213,6 +214,21 @@ class TestSimulate:
             "terminal_queue": probe.terminal_queue,
         }
 
+    def test_no_trace_columns_unless_recorded(self, tmp_path, capsys, monkeypatch):
+        recorded = []
+
+        def spying_run(cfg, real_run=sim.run):
+            result = real_run(cfg)
+            recorded.append(result.trace is not None)
+            return result
+
+        monkeypatch.setattr(cli, "run", spying_run)
+        code, out, _ = run_cli(capsys, ["simulate", "-c", write_config(tmp_path, self.simulate_doc(tmp_path))])
+        assert code == 0
+        assert recorded == [False]
+        assert "drift" in json.loads(out)["stability"]
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
     def test_mode_override(self, tmp_path, capsys):
         doc = self.simulate_doc(tmp_path)
         path = write_config(tmp_path, doc)
@@ -238,6 +254,47 @@ class TestEstimateCommand:
         assert payload["estimates"]["lambda_p_est"] == pytest.approx(0.3, abs=0.05)
         assert payload["regular_phase"]["primary_stable"] is True
         assert payload["fallback_silent"] is False
+
+
+class TestRunSizeBound:
+    """Simulate and estimate documents whose memory would pass MAX_SIM_BYTES exit 2
+    before anything is simulated or allocated."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversize document reached the simulator")
+
+        monkeypatch.setattr(cli, "run", refuse)
+        monkeypatch.setattr(cli, "learning_then_regular", refuse)
+
+    def test_oversize_simulate_rejected_with_hint(self, tmp_path, capsys):
+        doc = dict(BENCH_BASE, scheme="S1", lambda_p=0.3, access={"a_s": 0.5},
+                   sim={"slots": 10**12, "seed": 1})
+        code, _, err = run_cli(capsys, ["simulate", "-c", write_config(tmp_path, doc)])
+        assert code == 2
+        assert "shrink sim.slots" in err
+
+    def test_oversize_estimate_rejected_with_hint(self, tmp_path, capsys):
+        doc = dict(BENCH_BASE, scheme="S1", lambda_p=0.3,
+                   estimate={"lp_slots": 10**8, "rp_slots": 10**9})
+        code, _, err = run_cli(capsys, ["estimate", "-c", write_config(tmp_path, doc)])
+        assert code == 2
+        assert "shrink estimate.lp_slots + estimate.rp_slots" in err
+
+    def test_recorded_trace_counts_toward_the_bound(self, tmp_path, capsys):
+        slots = cli.MAX_SIM_BYTES // cli.SIM_BYTES_PER_SLOT  # fits without the trace columns
+        doc = dict(BENCH_BASE, scheme="S1", lambda_p=0.3, access={"a_s": 0.5},
+                   sim={"slots": slots, "seed": 1, "record_traces": True})
+        code, _, err = run_cli(capsys, ["simulate", "-c", write_config(tmp_path, doc)])
+        assert code == 2
+        assert f"({cli.SIM_BYTES_PER_SLOT + cli.TRACE_BYTES_PER_SLOT} B/slot" in err
+
+    def test_bound_is_inclusive(self):
+        largest = cli.MAX_SIM_BYTES // cli.SIM_BYTES_PER_SLOT
+        cli._check_sim_memory(largest, cli.SIM_BYTES_PER_SLOT, "sim.slots")
+        with pytest.raises(ConfigError):
+            cli._check_sim_memory(largest + 1, cli.SIM_BYTES_PER_SLOT, "sim.slots")
 
 
 class TestSweep:

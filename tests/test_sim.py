@@ -1,5 +1,10 @@
+from dataclasses import fields, replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cogaccess.errors import DomainError
 from cogaccess.phy import LinkSuccess, SensingPoint
@@ -22,7 +27,7 @@ from cogaccess.sim import (
 )
 from cogaccess import sim
 
-from oracles import replay_queue, write_trace_csv_rowwise
+from oracles import replay_queue, run_loop, write_trace_csv_rowwise
 
 BENCH_LINKS = LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8)
 BENCH_POINT = SensingPoint(tau=0.05, p_fa=0.2, p_md=0.3)
@@ -253,6 +258,97 @@ class TestTraceExport:
         write_trace_csv(r.trace, str(fast))
         write_trace_csv_rowwise(r.trace, str(reference))
         assert fast.read_bytes() == reference.read_bytes()
+
+
+def assert_same_result(fast, reference):
+    """Every SimResult field identical: floats repr-equal, arrays equal in dtype and value."""
+    for f in fields(fast):
+        a, b = getattr(fast, f.name), getattr(reference, f.name)
+        if f.name == "trace":
+            assert (a is None) == (b is None)
+            if a is not None:
+                for column in ("qp", "qs", "events", "feedback"):
+                    x, y = getattr(a, column), getattr(b, column)
+                    assert x.dtype == y.dtype and np.array_equal(x, y), column
+        elif isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert type(a) is type(b) and repr(a) == repr(b), (f.name, a, b)
+
+
+CHUNK = sim._SIM_CHUNK
+unit_or_random = st.integers(-200, 1200).map(lambda k: min(max(k, 0), 1000) / 1000)  # 0 and 1 about 1/7 each
+
+
+@st.composite
+def engine_configs(draw):
+    variant = draw(st.sampled_from([Variant.S0, Variant.S1, Variant.S2]))
+    return sim_config(
+        variant=variant,
+        a_s=draw(unit_or_random),
+        b_s=draw(unit_or_random) if variant is Variant.S2 else 0.0,
+        lambda_p=draw(unit_or_random),
+        lambda_s=draw(unit_or_random),
+        slots=draw(st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1]) | st.integers(1, 999).map(lambda k: 2 * CHUNK + k)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        mode=draw(st.sampled_from(list(SimMode))),
+        feedback_error=draw(st.integers(0, 900).map(lambda k: k / 1000)),
+        record_traces=draw(st.booleans()),
+        initial_qp=draw(st.integers(0, 30)),
+        initial_qs=draw(st.integers(0, 30)),
+    )
+
+
+class TestEngine:
+    """The chunked Lindley engine against the per-slot loop it replaced."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cfg=engine_configs())
+    def test_matches_per_slot_loop(self, cfg):
+        assert_same_result(run(cfg), run_loop(cfg))
+
+    @pytest.mark.parametrize("mode", list(SimMode))
+    def test_chunk_size_changes_no_output(self, mode):
+        cfg = sim_config(variant=Variant.S2, a_s=0.8, b_s=0.3, lambda_p=0.35, lambda_s=0.3,
+                         slots=5_003, mode=mode, feedback_error=0.2, record_traces=True,
+                         initial_qp=4, initial_qs=2)
+        with mock.patch.object(sim, "_SIM_CHUNK", 7):
+            tiny = run(cfg)
+        assert_same_result(tiny, run(cfg))
+        assert_same_result(tiny, run_loop(cfg))
+
+    @pytest.mark.parametrize("draw", ["random", "standard_exponential"])
+    def test_stream_read_in_chunks_equals_one_read(self, draw):
+        n = 3 * CHUNK + 17
+        whole = getattr(np.random.default_rng(7), draw)(n)
+        rng = np.random.default_rng(7)
+        parts = [getattr(rng, draw)(min(size, n - lo)) for lo, size in
+                 ((lo, 7 if lo < 70 else CHUNK) for lo in range(0, 70, 7))]
+        parts += [getattr(rng, draw)(min(CHUNK, n - lo)) for lo in range(70, n, CHUNK)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_primary_queue_without_traces(self):
+        cfg = sim_config(variant=Variant.S2, a_s=0.7, b_s=0.2, lambda_p=0.4, slots=20_000,
+                         mode=SimMode.ORIGINAL)
+        bare = run(cfg)
+        traced = run(replace(cfg, record_traces=True))
+        assert bare.trace is None
+        assert bare.primary_queue.dtype == np.int64
+        assert np.array_equal(bare.primary_queue, traced.trace.qp)
+        assert traced.primary_queue is traced.trace.qp
+
+    @settings(max_examples=40, deadline=None)
+    @given(a_s=st.floats(0.0, 1.0), b_s=st.floats(0.0, 1.0), lambda_p=st.floats(0.0, 1.0),
+           lambda_s=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+           initial_qs=st.integers(0, 5))
+    def test_dominant_queues_never_shorter(self, a_s, b_s, lambda_p, lambda_s, seed, initial_qs):
+        cfg = sim_config(variant=Variant.S2, a_s=a_s, b_s=b_s, lambda_p=lambda_p,
+                         lambda_s=lambda_s, slots=20_000, seed=seed, record_traces=True,
+                         initial_qs=initial_qs)
+        original = run(replace(cfg, mode=SimMode.ORIGINAL)).trace
+        dominant = run(replace(cfg, mode=SimMode.DOMINANT)).trace
+        assert np.all(dominant.qp >= original.qp)
+        assert np.all(dominant.qs >= original.qs)
 
 
 class TestValidation:
