@@ -40,7 +40,8 @@ def q_inv(p: float) -> float:
     """Inverse Gaussian tail: the z with q_func(z) = p, for 0 < p < 1.
 
     Monotone bisection on q_func over [-10, 10].  Robustness is preferred
-    over speed here; this is never an inner loop.
+    over speed here; this is never an inner loop: the optimizer resolves
+    each (sensing target, tau) operating point once per grid.
     """
     p = float(p)
     if not (0.0 < p < 1.0):

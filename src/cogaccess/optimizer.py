@@ -8,6 +8,16 @@ fixed busy-outcome probability b_s is the clipped root of a concave
 fractional program (mathcore.solve_fractional); b_s and tau are scanned
 over explicit grids, which keeps results deterministic and testable.
 
+The scalar closed forms (optimal_as_*) are the reference.  The grid
+optimizers, region tracing and sweeps all run one numpy kernel, `scan`,
+over (lambda_p, tau, b_s) cells.  It resolves the operating points once
+per tau grid and evaluates the cells in passes of about _BLOCK elements,
+which bounds its temporaries.  Each variant keeps its own closed form in
+the kernel, in the scalar operation order, so results are bit-identical
+to the scalar functions: the variants are pinned versions of S2 (S1:
+b_s = 0; Sc: also a_s = 1; S0: p_fa = 0, p_md = 1), but S1 evaluated
+as S2 at b_s = 0 differs in the last digits.
+
 Grid ties are broken toward smaller tau, then smaller b_s: less sensing
 and less interference at equal throughput.
 """
@@ -64,7 +74,10 @@ __all__ = [
     "optimize_s0",
     "optimize",
     "optimize_with_margin",
+    "GridScan",
+    "scan",
     "trace_region",
+    "union_curve",
     "switch_policy",
     "primary_delay",
 ]
@@ -286,8 +299,8 @@ def optimal_as_s1(lambda_p: float, p_md: float, p_bar_p_pd: float, *, margin: fl
         raise InfeasibleError(
             f"S1 infeasible: lambda_p + margin = {lambda_p + margin!r} exceeds p_bar_p_pd = {p_bar_p_pd!r}"
         )
-    if p_md == 0.0:
-        return 1.0  # sensing never misses; access cannot hurt the primary
+    if p_md == 0.0 or p_bar_p_pd == 0.0:
+        return 1.0  # sensing never misses, or no primary traffic to hurt
     cap = (1.0 - (lambda_p + margin) / p_bar_p_pd) / p_md
     root = (1.0 - math.sqrt(lambda_p / p_bar_p_pd)) / p_md
     return min(max(root, 0.0), min(1.0, cap))
@@ -338,18 +351,14 @@ def optimal_as_s2_given(
         return cap  # objective is non-decreasing in a_s
     if p_fa >= 1.0:
         return 0.0  # idle outcomes yield nothing; access only hurts the primary
-    if p_fa == 0.0 or b_s == 0.0:
-        # the constant term of the fraction's numerator vanishes; K cancels
-        root = (d - math.sqrt((lambda_p / p_bar_p_pd) * d)) / c
+    r = lambda_p / p_bar_p_pd
+    f = r * p_fa * b_s
+    if f == 0.0:
+        # the constant term of the fraction's numerator vanishes (p_fa = 0,
+        # b_s = 0, or a product below the float range); K cancels
+        root = (d - math.sqrt(r * d)) / c
         return min(max(root, 0.0), cap)
-    prog = FractionalProgram(
-        a=(lambda_p / p_bar_p_pd) * (1.0 - p_fa),
-        f=(lambda_p / p_bar_p_pd) * p_fa * b_s,
-        c=c,
-        d=d,
-        K=1.0 - p_fa,
-        w=w,
-    )
+    prog = FractionalProgram(a=r * (1.0 - p_fa), f=f, c=c, d=d, K=1.0 - p_fa, w=w)
     return solve_fractional(prog).x_star
 
 
@@ -367,6 +376,8 @@ def optimal_as_s0(lambda_p: float, p_bar_p_pd: float, *, margin: float = 0.0) ->
         raise InfeasibleError(
             f"S0 infeasible: lambda_p + margin = {lambda_p + margin!r} exceeds p_bar_p_pd = {p_bar_p_pd!r}"
         )
+    if p_bar_p_pd == 0.0:
+        return 1.0  # no primary traffic to hurt
     cap = 1.0 - (lambda_p + margin) / p_bar_p_pd
     root = 1.0 - math.sqrt(lambda_p / p_bar_p_pd)
     return min(max(root, 0.0), cap)
@@ -374,131 +385,143 @@ def optimal_as_s0(lambda_p: float, p_bar_p_pd: float, *, margin: float = 0.0) ->
 
 # --- grid optimizers ---------------------------------------------------------
 
-def _empty_factor(lambda_p: float, mu_p: float) -> float:
+# (lambda_p, tau[, b_s]) elements per kernel pass.  A pass takes whole
+# (lambda_p, tau) cells in row-major order, at least one, so it is a run of
+# lambda_p rows or part of one.  Its temporaries, about twenty arrays of
+# _BLOCK doubles (32 KiB), stay below malloc's mmap threshold and are
+# reused from pass to pass: on a 64 x 32 x 33 region scan, 1,024-cell
+# passes raised peak RSS 2.3 MiB above 124-cell ones, which run as fast.
+_BLOCK = 4096
+
+
+class GridScan(NamedTuple):
+    """Per-(lambda_p, tau) optima of one variant.
+
+    `points` is the tau axis (one tau = 0 point for S0); the arrays have
+    shape (len(lambda_p grid), len(points)).  Infeasible cells hold a zero
+    rate with a_s = b_s = 0 (a_s = 1 for Sc).
+    """
+
+    points: list[OperatingPoint]
+    a_s: np.ndarray
+    b_s: np.ndarray
+    lambda_s: np.ndarray
+    feasible: np.ndarray
+
+    def best(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per lambda_p row: the first tau with the largest feasible rate, and whether any is feasible."""
+        return np.argmax(np.where(self.feasible, self.lambda_s, -np.inf), axis=1), self.feasible.any(axis=1)
+
+
+def _empty_factor(lam: np.ndarray, mu_p: np.ndarray) -> np.ndarray:
     """Pr{primary queue empty}, clamped so boundary rounding cannot go negative."""
-    if lambda_p == 0.0:
-        return 1.0
-    if mu_p <= lambda_p:
-        return 0.0
-    return 1.0 - lambda_p / mu_p
+    return np.where(lam == 0.0, 1.0, np.where(mu_p <= lam, 0.0, 1.0 - lam / mu_p))
 
 
-def _best_row(rows: Sequence[TauResult]) -> TauResult | None:
-    best = None
-    for row in rows:
-        if row.feasible and (best is None or row.lambda_s > best.lambda_s):
-            best = row
-    return best
+def _cells(variant, lam, p_fa, p_md, p_s, pp, margin, b):
+    """a_s, b_s, lambda_s and feasibility of `variant` at each (lambda_p, point) cell.
 
-
-def _result_from_rows(
-    variant: Variant, rows: list[TauResult], points: dict[float, OperatingPoint]
-) -> OptimizationResult:
-    best = _best_row(rows)
-    if best is None:
-        return OptimizationResult(best=None, lambda_s_max=0.0, per_tau=tuple(rows), feasible=False)
-    pt = points[best.tau]
-    if variant is Variant.S0:
-        sensing = SensingPoint(tau=0.0, p_fa=0.0, p_md=1.0)
+    Each variant keeps the root, cap, feasibility test and product order of
+    its scalar closed form (optimal_as_s1, optimal_as_s2_given), so results
+    match them bit for bit: S1 is not S2 evaluated at b_s = 0, because
+    p_md + (1 - p_md) need not round to 1.  The substitutions that are
+    exact are used: Sc is S1 with a_s = 1 and its own feasibility test, and
+    S0 is S1 at p_fa = 0, p_md = 1 (every product with 1.0 is exact).  S2
+    maximizes over the b_s axis; the degenerate corners of
+    optimal_as_s2_given are masks, applied in reverse order of precedence.
+    """
+    lm = lam + margin
+    if variant is Variant.S2:
+        lam, lm, p_fa, p_md, p_s = (x[:, None] for x in (lam, lm, p_fa, p_md, p_s))
+        c, d, w, r, k = p_md, p_md + (1.0 - p_md) * (1.0 - b), lm / pp, lam / pp, 1.0 - p_fa
+        ok = ~(d < w)  # pp = 0 makes w inf (infeasible) or nan at lm = 0 (feasible)
+        cap = np.where(c == 0.0, 1.0, np.minimum(1.0, (d - w) / c))
+        f = r * p_fa * b
+        root = np.where(f == 0.0, (d - np.sqrt(r * d)) / c, (d - np.sqrt((r * k * d + c * f) / k)) / c)
+        a = np.minimum(np.maximum(root, 0.0), cap)
+        a = np.where(p_fa >= 1.0, 0.0, a)
+        a = np.where((lam == 0.0) | (c == 0.0), cap, a)
+        a = np.where(pp == 0.0, 1.0, a)
+        mu_p = pp * (p_md * (1.0 - a) + (1.0 - p_md) * (1.0 - b))
+        lam_s = (a * (1.0 - p_fa) + b * p_fa) * p_s * _empty_factor(lam, mu_p)
+        j = np.argmax(np.where(ok, lam_s, -np.inf), axis=1)  # first b_s of the largest rate
+        i, ok = np.arange(j.size), ok.any(axis=1)
+        return np.where(ok, a[i, j], 0.0), np.where(ok, b[j], 0.0), np.where(ok, lam_s[i, j], 0.0), ok
+    if variant is Variant.SC:
+        a = np.ones_like(lam)
+        ok = ~(lm > pp * (1.0 - p_md))
     else:
-        sensing = SensingPoint(tau=pt.tau, p_fa=pt.p_fa, p_md=pt.p_md)
-    cfg = SchemeConfig(variant=variant, a_s=best.a_s, b_s=best.b_s, sensing=sensing)
-    return OptimizationResult(
-        best=cfg, lambda_s_max=best.lambda_s, per_tau=tuple(rows), feasible=True
-    )
+        ok = ~(lm > pp)
+        a = np.minimum(np.maximum((1.0 - np.sqrt(lam / pp)) / p_md, 0.0), np.minimum(1.0, (1.0 - lm / pp) / p_md))
+        a = np.where(ok, np.where((p_md == 0.0) | (pp == 0.0), 1.0, a), 0.0)
+    lam_s = a * p_s * (1.0 - p_fa) * _empty_factor(lam, pp * (1.0 - a * p_md))
+    return a, np.zeros_like(lam), np.where(ok, lam_s, 0.0), ok
+
+
+def scan(
+    variant: Variant, lambda_p_grid: Sequence[float], req: OptimizationRequest, channel: Channel
+) -> GridScan:
+    """Optimize `variant` at every (lambda_p, tau) cell of the request's grids.
+
+    The request supplies the sensing mode, tau and b_s grids and margin;
+    its variant and lambda_p are ignored.  Operating points are resolved
+    once, and the cells are evaluated in passes of about _BLOCK elements.
+    """
+    lam = np.asarray(lambda_p_grid, dtype=float)
+    links = link_success(channel, 0.0)
+    if variant is Variant.S0:
+        points = [OperatingPoint(tau=0.0, p_fa=0.0, p_md=1.0, p_bar_s_sd=links.p_bar_s_sd)]
+        variant = Variant.S1
+    else:
+        points = operating_points(req, channel)
+    cols = np.array([(p.p_fa, p.p_md, p.p_bar_s_sd) for p in points]).T
+    b = np.array(b_s_scan_grid(req.b_s_grid))
+    n, m = lam.size, len(points)
+    step = max(1, _BLOCK // b.size) if variant is Variant.S2 else _BLOCK
+    out = np.empty((4, n * m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, n * m, step):
+            li, ti = np.divmod(np.arange(start, min(start + step, n * m)), m)
+            out[:, start : start + li.size] = _cells(variant, lam[li], *cols[:, ti], links.p_bar_p_pd, req.margin, b)
+    a, b_s, lam_s, ok = out.reshape(4, n, m)
+    return GridScan(points, a, b_s, lam_s, ok.astype(bool))
+
+
+def _optimize(variant: Variant, req: OptimizationRequest, channel: Channel) -> OptimizationResult:
+    grid = scan(variant, (req.lambda_p,), req, channel)
+    rows = tuple(TauResult(pt.tau, *cell) for pt, *cell in zip(grid.points, *(x[0].tolist() for x in grid[1:])))
+    (j,), (feasible,) = grid.best()
+    if not feasible:
+        return OptimizationResult(best=None, lambda_s_max=0.0, per_tau=rows, feasible=False)
+    pt, row = grid.points[j], rows[j]
+    sensing = SensingPoint(tau=pt.tau, p_fa=pt.p_fa, p_md=pt.p_md)
+    cfg = SchemeConfig(variant=variant, a_s=row.a_s, b_s=row.b_s, sensing=sensing)
+    return OptimizationResult(best=cfg, lambda_s_max=row.lambda_s, per_tau=rows, feasible=True)
 
 
 def optimize_sc(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
     """Scan tau for the conventional scheme (a_s = 1, no busy access)."""
-    lam, m = req.lambda_p, req.margin
-    pp = link_success(channel, 0.0).p_bar_p_pd
-    pts = operating_points(req, channel)
-    rows = []
-    for pt in pts:
-        mu_p = pp * (1.0 - pt.p_md)
-        if lam + m > mu_p:
-            rows.append(TauResult(pt.tau, 1.0, 0.0, 0.0, False))
-            continue
-        lam_s = pt.p_bar_s_sd * (1.0 - pt.p_fa) * _empty_factor(lam, mu_p)
-        rows.append(TauResult(pt.tau, 1.0, 0.0, lam_s, True))
-    return _result_from_rows(Variant.SC, rows, {pt.tau: pt for pt in pts})
+    return _optimize(Variant.SC, req, channel)
 
 
 def optimize_s1(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
     """Scan tau; a_s is closed-form at each point."""
-    lam, m = req.lambda_p, req.margin
-    pp = link_success(channel, 0.0).p_bar_p_pd
-    pts = operating_points(req, channel)
-    rows = []
-    for pt in pts:
-        try:
-            a = optimal_as_s1(lam, pt.p_md, pp, margin=m)
-        except InfeasibleError:
-            rows.append(TauResult(pt.tau, 0.0, 0.0, 0.0, False))
-            continue
-        mu_p = pp * (1.0 - a * pt.p_md)
-        lam_s = a * pt.p_bar_s_sd * (1.0 - pt.p_fa) * _empty_factor(lam, mu_p)
-        rows.append(TauResult(pt.tau, a, 0.0, lam_s, True))
-    return _result_from_rows(Variant.S1, rows, {pt.tau: pt for pt in pts})
+    return _optimize(Variant.S1, req, channel)
 
 
 def optimize_s2(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
     """Scan (tau, b_s); a_s is closed-form at each cell."""
-    lam, m = req.lambda_p, req.margin
-    pp = link_success(channel, 0.0).p_bar_p_pd
-    pts = operating_points(req, channel)
-    b_grid = b_s_scan_grid(req.b_s_grid)
-    rows = []
-    for pt in pts:
-        best_cell: tuple[float, float, float] | None = None  # (lambda_s, a, b)
-        for b in b_grid:
-            try:
-                a = optimal_as_s2_given(b, lam, pt.p_md, pt.p_fa, pp, margin=m)
-            except InfeasibleError:
-                continue
-            mu_p = pp * (pt.p_md * (1.0 - a) + (1.0 - pt.p_md) * (1.0 - b))
-            lam_s = (
-                (a * (1.0 - pt.p_fa) + b * pt.p_fa)
-                * pt.p_bar_s_sd
-                * _empty_factor(lam, mu_p)
-            )
-            if best_cell is None or lam_s > best_cell[0]:
-                best_cell = (lam_s, a, b)
-        if best_cell is None:
-            rows.append(TauResult(pt.tau, 0.0, 0.0, 0.0, False))
-        else:
-            rows.append(TauResult(pt.tau, best_cell[1], best_cell[2], best_cell[0], True))
-    return _result_from_rows(Variant.S2, rows, {pt.tau: pt for pt in pts})
+    return _optimize(Variant.S2, req, channel)
 
 
 def optimize_s0(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
     """No sensing: single closed-form point at tau = 0."""
-    lam, m = req.lambda_p, req.margin
-    links = link_success(channel, 0.0)
-    pp, ps = links.p_bar_p_pd, links.p_bar_s_sd
-    pt = OperatingPoint(tau=0.0, p_fa=0.0, p_md=1.0, p_bar_s_sd=ps)
-    try:
-        a = optimal_as_s0(lam, pp, margin=m)
-    except InfeasibleError:
-        rows = [TauResult(0.0, 0.0, 0.0, 0.0, False)]
-        return _result_from_rows(Variant.S0, rows, {0.0: pt})
-    mu_p = pp * (1.0 - a)
-    lam_s = a * ps * _empty_factor(lam, mu_p)
-    rows = [TauResult(0.0, a, 0.0, lam_s, True)]
-    return _result_from_rows(Variant.S0, rows, {0.0: pt})
-
-
-_OPTIMIZERS = {
-    Variant.SC: optimize_sc,
-    Variant.S1: optimize_s1,
-    Variant.S2: optimize_s2,
-    Variant.S0: optimize_s0,
-}
+    return _optimize(Variant.S0, req, channel)
 
 
 def optimize(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
-    """Dispatch to the per-variant optimizer named in the request."""
-    return _OPTIMIZERS[req.variant](req, channel)
+    """Optimize the variant named in the request."""
+    return _optimize(Variant(req.variant), req, channel)
 
 
 def optimize_with_margin(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
@@ -540,10 +563,8 @@ def trace_region(
 ) -> RegionCurve:
     """Trace the stability-region boundary over a lambda_p grid.
 
-    For UNION the boundary is the pointwise maximum of the optimized S0
-    and S2 boundaries and each point is labelled with the winning scheme
-    (ties prefer S0: no sensing at equal throughput).  Infeasible points
-    map to a zero boundary with a silent policy.
+    For UNION the boundary is union_curve of the S0 and S2 curves.
+    Infeasible points map to a zero boundary with a silent policy.
     """
     grid = [float(x) for x in lambda_p_grid]
     if not grid:
@@ -552,43 +573,24 @@ def trace_region(
         raise DomainError("lambda_p grid must be strictly increasing")
     if any(not 0.0 <= x <= 1.0 for x in grid):
         raise DomainError("lambda_p grid entries must be in [0, 1]")
+    if isinstance(scheme, str) and scheme.upper() == UNION:
+        return union_curve(*(trace_region(v, grid, req, channel) for v in (Variant.S0, Variant.S2)))
 
-    union = isinstance(scheme, str) and scheme.upper() == UNION
-    if not union:
-        scheme = Variant(scheme)
+    variant = Variant(scheme)
+    res, name = scan(variant, grid, req, channel), variant.value
+    points = tuple(
+        RegionPoint(lam, float(res.lambda_s[i, j]), name, res.points[j].tau, float(res.a_s[i, j]), float(res.b_s[i, j]))
+        if feasible else RegionPoint(lam, 0.0, name, 0.0, 0.0, 0.0)
+        for i, (lam, j, feasible) in enumerate(zip(grid, *res.best()))
+    )
+    return RegionCurve(scheme=name, points=points)
 
-    points = []
-    for lam in grid:
-        req_lam = replace(req, lambda_p=lam)
-        if union:
-            candidates = [
-                ("S0", optimize_s0(req_lam, channel)),
-                ("S2", optimize_s2(replace(req_lam, variant=Variant.S2), channel)),
-            ]
-            label, res = candidates[0]
-            for cand_label, cand in candidates[1:]:
-                if cand.lambda_s_max > res.lambda_s_max:
-                    label, res = cand_label, cand
-        else:
-            label = scheme.value
-            res = _OPTIMIZERS[scheme](replace(req_lam, variant=scheme), channel)
-        if res.feasible:
-            cfg = res.best
-            points.append(
-                RegionPoint(
-                    lambda_p=lam,
-                    lambda_s=res.lambda_s_max,
-                    scheme=label,
-                    tau=cfg.sensing.tau,
-                    a_s=cfg.a_s,
-                    b_s=cfg.b_s,
-                )
-            )
-        else:
-            points.append(
-                RegionPoint(lambda_p=lam, lambda_s=0.0, scheme=label, tau=0.0, a_s=0.0, b_s=0.0)
-            )
-    return RegionCurve(scheme=UNION if union else scheme.value, points=tuple(points))
+
+def union_curve(s0: RegionCurve, s2: RegionCurve) -> RegionCurve:
+    """Pointwise maximum of traced S0 and S2 curves, each point labelled with
+    the winning scheme (ties prefer S0: no sensing at equal throughput)."""
+    points = tuple(p2 if p2.lambda_s > p0.lambda_s else p0 for p0, p2 in zip(s0.points, s2.points))
+    return RegionCurve(scheme=UNION, points=points)
 
 
 def switch_policy(curve: RegionCurve) -> SwitchPolicy:

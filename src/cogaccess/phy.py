@@ -142,6 +142,8 @@ def secondary_success_prob(params: PhyParams, tau: float) -> float:
 def primary_success_prob(params: PhyParams) -> float:
     """Pr{primary packet survives Rayleigh outage}; full-slot transmission."""
     rate_ratio = params.b / (params.T * params.W)
+    if rate_ratio >= 1024.0:  # 2**rate_ratio overflows float64; outage is certain
+        return 0.0
     return math.exp(-(2.0**rate_ratio - 1.0) / (params.gamma_p_pd * params.sigma2_p_pd))
 
 

@@ -10,12 +10,30 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
+from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
 from cogaccess import sim
-from cogaccess.phy import link_success
-from cogaccess.schemes import effective_sensing
+from cogaccess.errors import DomainError, InfeasibleError
+from cogaccess.optimizer import (
+    UNION,
+    Channel,
+    OperatingPoint,
+    OptimizationRequest,
+    OptimizationResult,
+    RegionCurve,
+    RegionPoint,
+    TauResult,
+    b_s_scan_grid,
+    operating_points,
+    optimal_as_s0,
+    optimal_as_s1,
+    optimal_as_s2_given,
+)
+from cogaccess.phy import SensingPoint, link_success
+from cogaccess.schemes import SchemeConfig, Variant, effective_sensing
 
 
 def grid_max_fractional(a, f, c, d, K, w, step=1e-6):
@@ -277,3 +295,188 @@ def random_feasible_program(rng):
         d, w = w, d
     c = min(c, d)
     return a, f, c, d, K, w
+
+
+# --- scalar grid optimizers: the reference of optimizer.scan ----------------------
+# The per-tau and per-lambda_p loops the numpy kernel replaced, unchanged
+# except for the names: each cell calls the scalar closed forms.
+
+def _empty_factor(lambda_p: float, mu_p: float) -> float:
+    """Pr{primary queue empty}, clamped so boundary rounding cannot go negative."""
+    if lambda_p == 0.0:
+        return 1.0
+    if mu_p <= lambda_p:
+        return 0.0
+    return 1.0 - lambda_p / mu_p
+
+
+def _best_row(rows: Sequence[TauResult]) -> TauResult | None:
+    best = None
+    for row in rows:
+        if row.feasible and (best is None or row.lambda_s > best.lambda_s):
+            best = row
+    return best
+
+
+def _result_from_rows(
+    variant: Variant, rows: list[TauResult], points: dict[float, OperatingPoint]
+) -> OptimizationResult:
+    best = _best_row(rows)
+    if best is None:
+        return OptimizationResult(best=None, lambda_s_max=0.0, per_tau=tuple(rows), feasible=False)
+    pt = points[best.tau]
+    if variant is Variant.S0:
+        sensing = SensingPoint(tau=0.0, p_fa=0.0, p_md=1.0)
+    else:
+        sensing = SensingPoint(tau=pt.tau, p_fa=pt.p_fa, p_md=pt.p_md)
+    cfg = SchemeConfig(variant=variant, a_s=best.a_s, b_s=best.b_s, sensing=sensing)
+    return OptimizationResult(
+        best=cfg, lambda_s_max=best.lambda_s, per_tau=tuple(rows), feasible=True
+    )
+
+
+def optimize_sc_loop(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
+    """Scan tau for the conventional scheme (a_s = 1, no busy access)."""
+    lam, m = req.lambda_p, req.margin
+    pp = link_success(channel, 0.0).p_bar_p_pd
+    pts = operating_points(req, channel)
+    rows = []
+    for pt in pts:
+        mu_p = pp * (1.0 - pt.p_md)
+        if lam + m > mu_p:
+            rows.append(TauResult(pt.tau, 1.0, 0.0, 0.0, False))
+            continue
+        lam_s = pt.p_bar_s_sd * (1.0 - pt.p_fa) * _empty_factor(lam, mu_p)
+        rows.append(TauResult(pt.tau, 1.0, 0.0, lam_s, True))
+    return _result_from_rows(Variant.SC, rows, {pt.tau: pt for pt in pts})
+
+
+def optimize_s1_loop(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
+    """Scan tau; a_s is closed-form at each point."""
+    lam, m = req.lambda_p, req.margin
+    pp = link_success(channel, 0.0).p_bar_p_pd
+    pts = operating_points(req, channel)
+    rows = []
+    for pt in pts:
+        try:
+            a = optimal_as_s1(lam, pt.p_md, pp, margin=m)
+        except InfeasibleError:
+            rows.append(TauResult(pt.tau, 0.0, 0.0, 0.0, False))
+            continue
+        mu_p = pp * (1.0 - a * pt.p_md)
+        lam_s = a * pt.p_bar_s_sd * (1.0 - pt.p_fa) * _empty_factor(lam, mu_p)
+        rows.append(TauResult(pt.tau, a, 0.0, lam_s, True))
+    return _result_from_rows(Variant.S1, rows, {pt.tau: pt for pt in pts})
+
+
+def optimize_s2_loop(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
+    """Scan (tau, b_s); a_s is closed-form at each cell."""
+    lam, m = req.lambda_p, req.margin
+    pp = link_success(channel, 0.0).p_bar_p_pd
+    pts = operating_points(req, channel)
+    b_grid = b_s_scan_grid(req.b_s_grid)
+    rows = []
+    for pt in pts:
+        best_cell: tuple[float, float, float] | None = None  # (lambda_s, a, b)
+        for b in b_grid:
+            try:
+                a = optimal_as_s2_given(b, lam, pt.p_md, pt.p_fa, pp, margin=m)
+            except InfeasibleError:
+                continue
+            mu_p = pp * (pt.p_md * (1.0 - a) + (1.0 - pt.p_md) * (1.0 - b))
+            lam_s = (
+                (a * (1.0 - pt.p_fa) + b * pt.p_fa)
+                * pt.p_bar_s_sd
+                * _empty_factor(lam, mu_p)
+            )
+            if best_cell is None or lam_s > best_cell[0]:
+                best_cell = (lam_s, a, b)
+        if best_cell is None:
+            rows.append(TauResult(pt.tau, 0.0, 0.0, 0.0, False))
+        else:
+            rows.append(TauResult(pt.tau, best_cell[1], best_cell[2], best_cell[0], True))
+    return _result_from_rows(Variant.S2, rows, {pt.tau: pt for pt in pts})
+
+
+def optimize_s0_loop(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
+    """No sensing: single closed-form point at tau = 0."""
+    lam, m = req.lambda_p, req.margin
+    links = link_success(channel, 0.0)
+    pp, ps = links.p_bar_p_pd, links.p_bar_s_sd
+    pt = OperatingPoint(tau=0.0, p_fa=0.0, p_md=1.0, p_bar_s_sd=ps)
+    try:
+        a = optimal_as_s0(lam, pp, margin=m)
+    except InfeasibleError:
+        rows = [TauResult(0.0, 0.0, 0.0, 0.0, False)]
+        return _result_from_rows(Variant.S0, rows, {0.0: pt})
+    mu_p = pp * (1.0 - a)
+    lam_s = a * ps * _empty_factor(lam, mu_p)
+    rows = [TauResult(0.0, a, 0.0, lam_s, True)]
+    return _result_from_rows(Variant.S0, rows, {0.0: pt})
+
+
+OPTIMIZERS_LOOP = {
+    Variant.SC: optimize_sc_loop,
+    Variant.S1: optimize_s1_loop,
+    Variant.S2: optimize_s2_loop,
+    Variant.S0: optimize_s0_loop,
+}
+
+
+def trace_region_loop(
+    scheme: Variant | str,
+    lambda_p_grid: Sequence[float],
+    req: OptimizationRequest,
+    channel: Channel,
+) -> RegionCurve:
+    """Trace the stability-region boundary over a lambda_p grid.
+
+    For UNION the boundary is the pointwise maximum of the optimized S0
+    and S2 boundaries and each point is labelled with the winning scheme
+    (ties prefer S0: no sensing at equal throughput).  Infeasible points
+    map to a zero boundary with a silent policy.
+    """
+    grid = [float(x) for x in lambda_p_grid]
+    if not grid:
+        raise DomainError("lambda_p grid must be non-empty")
+    if grid != sorted(set(grid)):
+        raise DomainError("lambda_p grid must be strictly increasing")
+    if any(not 0.0 <= x <= 1.0 for x in grid):
+        raise DomainError("lambda_p grid entries must be in [0, 1]")
+
+    union = isinstance(scheme, str) and scheme.upper() == UNION
+    if not union:
+        scheme = Variant(scheme)
+
+    points = []
+    for lam in grid:
+        req_lam = replace(req, lambda_p=lam)
+        if union:
+            candidates = [
+                ("S0", optimize_s0_loop(req_lam, channel)),
+                ("S2", optimize_s2_loop(replace(req_lam, variant=Variant.S2), channel)),
+            ]
+            label, res = candidates[0]
+            for cand_label, cand in candidates[1:]:
+                if cand.lambda_s_max > res.lambda_s_max:
+                    label, res = cand_label, cand
+        else:
+            label = scheme.value
+            res = OPTIMIZERS_LOOP[scheme](replace(req_lam, variant=scheme), channel)
+        if res.feasible:
+            cfg = res.best
+            points.append(
+                RegionPoint(
+                    lambda_p=lam,
+                    lambda_s=res.lambda_s_max,
+                    scheme=label,
+                    tau=cfg.sensing.tau,
+                    a_s=cfg.a_s,
+                    b_s=cfg.b_s,
+                )
+            )
+        else:
+            points.append(
+                RegionPoint(lambda_p=lam, lambda_s=0.0, scheme=label, tau=0.0, a_s=0.0, b_s=0.0)
+            )
+    return RegionCurve(scheme=UNION if union else scheme.value, points=tuple(points))

@@ -1,4 +1,7 @@
+import copy
+import itertools
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -91,6 +94,12 @@ class TestOptimize:
         assert tight["lambda_s_max"] <= plain["lambda_s_max"]
         assert tight["designed_delay_bound"] == pytest.approx((1 - 0.4) / 0.05)
 
+    def test_margin_past_one_packet_per_slot_is_config_error(self, tmp_path, capsys):
+        doc = dict(BENCH_BASE, scheme="S1", lambda_p=0.9, margin=0.2)
+        code, out, err = run_cli(capsys, ["optimize", "-c", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert "exceeds one packet per slot" in err
+
 
 class TestRegion:
     def test_benchmark_curves_and_determinism(self, tmp_path, capsys):
@@ -133,6 +142,34 @@ class TestRegion:
         for name in ("S2", "S0"):
             for u, v in zip(union, boundaries(files[name])):
                 assert u >= v - 1e-12
+
+    def test_primary_link_that_never_succeeds(self, tmp_path, capsys):
+        # p_bar_p_pd = 0 once divided by zero in the S1 and S0 closed forms at lambda_p = 0
+        doc = dict(BENCH_BASE, channel={"p_bar_p_pd": 0.0, "p_bar_s_sd": 0.8},
+                   grids={"lambda_p": {"start": 0.0, "stop": 0.6, "count": 4}, "b_s": {"count": 3}},
+                   output_dir=str(tmp_path / "out"))
+        code, out, _ = run_cli(capsys, ["region", "-c", write_config(tmp_path, doc)])
+        assert code == 0
+        summary = json.loads(out)
+        for name, path in summary["files"].items():
+            rates = [float(line.split(",")[1]) for line in open(path).read().splitlines()[1:]]
+            assert rates[0] > 0.0 and rates[1:] == [0.0] * 3, name
+
+    def test_false_alarm_probability_below_float_range(self, tmp_path, capsys):
+        # a long, strong detector gives p_fa ~ 3e-317 at tau = 0.32, and the S2
+        # constant (lambda_p/p_bar_p_pd)*p_fa*b_s underflows to 0 at lambda_p = 1e-9
+        doc = {
+            "phy": {"bits_per_packet": 1e4, "slot_seconds": 1.0, "bandwidth_hz": 5e3, "sampling_hz": 1e4,
+                    "sense_snr_db": -1.5, "secondary_snr_db": 0.0, "primary_snr_db": 0.0},
+            "sensing": {"mode": "target_pmd", "value": 0.1},
+            "schemes": ["S2"],
+            "grids": {"lambda_p": [0.0, 1e-9, 0.01], "tau": [0.32], "b_s": {"count": 3}},
+            "output_dir": str(tmp_path / "out"),
+        }
+        code, out, err = run_cli(capsys, ["region", "-c", write_config(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        rows = open(json.loads(out)["files"]["S2"]).read().splitlines()[1:]
+        assert [r.split(",")[2] for r in rows] == ["S2"] * 3 and float(rows[1].split(",")[1]) > 0.0
 
 
 class TestSimulate:
@@ -361,3 +398,68 @@ class TestSweep:
         code, _, err = run_cli(capsys, ["sweep", "-c", write_config(tmp_path, doc)])
         assert code == 2
         assert "shrink" in err
+
+    def test_margin_past_one_packet_per_slot_rejected_before_writing(self, tmp_path, capsys):
+        # lambda_p reaches 0.5, so margin 0.6 overloads the last column
+        doc = self.sweep_doc(tmp_path, margin=0.6)
+        code, out, err = run_cli(capsys, ["sweep", "-c", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert "exceeds one packet per slot" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_margin_at_one_packet_per_slot_is_accepted(self, tmp_path, capsys):
+        doc = self.sweep_doc(tmp_path, margin=0.5)
+        code, out, _ = run_cli(capsys, ["sweep", "-c", write_config(tmp_path, doc)])
+        assert code == 0
+        rows = open(json.loads(out)["file"]).read().strip().splitlines()[1:]
+        assert [r.split(",")[-1] for r in rows if r.split(",")[6] == "0.5"] == ["0"] * 3
+
+    def test_overflowing_primary_rate_ratio(self, tmp_path, capsys):
+        # b/(T*W) = 5000: 2**5000 once overflowed in primary_success_prob
+        doc = self.sweep_doc(tmp_path)
+        doc["phy"]["bandwidth_hz"] = 2
+        code, out, _ = run_cli(capsys, ["sweep", "-c", write_config(tmp_path, doc)])
+        assert code == 0
+        rows = open(json.loads(out)["file"]).read().strip().splitlines()[1:]
+        # the primary link never succeeds: only an idle primary leaves a feasible cell
+        assert all(r.split(",")[-1] == str(int(float(r.split(",")[6]) == 0.0)) for r in rows)
+
+
+class TestFuzz:
+    """Each key of the shipped region, sweep and optimize documents set to a
+    hostile value: a config document may be rejected (2), never crash (3)."""
+
+    VALUES = [0, -0.0, -1, 2, float("nan"), float("inf"), "x", [], {}, None, 3000]
+    DOCS = {
+        "region": ("region_fixed_roc.yaml", {"lambda_p": {"start": 0.0, "stop": 0.63, "count": 8}, "b_s": {"count": 5}}),
+        "sweep": ("sweep_sensing_durations.yaml",
+                  {"lambda_p": {"start": 0.0, "stop": 0.65, "count": 5}, "tau": [0.01, 0.5], "b_s": {"count": 5}}),
+        "optimize": ("validate_simulation.yaml", {"tau": [0.01, 0.5], "b_s": {"count": 5}}),
+    }
+
+    @staticmethod
+    def paths(doc, prefix=()):
+        for key, value in doc.items():
+            yield prefix + (key,)
+            if isinstance(value, dict):
+                yield from TestFuzz.paths(value, prefix + (key,))
+
+    @pytest.mark.parametrize("command", sorted(DOCS))
+    def test_mutated_documents_never_reach_internal_error(self, command, tmp_path, capsys, monkeypatch):
+        name, grids = self.DOCS[command]
+        base = yaml.safe_load((Path(__file__).resolve().parent.parent / "configs" / name).read_text())
+        base.update(grids=grids, margin=0.0, output_dir="out")
+        crashes = []
+        for i, (path, value) in enumerate(itertools.product(list(self.paths(base)), self.VALUES)):
+            doc = copy.deepcopy(base)
+            section = doc
+            for key in path[:-1]:
+                section = section[key]
+            section[path[-1]] = value
+            run_dir = tmp_path / str(i)  # a fresh directory: no run overwrites another's files
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            code, _, err = run_cli(capsys, [command, "-c", write_config(run_dir, doc)])
+            if code not in (0, 2):
+                crashes.append((path, value, err.strip()))
+        assert crashes == []

@@ -150,6 +150,10 @@ class TestOptimalAsS2Given:
             mu_p = pbar * (pmd * (1 - a) + (1 - pmd) * (1 - b))
             assert lam <= mu_p + 1e-12
 
+    def test_numerator_constant_below_float_range(self):
+        # f = (lambda_p/p_bar_p_pd)*p_fa*b_s underflows to 0: the p_fa = 0 root, not a DomainError
+        assert optimal_as_s2_given(0.5, 1e-9, 0.3, 1e-317, 0.9) == optimal_as_s2_given(0.5, 1e-9, 0.3, 0.0, 0.9)
+
     def test_monotone_non_increasing_in_lambda_p(self):
         lams = np.linspace(0.0, 0.55, 56)
         vals = [optimal_as_s2_given(0.5, float(l), 0.3, 0.2, 0.9) for l in lams]

@@ -77,6 +77,11 @@ class TestLinkSuccess:
     def test_primary_zero_rate_never_fails(self):
         assert primary_success_prob(make_params(b=1e-12)) == pytest.approx(1.0, abs=1e-9)
 
+    def test_primary_overflowing_rate_ratio_is_certain_outage(self):
+        # 2**5000 overflows a float; the packet cannot fit and always fails
+        assert primary_success_prob(make_params(W=200.0)) == 0.0
+        assert link_success(make_params(W=2.0), 0.0) == LinkSuccess(0.0, 0.0)
+
     def test_calibrated_gain_reproduces_target(self):
         gain = gain_for_success_prob(0.9, 1.0)
         p = make_params(gamma_p_pd=gain, sigma2_p_pd=1.0)

@@ -1,0 +1,161 @@
+"""The numpy scan kernel against the scalar per-cell loops it replaced,
+and the structural facts of the optimized boundaries."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cogaccess import optimizer
+from cogaccess.optimizer import (
+    FixedFalseAlarm,
+    FixedMisdetection,
+    FixedSensing,
+    FixedThreshold,
+    OptimizationRequest,
+    optimize_s0,
+    optimize_s1,
+    optimize_s2,
+    optimize_sc,
+    scan,
+    trace_region,
+)
+from cogaccess.phy import LinkSuccess, PhyParams, SensingPoint
+from cogaccess.schemes import Variant
+
+from oracles import OPTIMIZERS_LOOP, trace_region_loop
+
+KERNEL = {Variant.SC: optimize_sc, Variant.S1: optimize_s1, Variant.S2: optimize_s2, Variant.S0: optimize_s0}
+SCHEMES = (Variant.SC, Variant.S1, Variant.S2, Variant.S0, "UNION")
+
+# Probabilities: the exact corners 0 and 1 and values in between.  The
+# lower end stays above 1e-9 so that (lambda_p/p_bar_p_pd)*(1 - p_fa) cannot
+# underflow to zero, which the scalar FractionalProgram rejects as a domain
+# error.  (The ROC of a phy channel still yields p_fa down to 0.)
+unit = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-9, 1.0), st.integers(1, 999).map(lambda k: k / 1000))
+inner = st.floats(0.01, 0.99)
+
+
+def _grid(values, *, min_size=1, max_size=6):
+    return st.lists(values, min_size=min_size, max_size=max_size, unique=True).map(lambda xs: tuple(sorted(xs)))
+
+
+@st.composite
+def problems(draw):
+    """A channel, a request (without its variant) and a lambda_p grid."""
+    if draw(st.booleans()):
+        channel = LinkSuccess(p_bar_p_pd=draw(unit), p_bar_s_sd=draw(unit))
+        mode = FixedSensing(SensingPoint(tau=draw(st.floats(0.0, 0.5)), p_fa=draw(unit), p_md=draw(unit)))
+        tau_grid = ()
+    else:
+        channel = PhyParams(
+            b=1e4, T=1.0, W=draw(st.floats(5e3, 3e4)), f_s=1e4,
+            gamma_sense=10 ** (draw(st.floats(-20.0, 0.0)) / 10), sigma_u2=1.0,
+            gamma_s_sd=10 ** (draw(st.floats(0.0, 15.0)) / 10), sigma2_s_sd=1.0,
+            gamma_p_pd=10 ** (draw(st.floats(0.0, 15.0)) / 10), sigma2_p_pd=1.0,
+        )
+        mode = draw(st.sampled_from([FixedFalseAlarm, FixedMisdetection, FixedThreshold, FixedSensing]))
+        if mode is FixedThreshold:
+            mode = FixedThreshold(draw(st.floats(0.5, 2.0)))
+        elif mode is FixedSensing:
+            mode = FixedSensing(SensingPoint(tau=draw(st.floats(0.0, 0.99)), p_fa=draw(unit), p_md=draw(unit)))
+        else:
+            mode = mode(draw(inner))
+        tau_grid = () if isinstance(mode, FixedSensing) else draw(_grid(st.floats(1e-3, 0.999), max_size=4))
+    b_s_grid = draw(st.one_of(st.just(()), _grid(unit)))
+    margin = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
+    req = OptimizationRequest(Variant.S2, 0.0, mode, tau_grid=tau_grid, b_s_grid=b_s_grid, margin=margin)
+    lambdas = draw(st.one_of(
+        _grid(unit),
+        _grid(unit).map(lambda g: tuple(sorted({0.0, *g}))),
+        st.builds(lambda hi, n: tuple(hi * i / (n - 1) for i in range(n)), st.floats(0.1, 1.0), st.integers(2, 24)),
+    ))
+    return channel, req, lambdas
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=problems())
+def test_kernel_matches_scalar_loops(problem):
+    """optimize_* and trace_region give the scalar loops' results, repr for repr."""
+    channel, req, lambdas = problem
+    for variant in (Variant.SC, Variant.S1, Variant.S2, Variant.S0):
+        for lam in lambdas:
+            r = OptimizationRequest(variant, lam, req.target_mode, req.tau_grid, req.b_s_grid, req.margin)
+            assert repr(KERNEL[variant](r, channel)) == repr(OPTIMIZERS_LOOP[variant](r, channel))
+    for scheme in SCHEMES:
+        assert repr(trace_region(scheme, lambdas, req, channel)) == repr(trace_region_loop(scheme, lambdas, req, channel))
+
+
+@pytest.mark.parametrize("case", ["fixed_roc", "tradeoff"])
+def test_kernel_matches_scalar_loops_on_dense_grids(case):
+    if case == "fixed_roc":
+        channel, lambdas = LinkSuccess(0.9, 0.8), tuple(0.63 / 63 * i for i in range(64))
+        req = OptimizationRequest(Variant.S2, 0.0, FixedSensing(SensingPoint(0.05, 0.2, 0.3)))
+    else:
+        channel, req, lambdas = _tradeoff_case()
+    for scheme in SCHEMES:
+        assert repr(trace_region(scheme, lambdas, req, channel)) == repr(trace_region_loop(scheme, lambdas, req, channel))
+
+
+def _tradeoff_case():
+    phy = PhyParams(b=1e4, T=1.0, W=1e4, f_s=1e4, gamma_sense=0.05, sigma_u2=1.0,
+                    gamma_s_sd=20.0, sigma2_s_sd=1.0, gamma_p_pd=2.4, sigma2_p_pd=1.0)
+    req = OptimizationRequest(Variant.S2, 0.0, FixedFalseAlarm(0.2), tau_grid=(1e-3, 0.01, 0.1, 0.5, 0.9),
+                              b_s_grid=(0.25, 0.5, 1.0), margin=0.01)
+    return phy, req, tuple(float(x) for x in np.linspace(0.0, 0.7, 13))
+
+
+@pytest.mark.parametrize("block", [1, 7, 28])  # 28: S2 passes of 7 cells over the 4-value b_s scan
+def test_block_size_changes_no_output(block, monkeypatch):
+    phy, req, lambdas = _tradeoff_case()
+    before = [repr(trace_region(s, lambdas, req, phy)) for s in SCHEMES]
+    grids = [scan(v, lambdas, req, phy) for v in SCHEMES[:-1]]
+    monkeypatch.setattr(optimizer, "_BLOCK", block)
+    assert [repr(trace_region(s, lambdas, req, phy)) for s in SCHEMES] == before
+    for v, grid in zip(SCHEMES[:-1], grids):
+        again = scan(v, lambdas, req, phy)
+        for x, y in zip(grid[1:], again[1:]):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_scan_resolves_operating_points_once(monkeypatch):
+    phy, req, lambdas = _tradeoff_case()
+    calls = []
+    real = optimizer.operating_points
+    monkeypatch.setattr(optimizer, "operating_points", lambda *a: calls.append(a) or real(*a))
+    grid = scan(Variant.S2, lambdas, req, phy)
+    assert len(calls) == 1
+    assert grid.a_s.shape == (len(lambdas), len(req.tau_grid))
+
+
+def test_zero_primary_link_is_silent_unless_idle():
+    # p_bar_p_pd = 0: any primary load is infeasible; an idle primary leaves the channel to the secondary
+    links = LinkSuccess(p_bar_p_pd=0.0, p_bar_s_sd=0.8)
+    req = OptimizationRequest(Variant.S2, 0.0, FixedSensing(SensingPoint(0.05, 0.2, 0.3)), b_s_grid=(0.0, 1.0))
+    for scheme in SCHEMES:
+        pts = trace_region(scheme, (0.0, 0.1), req, links).points
+        assert pts[0].lambda_s > 0.0 and pts[1].lambda_s == 0.0
+    assert optimizer.optimal_as_s1(0.0, 0.3, 0.0) == 1.0
+    assert optimizer.optimal_as_s0(0.0, 0.0) == 1.0
+    with pytest.raises(optimizer.InfeasibleError):
+        optimizer.optimal_as_s0(0.0, 0.0, margin=0.1)
+
+
+# --- structural properties of the optimized boundaries ----------------------------------
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=problems())
+def test_boundary_structure(problem):
+    """S2 >= S1 >= Sc at a shared sensing point, UNION >= every scheme, every
+    boundary non-increasing in lambda_p, rates in [0, 1]."""
+    channel, req, lambdas = problem
+    value = {s: [p.lambda_s for p in trace_region(s, lambdas, req, channel).points] for s in SCHEMES}
+    tol = 1e-12
+    for i in range(len(lambdas)):
+        assert value[Variant.S2][i] >= value[Variant.S1][i] - tol
+        assert value[Variant.S1][i] >= value[Variant.SC][i] - tol
+        for s in SCHEMES[:-1]:
+            assert value["UNION"][i] >= value[s][i] - tol
+    for vals in value.values():
+        assert all(0.0 <= v <= 1.0 for v in vals)
+        assert all(b <= a + tol for a, b in zip(vals, vals[1:]))
