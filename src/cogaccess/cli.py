@@ -72,10 +72,14 @@ REGION_JSON_SCHEMA = "region-summary/1"
 MAX_SWEEP_CELLS = 10_000_000
 
 # Memory a simulate or estimate run holds per slot, from the growth of peak
-# RSS between 1e6- and 4e6-slot runs: the int64 primary queue series (8 B)
-# and np.polyfit's working set in sim.stability (~72 B); a recorded trace
-# adds the qs, events and feedback columns (10 B).
-SIM_BYTES_PER_SLOT = 80
+# RSS between 1e6-, 4e6- and 16e6-slot runs with stable and overloaded
+# primaries (7.9-8.2 B/slot, 18.1-19.0 with traces), rounded up: the int64
+# primary queue series (8 B) and, while the primary queue grows, the FIFO
+# delay's arrival bits (1/8 B); a recorded trace adds the qs, events and
+# feedback columns (10 B).  sim.stability and the trace CSV writer work in
+# fixed-size chunks.  At the cap that is 477,218,588 slots (226,050,910
+# with traces).
+SIM_BYTES_PER_SLOT = 9
 TRACE_BYTES_PER_SLOT = 10
 MAX_SIM_BYTES = 4 * 2**30
 

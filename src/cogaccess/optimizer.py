@@ -5,8 +5,9 @@ access probabilities (and sensing time) to maximize its own stable
 throughput subject to keeping the primary queue stable, optionally with a
 protection margin added to the primary constraint.  The a_s optimum for a
 fixed busy-outcome probability b_s is the clipped root of a concave
-fractional program (mathcore.solve_fractional); b_s and tau are scanned
-over explicit grids, which keeps results deterministic and testable.
+fractional program (as mathcore.solve_fractional computes it); b_s and tau
+are scanned over explicit grids, which keeps results deterministic and
+testable.
 
 The scalar closed forms (optimal_as_*) are the reference.  The grid
 optimizers, region tracing and sweeps all run one numpy kernel, `scan`,
@@ -31,7 +32,6 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InfeasibleError
-from .mathcore import FractionalProgram, solve_fractional
 from .phy import (
     TAU_EDGE,
     LinkSuccess,
@@ -324,8 +324,9 @@ def optimal_as_s2_given(
         K = 1 - p_fa                              w = (lambda_p + margin)/p_bar_p_pd
 
     Degenerate corners (idle primary, perfect sensing, certain false
-    alarm, vanishing numerator constants) are resolved directly from the
-    objective's monotonicity instead of the solver.
+    alarm) are resolved directly from the objective's monotonicity;
+    otherwise a_s is the program's smaller stationary root, clipped to the
+    feasible interval, with the simpler root when f vanishes.
     """
     _check_unit("b_s", b_s)
     _check_unit("lambda_p", lambda_p)
@@ -357,9 +358,12 @@ def optimal_as_s2_given(
         # the constant term of the fraction's numerator vanishes (p_fa = 0,
         # b_s = 0, or a product below the float range); K cancels
         root = (d - math.sqrt(r * d)) / c
-        return min(max(root, 0.0), cap)
-    prog = FractionalProgram(a=r * (1.0 - p_fa), f=f, c=c, d=d, K=1.0 - p_fa, w=w)
-    return solve_fractional(prog).x_star
+    else:
+        # mathcore.solve_fractional's root in its operation order (a*d is
+        # r*k*d), computed here because a = r*k may underflow to 0
+        k = 1.0 - p_fa
+        root = (d - math.sqrt((r * k * d + c * f) / k)) / c
+    return min(max(root, 0.0), cap)
 
 
 def optimal_as_s0(lambda_p: float, p_bar_p_pd: float, *, margin: float = 0.0) -> float:
@@ -479,7 +483,7 @@ def scan(
     n, m = lam.size, len(points)
     step = max(1, _BLOCK // b.size) if variant is Variant.S2 else _BLOCK
     out = np.empty((4, n * m))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, n * m, step):
             li, ti = np.divmod(np.arange(start, min(start + step, n * m)), m)
             out[:, start : start + li.size] = _cells(variant, lam[li], *cols[:, ti], links.p_bar_p_pd, req.margin, b)

@@ -24,11 +24,10 @@ argument needs.  Failed packets stay at the head of their queue; a packet
 leaves only on success.
 
 The engine solves the queues with array passes over chunks of
-_SIM_CHUNK slots, carrying both queue sizes and the arrival slots of the
-queued primary packets across chunk boundaries; a stream read in chunks
-yields the same numbers as one read of the whole run.  Given its service
-opportunities, a queue follows Lindley's recursion, which one cumsum and
-one running minimum solve.  In dominant mode the primary's opportunities
+_SIM_CHUNK slots, carrying both queue sizes across chunk boundaries; a
+stream read in chunks yields the same numbers as one read of the whole
+run.  Given its service opportunities, a queue follows Lindley's
+recursion, which one cumsum and one running minimum solve.  In dominant mode the primary's opportunities
 (no secondary coin, no outage) do not depend on the secondary queue, so
 one pass gives qp and a second, with service only in silent slots, gives
 qs.  In original mode the secondary contends only when backlogged, so
@@ -39,13 +38,18 @@ changed slot is exact and the next pass resumes there: every pass fixes
 at least one more slot.  Memory per slot of a run is the int64 primary
 queue series the result keeps (8 B), plus 10 B for the qs, events and
 feedback columns of a recorded trace; the rest is a per-chunk working
-set, and the arrival slots of queued primary packets (8 B each).
+set, and for the FIFO delay the arrival bits (1 bit a slot) of the
+chunks since the oldest queued primary arrival, so an overloaded primary
+adds at most 1/8 B a slot.  `stability` and `write_trace_csv` also work
+chunk by chunk, so judging a run and writing its trace add no per-slot
+memory.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+import operator
+from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
@@ -286,7 +290,12 @@ def run(cfg: SimConfig) -> SimResult:
 
     qp, qs = cfg.initial_qp, cfg.initial_qs
     initial_left = cfg.initial_qp  # queued packets that count as arriving in slot -1
-    pending = np.empty(0, dtype=np.int64)  # arrival slots of the other queued primary packets
+    # FIFO delay: the packets that leave after the initial ones are the run's
+    # first `served` primary arrivals.  Only the chunks from the one holding
+    # the served-th arrival on keep their arrival bits (1 bit a slot), each
+    # with the count and slot sum of the arrivals before it.
+    arrived = deque()  # (lo, arrivals before lo, their slot sum, packed arrival bits)
+    arrivals = arrival_slot_sum = served = 0
     acks_heard = heard = delay_sum = 0
 
     for lo in range(0, n, _SIM_CHUNK):
@@ -328,15 +337,19 @@ def run(cfg: SimConfig) -> SimResult:
                             ("snon", s_has_packet), ("sdep", s_dep)):
             batch[key] += np.bincount(slot_batch[series], minlength=len(batch[key]))
 
-        # FIFO delay: departure slots minus the arrival slots of as many
-        # packets from the head of the queue
+        # FIFO delay: departure slots here, the arrival slots of the first
+        # `served` arrivals after the run
         departed = np.flatnonzero(p_succ)
         from_initial = min(len(departed), initial_left)
         initial_left -= from_initial
-        queue = np.concatenate((pending, lo + np.flatnonzero(arrival_p)))
-        taken = len(departed) - from_initial
-        delay_sum += lo * len(departed) + int(departed.sum()) + from_initial - int(queue[:taken].sum())
-        pending = queue[taken:]
+        served += len(departed) - from_initial
+        delay_sum += lo * len(departed) + int(departed.sum()) + from_initial
+        arrived.append((lo, arrivals, arrival_slot_sum, np.packbits(arrival_p)))
+        arrival_slots = np.flatnonzero(arrival_p)
+        arrivals += len(arrival_slots)
+        arrival_slot_sum += lo * len(arrival_slots) + int(arrival_slots.sum())
+        while len(arrived) > 1 and arrived[1][1] <= served:
+            arrived.popleft()
 
         if record:
             collision = ptx & stx
@@ -346,6 +359,11 @@ def run(cfg: SimConfig) -> SimResult:
             # FB_* codes: 1 + (NACK) + 2 * (missed), on primary transmissions only
             code = 1 + (~p_succ).view(np.uint8) + 2 * (~fb_heard).view(np.uint8)
             feedback[lo:hi] = code * ptx
+
+    # the served-th arrival is in the first kept chunk
+    lo, before, before_sum, bits = arrived[0]
+    first = np.flatnonzero(np.unpackbits(bits))[:served - before]
+    delay_sum -= before_sum + lo * len(first) + int(first.sum())
 
     ptx_slots = int(batch["ptx"].sum())
     p_dep_total = int(batch["pdep"].sum())
@@ -383,12 +401,17 @@ def run(cfg: SimConfig) -> SimResult:
 def stability(series: np.ndarray) -> StabilityProbe:
     """Finite-run stability verdict from one queue's per-slot sizes.
 
-    The drift is the least-squares slope of the series; stable means
-    drift <= DRIFT_EPSILON and a terminal size below
-    TERMINAL_FACTOR * sqrt(len(series)).
+    The drift is the least-squares slope of the series against the slot
+    index (nan for a single slot); stable means drift <= DRIFT_EPSILON and
+    a terminal size below TERMINAL_FACTOR * sqrt(len(series)).
     """
     n = len(series)
-    drift = float(np.polyfit(np.arange(n), series.astype(np.float64), 1)[0])
+    sum_q, sum_tq = _exact_sums(series)
+    # slope = (n*sum(t*q) - sum(t)*sum(q)) / (n*sum(t^2) - sum(t)^2), with
+    # sum(t) = n(n-1)/2 and the denominator n^2(n^2-1)/12, both scaled by 12:
+    # one correctly rounded division of exact integers
+    den = n * n * (n * n - 1)
+    drift = (12 * n * sum_tq - 6 * n * (n - 1) * sum_q) / den if den else math.nan
     terminal = int(series[-1])
     terminal_threshold = TERMINAL_FACTOR * math.sqrt(n)
     return StabilityProbe(
@@ -398,6 +421,34 @@ def stability(series: np.ndarray) -> StabilityProbe:
         drift_threshold=DRIFT_EPSILON,
         terminal_threshold=terminal_threshold,
     )
+
+
+def _exact_sums(series: np.ndarray) -> tuple[int, int]:
+    """sum(q[t]) and sum(t * q[t]) of an integer series, as exact Python ints.
+
+    Each chunk's sums are taken in int64 relative to the chunk's first
+    slot, sum(t*q) = lo*sum(q) + sum(u*q) with u < m, and are exact while
+    max|q| * m * m < 2**63: for a chunk of 65,536 slots, queue sizes up to
+    2**31 - 1.  A queue grows by at most one packet a slot, so that holds
+    up to cli's slot limit unless the run starts with a huge initial queue;
+    a chunk past it is summed in Python ints.
+    """
+    if not np.issubdtype(series.dtype, np.integer):
+        raise DomainError(f"stability needs an integer series, got dtype {series.dtype}")
+    sum_q = sum_tq = 0
+    for lo in range(0, len(series), _SIM_CHUNK):
+        q = series[lo:lo + _SIM_CHUNK]
+        m = len(q)
+        if max(-int(q.min()), int(q.max())) * m * m < 2**63:
+            q = q.astype(np.int64, copy=False)
+            s_q = int(q.sum())
+            sum_q += s_q
+            sum_tq += lo * s_q + int(np.dot(np.arange(m, dtype=np.int64), q))
+        else:
+            values = q.tolist()
+            sum_q += sum(values)
+            sum_tq += sum(map(operator.mul, range(lo, lo + m), values))
+    return sum_q, sum_tq
 
 
 def measure_stability(cfg: SimConfig, window: int, queue: str = "primary") -> StabilityProbe:
@@ -444,22 +495,53 @@ def compare_dominant(cfg: SimConfig) -> DominanceReport:
 
 TRACE_CSV_SCHEMA = "trace/1"
 _FEEDBACK_NAMES = ("none", "ack", "nack", "ack-missed", "nack-missed")  # indexed by FB_* code
-_TRACE_CSV_CHUNK = 65_536  # rows per writerows call: bounds the memory of the formatted rows
+_TRACE_CSV_CHUNK = 65_536  # rows formatted per write: bounds the memory of the formatted text
+# FB_* code -> the name's bytes, zero-padded to the longest name
+_FEEDBACK_TEXT = np.array([list(name.encode().ljust(max(map(len, _FEEDBACK_NAMES)), b"\0"))
+                           for name in _FEEDBACK_NAMES], dtype=np.uint8)
 
 
 def write_trace_csv(trace: SimTrace, path: str) -> None:
-    """One row per slot: slot, queue sizes at slot start, event bits, feedback."""
+    """One row per slot: slot, queue sizes at slot start, event bits, feedback.
+
+    The bytes are those of csv.writer (CRLF line ends, nothing quoted).
+    Each chunk of rows is formatted as one uint8 array: every integer
+    column is a block of ASCII digits as wide as the chunk's largest
+    value, the feedback column a zero-padded name, and one boolean
+    compress drops the leading zeros and the padding.
+    """
     n = len(trace.qp)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "qp", "qs", "events", "feedback"])
+    with open(path, "wb") as fh:
+        fh.write(b"slot,qp,qs,events,feedback\r\n")
         for lo in range(0, n, _TRACE_CSV_CHUNK):
             hi = min(lo + _TRACE_CSV_CHUNK, n)
-            names = map(_FEEDBACK_NAMES.__getitem__, trace.feedback[lo:hi].tolist())
-            writer.writerows(zip(
-                range(lo, hi),
-                trace.qp[lo:hi].tolist(),
-                trace.qs[lo:hi].tolist(),
-                trace.events[lo:hi].tolist(),
-                names,
-            ))
+            columns = (np.arange(lo, hi, dtype=np.int64), trace.qp[lo:hi], trace.qs[lo:hi], trace.events[lo:hi])
+            fh.write(_csv_rows(columns, trace.feedback[lo:hi]))
+
+
+def _csv_rows(columns: tuple[np.ndarray, ...], feedback: np.ndarray) -> np.ndarray:
+    """CSV text of rows made of non-negative integer columns and a feedback name."""
+    values = [column.astype(np.int64, copy=False) for column in columns]
+    if any(int(v.min()) < 0 for v in values):
+        raise DomainError("trace columns must be non-negative")
+    widths = [len(str(int(v.max()))) for v in values]
+    text = np.empty((len(feedback), sum(widths) + len(widths) + _FEEDBACK_TEXT.shape[1] + 2), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    at = 0
+    for q, width in zip(values, widths):
+        # digits from the ones up; a digit of place value 10**j > 1 is
+        # written only when the value reaches 10**j, i.e. when q > 0 here
+        for k in range(at + width - 1, at, -1):
+            tens = q // 10
+            text[:, k] = q - 10 * tens
+            q = tens
+            keep[:, k - 1] = q > 0
+        text[:, at] = q
+        text[:, at:at + width] += ord("0")
+        text[:, at + width] = ord(",")
+        at += width + 1
+    names = _FEEDBACK_TEXT[feedback]
+    text[:, at:-2] = names
+    keep[:, at:-2] = names != 0
+    text[:, -2:] = (ord("\r"), ord("\n"))
+    return np.compress(keep.ravel(), text.ravel())

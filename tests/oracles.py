@@ -11,6 +11,7 @@ import csv
 import math
 from collections import deque
 from dataclasses import replace
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -105,6 +106,17 @@ def write_trace_csv_rowwise(trace, path):
                 [t, int(trace.qp[t]), int(trace.qs[t]), int(trace.events[t]),
                  names[int(trace.feedback[t])]]
             )
+
+
+def drift_fraction(series):
+    """Least-squares slope of a series against the slot index, as an exact
+    Fraction from the definitional sums; None below two slots."""
+    ys = [int(v) for v in series]
+    n = len(ys)
+    s_t, s_tt = sum(range(n)), sum(t * t for t in range(n))
+    s_y, s_ty = sum(ys), sum(t * y for t, y in enumerate(ys))
+    den = n * s_tt - s_t * s_t
+    return Fraction(n * s_ty - s_t * s_y, den) if den else None
 
 
 def _success_threshold(p_bar):

@@ -6,6 +6,7 @@ from cogaccess.errors import DomainError
 from cogaccess.estimator import (
     EstimatorMode,
     FeedbackLog,
+    _policy_from_estimates,
     estimate,
     feedback_log_from_result,
     feedback_log_from_trace_csv,
@@ -185,6 +186,12 @@ class TestLearningThenRegular:
     def test_phase_length_precondition(self):
         with pytest.raises(DomainError):
             learning_then_regular(10_000, 50_000, self.template())
+
+    def test_s2_policy_where_idle_term_underflows(self):
+        # (lambda_p_est/p_bar_est)*(1 - p_fa) underflows to 0: a policy, not a DomainError
+        template = SchemeConfig(Variant.S2, 1.0, 0.0, SensingPoint(tau=0.05, p_fa=1 - 2**-53, p_md=0.3))
+        policy = _policy_from_estimates(template, 1e-310, 0.9, 0.0, (0.5,))
+        assert (policy.variant, policy.a_s, policy.b_s) == (Variant.S2, 1.0, 0.5)
 
 
 class TestTraceIngestion:

@@ -2,10 +2,11 @@
 
 Each config in `configs/` runs through `cli.main` from a fresh working
 directory with `--output-dir out`; the SHA-256 of stdout and of every file
-written under `out/` must match `tests/golden.json`.  The digests hold for
-the numpy version recorded next to them (random streams and float
-formatting may shift across numpy releases), so the test skips on any
-other version.
+written under `out/` must match `tests/golden.json`.  One more case runs
+`validate_simulation` with `sim.record_traces: true`, which pins the bytes
+of its 1e6-row `trace.csv`.  The digests hold for the numpy version
+recorded next to them (random streams and float formatting may shift
+across numpy releases), so the test skips on any other version.
 
 Regenerate the digests only on purpose, after a change that is meant to
 alter the shipped outputs, and say so in CHANGES.md:
@@ -24,16 +25,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from cogaccess.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden.json"
-COMMANDS = {
-    "estimate_two_phase": "estimate",
-    "region_fixed_roc": "region",
-    "sweep_sensing_durations": "sweep",
-    "validate_simulation": "simulate",
+# case -> (command, config in configs/, keys set in the document's sim section)
+CASES = {
+    "estimate_two_phase": ("estimate", "estimate_two_phase", {}),
+    "region_fixed_roc": ("region", "region_fixed_roc", {}),
+    "sweep_sensing_durations": ("sweep", "sweep_sensing_durations", {}),
+    "validate_simulation": ("simulate", "validate_simulation", {}),
+    "validate_simulation_traced": ("simulate", "validate_simulation", {"record_traces": True}),
 }
 
 
@@ -42,13 +46,20 @@ def _sha256(data: bytes) -> str:
 
 
 def run_config(name: str, workdir: Path) -> dict:
-    """Run one shipped config in `workdir` and digest what it printed and wrote."""
+    """Run one case in `workdir` and digest what it printed and wrote."""
+    command, config, sim_keys = CASES[name]
+    config_path = ROOT / "configs" / f"{config}.yaml"
+    if sim_keys:
+        doc = yaml.safe_load(config_path.read_text())
+        doc["sim"].update(sim_keys)
+        config_path = workdir / f"{name}.yaml"
+        config_path.write_text(yaml.safe_dump(doc))
     stdout = io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(stdout):
-            code = main([COMMANDS[name], "-c", str(ROOT / "configs" / f"{name}.yaml"), "--output-dir", "out"])
+            code = main([command, "-c", str(config_path), "--output-dir", "out"])
     finally:
         os.chdir(cwd)
     out = workdir / "out"
@@ -64,7 +75,7 @@ def _golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_shipped_config_outputs_unchanged(name, tmp_path):
     golden = _golden()
     if np.__version__ != golden["numpy"]:
@@ -76,7 +87,7 @@ if __name__ == "__main__":
     import tempfile
 
     configs = {}
-    for name in sorted(COMMANDS):
+    for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             configs[name] = run_config(name, Path(tmp))
     GOLDEN_PATH.write_text(json.dumps({"numpy": np.__version__, "configs": configs}, indent=2) + "\n")

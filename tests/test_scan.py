@@ -29,10 +29,16 @@ KERNEL = {Variant.SC: optimize_sc, Variant.S1: optimize_s1, Variant.S2: optimize
 SCHEMES = (Variant.SC, Variant.S1, Variant.S2, Variant.S0, "UNION")
 
 # Probabilities: the exact corners 0 and 1 and values in between.  The
-# lower end stays above 1e-9 so that (lambda_p/p_bar_p_pd)*(1 - p_fa) cannot
-# underflow to zero, which the scalar FractionalProgram rejects as a domain
-# error.  (The ROC of a phy channel still yields p_fa down to 0.)
-unit = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-9, 1.0), st.integers(1, 999).map(lambda k: k / 1000))
+# kernel is compared with the scalar loops down to subnormal values, where
+# products such as (lambda_p/p_bar_p_pd)*(1 - p_fa) underflow to zero and
+# quotients overflow.  The structural test stays above 1e-9: below about
+# 1e-16, lambda_p rounds the S1 and S0 optimum a_s up to 1, which leaves
+# the primary no service and drops the boundary to 0 there.
+def _probabilities(low):
+    return st.one_of(st.just(0.0), st.just(1.0), st.floats(low, 1.0), st.integers(1, 999).map(lambda k: k / 1000))
+
+
+unit, unit_above_1e_9 = _probabilities(0.0), _probabilities(1e-9)
 inner = st.floats(0.01, 0.99)
 
 
@@ -41,7 +47,7 @@ def _grid(values, *, min_size=1, max_size=6):
 
 
 @st.composite
-def problems(draw):
+def problems(draw, unit=unit):
     """A channel, a request (without its variant) and a lambda_p grid."""
     if draw(st.booleans()):
         channel = LinkSuccess(p_bar_p_pd=draw(unit), p_bar_s_sd=draw(unit))
@@ -128,6 +134,17 @@ def test_scan_resolves_operating_points_once(monkeypatch):
     assert grid.a_s.shape == (len(lambdas), len(req.tau_grid))
 
 
+def test_scalar_matches_kernel_where_idle_term_underflows():
+    # a = (lambda_p/p_bar_p_pd)*(1 - p_fa) underflows to 0 while f = (lambda_p/p_bar_p_pd)*p_fa*b_s does not
+    p_fa = 1 - 2**-53
+    assert optimizer.optimal_as_s2_given(0.5, 1e-310, 0.3, p_fa, 0.9) == 1.0
+    links = LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8)
+    req = OptimizationRequest(Variant.S2, 1e-310, FixedSensing(SensingPoint(0.05, p_fa, 0.3)), b_s_grid=(0.5,))
+    grid = scan(Variant.S2, (1e-310,), req, links)
+    assert (grid.a_s[0, 0], grid.b_s[0, 0]) == (1.0, 0.5)
+    assert repr(optimize_s2(req, links)) == repr(OPTIMIZERS_LOOP[Variant.S2](req, links))
+
+
 def test_zero_primary_link_is_silent_unless_idle():
     # p_bar_p_pd = 0: any primary load is infeasible; an idle primary leaves the channel to the secondary
     links = LinkSuccess(p_bar_p_pd=0.0, p_bar_s_sd=0.8)
@@ -144,7 +161,7 @@ def test_zero_primary_link_is_silent_unless_idle():
 # --- structural properties of the optimized boundaries ----------------------------------
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(problem=problems())
+@given(problem=problems(unit=unit_above_1e_9))
 def test_boundary_structure(problem):
     """S2 >= S1 >= Sc at a shared sensing point, UNION >= every scheme, every
     boundary non-increasing in lambda_p, rates in [0, 1]."""

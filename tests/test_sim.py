@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -25,9 +28,9 @@ from cogaccess.sim import (
     stability,
     write_trace_csv,
 )
-from cogaccess import sim
+from cogaccess import cli, sim
 
-from oracles import replay_queue, run_loop, write_trace_csv_rowwise
+from oracles import drift_fraction, replay_queue, run_loop, write_trace_csv_rowwise
 
 BENCH_LINKS = LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8)
 BENCH_POINT = SensingPoint(tau=0.05, p_fa=0.2, p_md=0.3)
@@ -41,6 +44,10 @@ def sim_config(variant=Variant.S1, a_s=1.0, b_s=0.0, lambda_p=0.3, lambda_s=0.2,
         slots=slots, seed=seed, lambda_p=lambda_p, lambda_s=lambda_s,
         scheme=scheme, phy=BENCH_LINKS, mode=mode, **kwargs,
     )
+
+
+CHUNK = sim._SIM_CHUNK
+unit_or_random = st.integers(-200, 1200).map(lambda k: min(max(k, 0), 1000) / 1000)  # 0 and 1 about 1/7 each
 
 
 class TestDeterminism:
@@ -191,6 +198,44 @@ class TestStabilityProbe:
         assert ramp.drift == pytest.approx(1.0)
         assert ramp.terminal_queue == 4_999
 
+    @settings(max_examples=80, deadline=None)
+    @given(values=st.lists(st.integers(-50, 50) | st.integers(-2**63, 2**63 - 1), min_size=1, max_size=60))
+    def test_drift_is_the_exact_slope(self, values):
+        # 7-slot chunks: a series mixes chunks summed in int64 with chunks summed in Python ints
+        with mock.patch.object(sim, "_SIM_CHUNK", 7):
+            drift = stability(np.array(values, dtype=np.int64)).drift
+        exact = drift_fraction(values)
+        assert math.isnan(drift) if exact is None else drift == float(exact)
+
+    @pytest.mark.parametrize("top", [2**31 - 1, 2**31, 2**63 - 1])  # the int64 chunk sums' limit and past it
+    def test_full_chunks_near_the_sum_limit_are_exact(self, top):
+        series = top - np.random.default_rng(3).integers(0, 3, 2 * CHUNK + 5)
+        assert stability(series).drift == float(drift_fraction(series))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_drift_matches_polyfit_on_random_walks(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1_000, CHUNK + 1, 300_000):
+            walk = np.cumsum(rng.integers(-1, 2, n))
+            drift = stability(walk).drift
+            assert drift == float(drift_fraction(walk))
+            assert drift == pytest.approx(np.polyfit(np.arange(n), walk.astype(np.float64), 1)[0], rel=1e-12)
+
+    def test_ramp_drift_is_exactly_one(self):
+        for n in (2, 3, 5_000, CHUNK + 1):
+            assert stability(np.arange(n, dtype=np.int64)).drift == 1.0
+
+    def test_single_slot_has_no_drift(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probe = stability(np.array([3], dtype=np.int64))
+        assert math.isnan(probe.drift)
+        assert probe.stable is False
+
+    def test_non_integer_series_rejected(self):
+        with pytest.raises(DomainError):
+            stability(np.zeros(10))
+
     def test_secondary_queue_probe(self):
         cfg = sim_config(a_s=1.0, lambda_p=0.0, lambda_s=0.3, slots=1,
                          mode=SimMode.ORIGINAL)
@@ -223,10 +268,16 @@ class TestDominantSystem:
 
 
 class TestFeedback:
-    def test_counts_are_ordered(self):
-        r = run(sim_config(lambda_p=0.4, slots=20_000, feedback_error=0.3))
+    @settings(max_examples=60, deadline=None)
+    @given(variant=st.sampled_from([Variant.S0, Variant.S1, Variant.S2]), a_s=unit_or_random,
+           b_s=unit_or_random, lambda_p=unit_or_random, lambda_s=unit_or_random,
+           mode=st.sampled_from(list(SimMode)), feedback_error=st.floats(0.0, 1.0, exclude_max=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_counts_are_ordered(self, variant, a_s, b_s, lambda_p, lambda_s, mode, feedback_error, seed):
+        r = run(sim_config(variant=variant, a_s=a_s, b_s=b_s, lambda_p=lambda_p, lambda_s=lambda_s,
+                           slots=5_000, seed=seed, mode=mode, feedback_error=feedback_error))
         A, M, N = r.feedback_counts
-        assert 0 <= A <= M <= N == 20_000
+        assert 0 <= A <= M <= N == 5_000
 
     def test_erasures_thin_the_counts(self):
         clean = run(sim_config(lambda_p=0.4, slots=50_000, feedback_error=0.0))
@@ -238,6 +289,26 @@ class TestFeedback:
                          lambda_s=0.0, slots=100_000)
         r = run(cfg)
         assert r.feedback_counts.A / r.feedback_counts.N == pytest.approx(0.3, abs=0.01)
+
+
+# 0, 2**63 - 1 and both sides of every power of ten in between: each digit count of an int64
+POWER_OF_TEN_EDGES = np.array(sorted({0, 2**63 - 1} | {10**k + d for k in range(19) for d in (-1, 0)}), dtype=np.int64)
+
+
+@st.composite
+def traces(draw):
+    """Trace columns of chunk-edge lengths; the queue columns mix small sizes
+    with power-of-ten edges up to a drawn maximum."""
+    n = draw(st.sampled_from([1, sim._TRACE_CSV_CHUNK - 1, sim._TRACE_CSV_CHUNK, sim._TRACE_CSV_CHUNK + 1])
+             | st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def queue():
+        edges = POWER_OF_TEN_EDGES[: draw(st.integers(1, len(POWER_OF_TEN_EDGES)))]
+        return np.where(rng.random(n) < 0.5, rng.choice(edges, n), rng.integers(0, 20, n))
+
+    return sim.SimTrace(qp=queue(), qs=queue(), events=rng.integers(0, 256, n, dtype=np.uint8),
+                        feedback=rng.integers(0, 5, n, dtype=np.uint8))
 
 
 class TestTraceExport:
@@ -259,6 +330,29 @@ class TestTraceExport:
         write_trace_csv_rowwise(r.trace, str(reference))
         assert fast.read_bytes() == reference.read_bytes()
 
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(trace=traces())
+    def test_writer_matches_rowwise_reference(self, trace, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("csv")
+        write_trace_csv(trace, str(tmp / "fast.csv"))
+        write_trace_csv_rowwise(trace, str(tmp / "reference.csv"))
+        assert (tmp / "fast.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+
+    def test_chunk_size_changes_no_bytes(self, tmp_path):
+        r = run(sim_config(variant=Variant.S2, a_s=0.8, b_s=0.3, lambda_p=0.45, lambda_s=0.3, slots=5_003,
+                           mode=SimMode.ORIGINAL, feedback_error=0.2, record_traces=True, initial_qp=95))
+        assert set(np.unique(r.trace.feedback).tolist()) == {0, 1, 2, 3, 4}
+        with mock.patch.object(sim, "_TRACE_CSV_CHUNK", 7):
+            write_trace_csv(r.trace, str(tmp_path / "tiny.csv"))
+        write_trace_csv_rowwise(r.trace, str(tmp_path / "reference.csv"))
+        assert (tmp_path / "tiny.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_negative_queue_size_rejected(self, tmp_path):
+        r = run(sim_config(slots=100, record_traces=True))
+        bad = replace(r.trace, qs=r.trace.qs - 1)
+        with pytest.raises(DomainError):
+            write_trace_csv(bad, str(tmp_path / "trace.csv"))
+
 
 def assert_same_result(fast, reference):
     """Every SimResult field identical: floats repr-equal, arrays equal in dtype and value."""
@@ -274,10 +368,6 @@ def assert_same_result(fast, reference):
             assert a.dtype == b.dtype and np.array_equal(a, b), f.name
         else:
             assert type(a) is type(b) and repr(a) == repr(b), (f.name, a, b)
-
-
-CHUNK = sim._SIM_CHUNK
-unit_or_random = st.integers(-200, 1200).map(lambda k: min(max(k, 0), 1000) / 1000)  # 0 and 1 about 1/7 each
 
 
 @st.composite
@@ -316,6 +406,36 @@ class TestEngine:
             tiny = run(cfg)
         assert_same_result(tiny, run(cfg))
         assert_same_result(tiny, run_loop(cfg))
+
+    @pytest.mark.parametrize("initial_qp", [0, 40])
+    def test_overloaded_primary_delay_across_chunks(self, initial_qp):
+        # the backlog spans hundreds of 7-slot chunks, so the FIFO delay reads
+        # the arrival bits of a chunk far behind the last
+        cfg = sim_config(a_s=0.9, lambda_p=0.95, slots=3_001, mode=SimMode.ORIGINAL,
+                         initial_qp=initial_qp)
+        with mock.patch.object(sim, "_SIM_CHUNK", 7):
+            tiny = run(cfg)
+        assert tiny.primary_queue[-1] > 500 and tiny.primary_departures > initial_qp
+        assert_same_result(tiny, run(cfg))
+        assert_same_result(tiny, run_loop(cfg))
+
+    def test_overloaded_primary_stays_within_the_memory_estimate(self):
+        # peak traced memory grows by at most cli.SIM_BYTES_PER_SLOT a slot
+        # even when the primary queue grows by ~0.9 packets a slot
+        def peak(slots):
+            cfg = sim_config(a_s=0.9, lambda_p=1.0, slots=slots, mode=SimMode.ORIGINAL)
+            tracemalloc.start()
+            try:
+                result = run(cfg)
+                stability(result.primary_queue)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = 4 * CHUNK, 16 * CHUNK
+        peak(small)  # first-call allocations are not per slot
+        per_slot = (peak(large) - peak(small)) / (large - small)
+        assert 8 <= per_slot <= cli.SIM_BYTES_PER_SLOT
 
     @pytest.mark.parametrize("draw", ["random", "standard_exponential"])
     def test_stream_read_in_chunks_equals_one_read(self, draw):
