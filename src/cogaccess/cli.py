@@ -160,7 +160,10 @@ def _grid_values(spec: Any, name: str, *, lo: float, hi: float) -> tuple[float, 
     if stop <= start:
         raise ConfigError(f"{name}.stop must exceed {name}.start")
     step = (stop - start) / (count - 1)
-    return tuple(start + i * step for i in range(count))
+    values = tuple(start + i * step for i in range(count))
+    if len(set(values)) < count:  # a step below the spacing of floats repeats values
+        raise ConfigError(f"{name} grid must be strictly increasing")
+    return values
 
 
 # --- parsed configuration ------------------------------------------------------

@@ -17,20 +17,14 @@ consistency checks and the end-to-end flow use.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import DomainError, InfeasibleError
-from .optimizer import (
-    b_s_scan_grid,
-    optimal_as_s0,
-    optimal_as_s1,
-    optimal_as_s2_given,
-)
-from .phy import SensingPoint
-from .schemes import SchemeConfig, Variant, effective_sensing
+from .optimizer import FixedSensing, OptimizationRequest, scan
+from .phy import LinkSuccess, SensingPoint
+from .schemes import SchemeConfig, Variant
 from .sim import SimConfig, SimMode, SimResult, run, stability
 
 __all__ = [
@@ -42,7 +36,6 @@ __all__ = [
     "estimate",
     "learning_then_regular",
     "feedback_log_from_result",
-    "feedback_log_from_trace_csv",
 ]
 
 # The recommended protection margin is this many binomial standard errors
@@ -141,21 +134,6 @@ def feedback_log_from_result(result: SimResult, p_e_assumed: float = 0.0) -> Fee
     return FeedbackLog(N=counts.N, M=counts.M, A=counts.A, p_e_assumed=p_e_assumed)
 
 
-def feedback_log_from_trace_csv(path: str, p_e_assumed: float = 0.0) -> FeedbackLog:
-    """Rebuild the counting summary from an exported per-slot trace CSV."""
-    n = m = a = 0
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            n += 1
-            fb = row["feedback"]
-            if fb == "ack":
-                a += 1
-                m += 1
-            elif fb == "nack":
-                m += 1
-    return FeedbackLog(N=n, M=m, A=a, p_e_assumed=p_e_assumed)
-
-
 _SILENT = SchemeConfig(
     variant=Variant.S0, a_s=0.0, b_s=0.0, sensing=SensingPoint(tau=0.0, p_fa=0.0, p_md=1.0)
 )
@@ -180,35 +158,17 @@ def _policy_from_estimates(
     margin: float,
     b_s_grid: tuple[float, ...],
 ) -> SchemeConfig:
-    """Access probabilities the secondary would deploy given its estimates."""
-    p_fa, p_md = effective_sensing(template_scheme)
+    """Access probabilities the secondary would deploy given its estimates:
+    the optimum at the template's sensing point on a primary link of
+    success probability p_bar_est (the secondary's own link scales the
+    objective, not its argmax)."""
     variant = template_scheme.variant
     lam_est = min(max(lam_est, 0.0), 1.0)
-    if variant is Variant.SC:
-        if lam_est + margin > p_bar_est * (1.0 - p_md):
-            raise InfeasibleError("estimated load leaves no room for conventional sensing access")
-        return template_scheme
-    if variant is Variant.S1:
-        a = optimal_as_s1(lam_est, p_md, p_bar_est, margin=margin)
-        return replace(template_scheme, a_s=a, b_s=0.0)
-    if variant is Variant.S0:
-        a = optimal_as_s0(lam_est, p_bar_est, margin=margin)
-        return replace(template_scheme, a_s=a, b_s=0.0)
-    # S2: scan b_s, a_s closed-form per cell
-    best: tuple[float, float, float] | None = None
-    for b in b_s_scan_grid(b_s_grid):
-        try:
-            a = optimal_as_s2_given(b, lam_est, p_md, p_fa, p_bar_est, margin=margin)
-        except InfeasibleError:
-            continue
-        mu_p = p_bar_est * (p_md * (1.0 - a) + (1.0 - p_md) * (1.0 - b))
-        factor = 1.0 if lam_est == 0.0 else max(0.0, 1.0 - lam_est / mu_p) if mu_p > 0 else 0.0
-        value = (a * (1.0 - p_fa) + b * p_fa) * factor
-        if best is None or value > best[0]:
-            best = (value, a, b)
-    if best is None:
-        raise InfeasibleError("no feasible (a_s, b_s) cell under the estimated load")
-    return replace(template_scheme, a_s=best[1], b_s=best[2])
+    req = OptimizationRequest(variant, lam_est, FixedSensing(template_scheme.sensing), b_s_grid=b_s_grid, margin=margin)
+    cell = scan(variant, (lam_est,), req, LinkSuccess(p_bar_est, 1.0))
+    if not cell.feasible[0, 0]:
+        raise InfeasibleError("no feasible access policy under the estimated load")
+    return replace(template_scheme, a_s=float(cell.a_s[0, 0]), b_s=float(cell.b_s[0, 0]))
 
 
 def learning_then_regular(

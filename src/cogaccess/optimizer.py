@@ -4,20 +4,19 @@ For a fixed primary arrival rate the secondary's problem is to pick its
 access probabilities (and sensing time) to maximize its own stable
 throughput subject to keeping the primary queue stable, optionally with a
 protection margin added to the primary constraint.  The a_s optimum for a
-fixed busy-outcome probability b_s is the clipped root of a concave
-fractional program (as mathcore.solve_fractional computes it); b_s and tau
-are scanned over explicit grids, which keeps results deterministic and
-testable.
+fixed busy-outcome probability b_s is the clipped smaller root of a
+concave fractional program; b_s and tau are scanned over explicit grids,
+which keeps results deterministic and testable.
 
-The scalar closed forms (optimal_as_*) are the reference.  The grid
-optimizers, region tracing and sweeps all run one numpy kernel, `scan`,
-over (lambda_p, tau, b_s) cells.  It resolves the operating points once
-per tau grid and evaluates the cells in passes of about _BLOCK elements,
-which bounds its temporaries.  Each variant keeps its own closed form in
-the kernel, in the scalar operation order, so results are bit-identical
-to the scalar functions: the variants are pinned versions of S2 (S1:
-b_s = 0; Sc: also a_s = 1; S0: p_fa = 0, p_md = 1), but S1 evaluated
-as S2 at b_s = 0 differs in the last digits.
+One numpy kernel, `scan`, solves every access problem in the package:
+the optimizers, region tracing, sweeps and the estimator's policy.  It
+evaluates (lambda_p, tau, b_s) cells, resolving the operating points once
+per tau grid, in passes of about _BLOCK elements, which bounds its
+temporaries.  The variants are pinned versions of S2 (S1: b_s = 0; Sc:
+also a_s = 1; S0: p_fa = 0, p_md = 1), but each keeps its own closed form
+in the kernel: S1 evaluated as S2 at b_s = 0 differs in the last digits.
+The scalar closed forms the kernel matches bit for bit live in
+tests/oracles.py as its reference.
 
 Grid ties are broken toward smaller tau, then smaller b_s: less sensing
 and less interference at equal throughput.
@@ -58,27 +57,17 @@ __all__ = [
     "OptimizationResult",
     "RegionPoint",
     "RegionCurve",
-    "SwitchEntry",
-    "SwitchPolicy",
     "UNION",
     "default_tau_grid",
     "default_b_s_grid",
     "b_s_scan_grid",
     "operating_points",
-    "optimal_as_s1",
-    "optimal_as_s2_given",
-    "optimal_as_s0",
-    "optimize_sc",
-    "optimize_s1",
-    "optimize_s2",
-    "optimize_s0",
     "optimize",
     "optimize_with_margin",
     "GridScan",
     "scan",
     "trace_region",
     "union_curve",
-    "switch_policy",
     "primary_delay",
 ]
 
@@ -199,22 +188,6 @@ class RegionCurve:
             raise DomainError("region boundary values must be non-negative")
 
 
-@dataclass(frozen=True)
-class SwitchEntry:
-    lambda_p: float
-    scheme: str
-    tau: float
-    a_s: float
-    b_s: float
-
-
-@dataclass(frozen=True)
-class SwitchPolicy:
-    """Per-lambda_p argmax labels of a union curve: which scheme to run."""
-
-    entries: tuple[SwitchEntry, ...]
-
-
 def default_tau_grid(slot_duration: float, count: int = 64) -> tuple[float, ...]:
     """Log-spaced sensing times from the 0-adjacent edge up to (1-edge)*T."""
     if slot_duration <= 0.0:
@@ -276,117 +249,6 @@ def operating_points(req: OptimizationRequest, channel: Channel) -> list[Operati
     return points
 
 
-# --- closed-form access probabilities ---------------------------------------
-
-def _check_unit(name: str, value: float) -> None:
-    if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-        raise DomainError(f"{name} must be in [0, 1], got {value!r}")
-
-
-def optimal_as_s1(lambda_p: float, p_md: float, p_bar_p_pd: float, *, margin: float = 0.0) -> float:
-    """Optimal idle-outcome access probability for S1.
-
-    Unconstrained optimum (1 - sqrt(lambda_p/p_bar_p_pd))/p_md, clipped to
-    [0, 1] and to the primary-stability cap; the cap only binds when a
-    protection margin tightens the constraint.
-    """
-    _check_unit("lambda_p", lambda_p)
-    _check_unit("p_md", p_md)
-    _check_unit("p_bar_p_pd", p_bar_p_pd)
-    if margin < 0.0:
-        raise DomainError(f"margin must be >= 0, got {margin!r}")
-    if lambda_p + margin > p_bar_p_pd:
-        raise InfeasibleError(
-            f"S1 infeasible: lambda_p + margin = {lambda_p + margin!r} exceeds p_bar_p_pd = {p_bar_p_pd!r}"
-        )
-    if p_md == 0.0 or p_bar_p_pd == 0.0:
-        return 1.0  # sensing never misses, or no primary traffic to hurt
-    cap = (1.0 - (lambda_p + margin) / p_bar_p_pd) / p_md
-    root = (1.0 - math.sqrt(lambda_p / p_bar_p_pd)) / p_md
-    return min(max(root, 0.0), min(1.0, cap))
-
-
-def optimal_as_s2_given(
-    b_s: float,
-    lambda_p: float,
-    p_md: float,
-    p_fa: float,
-    p_bar_p_pd: float,
-    *,
-    margin: float = 0.0,
-) -> float:
-    """Optimal idle-outcome access probability for S2 at a fixed b_s.
-
-    Maps the fixed-b_s problem onto the concave fractional program with
-
-        a = (lambda_p/p_bar_p_pd)*(1 - p_fa)      c = p_md
-        f = (lambda_p/p_bar_p_pd)*p_fa*b_s        d = p_md + (1 - p_md)*(1 - b_s)
-        K = 1 - p_fa                              w = (lambda_p + margin)/p_bar_p_pd
-
-    Degenerate corners (idle primary, perfect sensing, certain false
-    alarm) are resolved directly from the objective's monotonicity;
-    otherwise a_s is the program's smaller stationary root, clipped to the
-    feasible interval, with the simpler root when f vanishes.
-    """
-    _check_unit("b_s", b_s)
-    _check_unit("lambda_p", lambda_p)
-    _check_unit("p_md", p_md)
-    _check_unit("p_fa", p_fa)
-    _check_unit("p_bar_p_pd", p_bar_p_pd)
-    if margin < 0.0:
-        raise DomainError(f"margin must be >= 0, got {margin!r}")
-    if p_bar_p_pd == 0.0:
-        if lambda_p + margin > 0.0:
-            raise InfeasibleError("S2 infeasible: primary link never succeeds")
-        return 1.0
-    w = (lambda_p + margin) / p_bar_p_pd
-    c = p_md
-    d = p_md + (1.0 - p_md) * (1.0 - b_s)
-    if d < w:
-        raise InfeasibleError(
-            f"S2 infeasible at b_s={b_s!r}: max primary service {d * p_bar_p_pd!r} "
-            f"below lambda_p + margin = {lambda_p + margin!r}"
-        )
-    cap = 1.0 if c == 0.0 else min(1.0, (d - w) / c)
-    if lambda_p == 0.0 or c == 0.0:
-        return cap  # objective is non-decreasing in a_s
-    if p_fa >= 1.0:
-        return 0.0  # idle outcomes yield nothing; access only hurts the primary
-    r = lambda_p / p_bar_p_pd
-    f = r * p_fa * b_s
-    if f == 0.0:
-        # the constant term of the fraction's numerator vanishes (p_fa = 0,
-        # b_s = 0, or a product below the float range); K cancels
-        root = (d - math.sqrt(r * d)) / c
-    else:
-        # mathcore.solve_fractional's root in its operation order (a*d is
-        # r*k*d), computed here because a = r*k may underflow to 0
-        k = 1.0 - p_fa
-        root = (d - math.sqrt((r * k * d + c * f) / k)) / c
-    return min(max(root, 0.0), cap)
-
-
-def optimal_as_s0(lambda_p: float, p_bar_p_pd: float, *, margin: float = 0.0) -> float:
-    """Optimal access probability for the no-sensing scheme.
-
-    1 - sqrt(lambda_p/p_bar_p_pd), clipped to the margin-tightened cap;
-    plugging the result into the S0 service rates reproduces s0_boundary.
-    """
-    _check_unit("lambda_p", lambda_p)
-    _check_unit("p_bar_p_pd", p_bar_p_pd)
-    if margin < 0.0:
-        raise DomainError(f"margin must be >= 0, got {margin!r}")
-    if lambda_p + margin > p_bar_p_pd:
-        raise InfeasibleError(
-            f"S0 infeasible: lambda_p + margin = {lambda_p + margin!r} exceeds p_bar_p_pd = {p_bar_p_pd!r}"
-        )
-    if p_bar_p_pd == 0.0:
-        return 1.0  # no primary traffic to hurt
-    cap = 1.0 - (lambda_p + margin) / p_bar_p_pd
-    root = 1.0 - math.sqrt(lambda_p / p_bar_p_pd)
-    return min(max(root, 0.0), cap)
-
-
 # --- grid optimizers ---------------------------------------------------------
 
 # (lambda_p, tau[, b_s]) elements per kernel pass.  A pass takes whole
@@ -396,6 +258,12 @@ def optimal_as_s0(lambda_p: float, p_bar_p_pd: float, *, margin: float = 0.0) ->
 # reused from pass to pass: on a 64 x 32 x 33 region scan, 1,024-cell
 # passes raised peak RSS 2.3 MiB above 124-cell ones, which run as fast.
 _BLOCK = 4096
+
+# The largest double below 1.  Where lambda_p > 0 is so small that the
+# optimum a_s rounds up to 1 and a_s = 1 would leave the primary no service
+# (p_md = 1, or b_s = 1 in S2), a_s is held here instead: the true optimum
+# lies between the two, and this keeps mu_p > lambda_p.
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
 class GridScan(NamedTuple):
@@ -425,28 +293,30 @@ def _empty_factor(lam: np.ndarray, mu_p: np.ndarray) -> np.ndarray:
 def _cells(variant, lam, p_fa, p_md, p_s, pp, margin, b):
     """a_s, b_s, lambda_s and feasibility of `variant` at each (lambda_p, point) cell.
 
-    Each variant keeps the root, cap, feasibility test and product order of
-    its scalar closed form (optimal_as_s1, optimal_as_s2_given), so results
-    match them bit for bit: S1 is not S2 evaluated at b_s = 0, because
-    p_md + (1 - p_md) need not round to 1.  The substitutions that are
-    exact are used: Sc is S1 with a_s = 1 and its own feasibility test, and
-    S0 is S1 at p_fa = 0, p_md = 1 (every product with 1.0 is exact).  S2
-    maximizes over the b_s axis; the degenerate corners of
-    optimal_as_s2_given are masks, applied in reverse order of precedence.
+    Each variant keeps its own root, cap, feasibility test and product
+    order: S1 is not S2 evaluated at b_s = 0, because p_md + (1 - p_md)
+    need not round to 1.  The substitutions that are exact are used: Sc is
+    S1 with a_s = 1 and its own feasibility test, and S0 is S1 at p_fa = 0,
+    p_md = 1 (every product with 1.0 is exact).  S2 maximizes over the b_s
+    axis; its degenerate corners (idle primary, perfect sensing, certain
+    false alarm, a primary link that never succeeds) are masks, applied in
+    reverse order of precedence.
     """
     lm = lam + margin
     if variant is Variant.S2:
         lam, lm, p_fa, p_md, p_s = (x[:, None] for x in (lam, lm, p_fa, p_md, p_s))
-        c, d, w, r, k = p_md, p_md + (1.0 - p_md) * (1.0 - b), lm / pp, lam / pp, 1.0 - p_fa
+        e = (1.0 - p_md) * (1.0 - b)  # primary service left by busy outcomes, per unit p_bar_p_pd
+        c, d, w, r, k = p_md, p_md + e, lm / pp, lam / pp, 1.0 - p_fa
         ok = ~(d < w)  # pp = 0 makes w inf (infeasible) or nan at lm = 0 (feasible)
         cap = np.where(c == 0.0, 1.0, np.minimum(1.0, (d - w) / c))
         f = r * p_fa * b
         root = np.where(f == 0.0, (d - np.sqrt(r * d)) / c, (d - np.sqrt((r * k * d + c * f) / k)) / c)
         a = np.minimum(np.maximum(root, 0.0), cap)
+        a = np.where((a == 1.0) & (e == 0.0), _BELOW_ONE, a)  # a_s = 1 would leave mu_p = 0
         a = np.where(p_fa >= 1.0, 0.0, a)
         a = np.where((lam == 0.0) | (c == 0.0), cap, a)
         a = np.where(pp == 0.0, 1.0, a)
-        mu_p = pp * (p_md * (1.0 - a) + (1.0 - p_md) * (1.0 - b))
+        mu_p = pp * (p_md * (1.0 - a) + e)
         lam_s = (a * (1.0 - p_fa) + b * p_fa) * p_s * _empty_factor(lam, mu_p)
         j = np.argmax(np.where(ok, lam_s, -np.inf), axis=1)  # first b_s of the largest rate
         i, ok = np.arange(j.size), ok.any(axis=1)
@@ -457,6 +327,7 @@ def _cells(variant, lam, p_fa, p_md, p_s, pp, margin, b):
     else:
         ok = ~(lm > pp)
         a = np.minimum(np.maximum((1.0 - np.sqrt(lam / pp)) / p_md, 0.0), np.minimum(1.0, (1.0 - lm / pp) / p_md))
+        a = np.where((a == 1.0) & (p_md == 1.0) & (lam > 0.0), _BELOW_ONE, a)  # a_s = 1 would leave mu_p = 0
         a = np.where(ok, np.where((p_md == 0.0) | (pp == 0.0), 1.0, a), 0.0)
     lam_s = a * p_s * (1.0 - p_fa) * _empty_factor(lam, pp * (1.0 - a * p_md))
     return a, np.zeros_like(lam), np.where(ok, lam_s, 0.0), ok
@@ -491,7 +362,9 @@ def scan(
     return GridScan(points, a, b_s, lam_s, ok.astype(bool))
 
 
-def _optimize(variant: Variant, req: OptimizationRequest, channel: Channel) -> OptimizationResult:
+def optimize(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
+    """Optimize the variant named in the request over its tau (and b_s) grid."""
+    variant = Variant(req.variant)
     grid = scan(variant, (req.lambda_p,), req, channel)
     rows = tuple(TauResult(pt.tau, *cell) for pt, *cell in zip(grid.points, *(x[0].tolist() for x in grid[1:])))
     (j,), (feasible,) = grid.best()
@@ -501,31 +374,6 @@ def _optimize(variant: Variant, req: OptimizationRequest, channel: Channel) -> O
     sensing = SensingPoint(tau=pt.tau, p_fa=pt.p_fa, p_md=pt.p_md)
     cfg = SchemeConfig(variant=variant, a_s=row.a_s, b_s=row.b_s, sensing=sensing)
     return OptimizationResult(best=cfg, lambda_s_max=row.lambda_s, per_tau=rows, feasible=True)
-
-
-def optimize_sc(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
-    """Scan tau for the conventional scheme (a_s = 1, no busy access)."""
-    return _optimize(Variant.SC, req, channel)
-
-
-def optimize_s1(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
-    """Scan tau; a_s is closed-form at each point."""
-    return _optimize(Variant.S1, req, channel)
-
-
-def optimize_s2(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
-    """Scan (tau, b_s); a_s is closed-form at each cell."""
-    return _optimize(Variant.S2, req, channel)
-
-
-def optimize_s0(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
-    """No sensing: single closed-form point at tau = 0."""
-    return _optimize(Variant.S0, req, channel)
-
-
-def optimize(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
-    """Optimize the variant named in the request."""
-    return _optimize(Variant(req.variant), req, channel)
 
 
 def optimize_with_margin(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
@@ -550,8 +398,8 @@ def primary_delay(lambda_p: float, mu_p: float) -> float:
 
     Returns inf at or beyond the stability boundary (unbounded delay).
     """
-    _check_unit("lambda_p", lambda_p)
-    _check_unit("mu_p", mu_p)
+    if not (0.0 <= lambda_p <= 1.0 and 0.0 <= mu_p <= 1.0):
+        raise DomainError(f"primary_delay needs lambda_p and mu_p in [0, 1], got {lambda_p!r}, {mu_p!r}")
     if mu_p <= lambda_p:
         return math.inf
     return (1.0 - lambda_p) / (mu_p - lambda_p)
@@ -595,13 +443,3 @@ def union_curve(s0: RegionCurve, s2: RegionCurve) -> RegionCurve:
     the winning scheme (ties prefer S0: no sensing at equal throughput)."""
     points = tuple(p2 if p2.lambda_s > p0.lambda_s else p0 for p0, p2 in zip(s0.points, s2.points))
     return RegionCurve(scheme=UNION, points=points)
-
-
-def switch_policy(curve: RegionCurve) -> SwitchPolicy:
-    """Read the per-lambda_p scheme choice off a traced curve."""
-    return SwitchPolicy(
-        entries=tuple(
-            SwitchEntry(lambda_p=p.lambda_p, scheme=p.scheme, tau=p.tau, a_s=p.a_s, b_s=p.b_s)
-            for p in curve.points
-        )
-    )

@@ -31,7 +31,6 @@ __all__ = [
     "pfa_for_target_pmd",
     "pmd_for_target_pfa",
     "link_success",
-    "gain_for_success_prob",
 ]
 
 # tau/T is kept out of [1 - TAU_EDGE, 1]: at tau = T there is no
@@ -206,16 +205,3 @@ def link_success(channel: PhyParams | LinkSuccess, tau: float) -> LinkSuccess:
         p_bar_p_pd=primary_success_prob(channel),
         p_bar_s_sd=secondary_success_prob(channel, tau),
     )
-
-
-def gain_for_success_prob(target: float, rate_ratio: float) -> float:
-    """SNR-gain product gamma*sigma2 making the success probability hit target.
-
-    Inverts exp(-(2^rate_ratio - 1)/(gamma*sigma2)) = target; handy for
-    building PhyParams that calibrate a link to a prescribed probability.
-    """
-    if not (0.0 < target < 1.0):
-        raise DomainError(f"target success probability must be in (0, 1), got {target!r}")
-    if rate_ratio <= 0.0:
-        raise DomainError(f"rate_ratio must be > 0, got {rate_ratio!r}")
-    return (2.0**rate_ratio - 1.0) / (-math.log(target))

@@ -1,5 +1,4 @@
-"""Closed-form service rates and stability predicates for the four access
-schemes.
+"""Closed-form service rates of the four access schemes.
 
 Variants:
 
@@ -31,13 +30,8 @@ __all__ = [
     "Variant",
     "SchemeConfig",
     "ServiceRates",
-    "RatePair",
-    "StabilityVerdict",
     "effective_sensing",
     "service_rates",
-    "s0_boundary",
-    "is_stable",
-    "s2_feasible",
 ]
 
 
@@ -83,16 +77,6 @@ class ServiceRates(NamedTuple):
     mu_p: float
     mu_s: float
     p_empty: float
-
-
-class RatePair(NamedTuple):
-    lambda_p: float
-    lambda_s: float
-
-
-class StabilityVerdict(NamedTuple):
-    primary: bool
-    secondary: bool
 
 
 def effective_sensing(cfg: SchemeConfig) -> tuple[float, float]:
@@ -152,46 +136,3 @@ def service_rates(cfg: SchemeConfig, links: LinkSuccess, lambda_p: float) -> Ser
             f"primary queue unstable: lambda_p={lambda_p!r} exceeds mu_p={mu_p!r}"
         )
     return ServiceRates(mu_p=mu_p, mu_s=access_rate * p_empty, p_empty=p_empty)
-
-
-def s0_boundary(lambda_p: float, p_bar_p_pd: float, p_bar_s_sd: float) -> float:
-    """Stability-region boundary of the no-sensing scheme at lambda_p.
-
-    p_bar_s_sd * (1 - sqrt(lambda_p/p_bar_p_pd))^2, already maximized over
-    the access probability; 0 once lambda_p exceeds p_bar_p_pd.
-    """
-    _check_prob("lambda_p", lambda_p)
-    _check_prob("p_bar_p_pd", p_bar_p_pd)
-    _check_prob("p_bar_s_sd", p_bar_s_sd)
-    if p_bar_p_pd == 0.0 or lambda_p > p_bar_p_pd:
-        return 0.0
-    return p_bar_s_sd * (1.0 - math.sqrt(lambda_p / p_bar_p_pd)) ** 2
-
-
-def is_stable(rates: ServiceRates, arrivals: RatePair) -> StabilityVerdict:
-    """Loynes verdict per queue: stable iff arrival rate < service rate.
-
-    The boundary itself counts as unstable (strict inequality).
-    """
-    return StabilityVerdict(
-        primary=arrivals.lambda_p < rates.mu_p,
-        secondary=arrivals.lambda_s < rates.mu_s,
-    )
-
-
-def s2_feasible(lambda_p: float, p_md: float, b_s: float, p_bar_p_pd: float) -> bool:
-    """Whether S2 can keep the primary stable at lambda_p for this b_s.
-
-    Requires p_md + (1 - p_md)*(1 - b_s) >= lambda_p/p_bar_p_pd: even with
-    the secondary never transmitting on idle outcomes, the busy-outcome
-    access probability must leave the primary enough service.
-    """
-    _check_prob("lambda_p", lambda_p)
-    _check_prob("p_md", p_md)
-    _check_prob("b_s", b_s)
-    _check_prob("p_bar_p_pd", p_bar_p_pd)
-    if lambda_p == 0.0:
-        return True
-    if p_bar_p_pd == 0.0:
-        return False
-    return p_md + (1.0 - p_md) * (1.0 - b_s) >= lambda_p / p_bar_p_pd

@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -67,11 +67,8 @@ __all__ = [
     "FeedbackCounts",
     "SimResult",
     "StabilityProbe",
-    "DominanceReport",
     "run",
     "stability",
-    "measure_stability",
-    "compare_dominant",
     "write_trace_csv",
     "DRIFT_EPSILON",
 ]
@@ -178,12 +175,6 @@ class StabilityProbe:
     terminal_queue: int
     drift_threshold: float
     terminal_threshold: float
-
-
-@dataclass(frozen=True)
-class DominanceReport:
-    dominant_ge_original: bool
-    saturation_indistinguishable: bool
 
 
 def _success_threshold(p_bar: float) -> float:
@@ -449,48 +440,6 @@ def _exact_sums(series: np.ndarray) -> tuple[int, int]:
             sum_q += sum(values)
             sum_tq += sum(map(operator.mul, range(lo, lo + m), values))
     return sum_q, sum_tq
-
-
-def measure_stability(cfg: SimConfig, window: int, queue: str = "primary") -> StabilityProbe:
-    """Run `window` slots of cfg, then judge the selected queue with
-    `stability`."""
-    if window < 10_000:
-        raise DomainError(f"stability window must be >= 1e4 slots, got {window!r}")
-    if queue not in ("primary", "secondary"):
-        raise DomainError(f"queue must be 'primary' or 'secondary', got {queue!r}")
-    if queue == "primary":
-        return stability(run(replace(cfg, slots=window)).primary_queue)
-    return stability(run(replace(cfg, slots=window, record_traces=True)).trace.qs)
-
-
-def compare_dominant(cfg: SimConfig) -> DominanceReport:
-    """Coupled original-vs-dominant check of the dominant-system argument.
-
-    Shares every random stream between the two modes and verifies the
-    dominant system's queues are never shorter, slot by slot.  The
-    saturation check reruns both modes with lambda_s = 1 and one packet
-    seeded in the secondary queue (backlogged from the first slot, so no
-    dummy is ever sent) and requires bitwise-identical traces.
-    """
-    if not cfg.record_traces:
-        raise DomainError("compare_dominant needs record_traces=True")
-    original = run(replace(cfg, mode=SimMode.ORIGINAL))
-    dominant = run(replace(cfg, mode=SimMode.DOMINANT))
-    ge = bool(
-        np.all(dominant.trace.qp >= original.trace.qp)
-        and np.all(dominant.trace.qs >= original.trace.qs)
-    )
-
-    sat_cfg = replace(cfg, lambda_s=1.0, initial_qs=max(1, cfg.initial_qs))
-    sat_orig = run(replace(sat_cfg, mode=SimMode.ORIGINAL))
-    sat_dom = run(replace(sat_cfg, mode=SimMode.DOMINANT))
-    identical = bool(
-        np.array_equal(sat_orig.trace.qp, sat_dom.trace.qp)
-        and np.array_equal(sat_orig.trace.qs, sat_dom.trace.qs)
-        and np.array_equal(sat_orig.trace.events, sat_dom.trace.events)
-        and np.array_equal(sat_orig.trace.feedback, sat_dom.trace.feedback)
-    )
-    return DominanceReport(dominant_ge_original=ge, saturation_indistinguishable=identical)
 
 
 TRACE_CSV_SCHEMA = "trace/1"

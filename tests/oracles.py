@@ -1,8 +1,11 @@
-"""Brute-force oracles and scalar references for the fast paths under test.
+"""Brute-force oracles, scalar references and test-only helpers.
 
-Everything here evaluates objectives from first principles (plain grid
-search over the feasible interval, one Python step per slot or per row)
-and never calls the code paths it is used to check.
+The oracles and references evaluate objectives from first principles
+(plain grid search over the feasible interval, one Python step per slot,
+per row or per cell) and never call the code paths they are used to
+check.  The helpers at the end drive the package the way several tests
+need: one kernel cell, a stability window, the coupled dominance check,
+trace ingestion.
 """
 
 from __future__ import annotations
@@ -10,14 +13,15 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from cogaccess import sim
+from cogaccess import optimizer, sim
 from cogaccess.errors import DomainError, InfeasibleError
+from cogaccess.estimator import FeedbackLog
 from cogaccess.optimizer import (
     UNION,
     Channel,
@@ -29,12 +33,9 @@ from cogaccess.optimizer import (
     TauResult,
     b_s_scan_grid,
     operating_points,
-    optimal_as_s0,
-    optimal_as_s1,
-    optimal_as_s2_given,
 )
 from cogaccess.phy import SensingPoint, link_success
-from cogaccess.schemes import SchemeConfig, Variant, effective_sensing
+from cogaccess.schemes import SchemeConfig, ServiceRates, Variant, effective_sensing
 
 
 def grid_max_fractional(a, f, c, d, K, w, step=1e-6):
@@ -51,6 +52,25 @@ def grid_max_fractional(a, f, c, d, K, w, step=1e-6):
     vals = (a * xs + f) / (c * xs - d) + K * xs
     i = int(np.argmax(vals))
     return float(xs[i]), float(vals[i])
+
+
+def s2_program(b_s, lam, p_md, p_fa, p_bar_p_pd, margin=0.0):
+    """Constants (a, f, c, d, K, w) of the fractional program whose maximizer
+    is S2's a_s at a fixed b_s; its objective is lambda_s - b_s*p_fa at
+    p_bar_s_sd = 1."""
+    r = lam / p_bar_p_pd
+    return r * (1.0 - p_fa), r * p_fa * b_s, p_md, p_md + (1.0 - p_md) * (1.0 - b_s), 1.0 - p_fa, (lam + margin) / p_bar_p_pd
+
+
+def random_s2_cell(rng):
+    """A feasible S2 cell (b_s, lambda_p, p_md, p_fa, p_bar_p_pd, margin)
+    whose program constants are all positive."""
+    while True:
+        p_bar, lam, p_md, p_fa, b_s = rng.uniform(0.1, 1.0), *rng.uniform(0.0, 1.0, size=4)
+        margin = rng.uniform(0.0, 0.1)
+        _, _, _, d, _, w = s2_program(b_s, lam, p_md, p_fa, p_bar, margin)
+        if d >= w:
+            return b_s, lam, p_md, p_fa, p_bar, margin
 
 
 def s2_rate_objective(a_s, b_s, lam, p_md, p_fa, p_bar_p_pd):
@@ -300,18 +320,96 @@ def run_loop(cfg):
     )
 
 
-def random_feasible_program(rng):
-    """Six constants in (0.01, 5] with d >= w and c <= d."""
-    a, f, c, d, K, w = rng.uniform(0.01, 5.0, size=6)
-    if w > d:
-        d, w = w, d
-    c = min(c, d)
-    return a, f, c, d, K, w
+# --- scalar closed forms and grid optimizers: the reference of optimizer.scan -----
+# The per-cell closed forms and the per-tau and per-lambda_p loops the numpy
+# kernel replaced; the kernel matches them bit for bit.
+
+# Where lambda_p > 0 is so small that the optimum a_s rounds up to 1 and
+# a_s = 1 would leave the primary no service, a_s is held just below 1.
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
-# --- scalar grid optimizers: the reference of optimizer.scan ----------------------
-# The per-tau and per-lambda_p loops the numpy kernel replaced, unchanged
-# except for the names: each cell calls the scalar closed forms.
+def _check_unit(name: str, value: float) -> None:
+    if not (math.isfinite(value) and 0.0 <= value <= 1.0):
+        raise DomainError(f"{name} must be in [0, 1], got {value!r}")
+
+
+def optimal_as_s1(lambda_p: float, p_md: float, p_bar_p_pd: float, *, margin: float = 0.0) -> float:
+    """Optimal idle-outcome access probability for S1: the unconstrained
+    optimum (1 - sqrt(lambda_p/p_bar_p_pd))/p_md, clipped to [0, 1] and to
+    the margin-tightened primary-stability cap."""
+    _check_unit("lambda_p", lambda_p)
+    _check_unit("p_md", p_md)
+    _check_unit("p_bar_p_pd", p_bar_p_pd)
+    if margin < 0.0:
+        raise DomainError(f"margin must be >= 0, got {margin!r}")
+    if lambda_p + margin > p_bar_p_pd:
+        raise InfeasibleError(f"S1 infeasible: lambda_p + margin exceeds p_bar_p_pd = {p_bar_p_pd!r}")
+    if p_md == 0.0 or p_bar_p_pd == 0.0:
+        return 1.0  # sensing never misses, or no primary traffic to hurt
+    cap = (1.0 - (lambda_p + margin) / p_bar_p_pd) / p_md
+    root = (1.0 - math.sqrt(lambda_p / p_bar_p_pd)) / p_md
+    a = min(max(root, 0.0), min(1.0, cap))
+    return _BELOW_ONE if a == 1.0 and p_md == 1.0 and lambda_p > 0.0 else a
+
+
+def optimal_as_s2_given(b_s, lambda_p, p_md, p_fa, p_bar_p_pd, *, margin=0.0):
+    """Optimal idle-outcome access probability for S2 at a fixed b_s.
+
+    The fixed-b_s problem is the concave fractional program
+    max (a*x + f)/(c*x - d) + K*x on 0 <= x <= min(1, (d - w)/c) with
+
+        a = (lambda_p/p_bar_p_pd)*(1 - p_fa)      c = p_md
+        f = (lambda_p/p_bar_p_pd)*p_fa*b_s        d = p_md + (1 - p_md)*(1 - b_s)
+        K = 1 - p_fa                              w = (lambda_p + margin)/p_bar_p_pd
+
+    whose optimum is the smaller stationary root clipped to the interval.
+    Degenerate corners (idle primary, perfect sensing, certain false
+    alarm) follow from the objective's monotonicity.
+    """
+    for name, value in (("b_s", b_s), ("lambda_p", lambda_p), ("p_md", p_md), ("p_fa", p_fa), ("p_bar_p_pd", p_bar_p_pd)):
+        _check_unit(name, value)
+    if margin < 0.0:
+        raise DomainError(f"margin must be >= 0, got {margin!r}")
+    if p_bar_p_pd == 0.0:
+        if lambda_p + margin > 0.0:
+            raise InfeasibleError("S2 infeasible: primary link never succeeds")
+        return 1.0
+    w = (lambda_p + margin) / p_bar_p_pd
+    e = (1.0 - p_md) * (1.0 - b_s)
+    c, d = p_md, p_md + e
+    if d < w:
+        raise InfeasibleError(f"S2 infeasible at b_s={b_s!r}: max primary service below lambda_p + margin")
+    cap = 1.0 if c == 0.0 else min(1.0, (d - w) / c)
+    if lambda_p == 0.0 or c == 0.0:
+        return cap  # objective is non-decreasing in a_s
+    if p_fa >= 1.0:
+        return 0.0  # idle outcomes yield nothing; access only hurts the primary
+    r = lambda_p / p_bar_p_pd
+    f = r * p_fa * b_s
+    if f == 0.0:
+        root = (d - math.sqrt(r * d)) / c  # K cancels when f vanishes
+    else:
+        k = 1.0 - p_fa
+        root = (d - math.sqrt((r * k * d + c * f) / k)) / c  # a*d is r*k*d: a = r*k may underflow
+    a = min(max(root, 0.0), cap)
+    return _BELOW_ONE if a == 1.0 and e == 0.0 else a
+
+
+def optimal_as_s0(lambda_p: float, p_bar_p_pd: float, *, margin: float = 0.0) -> float:
+    """Optimal access probability for the no-sensing scheme: 1 -
+    sqrt(lambda_p/p_bar_p_pd), clipped to the margin-tightened cap."""
+    _check_unit("lambda_p", lambda_p)
+    _check_unit("p_bar_p_pd", p_bar_p_pd)
+    if margin < 0.0:
+        raise DomainError(f"margin must be >= 0, got {margin!r}")
+    if lambda_p + margin > p_bar_p_pd:
+        raise InfeasibleError(f"S0 infeasible: lambda_p + margin exceeds p_bar_p_pd = {p_bar_p_pd!r}")
+    if p_bar_p_pd == 0.0:
+        return 1.0  # no primary traffic to hurt
+    a = min(max(1.0 - math.sqrt(lambda_p / p_bar_p_pd), 0.0), 1.0 - (lambda_p + margin) / p_bar_p_pd)
+    return _BELOW_ONE if a == 1.0 and lambda_p > 0.0 else a
+
 
 def _empty_factor(lambda_p: float, mu_p: float) -> float:
     """Pr{primary queue empty}, clamped so boundary rounding cannot go negative."""
@@ -492,3 +590,115 @@ def trace_region_loop(
                 RegionPoint(lambda_p=lam, lambda_s=0.0, scheme=label, tau=0.0, a_s=0.0, b_s=0.0)
             )
     return RegionCurve(scheme=UNION if union else scheme.value, points=tuple(points))
+
+
+# --- closed-form predicates of the scheme layer -----------------------------------
+
+class RatePair(NamedTuple):
+    lambda_p: float
+    lambda_s: float
+
+
+class StabilityVerdict(NamedTuple):
+    primary: bool
+    secondary: bool
+
+
+def s0_boundary(lambda_p: float, p_bar_p_pd: float, p_bar_s_sd: float) -> float:
+    """S0 stability-region boundary p_bar_s_sd*(1 - sqrt(lambda_p/p_bar_p_pd))^2,
+    already maximized over the access probability; 0 past p_bar_p_pd."""
+    for name, value in (("lambda_p", lambda_p), ("p_bar_p_pd", p_bar_p_pd), ("p_bar_s_sd", p_bar_s_sd)):
+        _check_unit(name, value)
+    if p_bar_p_pd == 0.0 or lambda_p > p_bar_p_pd:
+        return 0.0
+    return p_bar_s_sd * (1.0 - math.sqrt(lambda_p / p_bar_p_pd)) ** 2
+
+
+def is_stable(rates: ServiceRates, arrivals: RatePair) -> StabilityVerdict:
+    """Loynes verdict per queue: stable iff arrival rate < service rate."""
+    return StabilityVerdict(primary=arrivals.lambda_p < rates.mu_p, secondary=arrivals.lambda_s < rates.mu_s)
+
+
+def s2_feasible(lambda_p: float, p_md: float, b_s: float, p_bar_p_pd: float) -> bool:
+    """Whether S2 at this b_s can keep the primary stable: p_md + (1 -
+    p_md)*(1 - b_s) >= lambda_p/p_bar_p_pd, i.e. even with no idle-outcome
+    access the busy-outcome access leaves the primary enough service."""
+    for name, value in (("lambda_p", lambda_p), ("p_md", p_md), ("b_s", b_s), ("p_bar_p_pd", p_bar_p_pd)):
+        _check_unit(name, value)
+    if lambda_p == 0.0:
+        return True
+    if p_bar_p_pd == 0.0:
+        return False
+    return p_md + (1.0 - p_md) * (1.0 - b_s) >= lambda_p / p_bar_p_pd
+
+
+def gain_for_success_prob(target: float, rate_ratio: float) -> float:
+    """SNR-gain product gamma*sigma2 with exp(-(2^rate_ratio - 1)/(gamma*sigma2))
+    = target: calibrates a PhyParams link to a prescribed success probability."""
+    if not (0.0 < target < 1.0):
+        raise DomainError(f"target success probability must be in (0, 1), got {target!r}")
+    if rate_ratio <= 0.0:
+        raise DomainError(f"rate_ratio must be > 0, got {rate_ratio!r}")
+    return (2.0**rate_ratio - 1.0) / (-math.log(target))
+
+
+# --- test-only helpers ------------------------------------------------------------------
+
+def kernel_s2_cell(b_s, lam, p_md, p_fa, p_bar_p_pd, margin=0.0):
+    """The scan kernel's S2 optimum at one cell with a one-element b_s axis
+    (`scan` always adds b_s = 0) and p_bar_s_sd = 1: (a_s, lambda_s, feasible)."""
+    def one(x):
+        return np.array([float(x)])
+
+    with np.errstate(all="ignore"):
+        a, _, lam_s, ok = optimizer._cells(Variant.S2, one(lam), one(p_fa), one(p_md), one(1.0), p_bar_p_pd, margin, one(b_s))
+    return float(a[0]), float(lam_s[0]), bool(ok[0])
+
+
+def measure_stability(cfg, window: int, queue: str = "primary"):
+    """Run `window` slots of cfg, then judge the selected queue with `sim.stability`."""
+    if window < 10_000:
+        raise DomainError(f"stability window must be >= 1e4 slots, got {window!r}")
+    if queue not in ("primary", "secondary"):
+        raise DomainError(f"queue must be 'primary' or 'secondary', got {queue!r}")
+    if queue == "primary":
+        return sim.stability(sim.run(replace(cfg, slots=window)).primary_queue)
+    return sim.stability(sim.run(replace(cfg, slots=window, record_traces=True)).trace.qs)
+
+
+@dataclass(frozen=True)
+class DominanceReport:
+    dominant_ge_original: bool
+    saturation_indistinguishable: bool
+
+
+def compare_dominant(cfg) -> DominanceReport:
+    """Coupled original-vs-dominant check of the dominant-system argument.
+
+    The two modes share every random stream; the dominant system's queues
+    must never be shorter, slot by slot.  The saturation check reruns both
+    modes with lambda_s = 1 and one packet seeded in the secondary queue
+    (backlogged from the first slot, so no dummy is ever sent) and requires
+    bitwise-identical traces.
+    """
+    if not cfg.record_traces:
+        raise DomainError("compare_dominant needs record_traces=True")
+    original = sim.run(replace(cfg, mode=sim.SimMode.ORIGINAL)).trace
+    dominant = sim.run(replace(cfg, mode=sim.SimMode.DOMINANT)).trace
+    ge = bool(np.all(dominant.qp >= original.qp) and np.all(dominant.qs >= original.qs))
+    sat_cfg = replace(cfg, lambda_s=1.0, initial_qs=max(1, cfg.initial_qs))
+    sat_orig = sim.run(replace(sat_cfg, mode=sim.SimMode.ORIGINAL)).trace
+    sat_dom = sim.run(replace(sat_cfg, mode=sim.SimMode.DOMINANT)).trace
+    identical = all(np.array_equal(getattr(sat_orig, k), getattr(sat_dom, k)) for k in ("qp", "qs", "events", "feedback"))
+    return DominanceReport(dominant_ge_original=ge, saturation_indistinguishable=identical)
+
+
+def feedback_log_from_trace_csv(path: str, p_e_assumed: float = 0.0) -> FeedbackLog:
+    """Rebuild the learning-phase counting summary from an exported trace CSV."""
+    n = m = a = 0
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            n += 1
+            m += row["feedback"] in ("ack", "nack")
+            a += row["feedback"] == "ack"
+    return FeedbackLog(N=n, M=m, A=a, p_e_assumed=p_e_assumed)

@@ -20,30 +20,36 @@ from cogaccess.estimator import (
     feedback_log_from_result,
     learning_then_regular,
 )
-from cogaccess.mathcore import FractionalProgram, q_func, q_inv, solve_fractional
+from cogaccess.mathcore import q_func, q_inv
 from cogaccess.optimizer import (
     FixedSensing,
     OptimizationRequest,
     default_b_s_grid,
-    optimal_as_s0,
-    optimal_as_s1,
-    optimal_as_s2_given,
-    optimize_s2,
+    optimize,
+    scan,
     trace_region,
 )
 from cogaccess.phy import (
     LinkSuccess,
     PhyParams,
     SensingPoint,
-    gain_for_success_prob,
     pfa_for_target_pmd,
     pmd_for_target_pfa,
     roc_from_threshold,
 )
 from cogaccess.schemes import SchemeConfig, Variant, service_rates
-from cogaccess.sim import SimConfig, SimMode, compare_dominant, measure_stability, run
+from cogaccess.sim import SimConfig, SimMode, run
 
-from oracles import grid_max_access, grid_max_fractional, random_feasible_program
+from oracles import (
+    compare_dominant,
+    gain_for_success_prob,
+    grid_max_access,
+    grid_max_fractional,
+    kernel_s2_cell,
+    measure_stability,
+    random_s2_cell,
+    s2_program,
+)
 
 BENCH_LINKS = LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8)
 BENCH_POINT = SensingPoint(tau=0.05, p_fa=0.2, p_md=0.3)
@@ -54,34 +60,39 @@ def announce(number: int, label: str) -> None:
 
 
 def test_criterion_01_fractional_solver_oracle():
-    """1000 random programs: closed form vs 1e-5 grid, under 10 s."""
+    """1000 random S2 cells (fractional programs with f > 0): the kernel's
+    closed form vs a 1e-5 grid, under 10 s."""
     rng = np.random.default_rng(20260801)
     start = time.monotonic()
     worst_dx = worst_gap = 0.0
     for _ in range(1000):
-        a, f, c, d, K, w = random_feasible_program(rng)
-        sol = solve_fractional(FractionalProgram(a=a, f=f, c=c, d=d, K=K, w=w))
-        x_grid, v_grid = grid_max_fractional(a, f, c, d, K, w, step=1e-5)
-        worst_dx = max(worst_dx, abs(sol.x_star - x_grid))
-        worst_gap = max(worst_gap, abs(sol.objective - v_grid))
-        assert abs(sol.x_star - x_grid) <= 2e-5
-        assert abs(sol.objective - v_grid) <= 1e-6
+        cell = random_s2_cell(rng)
+        b_s, p_fa = cell[0], cell[3]
+        x, lam_s, ok = kernel_s2_cell(*cell)
+        x_grid, v_grid = grid_max_fractional(*s2_program(*cell), step=1e-5)
+        assert ok
+        worst_dx = max(worst_dx, abs(x - x_grid))
+        worst_gap = max(worst_gap, abs(lam_s - b_s * p_fa - v_grid))
+        assert abs(x - x_grid) <= 2e-5
+        assert abs(lam_s - b_s * p_fa - v_grid) <= 1e-6
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
-    announce(1, f"solver vs grid over 1000 programs: max |dx|={worst_dx:.2e}, "
+    announce(1, f"kernel vs grid over 1000 programs: max |dx|={worst_dx:.2e}, "
                 f"max objective gap={worst_gap:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_02_closed_form_access_vs_grid():
-    """optimal_as_s1 / optimal_as_s2_given vs 1e-5 grid over 500 draws."""
+    """The kernel's S1 a_s (through scan) and S2 a_s at one b_s vs 1e-5 grid over 500 draws."""
     rng = np.random.default_rng(20260802)
     worst = 0.0
     for _ in range(500):
         pbar = float(rng.uniform(0.1, 1.0))
         lam = float(rng.uniform(0.0, pbar))
         pmd = float(rng.uniform(0.0, 1.0))
-        a = optimal_as_s1(lam, pmd, pbar)
-        a_grid = grid_max_access(lam, pmd, float(rng.uniform(0, 1)), pbar, 0.0, step=1e-5)
+        pfa = float(rng.uniform(0, 1))
+        req = OptimizationRequest(Variant.S1, lam, FixedSensing(SensingPoint(0.05, pfa, pmd)))
+        a = float(scan(Variant.S1, (lam,), req, LinkSuccess(pbar, 1.0)).a_s[0, 0])
+        a_grid = grid_max_access(lam, pmd, pfa, pbar, 0.0, step=1e-5)
         worst = max(worst, abs(a - a_grid))
         assert abs(a - a_grid) <= 2e-5
 
@@ -95,7 +106,8 @@ def test_criterion_02_closed_form_access_vs_grid():
         a_grid = grid_max_access(lam, pmd, pfa, pbar, b, step=1e-5)
         if a_grid is None:
             continue
-        a = optimal_as_s2_given(b, lam, pmd, pfa, pbar)
+        a, _, ok = kernel_s2_cell(b, lam, pmd, pfa, pbar)
+        assert ok
         worst = max(worst, abs(a - a_grid))
         assert abs(a - a_grid) <= 2e-5
         checked += 1
@@ -103,19 +115,8 @@ def test_criterion_02_closed_form_access_vs_grid():
 
 
 def _optimal_config(variant, links, point, lam):
-    if variant is Variant.SC:
-        return SchemeConfig(variant, 1.0, 0.0, point)
-    if variant is Variant.S1:
-        a = optimal_as_s1(lam, point.p_md, links.p_bar_p_pd)
-        return SchemeConfig(variant, a, 0.0, point)
-    if variant is Variant.S2:
-        req = OptimizationRequest(
-            variant=variant, lambda_p=lam, target_mode=FixedSensing(point),
-            b_s_grid=default_b_s_grid(),
-        )
-        return optimize_s2(req, links).best
-    a = optimal_as_s0(lam, links.p_bar_p_pd)
-    return SchemeConfig(variant, a, 0.0, SensingPoint(0.0, 0.0, 1.0))
+    req = OptimizationRequest(variant, lam, FixedSensing(point), b_s_grid=default_b_s_grid())
+    return optimize(req, links).best
 
 
 ANALYSIS_POINTS = [
@@ -214,16 +215,15 @@ def test_criterion_05_region_structure():
 def test_criterion_06_monotonicity():
     """Access probabilities and boundaries non-increasing in lambda_p."""
     lams = tuple(float(x) for x in np.linspace(0.0, 0.62, 50))
-    a1 = [optimal_as_s1(l, 0.3, 0.9) for l in lams]
-    a2 = [optimal_as_s2_given(0.4, l, 0.3, 0.2, 0.9) for l in lams]
-    a0 = [optimal_as_s0(l, 0.9) for l in lams]
-    for series in (a1, a2, a0):
-        assert all(b <= a + 1e-15 for a, b in zip(series, series[1:]))
-
     base = OptimizationRequest(
         variant=Variant.S2, lambda_p=0.0, target_mode=FixedSensing(BENCH_POINT),
         b_s_grid=default_b_s_grid(),
     )
+    a1 = scan(Variant.S1, lams, base, BENCH_LINKS).a_s[:, 0].tolist()
+    a2 = [kernel_s2_cell(0.4, l, 0.3, 0.2, 0.9)[0] for l in lams]
+    a0 = scan(Variant.S0, lams, base, BENCH_LINKS).a_s[:, 0].tolist()
+    for series in (a1, a2, a0):
+        assert all(b <= a + 1e-15 for a, b in zip(series, series[1:]))
     for scheme in (Variant.SC, Variant.S1, Variant.S2, Variant.S0, "UNION"):
         curve = trace_region(scheme, lams, base, BENCH_LINKS)
         vals = [p.lambda_s for p in curve.points]

@@ -11,7 +11,9 @@ from cogaccess.cli import main
 from cogaccess.errors import ConfigError
 from cogaccess.phy import LinkSuccess, SensingPoint
 from cogaccess.schemes import SchemeConfig, Variant
-from cogaccess.sim import SimConfig, SimMode, measure_stability
+from cogaccess.sim import SimConfig, SimMode
+
+from oracles import measure_stability
 
 BENCH_BASE = {
     "channel": {"p_bar_p_pd": 0.9, "p_bar_s_sd": 0.8},
@@ -57,6 +59,18 @@ class TestConfigValidation:
         code, _, err = run_cli(capsys, ["region", "-c", write_config(tmp_path, doc)])
         assert code == 2
         assert "non-empty" in err
+
+    @pytest.mark.parametrize("command", ["region", "optimize", "simulate", "estimate", "sweep"])
+    def test_grid_of_repeated_floats_rejected(self, tmp_path, capsys, command):
+        # seven points spread over one ulp round to repeated values
+        doc = dict(BENCH_BASE, scheme="S2", lambda_p=0.3, access={"a_s": 0.5, "b_s": 0.2},
+                   grids={"lambda_p": [0.0, 0.3], "b_s": {"start": 0.5, "stop": 0.5000000000000002, "count": 7}},
+                   sim={"slots": 20_000}, estimate={"lp_slots": 1_000, "rp_slots": 10_000},
+                   output_dir=str(tmp_path / "out"))
+        code, out, err = run_cli(capsys, [command, "-c", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert "grids.b_s grid must be strictly increasing" in err
+        assert not (tmp_path / "out").exists()
 
     def test_json_config_also_accepted(self, tmp_path, capsys):
         doc = dict(BENCH_BASE, scheme="S1", lambda_p=0.3)

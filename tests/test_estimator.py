@@ -9,13 +9,13 @@ from cogaccess.estimator import (
     _policy_from_estimates,
     estimate,
     feedback_log_from_result,
-    feedback_log_from_trace_csv,
     learning_then_regular,
 )
-from cogaccess.optimizer import optimal_as_s1
 from cogaccess.phy import LinkSuccess, SensingPoint
 from cogaccess.schemes import SchemeConfig, Variant
-from cogaccess.sim import SimConfig, SimMode, measure_stability, run, write_trace_csv
+from cogaccess.sim import SimConfig, SimMode, run, write_trace_csv
+
+from oracles import feedback_log_from_trace_csv, measure_stability, optimal_as_s1
 
 BENCH_LINKS = LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8)
 BENCH_POINT = SensingPoint(tau=0.05, p_fa=0.2, p_md=0.3)

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cogaccess.errors import DomainError, InfeasibleError
-from cogaccess.mathcore import FractionalProgram, q_func, q_inv, solve_fractional
+from cogaccess.estimator import _policy_from_estimates
+from cogaccess.mathcore import q_func, q_inv
+from cogaccess.phy import SensingPoint
+from cogaccess.schemes import SchemeConfig, Variant
 
-from oracles import grid_max_fractional, random_feasible_program
+from oracles import grid_max_fractional, kernel_s2_cell, random_s2_cell, s2_program
 
 # Frozen from mpmath (40 digits): erfc(8/sqrt(2))/2.
 Q_AT_8 = 6.2209605742717841e-16
@@ -66,51 +69,60 @@ class TestQInv:
 
 
 class TestSolveFractional:
+    """The concave fractional program max (a*x + f)/(c*x - d) + K*x on
+    [0, min(1, (d - w)/c)] is S2's a_s problem at a fixed b_s; the scan
+    kernel solves it in closed form (oracles.s2_program maps a cell onto it)."""
+
     def test_interior_root(self):
-        sol = solve_fractional(FractionalProgram(a=1, f=1, c=1, d=2, K=1, w=0.5))
-        assert sol.x_star == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-12)
-        x_grid, v_grid = grid_max_fractional(1, 1, 1, 2, 1, 0.5)
-        assert sol.x_star == pytest.approx(x_grid, abs=2e-6)
-        assert sol.objective == pytest.approx(v_grid, abs=1e-9)
+        cell = (0.5, 0.4, 0.3, 0.2, 0.9)  # b_s, lambda_p, p_md, p_fa, p_bar_p_pd
+        a, f, c, d, K, w = s2_program(*cell)
+        x, lam_s, ok = kernel_s2_cell(*cell)
+        assert ok and 0.0 < x < min(1.0, (d - w) / c)
+        assert x == pytest.approx((d - math.sqrt((a * d + c * f) / K)) / c, abs=1e-12)
+        x_grid, v_grid = grid_max_fractional(a, f, c, d, K, w)
+        assert x == pytest.approx(x_grid, abs=2e-6)
+        assert lam_s - 0.5 * 0.2 == pytest.approx(v_grid, abs=1e-9)
 
     def test_huge_curvature_scale_clips_high(self):
-        sol = solve_fractional(FractionalProgram(a=1, f=1, c=1, d=2, K=1e9, w=0.5))
-        assert sol.x_star == 1.0
+        # the stationary root lies past a_s = 1, inside the stability cap
+        cell = (0.1, 0.1, 0.3, 0.2, 0.9)
+        a, f, c, d, K, w = s2_program(*cell)
+        assert (d - math.sqrt((a * d + c * f) / K)) / c > 1.0 and (d - w) / c > 1.0
+        assert kernel_s2_cell(*cell)[0] == 1.0
+        assert grid_max_fractional(a, f, c, d, K, w)[0] == 1.0
 
     def test_collapsed_interval(self):
-        sol = solve_fractional(FractionalProgram(a=1, f=1, c=1, d=1.5, K=1, w=1.5))
-        assert sol.x_star == 0.0
-        x_grid, _ = grid_max_fractional(1, 1, 1, 1.5, 1, 1.5)
+        cell = (0.5, 0.375, 0.5, 0.25, 0.5)  # d = w = 0.75 exactly
+        a, f, c, d, K, w = s2_program(*cell)
+        assert d == w
+        x, _, ok = kernel_s2_cell(*cell)
+        assert ok and x == 0.0
+        x_grid, _ = grid_max_fractional(a, f, c, d, K, w)
         assert x_grid == 0.0
 
     def test_infeasible_raises(self):
+        _, _, _, d, _, w = s2_program(0.5, 0.5, 0.5, 0.25, 0.5)
+        assert d < w
+        assert kernel_s2_cell(0.5, 0.5, 0.5, 0.25, 0.5) == (0.0, 0.0, False)
+        # lambda_p above p_bar_p_pd: no b_s, b_s = 0 included, is feasible
+        template = SchemeConfig(Variant.S2, 1.0, 0.0, SensingPoint(0.05, 0.25, 0.5))
         with pytest.raises(InfeasibleError):
-            solve_fractional(FractionalProgram(a=1, f=1, c=1, d=1, K=1, w=1.5))
-
-    def test_c_above_d_rejected(self):
-        with pytest.raises(DomainError):
-            solve_fractional(FractionalProgram(a=1, f=1, c=2, d=1, K=1, w=0.5))
-
-    @pytest.mark.parametrize("field", ["a", "f", "c", "d", "K", "w"])
-    def test_non_positive_constants_rejected(self, field):
-        kwargs = dict(a=1.0, f=1.0, c=1.0, d=2.0, K=1.0, w=0.5)
-        kwargs[field] = 0.0
-        with pytest.raises(DomainError):
-            FractionalProgram(**kwargs)
+            _policy_from_estimates(template, 0.6, 0.5, 0.0, (0.5,))
 
     def test_matches_grid_oracle_randomized(self):
         rng = np.random.default_rng(20260810)
         for _ in range(150):
-            a, f, c, d, K, w = random_feasible_program(rng)
-            sol = solve_fractional(FractionalProgram(a=a, f=f, c=c, d=d, K=K, w=w))
-            x_grid, v_grid = grid_max_fractional(a, f, c, d, K, w, step=1e-5)
-            assert abs(sol.x_star - x_grid) <= 2e-5
-            assert abs(sol.objective - v_grid) <= 1e-6
+            cell = random_s2_cell(rng)
+            x, lam_s, ok = kernel_s2_cell(*cell)
+            x_grid, v_grid = grid_max_fractional(*s2_program(*cell), step=1e-5)
+            assert ok
+            assert abs(x - x_grid) <= 2e-5
+            assert abs(lam_s - cell[0] * cell[3] - v_grid) <= 1e-6
 
     def test_concavity_on_feasible_interval(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            a, f, c, d, K, w = random_feasible_program(rng)
+            a, f, c, d, K, w = s2_program(*random_s2_cell(rng))
             cap = min(1.0, (d - w) / c)
             xs = np.linspace(0.0, cap, 64)
             second = 2.0 * c * (a * d + c * f) / (c * xs - d) ** 3
@@ -118,16 +130,17 @@ class TestSolveFractional:
 
     @settings(derandomize=True, max_examples=200)
     @given(
-        a=st.floats(0.01, 5.0),
-        f=st.floats(0.01, 5.0),
-        c=st.floats(0.01, 5.0),
-        d=st.floats(0.01, 5.0),
-        K=st.floats(0.01, 5.0),
-        w=st.floats(0.01, 5.0),
+        b_s=st.floats(0.0, 1.0),
+        lam=st.floats(0.0, 1.0),
+        p_md=st.floats(0.0, 1.0),
+        p_fa=st.floats(0.0, 1.0),
+        p_bar=st.floats(0.01, 1.0),
+        margin=st.floats(0.0, 0.5),
     )
-    def test_solution_always_clipped_to_feasible_interval(self, a, f, c, d, K, w):
-        if w > d:
-            d, w = w, d
-        c = min(c, d)
-        sol = solve_fractional(FractionalProgram(a=a, f=f, c=c, d=d, K=K, w=w))
-        assert 0.0 <= sol.x_star <= min(1.0, (d - w) / c) + 1e-15
+    def test_solution_always_clipped_to_feasible_interval(self, b_s, lam, p_md, p_fa, p_bar, margin):
+        _, _, c, d, _, w = s2_program(b_s, lam, p_md, p_fa, p_bar, margin)
+        x, lam_s, ok = kernel_s2_cell(b_s, lam, p_md, p_fa, p_bar, margin)
+        assert ok == (d >= w)
+        if ok:
+            assert 0.0 <= x <= (1.0 if c == 0.0 else min(1.0, (d - w) / c))
+            assert lam_s >= 0.0

@@ -11,23 +11,23 @@ from cogaccess.optimizer import (
     OptimizationRequest,
     b_s_scan_grid,
     default_b_s_grid,
+    optimize,
+    optimize_with_margin,
+    primary_delay,
+    trace_region,
+)
+from cogaccess.phy import LinkSuccess, PhyParams, SensingPoint
+from cogaccess.schemes import SchemeConfig, Variant, service_rates
+
+from oracles import (
+    OPTIMIZERS_LOOP,
+    gain_for_success_prob,
+    grid_max_access,
     optimal_as_s0,
     optimal_as_s1,
     optimal_as_s2_given,
-    optimize,
-    optimize_s0,
-    optimize_s1,
-    optimize_s2,
-    optimize_sc,
-    optimize_with_margin,
-    primary_delay,
-    switch_policy,
-    trace_region,
+    s0_boundary,
 )
-from cogaccess.phy import LinkSuccess, PhyParams, SensingPoint, gain_for_success_prob
-from cogaccess.schemes import SchemeConfig, Variant, s0_boundary, service_rates
-
-from oracles import grid_max_access
 
 BENCH_LINKS = LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8)
 BENCH_POINT = SensingPoint(tau=0.05, p_fa=0.2, p_md=0.3)
@@ -193,13 +193,13 @@ class TestOptimizeS2:
             b_s_grid=default_b_s_grid(),
         )
         req1 = replace(req2, variant=Variant.S1)
-        r2 = optimize_s2(req2, BENCH_LINKS)
-        r1 = optimize_s1(req1, BENCH_LINKS)
+        r2 = optimize(req2, BENCH_LINKS)
+        r1 = optimize(req1, BENCH_LINKS)
         assert r2.best.b_s == 0.0
         assert r2.lambda_s_max == pytest.approx(r1.lambda_s_max, abs=1e-12)
 
     def test_idle_primary_grabs_everything(self):
-        r = optimize_s2(bench_request(Variant.S2, 0.0, b_s_grid=default_b_s_grid()), BENCH_LINKS)
+        r = optimize(bench_request(Variant.S2, 0.0, b_s_grid=default_b_s_grid()), BENCH_LINKS)
         assert r.best.a_s == 1.0
         assert r.best.b_s == 1.0
         assert r.lambda_s_max == pytest.approx(0.8, abs=1e-12)
@@ -210,13 +210,13 @@ class TestOptimizeS2:
             variant=Variant.S2, lambda_p=0.05, target_mode=FixedFalseAlarm(0.2),
             tau_grid=(1e-3, 0.9), b_s_grid=default_b_s_grid(),
         )
-        r = optimize_s2(req, phy)
+        r = optimize(req, phy)
         by_tau = {row.tau: row for row in r.per_tau}
         assert by_tau[1e-3].lambda_s > by_tau[0.9].lambda_s
         assert r.best.sensing.tau == 1e-3
 
     def test_all_infeasible_reports_zero(self):
-        r = optimize_s2(bench_request(Variant.S2, 0.95, b_s_grid=(0.0, 0.5)), BENCH_LINKS)
+        r = optimize(bench_request(Variant.S2, 0.95, b_s_grid=(0.0, 0.5)), BENCH_LINKS)
         assert r.feasible is False
         assert r.lambda_s_max == 0.0
         assert r.best is None
@@ -224,18 +224,18 @@ class TestOptimizeS2:
 
 class TestOptimizeSc:
     def test_matches_service_rates_at_single_point(self):
-        r = optimize_sc(bench_request(Variant.SC, 0.3), BENCH_LINKS)
+        r = optimize(bench_request(Variant.SC, 0.3), BENCH_LINKS)
         rates = service_rates(
             SchemeConfig(Variant.SC, 1.0, 0.0, BENCH_POINT), BENCH_LINKS, 0.3
         )
         assert r.lambda_s_max == pytest.approx(rates.mu_s, abs=1e-12)
 
     def test_misdetection_saturates_feasibility(self):
-        r = optimize_sc(bench_request(Variant.SC, 0.64), BENCH_LINKS)  # 0.64 > 0.9*0.7
+        r = optimize(bench_request(Variant.SC, 0.64), BENCH_LINKS)  # 0.64 > 0.9*0.7
         assert r.feasible is False
 
     def test_idle_primary_factorizes(self):
-        r = optimize_sc(bench_request(Variant.SC, 0.0), BENCH_LINKS)
+        r = optimize(bench_request(Variant.SC, 0.0), BENCH_LINKS)
         assert r.lambda_s_max == pytest.approx(0.8 * 0.8, abs=1e-12)
 
 
@@ -334,11 +334,10 @@ class TestRegionTracing:
         union = trace_region("UNION", self.LAMBDAS, req, BENCH_LINKS)
         s2 = trace_region(Variant.S2, self.LAMBDAS, req, BENCH_LINKS)
         s0 = trace_region(Variant.S0, self.LAMBDAS, req, BENCH_LINKS)
-        policy = switch_policy(union)
-        assert len(policy.entries) == len(self.LAMBDAS)
-        for entry, a, b in zip(policy.entries, s2.points, s0.points):
-            expected = "S2" if a.lambda_s > b.lambda_s else "S0"
-            assert entry.scheme == expected
+        # the union's points carry the winning scheme's label, tau, a_s and b_s
+        assert len(union.points) == len(self.LAMBDAS)
+        for point, a, b in zip(union.points, s2.points, s0.points):
+            assert point == (a if a.lambda_s > b.lambda_s else b)
 
     def test_sensing_free_scheme_can_beat_long_sensing(self):
         phy = tradeoff_phy()
@@ -370,14 +369,11 @@ class TestRequestValidation:
     def test_target_modes_need_phy(self):
         req = OptimizationRequest(Variant.S1, 0.1, FixedFalseAlarm(0.2), tau_grid=(0.1,))
         with pytest.raises(DomainError):
-            optimize_s1(req, BENCH_LINKS)
+            optimize(req, BENCH_LINKS)
 
     def test_dispatch_matches_variants(self):
-        for variant, fn in [
-            (Variant.SC, optimize_sc),
-            (Variant.S1, optimize_s1),
-            (Variant.S2, optimize_s2),
-            (Variant.S0, optimize_s0),
-        ]:
+        for variant in (Variant.SC, Variant.S1, Variant.S2, Variant.S0):
             req = bench_request(variant, 0.2, b_s_grid=(0.0, 0.5))
-            assert optimize(req, BENCH_LINKS) == fn(req, BENCH_LINKS)
+            result = optimize(req, BENCH_LINKS)
+            assert result == OPTIMIZERS_LOOP[variant](req, BENCH_LINKS)
+            assert result.best.variant is variant

@@ -9,7 +9,6 @@ from cogaccess.phy import (
     LinkSuccess,
     PhyParams,
     SensingPoint,
-    gain_for_success_prob,
     link_success,
     pfa_for_target_pmd,
     pmd_for_target_pfa,
@@ -18,6 +17,8 @@ from cogaccess.phy import (
     secondary_success_prob,
     tx_rate,
 )
+
+from oracles import gain_for_success_prob
 
 
 def make_params(**overrides):

@@ -7,38 +7,28 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cogaccess import optimizer
+from cogaccess.errors import InfeasibleError
 from cogaccess.optimizer import (
     FixedFalseAlarm,
     FixedMisdetection,
     FixedSensing,
     FixedThreshold,
     OptimizationRequest,
-    optimize_s0,
-    optimize_s1,
-    optimize_s2,
-    optimize_sc,
+    optimize,
     scan,
     trace_region,
 )
 from cogaccess.phy import LinkSuccess, PhyParams, SensingPoint
 from cogaccess.schemes import Variant
 
-from oracles import OPTIMIZERS_LOOP, trace_region_loop
+from oracles import OPTIMIZERS_LOOP, optimal_as_s0, optimal_as_s1, optimal_as_s2_given, trace_region_loop
 
-KERNEL = {Variant.SC: optimize_sc, Variant.S1: optimize_s1, Variant.S2: optimize_s2, Variant.S0: optimize_s0}
 SCHEMES = (Variant.SC, Variant.S1, Variant.S2, Variant.S0, "UNION")
 
-# Probabilities: the exact corners 0 and 1 and values in between.  The
-# kernel is compared with the scalar loops down to subnormal values, where
-# products such as (lambda_p/p_bar_p_pd)*(1 - p_fa) underflow to zero and
-# quotients overflow.  The structural test stays above 1e-9: below about
-# 1e-16, lambda_p rounds the S1 and S0 optimum a_s up to 1, which leaves
-# the primary no service and drops the boundary to 0 there.
-def _probabilities(low):
-    return st.one_of(st.just(0.0), st.just(1.0), st.floats(low, 1.0), st.integers(1, 999).map(lambda k: k / 1000))
-
-
-unit, unit_above_1e_9 = _probabilities(0.0), _probabilities(1e-9)
+# Probabilities: the exact corners 0 and 1 and values in between, down to
+# subnormal values, where products such as (lambda_p/p_bar_p_pd)*(1 - p_fa)
+# underflow to zero and quotients overflow.
+unit = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0), st.integers(1, 999).map(lambda k: k / 1000))
 inner = st.floats(0.01, 0.99)
 
 
@@ -47,7 +37,7 @@ def _grid(values, *, min_size=1, max_size=6):
 
 
 @st.composite
-def problems(draw, unit=unit):
+def problems(draw):
     """A channel, a request (without its variant) and a lambda_p grid."""
     if draw(st.booleans()):
         channel = LinkSuccess(p_bar_p_pd=draw(unit), p_bar_s_sd=draw(unit))
@@ -82,12 +72,12 @@ def problems(draw, unit=unit):
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(problem=problems())
 def test_kernel_matches_scalar_loops(problem):
-    """optimize_* and trace_region give the scalar loops' results, repr for repr."""
+    """optimize and trace_region give the scalar loops' results, repr for repr."""
     channel, req, lambdas = problem
     for variant in (Variant.SC, Variant.S1, Variant.S2, Variant.S0):
         for lam in lambdas:
             r = OptimizationRequest(variant, lam, req.target_mode, req.tau_grid, req.b_s_grid, req.margin)
-            assert repr(KERNEL[variant](r, channel)) == repr(OPTIMIZERS_LOOP[variant](r, channel))
+            assert repr(optimize(r, channel)) == repr(OPTIMIZERS_LOOP[variant](r, channel))
     for scheme in SCHEMES:
         assert repr(trace_region(scheme, lambdas, req, channel)) == repr(trace_region_loop(scheme, lambdas, req, channel))
 
@@ -137,12 +127,12 @@ def test_scan_resolves_operating_points_once(monkeypatch):
 def test_scalar_matches_kernel_where_idle_term_underflows():
     # a = (lambda_p/p_bar_p_pd)*(1 - p_fa) underflows to 0 while f = (lambda_p/p_bar_p_pd)*p_fa*b_s does not
     p_fa = 1 - 2**-53
-    assert optimizer.optimal_as_s2_given(0.5, 1e-310, 0.3, p_fa, 0.9) == 1.0
+    assert optimal_as_s2_given(0.5, 1e-310, 0.3, p_fa, 0.9) == 1.0
     links = LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8)
     req = OptimizationRequest(Variant.S2, 1e-310, FixedSensing(SensingPoint(0.05, p_fa, 0.3)), b_s_grid=(0.5,))
     grid = scan(Variant.S2, (1e-310,), req, links)
     assert (grid.a_s[0, 0], grid.b_s[0, 0]) == (1.0, 0.5)
-    assert repr(optimize_s2(req, links)) == repr(OPTIMIZERS_LOOP[Variant.S2](req, links))
+    assert repr(optimize(req, links)) == repr(OPTIMIZERS_LOOP[Variant.S2](req, links))
 
 
 def test_zero_primary_link_is_silent_unless_idle():
@@ -152,16 +142,32 @@ def test_zero_primary_link_is_silent_unless_idle():
     for scheme in SCHEMES:
         pts = trace_region(scheme, (0.0, 0.1), req, links).points
         assert pts[0].lambda_s > 0.0 and pts[1].lambda_s == 0.0
-    assert optimizer.optimal_as_s1(0.0, 0.3, 0.0) == 1.0
-    assert optimizer.optimal_as_s0(0.0, 0.0) == 1.0
-    with pytest.raises(optimizer.InfeasibleError):
-        optimizer.optimal_as_s0(0.0, 0.0, margin=0.1)
+    assert optimal_as_s1(0.0, 0.3, 0.0) == 1.0
+    assert optimal_as_s0(0.0, 0.0) == 1.0
+    with pytest.raises(InfeasibleError):
+        optimal_as_s0(0.0, 0.0, margin=0.1)
+
+
+def test_tiny_lambda_p_leaves_the_primary_served():
+    # lambda_p/p_bar_p_pd below about 1e-32 rounds the optimum a_s up to 1; where a_s = 1 would leave
+    # the primary no service (p_md = 1, or b_s = 1 in S2), a_s stays below 1 and the rate near its value at 0
+    links = LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8)
+    lambdas = (0.0, 1e-300, 0.1)
+    for point, b_s_grid in ((SensingPoint(0.05, 0.2, 1.0), ()), (SensingPoint(0.05, 0.9, 0.3), (1.0,))):
+        req = OptimizationRequest(Variant.S2, 0.0, FixedSensing(point), b_s_grid=b_s_grid)
+        for scheme in SCHEMES:
+            curve = trace_region(scheme, lambdas, req, links)
+            assert repr(curve) == repr(trace_region_loop(scheme, lambdas, req, links))
+            at_0, tiny, far = curve.points
+            assert at_0.lambda_s >= tiny.lambda_s >= far.lambda_s
+            if scheme is not Variant.SC:  # Sc at p_md = 1 truly leaves the primary no service
+                assert tiny.lambda_s == pytest.approx(at_0.lambda_s, rel=1e-12)
 
 
 # --- structural properties of the optimized boundaries ----------------------------------
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(problem=problems(unit=unit_above_1e_9))
+@given(problem=problems())
 def test_boundary_structure(problem):
     """S2 >= S1 >= Sc at a shared sensing point, UNION >= every scheme, every
     boundary non-increasing in lambda_p, rates in [0, 1]."""

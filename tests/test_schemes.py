@@ -4,16 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from cogaccess.errors import DomainError, PrimaryUnstableError
 from cogaccess.phy import LinkSuccess, SensingPoint
-from cogaccess.schemes import (
-    RatePair,
-    SchemeConfig,
-    Variant,
-    effective_sensing,
-    is_stable,
-    s0_boundary,
-    s2_feasible,
-    service_rates,
-)
+from cogaccess.schemes import SchemeConfig, Variant, effective_sensing, service_rates
+
+from oracles import RatePair, is_stable, s0_boundary, s2_feasible
 
 BENCH_LINKS = LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8)
 BENCH_POINT = SensingPoint(tau=0.05, p_fa=0.2, p_md=0.3)

@@ -22,15 +22,13 @@ from cogaccess.sim import (
     EV_SECONDARY_TX,
     SimConfig,
     SimMode,
-    compare_dominant,
-    measure_stability,
     run,
     stability,
     write_trace_csv,
 )
 from cogaccess import cli, sim
 
-from oracles import drift_fraction, replay_queue, run_loop, write_trace_csv_rowwise
+from oracles import compare_dominant, drift_fraction, measure_stability, replay_queue, run_loop, write_trace_csv_rowwise
 
 BENCH_LINKS = LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8)
 BENCH_POINT = SensingPoint(tau=0.05, p_fa=0.2, p_md=0.3)
