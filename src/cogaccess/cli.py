@@ -49,7 +49,7 @@ from .optimizer import (
 )
 from .phy import LinkSuccess, PhyParams, SensingPoint, link_success
 from .schemes import SchemeConfig, Variant, service_rates
-from .sim import SimConfig, SimMode, run, stability, write_trace_csv
+from .sim import TRACE_CSV_HEADER, SimConfig, SimMode, run, write_trace_rows
 from .estimator import EstimatorMode, learning_then_regular
 
 __all__ = ["main", "load_config", "RunConfig"]
@@ -71,17 +71,14 @@ REGION_JSON_SCHEMA = "region-summary/1"
 # row, about 1 GiB) is what sets the cap.
 MAX_SWEEP_CELLS = 10_000_000
 
-# Memory a simulate or estimate run holds per slot, from the growth of peak
-# RSS between 1e6-, 4e6- and 16e6-slot runs with stable and overloaded
-# primaries (7.9-8.2 B/slot, 18.1-19.0 with traces), rounded up: the int64
-# primary queue series (8 B) and, while the primary queue grows, the FIFO
-# delay's arrival bits (1/8 B); a recorded trace adds the qs, events and
-# feedback columns (10 B).  sim.stability and the trace CSV writer work in
-# fixed-size chunks.  At the cap that is 477,218,588 slots (226,050,910
-# with traces).
-SIM_BYTES_PER_SLOT = 9
-TRACE_BYTES_PER_SLOT = 10
-MAX_SIM_BYTES = 4 * 2**30
+# sim.run holds no per-slot memory but the FIFO delay's arrival bits while an
+# overloaded primary's queue grows (at most 1/8 B a slot).  What grows is run
+# time, 35-150 ns a slot (2-CPU AMD EPYC, Python 3.11.7, numpy 2.4.6), and the
+# trace CSV, 19-25 B a row.  The slot cap bounds a run at about five minutes and
+# keeps its queues below 2**31, so the stability sums stay in int64; a traced
+# run is capped at about 4 GiB of CSV (25 B a row with 9-digit slot numbers).
+MAX_SIM_SLOTS = 2**31 - 1
+MAX_TRACED_SLOTS = 4 * 2**30 // 25
 
 _SCHEME_NAMES = [v.value for v in Variant]
 
@@ -159,9 +156,10 @@ def _grid_values(spec: Any, name: str, *, lo: float, hi: float) -> tuple[float, 
     count = _integer(spec, "count", name, lo=2, required=True)
     if stop <= start:
         raise ConfigError(f"{name}.stop must exceed {name}.start")
+    # the points of np.linspace: start + i*step, the last one exactly stop
     step = (stop - start) / (count - 1)
-    values = tuple(start + i * step for i in range(count))
-    if len(set(values)) < count:  # a step below the spacing of floats repeats values
+    values = tuple(start + i * step for i in range(count - 1)) + (stop,)
+    if values != tuple(sorted(set(values))):  # a step below the spacing of floats repeats values
         raise ConfigError(f"{name} grid must be strictly increasing")
     return values
 
@@ -540,6 +538,7 @@ def _resolve_scheme_config(cfg: RunConfig) -> tuple[SchemeConfig, dict]:
     if cfg.access is None:
         raise ConfigError("simulate needs an `access` section (fixed a_s/b_s or optimal: true)")
     if cfg.access["optimal"]:
+        _check_load(cfg.lambda_p, cfg.margin)
         req = OptimizationRequest(
             variant=cfg.scheme,
             lambda_p=cfg.lambda_p,
@@ -557,32 +556,34 @@ def _resolve_scheme_config(cfg: RunConfig) -> tuple[SchemeConfig, dict]:
     return SchemeConfig(variant=cfg.scheme, a_s=cfg.access["a_s"], b_s=b_s, sensing=point), note
 
 
-def _check_sim_memory(slots: int, per_slot: int, keys: str) -> None:
-    """Reject a run whose estimated memory passes MAX_SIM_BYTES, with a sizing hint."""
-    if slots * per_slot > MAX_SIM_BYTES:
-        raise ConfigError(
-            f"{slots} slots would hold about {slots * per_slot / 2**20:.0f} MiB "
-            f"({per_slot} B/slot, > {MAX_SIM_BYTES / 2**20:.0f} MiB); "
-            f"shrink {keys} to at most {MAX_SIM_BYTES // per_slot} slots"
-        )
+def _sim_config(cfg: RunConfig, scheme: SchemeConfig, slots: int) -> SimConfig:
+    return SimConfig(slots=slots, seed=cfg.sim["seed"], lambda_p=cfg.lambda_p, lambda_s=cfg.lambda_s, scheme=scheme,
+                     phy=cfg.channel, mode=cfg.sim["mode"], feedback_error=cfg.sim["feedback_error"])
+
+
+def _check_sim_slots(slots: int, limit: int, keys: str) -> None:
+    """Reject a run of more than `limit` slots, with a sizing hint."""
+    if slots > limit:
+        raise ConfigError(f"{slots} slots exceed the cap of {limit}; shrink {keys} to at most {limit} slots")
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    per_slot = SIM_BYTES_PER_SLOT + (TRACE_BYTES_PER_SLOT if cfg.sim["record_traces"] else 0)
-    _check_sim_memory(cfg.sim["slots"], per_slot, "sim.slots")
+    traced = cfg.sim["record_traces"]
+    _check_sim_slots(cfg.sim["slots"], MAX_TRACED_SLOTS if traced else MAX_SIM_SLOTS, "sim.slots")
     scheme, note = _resolve_scheme_config(cfg)
-    sim_cfg = SimConfig(
-        slots=cfg.sim["slots"],
-        seed=cfg.sim["seed"],
-        lambda_p=cfg.lambda_p,
-        lambda_s=cfg.lambda_s,
-        scheme=scheme,
-        phy=cfg.channel,
-        mode=cfg.sim["mode"],
-        feedback_error=cfg.sim["feedback_error"],
-        record_traces=cfg.sim["record_traces"],
-    )
-    result = run(sim_cfg)
+    sim_cfg = _sim_config(cfg, scheme, cfg.sim["slots"])
+    if traced:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        trace_path = cfg.output_dir / "trace.csv"
+        try:
+            with open(trace_path, "wb") as fh:
+                fh.write(TRACE_CSV_HEADER)
+                result = run(sim_cfg, sink=lambda lo, chunk: write_trace_rows(fh, lo, chunk))
+        except BaseException:
+            trace_path.unlink(missing_ok=True)  # leave no partial trace
+            raise
+    else:
+        result = run(sim_cfg)
 
     links = link_success(cfg.channel, scheme.sensing.tau)
     analytic: dict[str, Any] = {}
@@ -631,38 +632,22 @@ def cmd_simulate(cfg: RunConfig) -> int:
     payload.update(note)
 
     if sim_cfg.slots >= 10_000:
-        probe = stability(result.primary_queue)
-        payload["stability"] = {
-            "stable": probe.stable,
-            "drift": probe.drift,
-            "terminal_queue": probe.terminal_queue,
-        }
+        probe = result.stability
+        payload["stability"] = {"stable": probe.stable, "drift": probe.drift, "terminal_queue": probe.terminal_queue}
     else:
         payload["stability"] = {"note": "slots < 1e4: stability window too short"}
 
-    if cfg.sim["record_traces"]:
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        trace_path = cfg.output_dir / "trace.csv"
-        write_trace_csv(result.trace, str(trace_path))
+    if traced:
         payload["trace_file"] = str(trace_path)
     _emit_json(payload)
     return 0
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    _check_sim_memory(cfg.estimate["lp_slots"] + cfg.estimate["rp_slots"], SIM_BYTES_PER_SLOT,
-                      "estimate.lp_slots + estimate.rp_slots")
+    _check_sim_slots(cfg.estimate["lp_slots"] + cfg.estimate["rp_slots"], MAX_SIM_SLOTS,
+                     "estimate.lp_slots + estimate.rp_slots")
     scheme, _ = _resolve_scheme_config(cfg)
-    template = SimConfig(
-        slots=cfg.estimate["rp_slots"],
-        seed=cfg.sim["seed"],
-        lambda_p=cfg.lambda_p,
-        lambda_s=cfg.lambda_s,
-        scheme=scheme,
-        phy=cfg.channel,
-        mode=cfg.sim["mode"],
-        feedback_error=cfg.sim["feedback_error"],
-    )
+    template = _sim_config(cfg, scheme, cfg.estimate["rp_slots"])
     report = learning_then_regular(
         cfg.estimate["lp_slots"],
         cfg.estimate["rp_slots"],

@@ -25,7 +25,7 @@ from .errors import DomainError, InfeasibleError
 from .optimizer import FixedSensing, OptimizationRequest, scan
 from .phy import LinkSuccess, SensingPoint
 from .schemes import SchemeConfig, Variant
-from .sim import SimConfig, SimMode, SimResult, run, stability
+from .sim import SimConfig, SimMode, SimResult, run
 
 __all__ = [
     "EstimatorMode",
@@ -221,7 +221,7 @@ def learning_then_regular(
         fallback = True
 
     rp_result = run(replace(template, slots=rp_slots, scheme=policy, seed=template.seed + 1))
-    probe = stability(rp_result.primary_queue)
+    probe = rp_result.stability
 
     return TwoPhaseReport(
         estimates=report,

@@ -35,14 +35,15 @@ the passes start from the all-backlogged (dominant) qs > 0 pattern and
 re-solve both queues until the pattern stops changing.  Slot t's qs
 depends only on the pattern before t, so everything before the first
 changed slot is exact and the next pass resumes there: every pass fixes
-at least one more slot.  Memory per slot of a run is the int64 primary
-queue series the result keeps (8 B), plus 10 B for the qs, events and
-feedback columns of a recorded trace; the rest is a per-chunk working
-set, and for the FIFO delay the arrival bits (1 bit a slot) of the
-chunks since the oldest queued primary arrival, so an overloaded primary
-adds at most 1/8 B a slot.  `stability` and `write_trace_csv` also work
-chunk by chunk, so judging a run and writing its trace add no per-slot
-memory.
+at least one more slot.
+
+Nothing per slot outlives its chunk: `run` adds each chunk, while it is
+in cache, to the exact sums behind the primary queue's stability verdict
+and to the batch counts behind the standard errors, and hands its trace
+columns to an optional sink.  What grows with the run is the FIFO delay's
+arrival bits (1 bit a slot) of the chunks since the oldest queued primary
+arrival, at most 1/8 B a slot, and the whole-run trace of record_traces
+(18 B a slot).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import BinaryIO, Callable, NamedTuple
 
 import numpy as np
 
@@ -70,6 +71,8 @@ __all__ = [
     "run",
     "stability",
     "write_trace_csv",
+    "write_trace_rows",
+    "TRACE_CSV_HEADER",
     "DRIFT_EPSILON",
 ]
 
@@ -152,6 +155,15 @@ class FeedbackCounts(NamedTuple):
 
 
 @dataclass(frozen=True)
+class StabilityProbe:
+    stable: bool
+    drift: float
+    terminal_queue: int
+    drift_threshold: float
+    terminal_threshold: float
+
+
+@dataclass(frozen=True)
 class SimResult:
     slots: int
     mode: SimMode
@@ -164,17 +176,8 @@ class SimResult:
     primary_departures: int
     secondary_departures: int
     feedback_counts: FeedbackCounts
-    primary_queue: np.ndarray  # primary queue size at the start of each slot
+    stability: StabilityProbe  # the primary queue's, as sim.stability judges its series
     trace: SimTrace | None
-
-
-@dataclass(frozen=True)
-class StabilityProbe:
-    stable: bool
-    drift: float
-    terminal_queue: int
-    drift_threshold: float
-    terminal_threshold: float
 
 
 def _success_threshold(p_bar: float) -> float:
@@ -256,8 +259,11 @@ def _solve_queues(qp0: int, qs0: int, p_service: np.ndarray, p_blocked: np.ndarr
         qp0, qs0 = int(qp[lo]), int(qs[lo])
 
 
-def run(cfg: SimConfig) -> SimResult:
-    """Simulate cfg.slots slots and return empirical rates and counts."""
+def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> SimResult:
+    """Simulate cfg.slots slots: empirical rates, counts and the primary
+    queue's stability.  A sink gets each chunk's first slot and trace
+    columns, in slot order, to read during the call; cfg.record_traces
+    keeps the whole run's columns in SimResult.trace."""
     n = cfg.slots
     links = link_success(cfg.phy, cfg.scheme.sensing.tau)
     p_fa, p_md = effective_sensing(cfg.scheme)
@@ -273,11 +279,7 @@ def run(cfg: SimConfig) -> SimResult:
     batch = {k: np.zeros(len(edges) - 1, dtype=np.int64) for k in ("ptx", "pdep", "ssucc", "snon", "sdep")}
 
     record = cfg.record_traces
-    qp_series = np.empty(n, dtype=np.int64)
-    if record:
-        qs_series = np.empty(n, dtype=np.int64)
-        events = np.empty(n, dtype=np.uint8)
-        feedback = np.empty(n, dtype=np.uint8)
+    trace = SimTrace(*(np.empty(n, dtype=t) for t in (np.int64, np.int64, np.uint8, np.uint8))) if record else None
 
     qp, qs = cfg.initial_qp, cfg.initial_qs
     initial_left = cfg.initial_qp  # queued packets that count as arriving in slot -1
@@ -288,6 +290,7 @@ def run(cfg: SimConfig) -> SimResult:
     arrived = deque()  # (lo, arrivals before lo, their slot sum, packed arrival bits)
     arrivals = arrival_slot_sum = served = 0
     acks_heard = heard = delay_sum = 0
+    sums = (0, 0)  # sum(qp[t]) and sum(t * qp[t]), exact
 
     for lo in range(0, n, _SIM_CHUNK):
         hi = min(lo + _SIM_CHUNK, n)
@@ -308,10 +311,11 @@ def run(cfg: SimConfig) -> SimResult:
         coin_if_tx = np.where(busy_if_tx, coin_busy, coin_idle)
         coin_if_idle = np.where(busy_if_idle, coin_busy, coin_idle)
 
-        qp_c = qp_series[lo:hi]
-        qs_c = qs_series[lo:hi] if record else np.empty(m, dtype=np.int64)
+        qp_c = trace.qp[lo:hi] if record else np.empty(m, dtype=np.int64)
+        qs_c = trace.qs[lo:hi] if record else np.empty(m, dtype=np.int64)
         qp, qs = _solve_queues(qp, qs, chan_p_ok, coin_if_tx, coin_if_idle & chan_s_ok,
                                arrival_p, arrival_s, qp_c, qs_c, dominant)
+        sums = _add_chunk_sums(sums, qp_c, lo)
 
         ptx = qp_c > 0
         s_has_packet = qs_c > 0
@@ -323,10 +327,12 @@ def run(cfg: SimConfig) -> SimResult:
 
         heard += int(np.count_nonzero(ptx & fb_heard))
         acks_heard += int(np.count_nonzero(p_succ & fb_heard))
-        slot_batch = np.searchsorted(edges, np.arange(lo, hi), side="right") - 1
+        # batches i-1 .. j-1 meet this chunk; each later one starts at its edge
+        i, j = np.searchsorted(edges, (lo, hi - 1), side="right")
+        starts = np.concatenate(([lo], edges[i:j])) - lo
         for key, series in (("ptx", ptx), ("pdep", p_succ), ("ssucc", s_succ),
                             ("snon", s_has_packet), ("sdep", s_dep)):
-            batch[key] += np.bincount(slot_batch[series], minlength=len(batch[key]))
+            batch[key][i - 1:j] += np.add.reduceat(series, starts, dtype=np.int64)
 
         # FIFO delay: departure slots here, the arrival slots of the first
         # `served` arrivals after the run
@@ -342,14 +348,17 @@ def run(cfg: SimConfig) -> SimResult:
         while len(arrived) > 1 and arrived[1][1] <= served:
             arrived.popleft()
 
-        if record:
+        if record or sink is not None:
             collision = ptx & stx
             sensed_busy = np.where(ptx, busy_if_tx, busy_if_idle)
             bits = (arrival_p, arrival_s, ptx, stx, collision, p_succ, s_succ, sensed_busy)  # EV_* order
-            events[lo:hi] = np.packbits(np.stack(bits, axis=1), axis=1, bitorder="little")[:, 0]
+            events = np.packbits(np.stack(bits, axis=1), axis=1, bitorder="little")[:, 0]
             # FB_* codes: 1 + (NACK) + 2 * (missed), on primary transmissions only
-            code = 1 + (~p_succ).view(np.uint8) + 2 * (~fb_heard).view(np.uint8)
-            feedback[lo:hi] = code * ptx
+            feedback = (1 + (~p_succ).view(np.uint8) + 2 * (~fb_heard).view(np.uint8)) * ptx
+            if record:
+                trace.events[lo:hi], trace.feedback[lo:hi] = events, feedback
+            if sink is not None:
+                sink(lo, SimTrace(qp=qp_c, qs=qs_c, events=events, feedback=feedback))
 
     # the served-th arrival is in the first kept chunk
     lo, before, before_sum, bits = arrived[0]
@@ -371,7 +380,6 @@ def run(cfg: SimConfig) -> SimResult:
         mu_s = s_dep_total / snon_slots if snon_slots else math.nan
         mu_s_se = _batch_ratio_se(batch["sdep"], batch["snon"]) if snon_slots else math.nan
 
-    trace = SimTrace(qp=qp_series, qs=qs_series, events=events, feedback=feedback) if record else None
     return SimResult(
         slots=n,
         mode=cfg.mode,
@@ -384,7 +392,7 @@ def run(cfg: SimConfig) -> SimResult:
         primary_departures=p_dep_total,
         secondary_departures=s_dep_total,
         feedback_counts=FeedbackCounts(A=acks_heard, M=heard, N=n),
-        primary_queue=qp_series,
+        stability=_verdict(n, sums, int(qp_c[-1])),
         trace=trace,
     )
 
@@ -396,14 +404,23 @@ def stability(series: np.ndarray) -> StabilityProbe:
     index (nan for a single slot); stable means drift <= DRIFT_EPSILON and
     a terminal size below TERMINAL_FACTOR * sqrt(len(series)).
     """
-    n = len(series)
-    sum_q, sum_tq = _exact_sums(series)
+    if not np.issubdtype(series.dtype, np.integer):
+        raise DomainError(f"stability needs an integer series, got dtype {series.dtype}")
+    sums = (0, 0)
+    for lo in range(0, len(series), _SIM_CHUNK):
+        sums = _add_chunk_sums(sums, series[lo:lo + _SIM_CHUNK], lo)
+    return _verdict(len(series), sums, int(series[-1]))
+
+
+def _verdict(n: int, sums: tuple[int, int], terminal: int) -> StabilityProbe:
+    """The stability verdict of an n-slot series from its exact sums
+    sum(q[t]) and sum(t * q[t]) and its last value."""
+    sum_q, sum_tq = sums
     # slope = (n*sum(t*q) - sum(t)*sum(q)) / (n*sum(t^2) - sum(t)^2), with
     # sum(t) = n(n-1)/2 and the denominator n^2(n^2-1)/12, both scaled by 12:
     # one correctly rounded division of exact integers
     den = n * n * (n * n - 1)
     drift = (12 * n * sum_tq - 6 * n * (n - 1) * sum_q) / den if den else math.nan
-    terminal = int(series[-1])
     terminal_threshold = TERMINAL_FACTOR * math.sqrt(n)
     return StabilityProbe(
         stable=(drift <= DRIFT_EPSILON and terminal <= terminal_threshold),
@@ -414,44 +431,44 @@ def stability(series: np.ndarray) -> StabilityProbe:
     )
 
 
-def _exact_sums(series: np.ndarray) -> tuple[int, int]:
-    """sum(q[t]) and sum(t * q[t]) of an integer series, as exact Python ints.
+def _add_chunk_sums(sums: tuple[int, int], q: np.ndarray, lo: int) -> tuple[int, int]:
+    """sums plus sum(q[u]) and sum((lo + u) * q[u]) of an integer chunk that
+    starts at slot lo, as exact Python ints.
 
-    Each chunk's sums are taken in int64 relative to the chunk's first
-    slot, sum(t*q) = lo*sum(q) + sum(u*q) with u < m, and are exact while
-    max|q| * m * m < 2**63: for a chunk of 65,536 slots, queue sizes up to
-    2**31 - 1.  A queue grows by at most one packet a slot, so that holds
-    up to cli's slot limit unless the run starts with a huge initial queue;
-    a chunk past it is summed in Python ints.
+    The chunk's sums are taken in int64, sum(t*q) = lo*sum(q) + sum(u*q)
+    with u < m, exact while max|q| * m * m < 2**63: for a chunk of 65,536
+    slots, queue sizes up to 2**31 - 1.  A queue grows by at most one packet
+    a slot, so that holds up to cli's slot limit unless the run starts with
+    a huge initial queue; a chunk past it is summed in Python ints.
     """
-    if not np.issubdtype(series.dtype, np.integer):
-        raise DomainError(f"stability needs an integer series, got dtype {series.dtype}")
-    sum_q = sum_tq = 0
-    for lo in range(0, len(series), _SIM_CHUNK):
-        q = series[lo:lo + _SIM_CHUNK]
-        m = len(q)
-        if max(-int(q.min()), int(q.max())) * m * m < 2**63:
-            q = q.astype(np.int64, copy=False)
-            s_q = int(q.sum())
-            sum_q += s_q
-            sum_tq += lo * s_q + int(np.dot(np.arange(m, dtype=np.int64), q))
-        else:
-            values = q.tolist()
-            sum_q += sum(values)
-            sum_tq += sum(map(operator.mul, range(lo, lo + m), values))
-    return sum_q, sum_tq
+    m = len(q)
+    if max(-int(q.min()), int(q.max())) * m * m < 2**63:
+        q = q.astype(np.int64, copy=False)
+        s_q = int(q.sum())
+        return sums[0] + s_q, sums[1] + lo * s_q + int(np.dot(np.arange(m, dtype=np.int64), q))
+    values = q.tolist()
+    return sums[0] + sum(values), sums[1] + sum(map(operator.mul, range(lo, lo + m), values))
 
 
 TRACE_CSV_SCHEMA = "trace/1"
+TRACE_CSV_HEADER = b"slot,qp,qs,events,feedback\r\n"
 _FEEDBACK_NAMES = ("none", "ack", "nack", "ack-missed", "nack-missed")  # indexed by FB_* code
-_TRACE_CSV_CHUNK = 65_536  # rows formatted per write: bounds the memory of the formatted text
+_TRACE_CSV_CHUNK = 16_384  # rows formatted per write: bounds the memory of the formatted text (about 270 B a row)
 # FB_* code -> the name's bytes, zero-padded to the longest name
 _FEEDBACK_TEXT = np.array([list(name.encode().ljust(max(map(len, _FEEDBACK_NAMES)), b"\0"))
                            for name in _FEEDBACK_NAMES], dtype=np.uint8)
 
 
 def write_trace_csv(trace: SimTrace, path: str) -> None:
-    """One row per slot: slot, queue sizes at slot start, event bits, feedback.
+    """One row per slot: slot, queue sizes at slot start, event bits, feedback."""
+    with open(path, "wb") as fh:
+        fh.write(TRACE_CSV_HEADER)
+        write_trace_rows(fh, 0, trace)
+
+
+def write_trace_rows(fh: BinaryIO, lo: int, trace: SimTrace) -> None:
+    """Append the trace CSV rows of slots lo, lo + 1, ... to fh; as a `run`
+    sink (bound to fh) it streams a run's trace.
 
     The bytes are those of csv.writer (CRLF line ends, nothing quoted).
     Each chunk of rows is formatted as one uint8 array: every integer
@@ -459,13 +476,10 @@ def write_trace_csv(trace: SimTrace, path: str) -> None:
     value, the feedback column a zero-padded name, and one boolean
     compress drops the leading zeros and the padding.
     """
-    n = len(trace.qp)
-    with open(path, "wb") as fh:
-        fh.write(b"slot,qp,qs,events,feedback\r\n")
-        for lo in range(0, n, _TRACE_CSV_CHUNK):
-            hi = min(lo + _TRACE_CSV_CHUNK, n)
-            columns = (np.arange(lo, hi, dtype=np.int64), trace.qp[lo:hi], trace.qs[lo:hi], trace.events[lo:hi])
-            fh.write(_csv_rows(columns, trace.feedback[lo:hi]))
+    for at in range(0, len(trace.qp), _TRACE_CSV_CHUNK):
+        rows = slice(at, at + _TRACE_CSV_CHUNK)
+        slots = np.arange(lo + at, lo + at + len(trace.qp[rows]), dtype=np.int64)
+        fh.write(_csv_rows((slots, trace.qp[rows], trace.qs[rows], trace.events[rows]), trace.feedback[rows]))
 
 
 def _csv_rows(columns: tuple[np.ndarray, ...], feedback: np.ndarray) -> np.ndarray:

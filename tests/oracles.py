@@ -315,7 +315,7 @@ def run_loop(cfg):
         primary_departures=p_dep_total,
         secondary_departures=s_dep_total,
         feedback_counts=sim.FeedbackCounts(A=acks_heard, M=heard, N=n),
-        primary_queue=tr_qp,
+        stability=sim.stability(tr_qp),
         trace=trace,
     )
 
@@ -662,7 +662,7 @@ def measure_stability(cfg, window: int, queue: str = "primary"):
     if queue not in ("primary", "secondary"):
         raise DomainError(f"queue must be 'primary' or 'secondary', got {queue!r}")
     if queue == "primary":
-        return sim.stability(sim.run(replace(cfg, slots=window)).primary_queue)
+        return sim.run(replace(cfg, slots=window)).stability
     return sim.stability(sim.run(replace(cfg, slots=window, record_traces=True)).trace.qs)
 
 

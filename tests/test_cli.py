@@ -72,6 +72,23 @@ class TestConfigValidation:
         assert "grids.b_s grid must be strictly increasing" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["region", "optimize"])
+    def test_grid_ends_exactly_at_stop(self, tmp_path, capsys, command):
+        # 0.08 + 3 * ((1.0 - 0.08) / 3) is 1.0000000000000002
+        doc = dict(BENCH_BASE, scheme="S2", lambda_p=0.3, grids={"lambda_p": [0.0, 0.3],
+                   "b_s": {"start": 0.08, "stop": 1.0, "count": 4}}, output_dir=str(tmp_path / "out"))
+        path = write_config(tmp_path, doc)
+        code, _, err = run_cli(capsys, [command, "-c", path])
+        assert (code, err) == (0, "")
+        assert cli.load_config(path).b_s_grid[-1] == 1.0
+
+    def test_every_grid_from_a_hundredth_to_one_is_accepted(self):
+        for k in range(100):
+            for count in range(2, 200):
+                grid = cli._grid_values({"start": k / 100, "stop": 1.0, "count": count}, "grids.b_s", lo=0.0, hi=1.0)
+                assert len(grid) == count and grid[-1] == 1.0
+                assert all(a < b for a, b in zip(grid, grid[1:])), (k, count)
+
     def test_json_config_also_accepted(self, tmp_path, capsys):
         doc = dict(BENCH_BASE, scheme="S1", lambda_p=0.3)
         path = tmp_path / "config.json"
@@ -239,6 +256,23 @@ class TestSimulate:
         assert (tmp_path / "out" / "trace.csv").exists()
         assert open(trace).readline().strip() == "slot,qp,qs,events,feedback"
 
+    def test_failed_run_leaves_no_trace_file(self, tmp_path, capsys, monkeypatch):
+        written = []
+
+        def failing_rows(fh, lo, trace, real=sim.write_trace_rows):
+            written.append(lo)
+            if len(written) == 3:
+                raise OSError("no space left on device")
+            real(fh, lo, trace)
+
+        monkeypatch.setattr(sim, "_SIM_CHUNK", 7)
+        monkeypatch.setattr(cli, "write_trace_rows", failing_rows)
+        doc = self.simulate_doc(tmp_path, sim={"slots": 2_000, "seed": 1, "record_traces": True})
+        code, out, err = run_cli(capsys, ["simulate", "-c", write_config(tmp_path, doc)])
+        assert (code, out) == (3, "")
+        assert written == [0, 7, 14] and "no space left on device" in err
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
     def test_one_simulation_per_command(self, tmp_path, capsys, monkeypatch):
         slots = []
 
@@ -308,8 +342,8 @@ class TestEstimateCommand:
 
 
 class TestRunSizeBound:
-    """Simulate and estimate documents whose memory would pass MAX_SIM_BYTES exit 2
-    before anything is simulated or allocated."""
+    """Simulate and estimate documents past cli.MAX_SIM_SLOTS (or, with a trace,
+    cli.MAX_TRACED_SLOTS) exit 2 before anything is simulated or written."""
 
     @pytest.fixture(autouse=True)
     def no_simulation(self, monkeypatch):
@@ -328,24 +362,25 @@ class TestRunSizeBound:
 
     def test_oversize_estimate_rejected_with_hint(self, tmp_path, capsys):
         doc = dict(BENCH_BASE, scheme="S1", lambda_p=0.3,
-                   estimate={"lp_slots": 10**8, "rp_slots": 10**9})
+                   estimate={"lp_slots": 10**9, "rp_slots": 10**10})
         code, _, err = run_cli(capsys, ["estimate", "-c", write_config(tmp_path, doc)])
         assert code == 2
         assert "shrink estimate.lp_slots + estimate.rp_slots" in err
 
     def test_recorded_trace_counts_toward_the_bound(self, tmp_path, capsys):
-        slots = cli.MAX_SIM_BYTES // cli.SIM_BYTES_PER_SLOT  # fits without the trace columns
+        slots = cli.MAX_SIM_SLOTS  # fits without the trace CSV
         doc = dict(BENCH_BASE, scheme="S1", lambda_p=0.3, access={"a_s": 0.5},
-                   sim={"slots": slots, "seed": 1, "record_traces": True})
+                   sim={"slots": slots, "seed": 1, "record_traces": True}, output_dir=str(tmp_path / "out"))
         code, _, err = run_cli(capsys, ["simulate", "-c", write_config(tmp_path, doc)])
         assert code == 2
-        assert f"({cli.SIM_BYTES_PER_SLOT + cli.TRACE_BYTES_PER_SLOT} B/slot" in err
+        assert f"shrink sim.slots to at most {cli.MAX_TRACED_SLOTS} slots" in err
+        assert not (tmp_path / "out").exists()
 
     def test_bound_is_inclusive(self):
-        largest = cli.MAX_SIM_BYTES // cli.SIM_BYTES_PER_SLOT
-        cli._check_sim_memory(largest, cli.SIM_BYTES_PER_SLOT, "sim.slots")
+        largest = cli.MAX_SIM_SLOTS
+        cli._check_sim_slots(largest, largest, "sim.slots")
         with pytest.raises(ConfigError):
-            cli._check_sim_memory(largest + 1, cli.SIM_BYTES_PER_SLOT, "sim.slots")
+            cli._check_sim_slots(largest + 1, largest, "sim.slots")
 
 
 class TestSweep:
@@ -440,15 +475,21 @@ class TestSweep:
 
 
 class TestFuzz:
-    """Each key of the shipped region, sweep and optimize documents set to a
-    hostile value: a config document may be rejected (2), never crash (3)."""
+    """Each key of the shipped documents, shrunk to small grids and about 2e4
+    slots, set to a hostile value: a config document may be rejected (2),
+    never crash (3), and a rejected one leaves no trace CSV."""
 
     VALUES = [0, -0.0, -1, 2, float("nan"), float("inf"), "x", [], {}, None, 3000]
     DOCS = {
-        "region": ("region_fixed_roc.yaml", {"lambda_p": {"start": 0.0, "stop": 0.63, "count": 8}, "b_s": {"count": 5}}),
-        "sweep": ("sweep_sensing_durations.yaml",
-                  {"lambda_p": {"start": 0.0, "stop": 0.65, "count": 5}, "tau": [0.01, 0.5], "b_s": {"count": 5}}),
-        "optimize": ("validate_simulation.yaml", {"tau": [0.01, 0.5], "b_s": {"count": 5}}),
+        "region": ("region_fixed_roc.yaml",
+                   {"grids": {"lambda_p": {"start": 0.0, "stop": 0.63, "count": 8}, "b_s": {"count": 5}}}),
+        "sweep": ("sweep_sensing_durations.yaml", {"grids": {
+            "lambda_p": {"start": 0.0, "stop": 0.65, "count": 5}, "tau": [0.01, 0.5], "b_s": {"count": 5}}}),
+        "optimize": ("validate_simulation.yaml", {"grids": {"tau": [0.01, 0.5], "b_s": {"count": 5}}}),
+        "simulate": ("validate_simulation.yaml",
+                     {"sim": {"slots": 20_000, "seed": 7, "mode": "dominant", "record_traces": True}}),
+        "estimate": ("estimate_two_phase.yaml",
+                     {"estimate": {"lp_slots": 2_000, "rp_slots": 20_000, "estimator_mode": "unbiased"}}),
     }
 
     @staticmethod
@@ -460,9 +501,9 @@ class TestFuzz:
 
     @pytest.mark.parametrize("command", sorted(DOCS))
     def test_mutated_documents_never_reach_internal_error(self, command, tmp_path, capsys, monkeypatch):
-        name, grids = self.DOCS[command]
+        name, shrunk = self.DOCS[command]
         base = yaml.safe_load((Path(__file__).resolve().parent.parent / "configs" / name).read_text())
-        base.update(grids=grids, margin=0.0, output_dir="out")
+        base.update(shrunk, margin=0.0, output_dir="out")
         crashes = []
         for i, (path, value) in enumerate(itertools.product(list(self.paths(base)), self.VALUES)):
             doc = copy.deepcopy(base)
@@ -474,6 +515,6 @@ class TestFuzz:
             run_dir.mkdir()
             monkeypatch.chdir(run_dir)
             code, _, err = run_cli(capsys, [command, "-c", write_config(run_dir, doc)])
-            if code not in (0, 2):
-                crashes.append((path, value, err.strip()))
+            if code not in (0, 2) or (code == 2 and any(run_dir.rglob("trace.csv"))):
+                crashes.append((path, value, code, err.strip()))
         assert crashes == []

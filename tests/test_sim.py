@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -413,27 +414,47 @@ class TestEngine:
                          initial_qp=initial_qp)
         with mock.patch.object(sim, "_SIM_CHUNK", 7):
             tiny = run(cfg)
-        assert tiny.primary_queue[-1] > 500 and tiny.primary_departures > initial_qp
+        assert tiny.stability.terminal_queue > 500 and tiny.primary_departures > initial_qp
         assert_same_result(tiny, run(cfg))
         assert_same_result(tiny, run_loop(cfg))
 
+    @staticmethod
+    def peak_memory(cfg, sink=None):
+        """Peak traced memory of one run of cfg."""
+        tracemalloc.start()
+        try:
+            run(cfg, sink=sink)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_overloaded_primary_stays_within_the_memory_estimate(self):
-        # peak traced memory grows by at most cli.SIM_BYTES_PER_SLOT a slot
-        # even when the primary queue grows by ~0.9 packets a slot
+        # only the FIFO delay's arrival bits (1/8 B a slot) grow with the run,
+        # even when the primary queue grows by ~0.3 packets a slot
         def peak(slots):
-            cfg = sim_config(a_s=0.9, lambda_p=1.0, slots=slots, mode=SimMode.ORIGINAL)
-            tracemalloc.start()
-            try:
-                result = run(cfg)
-                stability(result.primary_queue)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return self.peak_memory(sim_config(a_s=0.9, lambda_p=1.0, slots=slots, mode=SimMode.ORIGINAL))
 
         small, large = 4 * CHUNK, 16 * CHUNK
         peak(small)  # first-call allocations are not per slot
         per_slot = (peak(large) - peak(small)) / (large - small)
-        assert 8 <= per_slot <= cli.SIM_BYTES_PER_SLOT
+        assert 0 < per_slot <= 1 / 8
+
+    @pytest.mark.parametrize("sink", ["none", "trace csv"])
+    def test_stable_run_holds_no_per_slot_memory(self, sink, tmp_path):
+        # a stable primary keeps no arrival bits, so from 4 to 64 chunks the
+        # peak moves only by the spread of the per-chunk index arrays (up to
+        # 4.5 KiB over eight seeds), where one bit kept a slot would add 120
+        # KiB; 1,024-row writer chunks keep the slot column's seventh digit
+        # (11 B a row of a writer chunk) within that spread
+        with open(tmp_path / "trace.csv", "wb") as fh, mock.patch.object(sim, "_SIM_CHUNK", 16_384), \
+                mock.patch.object(sim, "_TRACE_CSV_CHUNK", 1_024):
+            write = partial(sim.write_trace_rows, fh) if sink == "trace csv" else None
+
+            def peak(chunks):
+                return self.peak_memory(sim_config(a_s=0.5, lambda_p=0.3, slots=chunks * 16_384), write)
+
+            peak(4)  # first-call allocations are not per slot
+            assert peak(64) - peak(4) <= 8192
 
     @pytest.mark.parametrize("draw", ["random", "standard_exponential"])
     def test_stream_read_in_chunks_equals_one_read(self, draw):
@@ -445,15 +466,28 @@ class TestEngine:
         parts += [getattr(rng, draw)(min(CHUNK, n - lo)) for lo in range(70, n, CHUNK)]
         assert np.array_equal(np.concatenate(parts), whole)
 
-    def test_primary_queue_without_traces(self):
-        cfg = sim_config(variant=Variant.S2, a_s=0.7, b_s=0.2, lambda_p=0.4, slots=20_000,
-                         mode=SimMode.ORIGINAL)
-        bare = run(cfg)
-        traced = run(replace(cfg, record_traces=True))
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=engine_configs().map(lambda cfg: replace(cfg, slots=cfg.slots % 3_000 + 1, record_traces=False)))
+    def test_stability_in_the_run_equals_the_series_probe(self, cfg):
+        # 7-slot chunks: the run's chunk-by-chunk sums against one probe of the whole series
+        with mock.patch.object(sim, "_SIM_CHUNK", 7):
+            bare = run(cfg)
+            traced = run(replace(cfg, record_traces=True))
         assert bare.trace is None
-        assert bare.primary_queue.dtype == np.int64
-        assert np.array_equal(bare.primary_queue, traced.trace.qp)
-        assert traced.primary_queue is traced.trace.qp
+        assert repr(bare.stability) == repr(traced.stability) == repr(stability(traced.trace.qp))
+
+    def test_streamed_trace_equals_the_written_trace(self, tmp_path):
+        cfg = sim_config(variant=Variant.S2, a_s=0.8, b_s=0.3, lambda_p=0.45, lambda_s=0.3, slots=5_003,
+                         mode=SimMode.ORIGINAL, feedback_error=0.2, initial_qp=95)
+        with mock.patch.object(sim, "_SIM_CHUNK", 7), mock.patch.object(sim, "_TRACE_CSV_CHUNK", 5):
+            with open(tmp_path / "streamed.csv", "wb") as fh:
+                fh.write(sim.TRACE_CSV_HEADER)
+                streamed = run(cfg, sink=partial(sim.write_trace_rows, fh))
+            recorded = run(replace(cfg, record_traces=True))
+            write_trace_csv(recorded.trace, str(tmp_path / "recorded.csv"))
+        assert streamed.trace is None
+        assert set(np.unique(recorded.trace.feedback).tolist()) == {0, 1, 2, 3, 4}
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "recorded.csv").read_bytes()
 
     @settings(max_examples=40, deadline=None)
     @given(a_s=st.floats(0.0, 1.0), b_s=st.floats(0.0, 1.0), lambda_p=st.floats(0.0, 1.0),
