@@ -1,7 +1,10 @@
 """cogaccess: stable-throughput optimization and Monte Carlo validation of
-sensing-based random spectrum access for a primary/secondary user pair."""
+sensing-based random spectrum access for a primary/secondary user pair.
 
-from . import cli, estimator, mathcore, optimizer, phy, schemes, sim
+The command-line front end, `cogaccess.cli`, is imported on its own, so
+that `python -m cogaccess.cli` runs it as a fresh module."""
+
+from . import estimator, mathcore, optimizer, phy, schemes, sim
 from .errors import (
     CogAccessError,
     ConfigError,
@@ -13,7 +16,6 @@ from .errors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "cli",
     "estimator",
     "mathcore",
     "optimizer",

@@ -22,9 +22,10 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import yaml
 
@@ -48,7 +49,7 @@ from .optimizer import (
     union_curve,
 )
 from .phy import LinkSuccess, PhyParams, SensingPoint, link_success
-from .schemes import SchemeConfig, Variant, service_rates
+from .schemes import NO_SENSING, SchemeConfig, Variant, service_rates
 from .sim import TRACE_CSV_HEADER, SimConfig, SimMode, run, write_trace_rows
 from .estimator import EstimatorMode, learning_then_regular
 
@@ -164,6 +165,18 @@ def _grid_values(spec: Any, name: str, *, lo: float, hi: float) -> tuple[float, 
     return values
 
 
+def _axis(grids: dict, key: str, default: Callable[..., tuple[float, ...]], hi: float) -> tuple[float, ...]:
+    """grids[key] as a grid on [0, hi]; absent, the default grid, and {count}
+    alone, the default grid with that many points."""
+    name = f"grids.{key}"
+    if key not in grids:
+        return default()
+    spec = grids[key]
+    if isinstance(spec, dict) and set(spec) == {"count"}:
+        return default(_integer(spec, "count", name, lo=2, required=True))
+    return _grid_values(spec, name, lo=0.0, hi=hi)
+
+
 # --- parsed configuration ------------------------------------------------------
 
 @dataclass
@@ -262,13 +275,14 @@ def _parse_channel(doc: dict) -> Channel:
     )
 
 
-def _parse_sensing(doc: dict) -> tuple[str, dict]:
-    section = _as_mapping(doc.get("sensing", {"mode": "fixed_point", "tau": 0.0, "p_fa": 0.0, "p_md": 1.0}), "sensing")
+def _parse_sensing(doc: dict, slot: float) -> tuple[str, dict]:
+    """The sensing mode and its parameters; tau lies in [0, slot], as on grids.tau."""
+    section = _as_mapping(doc.get("sensing", {"mode": "fixed_point", **vars(NO_SENSING)}), "sensing")
     mode = section.get("mode")
     if mode == "fixed_point":
         _reject_unknown(section, ["mode", "tau", "p_fa", "p_md"], "sensing")
         return mode, {
-            "tau": _number(section, "tau", "sensing", lo=0.0, required=True),
+            "tau": _number(section, "tau", "sensing", lo=0.0, hi=slot, required=True),
             "p_fa": _number(section, "p_fa", "sensing", lo=0.0, hi=1.0, required=True),
             "p_md": _number(section, "p_md", "sensing", lo=0.0, hi=1.0, required=True),
         }
@@ -276,13 +290,13 @@ def _parse_sensing(doc: dict) -> tuple[str, dict]:
         _reject_unknown(section, ["mode", "value", "tau"], "sensing")
         out = {"value": _number(section, "value", "sensing", lo=1e-12, hi=1.0 - 1e-12, required=True)}
         if "tau" in section:
-            out["tau"] = _number(section, "tau", "sensing", lo=1e-12)
+            out["tau"] = _number(section, "tau", "sensing", lo=1e-12, hi=slot)
         return mode, out
     if mode == "threshold":
         _reject_unknown(section, ["mode", "epsilon", "tau"], "sensing")
         out = {"epsilon": _number(section, "epsilon", "sensing", lo=1e-12, required=True)}
         if "tau" in section:
-            out["tau"] = _number(section, "tau", "sensing", lo=1e-12)
+            out["tau"] = _number(section, "tau", "sensing", lo=1e-12, hi=slot)
         return mode, out
     raise ConfigError(f"sensing.mode must be one of fixed_point|target_pfa|target_pmd|threshold, got {mode!r}")
 
@@ -291,7 +305,8 @@ def parse_config(doc: dict) -> RunConfig:
     doc = _as_mapping(doc, "config")
     _reject_unknown(doc, _TOP_KEYS, "config")
     channel = _parse_channel(doc)
-    sensing_mode, sensing = _parse_sensing(doc)
+    slot = channel.T if isinstance(channel, PhyParams) else 1.0
+    sensing_mode, sensing = _parse_sensing(doc, slot)
 
     scheme = None
     if "scheme" in doc:
@@ -328,26 +343,8 @@ def parse_config(doc: dict) -> RunConfig:
     lambda_p_grid = None
     if "lambda_p" in grids:
         lambda_p_grid = _grid_values(grids["lambda_p"], "grids.lambda_p", lo=0.0, hi=1.0)
-
-    slot = channel.T if isinstance(channel, PhyParams) else 1.0
-    if "tau" in grids:
-        spec = grids["tau"]
-        if isinstance(spec, dict) and set(spec) == {"count"}:
-            tau_grid = default_tau_grid(slot, _integer(spec, "count", "grids.tau", lo=2, required=True))
-        else:
-            tau_grid = _grid_values(spec, "grids.tau", lo=0.0, hi=slot)
-    else:
-        tau_grid = default_tau_grid(slot)
-
-    if "b_s" in grids:
-        spec = grids["b_s"]
-        if isinstance(spec, dict) and set(spec) == {"count"}:
-            b_s_grid = default_b_s_grid(_integer(spec, "count", "grids.b_s", lo=2, required=True))
-        else:
-            b_s_grid = _grid_values(spec, "grids.b_s", lo=0.0, hi=1.0)
-    else:
-        b_s_grid = default_b_s_grid()
-
+    tau_grid = _axis(grids, "tau", partial(default_tau_grid, slot), slot)
+    b_s_grid = _axis(grids, "b_s", default_b_s_grid, 1.0)
     p_fa_values = _grid_values(grids["p_fa"], "grids.p_fa", lo=0.0, hi=1.0) if "p_fa" in grids else ()
     p_md_values = _grid_values(grids["p_md"], "grids.p_md", lo=0.0, hi=1.0) if "p_md" in grids else ()
 
@@ -373,7 +370,7 @@ def parse_config(doc: dict) -> RunConfig:
     if est_mode not in ("paper", "unbiased"):
         raise ConfigError(f"estimate.estimator_mode must be paper|unbiased, got {est_mode!r}")
     est_margin = None
-    if est_section.get("margin") is not None and "margin" in est_section:
+    if est_section.get("margin") is not None:
         est_margin = _number(est_section, "margin", "estimate", lo=0.0)
     estimate_cfg = {
         "lp_slots": _integer(est_section, "lp_slots", "estimate", lo=1, default=10_000),
@@ -425,7 +422,8 @@ def _fmt(x: float) -> str:
 
 
 def _jsonable(obj: Any) -> Any:
-    """JSON-safe copy: non-finite floats become strings, dataclasses dicts."""
+    """JSON-safe copy: nan becomes null and infinities strings; str-enums
+    serialise as their value, tuples (NamedTuples too) as lists."""
     if isinstance(obj, float):
         if math.isnan(obj):
             return None
@@ -438,12 +436,6 @@ def _jsonable(obj: Any) -> Any:
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if hasattr(obj, "value") and isinstance(obj, (Variant, SimMode, EstimatorMode)):
-        return obj.value
-    if hasattr(obj, "__dataclass_fields__"):
-        return _jsonable(asdict(obj))
-    if hasattr(obj, "_asdict"):
-        return _jsonable(obj._asdict())
     return str(obj)
 
 
@@ -527,7 +519,7 @@ def _resolve_scheme_config(cfg: RunConfig) -> tuple[SchemeConfig, dict]:
     if cfg.scheme is None:
         raise ConfigError("simulate/estimate need a `scheme`")
     if cfg.scheme is Variant.S0:
-        point = SensingPoint(tau=0.0, p_fa=0.0, p_md=1.0)
+        point = NO_SENSING
     else:
         point = cfg.sensing_point()
         if point.tau == 0.0:

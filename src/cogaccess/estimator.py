@@ -23,8 +23,8 @@ from enum import Enum
 
 from .errors import DomainError, InfeasibleError
 from .optimizer import FixedSensing, OptimizationRequest, scan
-from .phy import LinkSuccess, SensingPoint
-from .schemes import SchemeConfig, Variant
+from .phy import LinkSuccess
+from .schemes import NO_SENSING, SchemeConfig, Variant
 from .sim import SimConfig, SimMode, SimResult, run
 
 __all__ = [
@@ -134,9 +134,7 @@ def feedback_log_from_result(result: SimResult, p_e_assumed: float = 0.0) -> Fee
     return FeedbackLog(N=counts.N, M=counts.M, A=counts.A, p_e_assumed=p_e_assumed)
 
 
-_SILENT = SchemeConfig(
-    variant=Variant.S0, a_s=0.0, b_s=0.0, sensing=SensingPoint(tau=0.0, p_fa=0.0, p_md=1.0)
-)
+_SILENT = SchemeConfig(variant=Variant.S0, a_s=0.0, b_s=0.0, sensing=NO_SENSING)
 
 
 @dataclass(frozen=True)
@@ -195,10 +193,7 @@ def learning_then_regular(
     if margin is not None and not (math.isfinite(margin) and margin >= 0.0):
         raise DomainError(f"margin must be >= 0, got {margin!r}")
 
-    lp_cfg = replace(
-        template, slots=lp_slots, scheme=_SILENT, mode=SimMode.ORIGINAL, record_traces=False
-    )
-    lp_result = run(lp_cfg)
+    lp_result = run(replace(template, slots=lp_slots, scheme=_SILENT, mode=SimMode.ORIGINAL))
     log = feedback_log_from_result(lp_result, p_e_assumed=template.feedback_error)
     report = estimate(log, mode=mode)
     mu_pe = report.recommended_mu_pe if margin is None else float(margin)

@@ -42,7 +42,7 @@ from .phy import (
     roc_from_threshold,
     secondary_success_prob,
 )
-from .schemes import SchemeConfig, Variant
+from .schemes import NO_SENSING, SchemeConfig, Variant
 
 __all__ = [
     "FixedFalseAlarm",
@@ -345,7 +345,7 @@ def scan(
     lam = np.asarray(lambda_p_grid, dtype=float)
     links = link_success(channel, 0.0)
     if variant is Variant.S0:
-        points = [OperatingPoint(tau=0.0, p_fa=0.0, p_md=1.0, p_bar_s_sd=links.p_bar_s_sd)]
+        points = [OperatingPoint(**vars(NO_SENSING), p_bar_s_sd=links.p_bar_s_sd)]
         variant = Variant.S1
     else:
         points = operating_points(req, channel)

@@ -28,6 +28,7 @@ from .phy import LinkSuccess, SensingPoint
 
 __all__ = [
     "Variant",
+    "NO_SENSING",
     "SchemeConfig",
     "ServiceRates",
     "effective_sensing",
@@ -40,6 +41,11 @@ class Variant(str, Enum):
     S1 = "S1"
     S2 = "S2"
     S0 = "S0"
+
+
+# S0's sensing point: no sensing time, and a detector that always declares
+# the channel idle (see effective_sensing).
+NO_SENSING = SensingPoint(tau=0.0, p_fa=0.0, p_md=1.0)
 
 
 def _check_prob(name: str, value: float) -> None:
@@ -88,7 +94,7 @@ def effective_sensing(cfg: SchemeConfig) -> tuple[float, float]:
     formulas and the simulator rely on.
     """
     if cfg.variant is Variant.S0:
-        return 0.0, 1.0
+        return NO_SENSING.p_fa, NO_SENSING.p_md
     return cfg.sensing.p_fa, cfg.sensing.p_md
 
 

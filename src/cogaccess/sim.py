@@ -40,10 +40,9 @@ at least one more slot.
 Nothing per slot outlives its chunk: `run` adds each chunk, while it is
 in cache, to the exact sums behind the primary queue's stability verdict
 and to the batch counts behind the standard errors, and hands its trace
-columns to an optional sink.  What grows with the run is the FIFO delay's
-arrival bits (1 bit a slot) of the chunks since the oldest queued primary
-arrival, at most 1/8 B a slot, and the whole-run trace of record_traces
-(18 B a slot).
+columns to an optional sink, the only way they leave the run.  What grows
+with the run is the FIFO delay's arrival bits (1 bit a slot) of the chunks
+since the oldest queued primary arrival, at most 1/8 B a slot.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ __all__ = [
     "StabilityProbe",
     "run",
     "stability",
-    "write_trace_csv",
     "write_trace_rows",
     "TRACE_CSV_HEADER",
     "DRIFT_EPSILON",
@@ -119,7 +117,6 @@ class SimConfig:
     phy: PhyParams | LinkSuccess
     mode: SimMode = SimMode.ORIGINAL
     feedback_error: float = 0.0
-    record_traces: bool = False
     initial_qp: int = 0
     initial_qs: int = 0
 
@@ -177,7 +174,6 @@ class SimResult:
     secondary_departures: int
     feedback_counts: FeedbackCounts
     stability: StabilityProbe  # the primary queue's, as sim.stability judges its series
-    trace: SimTrace | None
 
 
 def _success_threshold(p_bar: float) -> float:
@@ -262,8 +258,7 @@ def _solve_queues(qp0: int, qs0: int, p_service: np.ndarray, p_blocked: np.ndarr
 def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> SimResult:
     """Simulate cfg.slots slots: empirical rates, counts and the primary
     queue's stability.  A sink gets each chunk's first slot and trace
-    columns, in slot order, to read during the call; cfg.record_traces
-    keeps the whole run's columns in SimResult.trace."""
+    columns, in slot order, to read during the call."""
     n = cfg.slots
     links = link_success(cfg.phy, cfg.scheme.sensing.tau)
     p_fa, p_md = effective_sensing(cfg.scheme)
@@ -277,9 +272,6 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
     edges = _batch_edges(n)
     # per-batch counts of the indicator series behind the batch-mean SEs
     batch = {k: np.zeros(len(edges) - 1, dtype=np.int64) for k in ("ptx", "pdep", "ssucc", "snon", "sdep")}
-
-    record = cfg.record_traces
-    trace = SimTrace(*(np.empty(n, dtype=t) for t in (np.int64, np.int64, np.uint8, np.uint8))) if record else None
 
     qp, qs = cfg.initial_qp, cfg.initial_qs
     initial_left = cfg.initial_qp  # queued packets that count as arriving in slot -1
@@ -311,8 +303,8 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
         coin_if_tx = np.where(busy_if_tx, coin_busy, coin_idle)
         coin_if_idle = np.where(busy_if_idle, coin_busy, coin_idle)
 
-        qp_c = trace.qp[lo:hi] if record else np.empty(m, dtype=np.int64)
-        qs_c = trace.qs[lo:hi] if record else np.empty(m, dtype=np.int64)
+        qp_c = np.empty(m, dtype=np.int64)
+        qs_c = np.empty(m, dtype=np.int64)
         qp, qs = _solve_queues(qp, qs, chan_p_ok, coin_if_tx, coin_if_idle & chan_s_ok,
                                arrival_p, arrival_s, qp_c, qs_c, dominant)
         sums = _add_chunk_sums(sums, qp_c, lo)
@@ -348,17 +340,14 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
         while len(arrived) > 1 and arrived[1][1] <= served:
             arrived.popleft()
 
-        if record or sink is not None:
+        if sink is not None:
             collision = ptx & stx
             sensed_busy = np.where(ptx, busy_if_tx, busy_if_idle)
             bits = (arrival_p, arrival_s, ptx, stx, collision, p_succ, s_succ, sensed_busy)  # EV_* order
             events = np.packbits(np.stack(bits, axis=1), axis=1, bitorder="little")[:, 0]
             # FB_* codes: 1 + (NACK) + 2 * (missed), on primary transmissions only
             feedback = (1 + (~p_succ).view(np.uint8) + 2 * (~fb_heard).view(np.uint8)) * ptx
-            if record:
-                trace.events[lo:hi], trace.feedback[lo:hi] = events, feedback
-            if sink is not None:
-                sink(lo, SimTrace(qp=qp_c, qs=qs_c, events=events, feedback=feedback))
+            sink(lo, SimTrace(qp=qp_c, qs=qs_c, events=events, feedback=feedback))
 
     # the served-th arrival is in the first kept chunk
     lo, before, before_sum, bits = arrived[0]
@@ -393,7 +382,6 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
         secondary_departures=s_dep_total,
         feedback_counts=FeedbackCounts(A=acks_heard, M=heard, N=n),
         stability=_verdict(n, sums, int(qp_c[-1])),
-        trace=trace,
     )
 
 
@@ -457,13 +445,6 @@ _TRACE_CSV_CHUNK = 16_384  # rows formatted per write: bounds the memory of the 
 # FB_* code -> the name's bytes, zero-padded to the longest name
 _FEEDBACK_TEXT = np.array([list(name.encode().ljust(max(map(len, _FEEDBACK_NAMES)), b"\0"))
                            for name in _FEEDBACK_NAMES], dtype=np.uint8)
-
-
-def write_trace_csv(trace: SimTrace, path: str) -> None:
-    """One row per slot: slot, queue sizes at slot start, event bits, feedback."""
-    with open(path, "wb") as fh:
-        fh.write(TRACE_CSV_HEADER)
-        write_trace_rows(fh, 0, trace)
 
 
 def write_trace_rows(fh: BinaryIO, lo: int, trace: SimTrace) -> None:

@@ -4,8 +4,8 @@ The oracles and references evaluate objectives from first principles
 (plain grid search over the feasible interval, one Python step per slot,
 per row or per cell) and never call the code paths they are used to
 check.  The helpers at the end drive the package the way several tests
-need: one kernel cell, a stability window, the coupled dominance check,
-trace ingestion.
+need: a run with its whole trace, one kernel cell, a stability window,
+the coupled dominance check, trace ingestion.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -167,7 +167,7 @@ def batch_ratio_se_loop(num: np.ndarray, den: np.ndarray, batches: int = 50) -> 
 def run_loop(cfg):
     """The scalar per-slot simulator, one Python step per slot: the
     reference `cogaccess.sim.run` must match field for field and trace for
-    trace."""
+    trace.  Returns (SimResult, SimTrace)."""
     n = cfg.slots
     links = link_success(cfg.phy, cfg.scheme.sensing.tau)
     p_fa, p_md = effective_sensing(cfg.scheme)
@@ -196,12 +196,10 @@ def run_loop(cfg):
     ser_snon = bytearray(n)
     ser_sdep = bytearray(n)
 
-    record = cfg.record_traces
     tr_qp = np.zeros(n, dtype=np.int64)
-    if record:
-        tr_qs = np.zeros(n, dtype=np.int64)
-        tr_events = bytearray(n)
-        tr_feedback = bytearray(n)
+    tr_qs = np.zeros(n, dtype=np.int64)
+    tr_events = bytearray(n)
+    tr_feedback = bytearray(n)
 
     pending: deque[int] = deque([-1] * cfg.initial_qp)  # arrival slot per queued primary packet
     qs = cfg.initial_qs
@@ -244,31 +242,30 @@ def run_loop(cfg):
             ser_snon[t] = 1
 
         tr_qp[t] = qp_start
-        if record:
-            tr_qs[t] = qs_start
-            ev = 0
-            if arrival_p[t]:
-                ev |= sim.EV_ARRIVAL_P
-            if arrival_s[t]:
-                ev |= sim.EV_ARRIVAL_S
-            if ptx:
-                ev |= sim.EV_PRIMARY_TX
-            if stx:
-                ev |= sim.EV_SECONDARY_TX
-            if collision:
-                ev |= sim.EV_COLLISION
-            if p_succ:
-                ev |= sim.EV_PRIMARY_SUCCESS
-            if s_succ:
-                ev |= sim.EV_SECONDARY_SUCCESS
-            if sensed_busy:
-                ev |= sim.EV_SENSED_BUSY
-            tr_events[t] = ev
-            if ptx:
-                if fb_heard[t]:
-                    tr_feedback[t] = sim.FB_ACK_HEARD if p_succ else sim.FB_NACK_HEARD
-                else:
-                    tr_feedback[t] = sim.FB_ACK_MISSED if p_succ else sim.FB_NACK_MISSED
+        tr_qs[t] = qs_start
+        ev = 0
+        if arrival_p[t]:
+            ev |= sim.EV_ARRIVAL_P
+        if arrival_s[t]:
+            ev |= sim.EV_ARRIVAL_S
+        if ptx:
+            ev |= sim.EV_PRIMARY_TX
+        if stx:
+            ev |= sim.EV_SECONDARY_TX
+        if collision:
+            ev |= sim.EV_COLLISION
+        if p_succ:
+            ev |= sim.EV_PRIMARY_SUCCESS
+        if s_succ:
+            ev |= sim.EV_SECONDARY_SUCCESS
+        if sensed_busy:
+            ev |= sim.EV_SENSED_BUSY
+        tr_events[t] = ev
+        if ptx:
+            if fb_heard[t]:
+                tr_feedback[t] = sim.FB_ACK_HEARD if p_succ else sim.FB_NACK_HEARD
+            else:
+                tr_feedback[t] = sim.FB_ACK_MISSED if p_succ else sim.FB_NACK_MISSED
 
         if arrival_p[t]:
             pending.append(t)
@@ -294,16 +291,13 @@ def run_loop(cfg):
         mu_s = s_dep_total / snon_slots if snon_slots else math.nan
         mu_s_se = batch_ratio_se_loop(sdep_arr, snon_arr) if snon_slots else math.nan
 
-    trace = None
-    if record:
-        trace = sim.SimTrace(
-            qp=tr_qp,
-            qs=tr_qs,
-            events=np.frombuffer(bytes(tr_events), dtype=np.uint8),
-            feedback=np.frombuffer(bytes(tr_feedback), dtype=np.uint8),
-        )
-
-    return sim.SimResult(
+    trace = sim.SimTrace(
+        qp=tr_qp,
+        qs=tr_qs,
+        events=np.frombuffer(bytes(tr_events), dtype=np.uint8),
+        feedback=np.frombuffer(bytes(tr_feedback), dtype=np.uint8),
+    )
+    result = sim.SimResult(
         slots=n,
         mode=cfg.mode,
         empirical_mu_p=mu_p,
@@ -316,8 +310,8 @@ def run_loop(cfg):
         secondary_departures=s_dep_total,
         feedback_counts=sim.FeedbackCounts(A=acks_heard, M=heard, N=n),
         stability=sim.stability(tr_qp),
-        trace=trace,
     )
+    return result, trace
 
 
 # --- scalar closed forms and grid optimizers: the reference of optimizer.scan -----
@@ -644,6 +638,20 @@ def gain_for_success_prob(target: float, rate_ratio: float) -> float:
 
 # --- test-only helpers ------------------------------------------------------------------
 
+def traced_run(cfg):
+    """`sim.run` with its whole trace: (SimResult, SimTrace), the trace
+    concatenated from copies of the chunks the run hands its sink, which
+    must arrive in slot order."""
+    chunks = []
+
+    def keep(lo, trace):
+        assert lo == sum(len(chunk.qp) for chunk in chunks)
+        chunks.append(sim.SimTrace(*(np.copy(getattr(trace, f.name)) for f in fields(trace))))
+
+    result = sim.run(cfg, sink=keep)
+    return result, sim.SimTrace(*(np.concatenate([getattr(c, f.name) for c in chunks]) for f in fields(sim.SimTrace)))
+
+
 def kernel_s2_cell(b_s, lam, p_md, p_fa, p_bar_p_pd, margin=0.0):
     """The scan kernel's S2 optimum at one cell with a one-element b_s axis
     (`scan` always adds b_s = 0) and p_bar_s_sd = 1: (a_s, lambda_s, feasible)."""
@@ -663,7 +671,7 @@ def measure_stability(cfg, window: int, queue: str = "primary"):
         raise DomainError(f"queue must be 'primary' or 'secondary', got {queue!r}")
     if queue == "primary":
         return sim.run(replace(cfg, slots=window)).stability
-    return sim.stability(sim.run(replace(cfg, slots=window, record_traces=True)).trace.qs)
+    return sim.stability(traced_run(replace(cfg, slots=window))[1].qs)
 
 
 @dataclass(frozen=True)
@@ -681,14 +689,12 @@ def compare_dominant(cfg) -> DominanceReport:
     (backlogged from the first slot, so no dummy is ever sent) and requires
     bitwise-identical traces.
     """
-    if not cfg.record_traces:
-        raise DomainError("compare_dominant needs record_traces=True")
-    original = sim.run(replace(cfg, mode=sim.SimMode.ORIGINAL)).trace
-    dominant = sim.run(replace(cfg, mode=sim.SimMode.DOMINANT)).trace
+    _, original = traced_run(replace(cfg, mode=sim.SimMode.ORIGINAL))
+    _, dominant = traced_run(replace(cfg, mode=sim.SimMode.DOMINANT))
     ge = bool(np.all(dominant.qp >= original.qp) and np.all(dominant.qs >= original.qs))
     sat_cfg = replace(cfg, lambda_s=1.0, initial_qs=max(1, cfg.initial_qs))
-    sat_orig = sim.run(replace(sat_cfg, mode=sim.SimMode.ORIGINAL)).trace
-    sat_dom = sim.run(replace(sat_cfg, mode=sim.SimMode.DOMINANT)).trace
+    _, sat_orig = traced_run(replace(sat_cfg, mode=sim.SimMode.ORIGINAL))
+    _, sat_dom = traced_run(replace(sat_cfg, mode=sim.SimMode.DOMINANT))
     identical = all(np.array_equal(getattr(sat_orig, k), getattr(sat_dom, k)) for k in ("qp", "qs", "events", "feedback"))
     return DominanceReport(dominant_ge_original=ge, saturation_indistinguishable=identical)
 

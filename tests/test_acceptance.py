@@ -318,8 +318,7 @@ def test_criterion_10_dominant_system_checks():
     scheme = SchemeConfig(Variant.S2, 0.7, 0.2, BENCH_POINT)
     for seed in range(10):
         cfg = SimConfig(slots=100_000, seed=seed, lambda_p=0.3, lambda_s=0.2,
-                        scheme=scheme, phy=BENCH_LINKS, mode=SimMode.ORIGINAL,
-                        record_traces=True)
+                        scheme=scheme, phy=BENCH_LINKS, mode=SimMode.ORIGINAL)
         report = compare_dominant(cfg)
         assert report.dominant_ge_original is True, seed
         assert report.saturation_indistinguishable is True, seed

@@ -1,16 +1,38 @@
 import copy
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import cogaccess
 from cogaccess import cli, sim
 from cogaccess.cli import main
 from cogaccess.errors import ConfigError
-from cogaccess.phy import LinkSuccess, SensingPoint
-from cogaccess.schemes import SchemeConfig, Variant
+from cogaccess.estimator import EstimatorMode, learning_then_regular
+from cogaccess.optimizer import (
+    FixedMisdetection,
+    FixedThreshold,
+    OptimizationRequest,
+    default_b_s_grid,
+    optimize_with_margin,
+    scan,
+    trace_region,
+)
+from cogaccess.phy import (
+    LinkSuccess,
+    PhyParams,
+    SensingPoint,
+    link_success,
+    pfa_for_target_pmd,
+    pmd_for_target_pfa,
+    roc_from_threshold,
+)
+from cogaccess.schemes import NO_SENSING, SchemeConfig, Variant, service_rates
 from cogaccess.sim import SimConfig, SimMode
 
 from oracles import measure_stability
@@ -19,6 +41,22 @@ BENCH_BASE = {
     "channel": {"p_bar_p_pd": 0.9, "p_bar_s_sd": 0.8},
     "sensing": {"mode": "fixed_point", "tau": 0.05, "p_fa": 0.2, "p_md": 0.3},
 }
+BENCH_POINT = SensingPoint(tau=0.05, p_fa=0.2, p_md=0.3)
+
+# a detector and links given in the document's units (dB), and as the library takes them
+PHY_DOC = {"bits_per_packet": 10000.0, "slot_seconds": 1.0, "bandwidth_hz": 10000.0, "sampling_hz": 10000.0,
+           "sense_snr_db": -13.0, "secondary_snr_db": 13.0, "primary_snr_db": 3.0}
+PHY = PhyParams(b=1e4, T=1.0, W=1e4, f_s=1e4, gamma_sense=10 ** -1.3, sigma_u2=1.0,
+                gamma_s_sd=10 ** 1.3, sigma2_s_sd=1.0, gamma_p_pd=10 ** 0.3, sigma2_p_pd=1.0)
+THRESHOLD = {"mode": "threshold", "epsilon": 1.03}
+TAUS = [0.01, 0.1, 0.5]
+LAMBDAS = [0.0, 0.1, 0.25, 0.4]
+# each tau-dependent mode pinned at tau = 0.05, and the point the library resolves it to
+PINNED = [
+    ({"mode": "target_pfa", "value": 0.2, "tau": 0.05}, pmd_for_target_pfa(PHY, 0.2, 0.05)),
+    ({"mode": "target_pmd", "value": 0.3, "tau": 0.05}, pfa_for_target_pmd(PHY, 0.3, 0.05)),
+    (dict(THRESHOLD, tau=0.05), roc_from_threshold(PHY, 1.03, 0.05)),
+]
 
 
 def write_config(tmp_path, doc, name="config.yaml"):
@@ -97,6 +135,33 @@ class TestConfigValidation:
         assert code == 0
         assert json.loads(out)["feasible"] is True
 
+    @pytest.mark.parametrize("command, sensing, on_phy", [
+        ("simulate", {"mode": "target_pfa", "value": 0.2, "tau": 5.0}, True),
+        ("simulate", dict(THRESHOLD, tau=1.5), True),
+        ("optimize", {"mode": "fixed_point", "tau": 3.0, "p_fa": 0.2, "p_md": 0.3}, True),
+        ("optimize", {"mode": "fixed_point", "tau": 1.5, "p_fa": 0.2, "p_md": 0.3}, False),
+    ])
+    def test_sensing_tau_past_the_slot_rejected(self, tmp_path, capsys, command, sensing, on_phy):
+        # the slot is T = 1 s on phy and 1.0 on channel, as for grids.tau
+        doc = dict(BENCH_BASE, sensing=sensing, scheme="S1", lambda_p=0.3, access={"a_s": 0.5},
+                   sim={"slots": 20_000}, output_dir=str(tmp_path / "out"))
+        if on_phy:
+            del doc["channel"]
+            doc["phy"] = PHY_DOC
+        code, out, err = run_cli(capsys, [command, "-c", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert "sensing.tau must be <= 1.0" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sensing_tau_up_to_the_slot_accepted(self, tmp_path):
+        long_slot = {"phy": dict(PHY_DOC, slot_seconds=2.0),
+                     "sensing": {"mode": "fixed_point", "tau": 2.0, "p_fa": 0.2, "p_md": 0.3}}
+        assert cli.load_config(write_config(tmp_path, long_slot)).sensing["tau"] == 2.0
+        with pytest.raises(ConfigError, match="sensing.tau must be <= 2.0"):
+            cli.load_config(write_config(tmp_path, dict(long_slot, sensing=dict(THRESHOLD, tau=2.5))))
+        unit_slot = dict(BENCH_BASE, sensing=dict(BENCH_BASE["sensing"], tau=1.0))
+        assert cli.load_config(write_config(tmp_path, unit_slot)).sensing["tau"] == 1.0
+
 
 class TestOptimize:
     def test_benchmark_s1_value(self, tmp_path, capsys):
@@ -130,6 +195,28 @@ class TestOptimize:
         code, out, err = run_cli(capsys, ["optimize", "-c", write_config(tmp_path, doc)])
         assert (code, out) == (2, "")
         assert "exceeds one packet per slot" in err
+
+    def test_negative_margin_flag_rejected(self, tmp_path, capsys):
+        doc = dict(BENCH_BASE, scheme="S1", lambda_p=0.3)
+        code, out, err = run_cli(capsys, ["optimize", "-c", write_config(tmp_path, doc), "--margin", "-0.1"])
+        assert (code, out) == (2, "")
+        assert "--margin must be >= 0" in err
+
+    def test_threshold_mode_matches_optimize_with_margin(self, tmp_path, capsys):
+        doc = {"phy": PHY_DOC, "sensing": THRESHOLD, "scheme": "S2", "lambda_p": 0.2, "margin": 0.01,
+               "grids": {"tau": TAUS, "b_s": {"count": 5}}}
+        code, out, err = run_cli(capsys, ["optimize", "-c", write_config(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        req = OptimizationRequest(Variant.S2, 0.2, FixedThreshold(1.03), TAUS, default_b_s_grid(5), margin=0.01)
+        result = optimize_with_margin(req, PHY)
+        best = result.best
+        assert result.feasible and payload["feasible"] is True
+        assert payload["lambda_s_max"] == result.lambda_s_max > 0.0
+        assert payload["designed_delay_bound"] == result.designed_delay_bound
+        assert payload["best"] == {"variant": "S2", "a_s": best.a_s, "b_s": best.b_s, "tau": best.sensing.tau,
+                                   "p_fa": best.sensing.p_fa, "p_md": best.sensing.p_md}
+        assert payload["per_tau"] == [row._asdict() for row in result.per_tau]
 
 
 class TestRegion:
@@ -201,6 +288,22 @@ class TestRegion:
         assert (code, err) == (0, "")
         rows = open(json.loads(out)["files"]["S2"]).read().splitlines()[1:]
         assert [r.split(",")[2] for r in rows] == ["S2"] * 3 and float(rows[1].split(",")[1]) > 0.0
+
+
+    def test_threshold_mode_matches_trace_region(self, tmp_path, capsys):
+        doc = {"phy": PHY_DOC, "sensing": THRESHOLD, "grids": {"lambda_p": LAMBDAS, "tau": TAUS, "b_s": {"count": 5}},
+               "output_dir": str(tmp_path / "out")}
+        code, out, err = run_cli(capsys, ["region", "-c", write_config(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        files = json.loads(out)["files"]
+        assert set(files) == {"Sc", "S1", "S2", "S0", "UNION"}
+        req = OptimizationRequest(Variant.S2, 0.0, FixedThreshold(1.03), TAUS, default_b_s_grid(5))
+        for name, path in files.items():
+            points = trace_region(name, LAMBDAS, req, PHY).points
+            assert open(path).read().splitlines()[1:] == [
+                f"{p.lambda_p!r},{p.lambda_s!r},{p.scheme},{p.tau!r},{p.a_s!r},{p.b_s!r}" for p in points
+            ], name
+            assert points[1].lambda_s > 0.0, name
 
 
 class TestSimulate:
@@ -302,10 +405,9 @@ class TestSimulate:
     def test_no_trace_columns_unless_recorded(self, tmp_path, capsys, monkeypatch):
         recorded = []
 
-        def spying_run(cfg, real_run=sim.run):
-            result = real_run(cfg)
-            recorded.append(result.trace is not None)
-            return result
+        def spying_run(cfg, sink=None, real_run=sim.run):
+            recorded.append(sink is not None)
+            return real_run(cfg, sink)
 
         monkeypatch.setattr(cli, "run", spying_run)
         code, out, _ = run_cli(capsys, ["simulate", "-c", write_config(tmp_path, self.simulate_doc(tmp_path))])
@@ -313,6 +415,58 @@ class TestSimulate:
         assert recorded == [False]
         assert "drift" in json.loads(out)["stability"]
         assert not (tmp_path / "out" / "trace.csv").exists()
+
+    @staticmethod
+    def assert_matches_run(payload, scheme, channel, mode=SimMode.DOMINANT):
+        """The payload's scheme, rates and counts against sim.run and service_rates on the same inputs."""
+        result = sim.run(SimConfig(slots=20_000, seed=1, lambda_p=0.3, lambda_s=0.1, scheme=scheme,
+                                   phy=channel, mode=mode))
+        assert payload["scheme"] == {"variant": scheme.variant.value, "a_s": scheme.a_s, "b_s": scheme.b_s,
+                                     "tau": scheme.sensing.tau, "p_fa": scheme.sensing.p_fa,
+                                     "p_md": scheme.sensing.p_md}
+        assert payload["empirical"] == {
+            "mu_p": result.empirical_mu_p, "mu_p_se": result.empirical_mu_p_se,
+            "mu_s": result.empirical_mu_s, "mu_s_se": result.empirical_mu_s_se,
+            "p_empty": result.empirical_p_empty, "mean_primary_delay": result.mean_primary_delay,
+            "secondary_throughput": result.secondary_departures / 20_000,
+        }
+        assert payload["feedback_counts"] == list(result.feedback_counts)
+        rates = service_rates(scheme, link_success(channel, scheme.sensing.tau), 0.3)
+        assert (payload["analytic"]["mu_p"], payload["analytic"]["mu_s"]) == (rates.mu_p, rates.mu_s)
+
+    @pytest.mark.parametrize("sensing, point", PINNED, ids=[s["mode"] for s, _ in PINNED])
+    def test_target_mode_pinned_by_tau_matches_run(self, tmp_path, capsys, sensing, point):
+        doc = self.simulate_doc(tmp_path, phy=PHY_DOC, sensing=sensing)
+        del doc["channel"]
+        code, out, err = run_cli(capsys, ["simulate", "-c", write_config(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        self.assert_matches_run(json.loads(out), SchemeConfig(Variant.S1, 0.5, 0.0, point), PHY)
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    @pytest.mark.parametrize("on_phy, message", [
+        (False, "tau-dependent sensing modes need the `phy` section"),
+        (True, "sensing.tau is required to pin a single operating point in mode target_pfa"),
+    ])
+    def test_target_mode_without_a_pinned_point_rejected(self, tmp_path, capsys, command, on_phy, message):
+        # on channel a target mode has no ROC to resolve; on phy it needs one tau
+        sensing = {"mode": "target_pfa", "value": 0.2} if on_phy else {"mode": "target_pfa", "value": 0.2, "tau": 0.05}
+        doc = self.simulate_doc(tmp_path, sensing=sensing, estimate={"lp_slots": 1_000, "rp_slots": 10_000})
+        if on_phy:
+            del doc["channel"]
+            doc["phy"] = PHY_DOC
+        code, out, err = run_cli(capsys, [command, "-c", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize("variant, scheme", [
+        ("Sc", SchemeConfig(Variant.SC, 1.0, 0.0, BENCH_POINT)),  # access is ignored: Sc always transmits on idle
+        ("S0", SchemeConfig(Variant.S0, 0.5, 0.0, NO_SENSING)),  # the sensing section is ignored
+    ])
+    def test_pinned_schemes_match_run(self, tmp_path, capsys, variant, scheme):
+        doc = self.simulate_doc(tmp_path, scheme=variant)
+        code, out, err = run_cli(capsys, ["simulate", "-c", write_config(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        self.assert_matches_run(json.loads(out), scheme, LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8))
 
     def test_mode_override(self, tmp_path, capsys):
         doc = self.simulate_doc(tmp_path)
@@ -339,6 +493,47 @@ class TestEstimateCommand:
         assert payload["estimates"]["lambda_p_est"] == pytest.approx(0.3, abs=0.05)
         assert payload["regular_phase"]["primary_stable"] is True
         assert payload["fallback_silent"] is False
+
+    @staticmethod
+    def assert_matches_library(payload, scheme, channel, margin=None):
+        """The payload against learning_then_regular on the same inputs."""
+        template = SimConfig(slots=20_000, seed=3, lambda_p=0.3, lambda_s=0.05, scheme=scheme, phy=channel)
+        report = learning_then_regular(2_000, 20_000, template, mode=EstimatorMode.UNBIASED, margin=margin,
+                                       b_s_grid=default_b_s_grid())
+        est, policy = report.estimates, report.policy
+        assert payload["estimates"]["lambda_p_est"] == est.lambda_p_est
+        assert payload["estimates"]["p_bar_p_pd_est"] == est.p_bar_p_pd_est
+        assert payload["margin"] == report.margin
+        assert payload["policy"] == {"variant": policy.variant.value, "a_s": policy.a_s, "b_s": policy.b_s,
+                                     "tau": policy.sensing.tau}
+        assert payload["fallback_silent"] is report.fallback_silent is False
+        assert payload["regular_phase"] == {
+            "slots": 20_000, "primary_stable": report.primary_stable, "primary_drift": report.primary_drift,
+            "secondary_throughput": report.secondary_throughput, "empirical_mu_p": report.rp_result.empirical_mu_p,
+        }
+
+    def estimate_doc(self, tmp_path, **overrides):
+        doc = dict(BENCH_BASE, scheme="S1", lambda_p=0.3, lambda_s=0.05, access={"a_s": 1.0}, sim={"seed": 3},
+                   estimate={"lp_slots": 2_000, "rp_slots": 20_000}, output_dir=str(tmp_path / "out"))
+        doc.update(overrides)
+        return doc
+
+    @pytest.mark.parametrize("sensing, point", PINNED, ids=[s["mode"] for s, _ in PINNED])
+    def test_target_mode_pinned_by_tau_matches_library(self, tmp_path, capsys, sensing, point):
+        doc = self.estimate_doc(tmp_path, phy=PHY_DOC, sensing=sensing)
+        del doc["channel"]
+        code, out, err = run_cli(capsys, ["estimate", "-c", write_config(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        self.assert_matches_library(json.loads(out), SchemeConfig(Variant.S1, 1.0, 0.0, point), PHY)
+
+    def test_numeric_margin_matches_library(self, tmp_path, capsys):
+        doc = self.estimate_doc(tmp_path, estimate={"lp_slots": 2_000, "rp_slots": 20_000, "margin": 0.02})
+        code, out, err = run_cli(capsys, ["estimate", "-c", write_config(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["margin"] == 0.02
+        self.assert_matches_library(payload, SchemeConfig(Variant.S1, 1.0, 0.0, BENCH_POINT),
+                                    LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8), margin=0.02)
 
 
 class TestRunSizeBound:
@@ -434,6 +629,38 @@ class TestSweep:
         assert float(sweep_row[7]) == pytest.approx(payload["lambda_s_max"], abs=1e-12)
         assert float(sweep_row[8]) == pytest.approx(payload["best"]["a_s"], abs=1e-12)
 
+    @pytest.mark.parametrize("sensing, p_md, kind, modes", [
+        (THRESHOLD, None, "epsilon", [(1.03, FixedThreshold(1.03))]),
+        ({"mode": "target_pmd", "value": 0.1}, None, "p_md", [(0.1, FixedMisdetection(0.1))]),
+        ({"mode": "target_pmd", "value": 0.1}, [0.05, 0.3], "p_md",
+         [(0.05, FixedMisdetection(0.05)), (0.3, FixedMisdetection(0.3))]),
+    ])
+    def test_sensing_modes_match_scan(self, tmp_path, capsys, sensing, p_md, kind, modes):
+        grids = {"lambda_p": LAMBDAS, "tau": TAUS, "b_s": {"count": 5}}
+        if p_md is not None:
+            grids["p_md"] = p_md
+        code, out, err = run_cli(capsys, ["sweep", "-c", write_config(tmp_path, self.sweep_doc(
+            tmp_path, sensing=sensing, grids=grids))])
+        assert (code, err) == (0, "")
+
+        def cells(scheme, target_kind, value, grid):
+            # a row per (tau, lambda_p), tau-major; an infeasible sensing row hides its (p_fa, p_md)
+            hidden = target_kind != "none"
+            return [(scheme, target_kind, value, pt.tau, *((None, None) if hidden and not ok else (pt.p_fa, pt.p_md)),
+                     lam, lam_s, a_s, b_s, float(ok))
+                    for j, pt in enumerate(grid.points)
+                    for lam, a_s, b_s, lam_s, ok in zip(LAMBDAS, *(x[:, j].tolist() for x in grid[1:]))]
+
+        expected = []
+        for value, mode in modes:
+            req = OptimizationRequest(Variant.S2, 0.0, mode, TAUS, default_b_s_grid(5))
+            expected += cells("S2", kind, value, scan(Variant.S2, LAMBDAS, req, PHY))
+        s0_req = OptimizationRequest(Variant.S0, 0.0, modes[0][1], TAUS, default_b_s_grid(5))
+        expected += cells("S0", "none", 0.0, scan(Variant.S0, LAMBDAS, s0_req, PHY))
+        rows = [r.split(",") for r in open(json.loads(out)["file"]).read().splitlines()[1:]]
+        assert [(*r[:2], *(None if x == "" else float(x) for x in r[2:])) for r in rows] == expected
+        assert any(e[7] > 0.0 for e in expected if e[0] == "S2")
+
     def test_oversized_grid_rejected_with_hint(self, tmp_path, capsys):
         doc = self.sweep_doc(
             tmp_path,
@@ -518,3 +745,15 @@ class TestFuzz:
             if code not in (0, 2) or (code == 2 and any(run_dir.rglob("trace.csv"))):
                 crashes.append((path, value, code, err.strip()))
         assert crashes == []
+
+
+class TestEntryPoint:
+    def test_module_runs_without_warnings(self, tmp_path, capsys):
+        # `python -m cogaccess.cli` must not find the module already imported by the package
+        config = str(Path(__file__).resolve().parent.parent / "configs" / "validate_simulation.yaml")
+        src = str(Path(cogaccess.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "cogaccess.cli", "optimize",
+                               "-c", config], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run_cli(capsys, ["optimize", "-c", config])[1]

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import pytest
 
@@ -13,7 +14,7 @@ from cogaccess.estimator import (
 )
 from cogaccess.phy import LinkSuccess, SensingPoint
 from cogaccess.schemes import SchemeConfig, Variant
-from cogaccess.sim import SimConfig, SimMode, run, write_trace_csv
+from cogaccess.sim import TRACE_CSV_HEADER, SimConfig, SimMode, run, write_trace_rows
 
 from oracles import feedback_log_from_trace_csv, measure_stability, optimal_as_s1
 
@@ -197,11 +198,11 @@ class TestLearningThenRegular:
 class TestTraceIngestion:
     def test_csv_log_matches_live_counts(self, tmp_path):
         cfg = SimConfig(slots=5_000, seed=9, lambda_p=0.4, lambda_s=0.0, scheme=SILENT,
-                        phy=BENCH_LINKS, mode=SimMode.ORIGINAL, feedback_error=0.2,
-                        record_traces=True)
-        result = run(cfg)
+                        phy=BENCH_LINKS, mode=SimMode.ORIGINAL, feedback_error=0.2)
         path = tmp_path / "trace.csv"
-        write_trace_csv(result.trace, str(path))
+        with open(path, "wb") as fh:
+            fh.write(TRACE_CSV_HEADER)
+            result = run(cfg, sink=partial(write_trace_rows, fh))
         from_csv = feedback_log_from_trace_csv(str(path), p_e_assumed=0.2)
         live = feedback_log_from_result(result, p_e_assumed=0.2)
         assert from_csv == live

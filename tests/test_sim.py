@@ -23,13 +23,23 @@ from cogaccess.sim import (
     EV_SECONDARY_TX,
     SimConfig,
     SimMode,
+    SimResult,
     run,
     stability,
-    write_trace_csv,
+    write_trace_rows,
 )
 from cogaccess import cli, sim
 
-from oracles import compare_dominant, drift_fraction, measure_stability, replay_queue, run_loop, write_trace_csv_rowwise
+from oracles import (
+    DominanceReport,
+    compare_dominant,
+    drift_fraction,
+    measure_stability,
+    replay_queue,
+    run_loop,
+    traced_run,
+    write_trace_csv_rowwise,
+)
 
 BENCH_LINKS = LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8)
 BENCH_POINT = SensingPoint(tau=0.05, p_fa=0.2, p_md=0.3)
@@ -49,45 +59,53 @@ CHUNK = sim._SIM_CHUNK
 unit_or_random = st.integers(-200, 1200).map(lambda k: min(max(k, 0), 1000) / 1000)  # 0 and 1 about 1/7 each
 
 
+def write_csv(trace, path):
+    """The trace CSV of a whole-run trace, as `simulate` streams it."""
+    with open(path, "wb") as fh:
+        fh.write(sim.TRACE_CSV_HEADER)
+        write_trace_rows(fh, 0, trace)
+
+
 class TestDeterminism:
     def test_identical_config_identical_result(self):
-        cfg = sim_config(slots=20_000, record_traces=True)
-        r1, r2 = run(cfg), run(cfg)
+        cfg = sim_config(slots=20_000)
+        (r1, t1), (r2, t2) = traced_run(cfg), traced_run(cfg)
         assert r1.empirical_mu_p == r2.empirical_mu_p
         assert r1.empirical_mu_s == r2.empirical_mu_s
         assert r1.feedback_counts == r2.feedback_counts
-        assert np.array_equal(r1.trace.qp, r2.trace.qp)
-        assert np.array_equal(r1.trace.events, r2.trace.events)
+        assert np.array_equal(t1.qp, t2.qp)
+        assert np.array_equal(t1.events, t2.events)
 
     def test_seed_changes_trace(self):
-        r1 = run(sim_config(slots=20_000, seed=1, record_traces=True))
-        r2 = run(sim_config(slots=20_000, seed=2, record_traces=True))
-        assert not np.array_equal(r1.trace.events, r2.trace.events)
+        _, t1 = traced_run(sim_config(slots=20_000, seed=1))
+        _, t2 = traced_run(sim_config(slots=20_000, seed=2))
+        assert not np.array_equal(t1.events, t2.events)
 
     def test_no_trace_by_default(self):
-        assert run(sim_config(slots=1000)).trace is None
+        # per-slot columns leave a run only through its sink
+        assert isinstance(run(sim_config(slots=1000)), SimResult)
+        assert "trace" not in {f.name for f in fields(SimResult)}
 
 
 class TestQueueRecursion:
     @pytest.mark.parametrize("mode", [SimMode.ORIGINAL, SimMode.DOMINANT])
     def test_trace_replays_exactly(self, mode):
         cfg = sim_config(variant=Variant.S2, a_s=0.7, b_s=0.3, lambda_p=0.35,
-                         lambda_s=0.25, slots=30_000, mode=mode, record_traces=True)
-        r = run(cfg)
-        ev = r.trace.events
+                         lambda_s=0.25, slots=30_000, mode=mode)
+        _, trace = traced_run(cfg)
+        ev = trace.events
         arr_p = (ev & EV_ARRIVAL_P) > 0
         arr_s = (ev & EV_ARRIVAL_S) > 0
         dep_p = (ev & EV_PRIMARY_SUCCESS) > 0
-        dep_s = ((ev & EV_SECONDARY_SUCCESS) > 0) & (r.trace.qs > 0)
+        dep_s = ((ev & EV_SECONDARY_SUCCESS) > 0) & (trace.qs > 0)
         qp = replay_queue(0, dep_p, arr_p)
         qs = replay_queue(0, dep_s, arr_s)
-        assert np.array_equal(qp[:-1], r.trace.qp)
-        assert np.array_equal(qs[:-1], r.trace.qs)
+        assert np.array_equal(qp[:-1], trace.qp)
+        assert np.array_equal(qs[:-1], trace.qs)
 
     def test_event_algebra_invariants(self):
-        r = run(sim_config(variant=Variant.S2, a_s=0.6, b_s=0.2, lambda_p=0.4,
-                           slots=20_000, record_traces=True))
-        ev = r.trace.events
+        _, trace = traced_run(sim_config(variant=Variant.S2, a_s=0.6, b_s=0.2, lambda_p=0.4, slots=20_000))
+        ev = trace.events
         ptx = (ev & EV_PRIMARY_TX) > 0
         stx = (ev & EV_SECONDARY_TX) > 0
         col = (ev & EV_COLLISION) > 0
@@ -98,9 +116,9 @@ class TestQueueRecursion:
         assert not np.any(psucc & col)
         assert not np.any(ssucc & ~stx)
         assert not np.any(ssucc & col)
-        assert np.array_equal(ptx, r.trace.qp > 0)
+        assert np.array_equal(ptx, trace.qp > 0)
         # feedback accompanies exactly the primary transmissions
-        assert np.array_equal(r.trace.feedback > 0, ptx)
+        assert np.array_equal(trace.feedback > 0, ptx)
 
 
 class TestRateConvergence:
@@ -244,26 +262,25 @@ class TestStabilityProbe:
 
 class TestDominantSystem:
     def test_saturated_secondary_indistinguishable(self):
-        cfg = sim_config(lambda_s=1.0, a_s=0.7, slots=30_000, record_traces=True)
+        cfg = sim_config(lambda_s=1.0, a_s=0.7, slots=30_000)
         report = compare_dominant(cfg)
         assert report.saturation_indistinguishable is True
 
     def test_dominance_with_empty_secondary(self):
-        cfg = sim_config(lambda_s=0.0, a_s=0.7, slots=30_000, record_traces=True,
-                         mode=SimMode.ORIGINAL)
+        cfg = sim_config(lambda_s=0.0, a_s=0.7, slots=30_000, mode=SimMode.ORIGINAL)
         report = compare_dominant(cfg)
         assert report.dominant_ge_original is True
 
     def test_dominance_generic_load(self):
         cfg = sim_config(variant=Variant.S2, a_s=0.7, b_s=0.2, lambda_p=0.3,
-                         lambda_s=0.2, slots=50_000, record_traces=True,
-                         mode=SimMode.ORIGINAL)
+                         lambda_s=0.2, slots=50_000, mode=SimMode.ORIGINAL)
         report = compare_dominant(cfg)
         assert report.dominant_ge_original is True
 
-    def test_requires_traces(self):
-        with pytest.raises(DomainError):
-            compare_dominant(sim_config(record_traces=False))
+    def test_takes_its_traces_from_the_sink(self):
+        # no config flag: every run's trace is streamed, so any config can be compared
+        report = compare_dominant(sim_config(slots=2_000, mode=SimMode.ORIGINAL))
+        assert report == DominanceReport(dominant_ge_original=True, saturation_indistinguishable=True)
 
 
 class TestFeedback:
@@ -312,61 +329,57 @@ def traces(draw):
 
 class TestTraceExport:
     def test_csv_roundtrip(self, tmp_path):
-        r = run(sim_config(slots=500, lambda_p=0.4, record_traces=True))
         path = tmp_path / "trace.csv"
-        write_trace_csv(r.trace, str(path))
+        with open(path, "wb") as fh:
+            fh.write(sim.TRACE_CSV_HEADER)
+            run(sim_config(slots=500, lambda_p=0.4), sink=partial(write_trace_rows, fh))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "slot,qp,qs,events,feedback"
         assert len(lines) == 501
 
     def test_chunked_writer_matches_rowwise_reference(self, tmp_path):
         slots = 2 * sim._TRACE_CSV_CHUNK + 1_234  # ends in a partial chunk
-        r = run(sim_config(slots=slots, lambda_p=0.4, feedback_error=0.2,
-                           mode=SimMode.ORIGINAL, record_traces=True))
-        assert set(np.unique(r.trace.feedback).tolist()) == {0, 1, 2, 3, 4}
+        _, trace = traced_run(sim_config(slots=slots, lambda_p=0.4, feedback_error=0.2, mode=SimMode.ORIGINAL))
+        assert set(np.unique(trace.feedback).tolist()) == {0, 1, 2, 3, 4}
         fast, reference = tmp_path / "fast.csv", tmp_path / "reference.csv"
-        write_trace_csv(r.trace, str(fast))
-        write_trace_csv_rowwise(r.trace, str(reference))
+        write_csv(trace, fast)
+        write_trace_csv_rowwise(trace, str(reference))
         assert fast.read_bytes() == reference.read_bytes()
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(trace=traces())
     def test_writer_matches_rowwise_reference(self, trace, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("csv")
-        write_trace_csv(trace, str(tmp / "fast.csv"))
+        write_csv(trace, tmp / "fast.csv")
         write_trace_csv_rowwise(trace, str(tmp / "reference.csv"))
         assert (tmp / "fast.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
 
     def test_chunk_size_changes_no_bytes(self, tmp_path):
-        r = run(sim_config(variant=Variant.S2, a_s=0.8, b_s=0.3, lambda_p=0.45, lambda_s=0.3, slots=5_003,
-                           mode=SimMode.ORIGINAL, feedback_error=0.2, record_traces=True, initial_qp=95))
-        assert set(np.unique(r.trace.feedback).tolist()) == {0, 1, 2, 3, 4}
+        _, trace = traced_run(sim_config(variant=Variant.S2, a_s=0.8, b_s=0.3, lambda_p=0.45, lambda_s=0.3,
+                                         slots=5_003, mode=SimMode.ORIGINAL, feedback_error=0.2, initial_qp=95))
+        assert set(np.unique(trace.feedback).tolist()) == {0, 1, 2, 3, 4}
         with mock.patch.object(sim, "_TRACE_CSV_CHUNK", 7):
-            write_trace_csv(r.trace, str(tmp_path / "tiny.csv"))
-        write_trace_csv_rowwise(r.trace, str(tmp_path / "reference.csv"))
+            write_csv(trace, tmp_path / "tiny.csv")
+        write_trace_csv_rowwise(trace, str(tmp_path / "reference.csv"))
         assert (tmp_path / "tiny.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_negative_queue_size_rejected(self, tmp_path):
-        r = run(sim_config(slots=100, record_traces=True))
-        bad = replace(r.trace, qs=r.trace.qs - 1)
+        _, trace = traced_run(sim_config(slots=100))
+        bad = replace(trace, qs=trace.qs - 1)
         with pytest.raises(DomainError):
-            write_trace_csv(bad, str(tmp_path / "trace.csv"))
+            write_csv(bad, tmp_path / "trace.csv")
 
 
 def assert_same_result(fast, reference):
-    """Every SimResult field identical: floats repr-equal, arrays equal in dtype and value."""
-    for f in fields(fast):
-        a, b = getattr(fast, f.name), getattr(reference, f.name)
-        if f.name == "trace":
-            assert (a is None) == (b is None)
-            if a is not None:
-                for column in ("qp", "qs", "events", "feedback"):
-                    x, y = getattr(a, column), getattr(b, column)
-                    assert x.dtype == y.dtype and np.array_equal(x, y), column
-        elif isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
-        else:
-            assert type(a) is type(b) and repr(a) == repr(b), (f.name, a, b)
+    """Two (SimResult, SimTrace) pairs identical: every result field of the
+    same type and repr, every trace column equal in dtype and value."""
+    (result, trace), (ref_result, ref_trace) = fast, reference
+    for f in fields(result):
+        a, b = getattr(result, f.name), getattr(ref_result, f.name)
+        assert type(a) is type(b) and repr(a) == repr(b), (f.name, a, b)
+    for f in fields(trace):
+        x, y = getattr(trace, f.name), getattr(ref_trace, f.name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), f.name
 
 
 @st.composite
@@ -382,7 +395,6 @@ def engine_configs(draw):
         seed=draw(st.integers(0, 2**32 - 1)),
         mode=draw(st.sampled_from(list(SimMode))),
         feedback_error=draw(st.integers(0, 900).map(lambda k: k / 1000)),
-        record_traces=draw(st.booleans()),
         initial_qp=draw(st.integers(0, 30)),
         initial_qs=draw(st.integers(0, 30)),
     )
@@ -394,16 +406,18 @@ class TestEngine:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(cfg=engine_configs())
     def test_matches_per_slot_loop(self, cfg):
-        assert_same_result(run(cfg), run_loop(cfg))
+        result, trace = traced_run(cfg)
+        reference = run_loop(cfg)
+        assert_same_result((result, trace), reference)
+        assert_same_result((run(cfg), trace), reference)  # a run without a sink gives the same result
 
     @pytest.mark.parametrize("mode", list(SimMode))
     def test_chunk_size_changes_no_output(self, mode):
         cfg = sim_config(variant=Variant.S2, a_s=0.8, b_s=0.3, lambda_p=0.35, lambda_s=0.3,
-                         slots=5_003, mode=mode, feedback_error=0.2, record_traces=True,
-                         initial_qp=4, initial_qs=2)
+                         slots=5_003, mode=mode, feedback_error=0.2, initial_qp=4, initial_qs=2)
         with mock.patch.object(sim, "_SIM_CHUNK", 7):
-            tiny = run(cfg)
-        assert_same_result(tiny, run(cfg))
+            tiny = traced_run(cfg)
+        assert_same_result(tiny, traced_run(cfg))
         assert_same_result(tiny, run_loop(cfg))
 
     @pytest.mark.parametrize("initial_qp", [0, 40])
@@ -413,9 +427,9 @@ class TestEngine:
         cfg = sim_config(a_s=0.9, lambda_p=0.95, slots=3_001, mode=SimMode.ORIGINAL,
                          initial_qp=initial_qp)
         with mock.patch.object(sim, "_SIM_CHUNK", 7):
-            tiny = run(cfg)
-        assert tiny.stability.terminal_queue > 500 and tiny.primary_departures > initial_qp
-        assert_same_result(tiny, run(cfg))
+            tiny = traced_run(cfg)
+        assert tiny[0].stability.terminal_queue > 500 and tiny[0].primary_departures > initial_qp
+        assert_same_result(tiny, traced_run(cfg))
         assert_same_result(tiny, run_loop(cfg))
 
     @staticmethod
@@ -467,14 +481,13 @@ class TestEngine:
         assert np.array_equal(np.concatenate(parts), whole)
 
     @settings(max_examples=40, deadline=None)
-    @given(cfg=engine_configs().map(lambda cfg: replace(cfg, slots=cfg.slots % 3_000 + 1, record_traces=False)))
+    @given(cfg=engine_configs().map(lambda cfg: replace(cfg, slots=cfg.slots % 3_000 + 1)))
     def test_stability_in_the_run_equals_the_series_probe(self, cfg):
         # 7-slot chunks: the run's chunk-by-chunk sums against one probe of the whole series
         with mock.patch.object(sim, "_SIM_CHUNK", 7):
             bare = run(cfg)
-            traced = run(replace(cfg, record_traces=True))
-        assert bare.trace is None
-        assert repr(bare.stability) == repr(traced.stability) == repr(stability(traced.trace.qp))
+            traced, trace = traced_run(cfg)
+        assert repr(bare.stability) == repr(traced.stability) == repr(stability(trace.qp))
 
     def test_streamed_trace_equals_the_written_trace(self, tmp_path):
         cfg = sim_config(variant=Variant.S2, a_s=0.8, b_s=0.3, lambda_p=0.45, lambda_s=0.3, slots=5_003,
@@ -482,11 +495,10 @@ class TestEngine:
         with mock.patch.object(sim, "_SIM_CHUNK", 7), mock.patch.object(sim, "_TRACE_CSV_CHUNK", 5):
             with open(tmp_path / "streamed.csv", "wb") as fh:
                 fh.write(sim.TRACE_CSV_HEADER)
-                streamed = run(cfg, sink=partial(sim.write_trace_rows, fh))
-            recorded = run(replace(cfg, record_traces=True))
-            write_trace_csv(recorded.trace, str(tmp_path / "recorded.csv"))
-        assert streamed.trace is None
-        assert set(np.unique(recorded.trace.feedback).tolist()) == {0, 1, 2, 3, 4}
+                run(cfg, sink=partial(sim.write_trace_rows, fh))
+            _, recorded = traced_run(cfg)
+            write_csv(recorded, tmp_path / "recorded.csv")
+        assert set(np.unique(recorded.feedback).tolist()) == {0, 1, 2, 3, 4}
         assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "recorded.csv").read_bytes()
 
     @settings(max_examples=40, deadline=None)
@@ -495,10 +507,9 @@ class TestEngine:
            initial_qs=st.integers(0, 5))
     def test_dominant_queues_never_shorter(self, a_s, b_s, lambda_p, lambda_s, seed, initial_qs):
         cfg = sim_config(variant=Variant.S2, a_s=a_s, b_s=b_s, lambda_p=lambda_p,
-                         lambda_s=lambda_s, slots=20_000, seed=seed, record_traces=True,
-                         initial_qs=initial_qs)
-        original = run(replace(cfg, mode=SimMode.ORIGINAL)).trace
-        dominant = run(replace(cfg, mode=SimMode.DOMINANT)).trace
+                         lambda_s=lambda_s, slots=20_000, seed=seed, initial_qs=initial_qs)
+        _, original = traced_run(replace(cfg, mode=SimMode.ORIGINAL))
+        _, dominant = traced_run(replace(cfg, mode=SimMode.DOMINANT))
         assert np.all(dominant.qp >= original.qp)
         assert np.all(dominant.qs >= original.qs)
 
