@@ -8,6 +8,12 @@ Five subcommands over one validated config document (YAML or JSON):
     estimate  learning-phase -> regular-phase end-to-end run
     sweep     long-format CSV over (tau, sensing target, lambda_p) cells
 
+load_config is the one path from a command line to a RunConfig, and it
+builds the library's own types: the sensing section becomes a TargetMode.
+The flags --seed, --mode, --margin and --output-dir replace the keys
+sim.seed, sim.mode, margin and output_dir before validation, so a flag is
+checked exactly as the key it overrides.
+
 Only the CLI converts units: SNRs are given in dB here and become linear
 inside PhyParams.  Outputs are deterministic functions of the config
 (seeds included): no timestamps, fixed row order, shortest-roundtrip
@@ -18,11 +24,10 @@ still a success), 2 config error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -39,6 +44,7 @@ from .optimizer import (
     OptimizationRequest,
     OptimizationResult,
     TargetMode,
+    UNION,
     default_b_s_grid,
     default_tau_grid,
     operating_points,
@@ -82,6 +88,7 @@ MAX_SIM_SLOTS = 2**31 - 1
 MAX_TRACED_SLOTS = 4 * 2**30 // 25
 
 _SCHEME_NAMES = [v.value for v in Variant]
+_CURVE_NAMES = _SCHEME_NAMES + [UNION]
 
 
 # --- config validation helpers -----------------------------------------------
@@ -179,13 +186,13 @@ def _axis(grids: dict, key: str, default: Callable[..., tuple[float, ...]], hi: 
 
 # --- parsed configuration ------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Validated, unit-converted view of a config document."""
 
     channel: Channel
-    sensing_mode: str
-    sensing: dict
+    target: TargetMode
+    sensing_tau: float | None  # pins a tau-dependent target to one point (simulate/estimate)
     scheme: Variant | None
     schemes: tuple[str, ...]
     access: dict | None
@@ -201,41 +208,23 @@ class RunConfig:
     estimate: dict
     output_dir: Path
 
-    def target_mode(self) -> TargetMode:
-        s = self.sensing
-        if self.sensing_mode == "fixed_point":
-            return FixedSensing(SensingPoint(tau=s["tau"], p_fa=s["p_fa"], p_md=s["p_md"]))
-        if self.sensing_mode == "target_pfa":
-            return FixedFalseAlarm(s["value"])
-        if self.sensing_mode == "target_pmd":
-            return FixedMisdetection(s["value"])
-        return FixedThreshold(s["epsilon"])
-
-    def request(self, variant: Variant, lambda_p: float | None = None) -> OptimizationRequest:
-        return OptimizationRequest(
-            variant=variant,
-            lambda_p=self.lambda_p if lambda_p is None else lambda_p,
-            target_mode=self.target_mode(),
-            tau_grid=self.tau_grid if self.sensing_mode != "fixed_point" else (),
-            b_s_grid=self.b_s_grid,
-            margin=self.margin,
-        )
+    def request(self, variant: Variant, target: TargetMode | None = None) -> OptimizationRequest:
+        """The config's problem for `variant`, at `target` in place of the config's own."""
+        target = self.target if target is None else target
+        tau_grid = () if isinstance(target, FixedSensing) else self.tau_grid
+        return OptimizationRequest(variant, self.lambda_p, target, tau_grid, self.b_s_grid, self.margin)
 
     def sensing_point(self) -> SensingPoint:
         """Resolve the config to one detector operating point (simulate/estimate)."""
-        mode = self.target_mode()
-        if isinstance(mode, FixedSensing):
-            return mode.point
+        if isinstance(self.target, FixedSensing):
+            return self.target.point
         if not isinstance(self.channel, PhyParams):
             raise ConfigError("tau-dependent sensing modes need the `phy` section, not `channel`")
-        tau = self.sensing.get("tau")
-        if tau is None:
-            raise ConfigError(f"sensing.tau is required to pin a single operating point in mode {self.sensing_mode}")
-        pts = operating_points(
-            OptimizationRequest(variant=Variant.S1, lambda_p=0.0, target_mode=mode, tau_grid=(tau,)),
-            self.channel,
-        )
-        return SensingPoint(tau=pts[0].tau, p_fa=pts[0].p_fa, p_md=pts[0].p_md)
+        if self.sensing_tau is None:
+            mode = _TARGET_MODES[type(self.target)][0]
+            raise ConfigError(f"sensing.tau is required to pin a single operating point in mode {mode}")
+        (pt,) = operating_points(self.target, (self.sensing_tau,), self.channel)
+        return SensingPoint(tau=pt.tau, p_fa=pt.p_fa, p_md=pt.p_md)
 
 
 _TOP_KEYS = [
@@ -275,29 +264,30 @@ def _parse_channel(doc: dict) -> Channel:
     )
 
 
-def _parse_sensing(doc: dict, slot: float) -> tuple[str, dict]:
-    """The sensing mode and its parameters; tau lies in [0, slot], as on grids.tau."""
+# the tau-dependent target modes: sensing.mode, its parameter's key and the parameter's upper bound
+_TARGET_MODES = {
+    FixedFalseAlarm: ("target_pfa", "value", 1.0 - 1e-12),
+    FixedMisdetection: ("target_pmd", "value", 1.0 - 1e-12),
+    FixedThreshold: ("threshold", "epsilon", None),
+}
+
+
+def _parse_sensing(doc: dict, slot: float) -> tuple[TargetMode, float | None]:
+    """The target mode and the tau that pins it, if any; tau lies in [0, slot], as on grids.tau."""
     section = _as_mapping(doc.get("sensing", {"mode": "fixed_point", **vars(NO_SENSING)}), "sensing")
     mode = section.get("mode")
     if mode == "fixed_point":
         _reject_unknown(section, ["mode", "tau", "p_fa", "p_md"], "sensing")
-        return mode, {
-            "tau": _number(section, "tau", "sensing", lo=0.0, hi=slot, required=True),
-            "p_fa": _number(section, "p_fa", "sensing", lo=0.0, hi=1.0, required=True),
-            "p_md": _number(section, "p_md", "sensing", lo=0.0, hi=1.0, required=True),
-        }
-    if mode in ("target_pfa", "target_pmd"):
-        _reject_unknown(section, ["mode", "value", "tau"], "sensing")
-        out = {"value": _number(section, "value", "sensing", lo=1e-12, hi=1.0 - 1e-12, required=True)}
-        if "tau" in section:
-            out["tau"] = _number(section, "tau", "sensing", lo=1e-12, hi=slot)
-        return mode, out
-    if mode == "threshold":
-        _reject_unknown(section, ["mode", "epsilon", "tau"], "sensing")
-        out = {"epsilon": _number(section, "epsilon", "sensing", lo=1e-12, required=True)}
-        if "tau" in section:
-            out["tau"] = _number(section, "tau", "sensing", lo=1e-12, hi=slot)
-        return mode, out
+        return FixedSensing(SensingPoint(
+            tau=_number(section, "tau", "sensing", lo=0.0, hi=slot, required=True),
+            p_fa=_number(section, "p_fa", "sensing", lo=0.0, hi=1.0, required=True),
+            p_md=_number(section, "p_md", "sensing", lo=0.0, hi=1.0, required=True),
+        )), None
+    for target, (name, key, hi) in _TARGET_MODES.items():
+        if mode == name:
+            _reject_unknown(section, ["mode", key, "tau"], "sensing")
+            value = _number(section, key, "sensing", lo=1e-12, hi=hi, required=True)
+            return target(value), _number(section, "tau", "sensing", lo=1e-12, hi=slot)
     raise ConfigError(f"sensing.mode must be one of fixed_point|target_pfa|target_pmd|threshold, got {mode!r}")
 
 
@@ -306,7 +296,7 @@ def parse_config(doc: dict) -> RunConfig:
     _reject_unknown(doc, _TOP_KEYS, "config")
     channel = _parse_channel(doc)
     slot = channel.T if isinstance(channel, PhyParams) else 1.0
-    sensing_mode, sensing = _parse_sensing(doc, slot)
+    target, sensing_tau = _parse_sensing(doc, slot)
 
     scheme = None
     if "scheme" in doc:
@@ -314,12 +304,12 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(f"scheme must be one of {_SCHEME_NAMES}, got {doc['scheme']!r}")
         scheme = Variant(doc["scheme"])
 
-    schemes = doc.get("schemes", _SCHEME_NAMES + ["UNION"])
+    schemes = doc.get("schemes", _CURVE_NAMES)
     if not isinstance(schemes, list) or not schemes:
         raise ConfigError("schemes must be a non-empty list")
     for name in schemes:
-        if name not in _SCHEME_NAMES + ["UNION"]:
-            raise ConfigError(f"schemes entries must be in {_SCHEME_NAMES + ['UNION']}, got {name!r}")
+        if name not in _CURVE_NAMES:
+            raise ConfigError(f"schemes entries must be in {_CURVE_NAMES}, got {name!r}")
 
     access = None
     if "access" in doc:
@@ -385,8 +375,8 @@ def parse_config(doc: dict) -> RunConfig:
 
     return RunConfig(
         channel=channel,
-        sensing_mode=sensing_mode,
-        sensing=sensing,
+        target=target,
+        sensing_tau=sensing_tau,
         scheme=scheme,
         schemes=tuple(schemes),
         access=access,
@@ -404,7 +394,9 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path, overrides: dict[str, Any] | None = None) -> RunConfig:
+    """Parse the document at `path`, with each dotted key of `overrides`
+    (such as "sim.seed") set to its value before validation."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -412,7 +404,15 @@ def load_config(path: str | Path) -> RunConfig:
         doc = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return parse_config(doc if doc is not None else {})
+    doc = doc if doc is not None else {}
+    for key, value in (overrides or {}).items():
+        *sections, leaf = key.split(".")
+        section = _as_mapping(doc, "config")
+        for name in sections:  # a copy: a YAML alias may share the section with another key
+            section[name] = dict(_as_mapping(section.get(name, {}), name))
+            section = section[name]
+        section[leaf] = value
+    return parse_config(doc)
 
 
 # --- output helpers ------------------------------------------------------------
@@ -443,21 +443,15 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
 
 
+def _scheme_payload(scheme: SchemeConfig) -> dict:
+    return {"variant": scheme.variant, "a_s": scheme.a_s, "b_s": scheme.b_s, **vars(scheme.sensing)}
+
+
 def _result_payload(result: OptimizationResult) -> dict:
-    best = None
-    if result.best is not None:
-        best = {
-            "variant": result.best.variant.value,
-            "a_s": result.best.a_s,
-            "b_s": result.best.b_s,
-            "tau": result.best.sensing.tau,
-            "p_fa": result.best.sensing.p_fa,
-            "p_md": result.best.sensing.p_md,
-        }
     return {
         "feasible": result.feasible,
         "lambda_s_max": result.lambda_s_max,
-        "best": best,
+        "best": None if result.best is None else _scheme_payload(result.best),
         "designed_delay_bound": result.designed_delay_bound,
         "per_tau": [
             {"tau": r.tau, "a_s": r.a_s, "b_s": r.b_s, "lambda_s": r.lambda_s, "feasible": r.feasible}
@@ -471,22 +465,21 @@ def _result_payload(result: OptimizationResult) -> dict:
 def cmd_region(cfg: RunConfig) -> int:
     if cfg.lambda_p_grid is None:
         raise ConfigError("region needs grids.lambda_p")
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     summary: dict[str, Any] = {"schema": REGION_JSON_SCHEMA, "files": {}, "max_boundary": {}}
     base = cfg.request(Variant.S2)
-    union = "UNION" in cfg.schemes  # UNION reuses the S0 and S2 curves
+    union = UNION in cfg.schemes  # UNION reuses the S0 and S2 curves
     curves = {name: trace_region(Variant(name), cfg.lambda_p_grid, base, cfg.channel)
               for name in _SCHEME_NAMES if name in cfg.schemes or (union and name in ("S0", "S2"))}
     if union:
-        curves["UNION"] = union_curve(curves["S0"], curves["S2"])
+        curves[UNION] = union_curve(curves["S0"], curves["S2"])
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     for name in cfg.schemes:
         curve = curves[name]
         path = cfg.output_dir / f"region_{name}.csv"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda_p", "lambda_s", "scheme", "tau", "a_s", "b_s"])
-            for p in curve.points:
-                writer.writerow([_fmt(p.lambda_p), _fmt(p.lambda_s), p.scheme, _fmt(p.tau), _fmt(p.a_s), _fmt(p.b_s)])
+            fh.write("lambda_p,lambda_s,scheme,tau,a_s,b_s\r\n")
+            fh.writelines(f"{_fmt(p.lambda_p)},{_fmt(p.lambda_s)},{p.scheme},{_fmt(p.tau)},"
+                          f"{_fmt(p.a_s)},{_fmt(p.b_s)}\r\n" for p in curve.points)
         summary["files"][name] = str(path)
         summary["max_boundary"][name] = max(p.lambda_s for p in curve.points)
     summary["csv_schema"] = REGION_CSV_SCHEMA
@@ -531,14 +524,7 @@ def _resolve_scheme_config(cfg: RunConfig) -> tuple[SchemeConfig, dict]:
         raise ConfigError("simulate needs an `access` section (fixed a_s/b_s or optimal: true)")
     if cfg.access["optimal"]:
         _check_load(cfg.lambda_p, cfg.margin)
-        req = OptimizationRequest(
-            variant=cfg.scheme,
-            lambda_p=cfg.lambda_p,
-            target_mode=FixedSensing(point),
-            b_s_grid=cfg.b_s_grid,
-            margin=cfg.margin,
-        )
-        result = optimize_with_margin(req, cfg.channel)
+        result = optimize_with_margin(cfg.request(cfg.scheme, FixedSensing(point)), cfg.channel)
         if not result.feasible:
             raise ConfigError("optimal access requested but the problem is infeasible at this lambda_p")
         note["optimized"] = _result_payload(result)
@@ -601,14 +587,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "mode": sim_cfg.mode,
         "slots": sim_cfg.slots,
         "seed": sim_cfg.seed,
-        "scheme": {
-            "variant": scheme.variant,
-            "a_s": scheme.a_s,
-            "b_s": scheme.b_s,
-            "tau": scheme.sensing.tau,
-            "p_fa": scheme.sensing.p_fa,
-            "p_md": scheme.sensing.p_md,
-        },
+        "scheme": _scheme_payload(scheme),
         "empirical": {
             "mu_p": result.empirical_mu_p,
             "mu_p_se": result.empirical_mu_p_se,
@@ -648,19 +627,10 @@ def cmd_estimate(cfg: RunConfig) -> int:
         margin=cfg.estimate["margin"],
         b_s_grid=cfg.b_s_grid,
     )
-    est = report.estimates
+    rp = report.rp_result
     payload = {
         "schema": ESTIMATE_JSON_SCHEMA,
-        "estimates": {
-            "lambda_p_est": est.lambda_p_est,
-            "p_bar_p_pd_est": est.p_bar_p_pd_est,
-            "mu_p_est": est.mu_p_est,
-            "p_nonempty_est": est.p_nonempty_est,
-            "lambda_p_se": est.lambda_p_se,
-            "recommended_mu_pe": est.recommended_mu_pe,
-            "estimator_mode": est.estimator_mode,
-            "link_estimate_available": est.link_estimate_available,
-        },
+        "estimates": asdict(report.estimates),
         "margin": report.margin,
         "policy": {
             "variant": report.policy.variant,
@@ -670,11 +640,11 @@ def cmd_estimate(cfg: RunConfig) -> int:
         },
         "fallback_silent": report.fallback_silent,
         "regular_phase": {
-            "slots": report.rp_result.slots,
-            "primary_stable": report.primary_stable,
-            "primary_drift": report.primary_drift,
-            "secondary_throughput": report.secondary_throughput,
-            "empirical_mu_p": report.rp_result.empirical_mu_p,
+            "slots": rp.slots,
+            "primary_stable": rp.stability.stable,
+            "primary_drift": rp.stability.drift,
+            "secondary_throughput": rp.secondary_departures / rp.slots,
+            "empirical_mu_p": rp.empirical_mu_p,
         },
     }
     _emit_json(payload)
@@ -685,18 +655,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.lambda_p_grid is None:
         raise ConfigError("sweep needs grids.lambda_p")
 
-    if cfg.sensing_mode == "target_pfa":
-        targets = [("p_fa", v, FixedFalseAlarm(v)) for v in (cfg.p_fa_values or (cfg.sensing["value"],))]
-    elif cfg.sensing_mode == "target_pmd":
-        targets = [("p_md", v, FixedMisdetection(v)) for v in (cfg.p_md_values or (cfg.sensing["value"],))]
-    elif cfg.sensing_mode == "threshold":
-        targets = [("epsilon", cfg.sensing["epsilon"], cfg.target_mode())]
+    target = cfg.target
+    if isinstance(target, FixedFalseAlarm):
+        targets = [("p_fa", v, FixedFalseAlarm(v)) for v in (cfg.p_fa_values or (target.p_fa,))]
+    elif isinstance(target, FixedMisdetection):
+        targets = [("p_md", v, FixedMisdetection(v)) for v in (cfg.p_md_values or (target.p_md,))]
+    elif isinstance(target, FixedThreshold):
+        targets = [("epsilon", target.epsilon, target)]
     else:
-        targets = [("fixed", 0.0, cfg.target_mode())]
+        targets = [("fixed", 0.0, target)]
 
-    sweep_schemes = [s for s in cfg.schemes if s != "UNION"] or ["S2", "S0"]
+    sweep_schemes = [s for s in cfg.schemes if s != UNION] or ["S2", "S0"]
     sensing_schemes = [s for s in sweep_schemes if s != "S0"]
-    n_tau = 1 if cfg.sensing_mode == "fixed_point" else len(cfg.tau_grid)
+    n_tau = 1 if isinstance(target, FixedSensing) else len(cfg.tau_grid)
     cells = len(sensing_schemes) * len(targets) * n_tau * len(cfg.lambda_p_grid)
     if "S0" in sweep_schemes:
         cells += len(cfg.lambda_p_grid)
@@ -710,11 +681,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     blocks = []  # (scheme, target kind, target value, per-(lambda_p, tau) scan), in row order
     for scheme_name in sensing_schemes:
         for kind, value, mode in targets:
-            req = OptimizationRequest(
-                variant=Variant(scheme_name), lambda_p=0.0, target_mode=mode,
-                tau_grid=() if kind == "fixed" else cfg.tau_grid, b_s_grid=cfg.b_s_grid, margin=cfg.margin,
-            )
-            blocks.append((scheme_name, kind, value, scan(Variant(scheme_name), cfg.lambda_p_grid, req, cfg.channel)))
+            variant = Variant(scheme_name)
+            blocks.append((scheme_name, kind, value,
+                           scan(variant, cfg.lambda_p_grid, cfg.request(variant, mode), cfg.channel)))
     if "S0" in sweep_schemes:
         blocks.append(("S0", "none", 0.0, scan(Variant.S0, cfg.lambda_p_grid, cfg.request(Variant.S0), cfg.channel)))
 
@@ -765,21 +734,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each flag and the document key it overrides
+_FLAG_KEYS = {"seed": "sim.seed", "mode": "sim.mode", "margin": "margin", "output_dir": "output_dir"}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = {key: getattr(args, flag) for flag, key in _FLAG_KEYS.items() if getattr(args, flag) is not None}
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.sim["seed"] = args.seed
-        if args.output_dir is not None:
-            cfg.output_dir = Path(args.output_dir)
-        if args.mode is not None:
-            cfg.sim["mode"] = SimMode(args.mode)
-        if args.margin is not None:
-            if args.margin < 0.0:
-                raise ConfigError("--margin must be >= 0")
-            cfg.margin = args.margin
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](load_config(args.config, overrides))
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -144,9 +144,6 @@ class TwoPhaseReport:
     policy: SchemeConfig
     fallback_silent: bool
     rp_result: SimResult
-    primary_stable: bool
-    primary_drift: float
-    secondary_throughput: float
 
 
 def _policy_from_estimates(
@@ -216,15 +213,4 @@ def learning_then_regular(
         fallback = True
 
     rp_result = run(replace(template, slots=rp_slots, scheme=policy, seed=template.seed + 1))
-    probe = rp_result.stability
-
-    return TwoPhaseReport(
-        estimates=report,
-        margin=mu_pe,
-        policy=policy,
-        fallback_silent=fallback,
-        rp_result=rp_result,
-        primary_stable=probe.stable,
-        primary_drift=probe.drift,
-        secondary_throughput=rp_result.secondary_departures / rp_slots,
-    )
+    return TwoPhaseReport(estimates=report, margin=mu_pe, policy=policy, fallback_silent=fallback, rp_result=rp_result)

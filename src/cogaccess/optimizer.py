@@ -208,9 +208,9 @@ def b_s_scan_grid(grid: Sequence[float]) -> tuple[float, ...]:
     return grid if 0.0 in grid else (0.0,) + grid
 
 
-def operating_points(req: OptimizationRequest, channel: Channel) -> list[OperatingPoint]:
-    """Resolve the request's sensing mode into concrete per-tau points."""
-    mode = req.target_mode
+def operating_points(mode: TargetMode, tau_grid: Sequence[float], channel: Channel) -> list[OperatingPoint]:
+    """Resolve a sensing mode into concrete points, one per tau of the grid
+    (a FixedSensing mode ignores the grid: its point is the one point)."""
     if isinstance(mode, FixedSensing):
         pt = mode.point
         return [
@@ -226,10 +226,10 @@ def operating_points(req: OptimizationRequest, channel: Channel) -> list[Operati
             "tau-dependent target modes need full PhyParams; "
             "fixed link probabilities only support FixedSensing"
         )
-    if not req.tau_grid:
+    if not tau_grid:
         raise DomainError("tau grid must be non-empty for tau-dependent target modes")
     points = []
-    for tau in req.tau_grid:
+    for tau in tau_grid:
         if isinstance(mode, FixedFalseAlarm):
             sp = pmd_for_target_pfa(channel, mode.p_fa, tau)
         elif isinstance(mode, FixedMisdetection):
@@ -348,7 +348,7 @@ def scan(
         points = [OperatingPoint(**vars(NO_SENSING), p_bar_s_sd=links.p_bar_s_sd)]
         variant = Variant.S1
     else:
-        points = operating_points(req, channel)
+        points = operating_points(req.target_mode, req.tau_grid, channel)
     cols = np.array([(p.p_fa, p.p_md, p.p_bar_s_sd) for p in points]).T
     b = np.array(b_s_scan_grid(req.b_s_grid))
     n, m = lam.size, len(points)

@@ -438,7 +438,6 @@ def _add_chunk_sums(sums: tuple[int, int], q: np.ndarray, lo: int) -> tuple[int,
     return sums[0] + sum(values), sums[1] + sum(map(operator.mul, range(lo, lo + m), values))
 
 
-TRACE_CSV_SCHEMA = "trace/1"
 TRACE_CSV_HEADER = b"slot,qp,qs,events,feedback\r\n"
 _FEEDBACK_NAMES = ("none", "ack", "nack", "ack-missed", "nack-missed")  # indexed by FB_* code
 _TRACE_CSV_CHUNK = 16_384  # rows formatted per write: bounds the memory of the formatted text (about 270 B a row)

@@ -443,7 +443,7 @@ def optimize_sc_loop(req: OptimizationRequest, channel: Channel) -> Optimization
     """Scan tau for the conventional scheme (a_s = 1, no busy access)."""
     lam, m = req.lambda_p, req.margin
     pp = link_success(channel, 0.0).p_bar_p_pd
-    pts = operating_points(req, channel)
+    pts = operating_points(req.target_mode, req.tau_grid, channel)
     rows = []
     for pt in pts:
         mu_p = pp * (1.0 - pt.p_md)
@@ -459,7 +459,7 @@ def optimize_s1_loop(req: OptimizationRequest, channel: Channel) -> Optimization
     """Scan tau; a_s is closed-form at each point."""
     lam, m = req.lambda_p, req.margin
     pp = link_success(channel, 0.0).p_bar_p_pd
-    pts = operating_points(req, channel)
+    pts = operating_points(req.target_mode, req.tau_grid, channel)
     rows = []
     for pt in pts:
         try:
@@ -477,7 +477,7 @@ def optimize_s2_loop(req: OptimizationRequest, channel: Channel) -> Optimization
     """Scan (tau, b_s); a_s is closed-form at each cell."""
     lam, m = req.lambda_p, req.margin
     pp = link_success(channel, 0.0).p_bar_p_pd
-    pts = operating_points(req, channel)
+    pts = operating_points(req.target_mode, req.tau_grid, channel)
     b_grid = b_s_scan_grid(req.b_s_grid)
     rows = []
     for pt in pts:

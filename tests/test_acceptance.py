@@ -308,7 +308,7 @@ def test_criterion_09_estimator_consistency():
     )
     two_phase = learning_then_regular(10_000, 100_000, template)
     assert two_phase.margin > 0.0
-    assert two_phase.primary_stable is True
+    assert two_phase.rp_result.stability.stable is True
     announce(9, "estimator within 4 SE (P_e in {0, 0.1, 0.3}), link within 0.01, "
                 "margined LP->RP keeps primary stable")
 

@@ -156,11 +156,37 @@ class TestConfigValidation:
     def test_sensing_tau_up_to_the_slot_accepted(self, tmp_path):
         long_slot = {"phy": dict(PHY_DOC, slot_seconds=2.0),
                      "sensing": {"mode": "fixed_point", "tau": 2.0, "p_fa": 0.2, "p_md": 0.3}}
-        assert cli.load_config(write_config(tmp_path, long_slot)).sensing["tau"] == 2.0
+        assert cli.load_config(write_config(tmp_path, long_slot)).target.point.tau == 2.0
         with pytest.raises(ConfigError, match="sensing.tau must be <= 2.0"):
             cli.load_config(write_config(tmp_path, dict(long_slot, sensing=dict(THRESHOLD, tau=2.5))))
         unit_slot = dict(BENCH_BASE, sensing=dict(BENCH_BASE["sensing"], tau=1.0))
-        assert cli.load_config(write_config(tmp_path, unit_slot)).sensing["tau"] == 1.0
+        assert cli.load_config(write_config(tmp_path, unit_slot)).target.point.tau == 1.0
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_negative_seed_flag_rejected_as_sim_seed(self, tmp_path, capsys, command):
+        doc = dict(BENCH_BASE, scheme="S1", lambda_p=0.3, access={"a_s": 0.5},
+                   sim={"slots": 20_000, "record_traces": True}, estimate={"lp_slots": 1_000, "rp_slots": 20_000},
+                   output_dir=str(tmp_path / "out"))
+        flagged = run_cli(capsys, [command, "-c", write_config(tmp_path, doc), "--seed", "-1"])
+        keyed = run_cli(capsys, [command, "-c", write_config(tmp_path, dict(doc, sim=dict(doc["sim"], seed=-1)))])
+        assert flagged == keyed == (2, "", "config error: sim.seed must be >= 0, got -1\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        (dict(BENCH_BASE, scheme="S1", sim=3), "sim must be a mapping, got int"),
+        (["scheme", "S1"], "config must be a mapping, got list"),
+    ])
+    def test_flag_into_a_document_that_is_not_a_mapping(self, tmp_path, capsys, doc, message):
+        code, out, err = run_cli(capsys, ["optimize", "-c", write_config(tmp_path, doc), "--seed", "5"])
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    def test_flag_sets_only_its_own_key(self, tmp_path):
+        # grids and sim are one aliased mapping: the seed must not land in grids too
+        path = tmp_path / "alias.yaml"
+        path.write_text("channel: {p_bar_p_pd: 0.9, p_bar_s_sd: 0.8}\nscheme: S1\ngrids: &empty {}\nsim: *empty\n")
+        cfg = cli.load_config(path, {"sim.seed": 5, "margin": 0.1})
+        assert (cfg.sim["seed"], cfg.margin) == (5, 0.1)
+        assert cli.load_config(path).sim["seed"] == 0
 
 
 class TestOptimize:
@@ -200,7 +226,7 @@ class TestOptimize:
         doc = dict(BENCH_BASE, scheme="S1", lambda_p=0.3)
         code, out, err = run_cli(capsys, ["optimize", "-c", write_config(tmp_path, doc), "--margin", "-0.1"])
         assert (code, out) == (2, "")
-        assert "--margin must be >= 0" in err
+        assert "config.margin must be >= 0.0" in err
 
     def test_threshold_mode_matches_optimize_with_margin(self, tmp_path, capsys):
         doc = {"phy": PHY_DOC, "sensing": THRESHOLD, "scheme": "S2", "lambda_p": 0.2, "margin": 0.01,
@@ -304,6 +330,21 @@ class TestRegion:
                 f"{p.lambda_p!r},{p.lambda_s!r},{p.scheme},{p.tau!r},{p.a_s!r},{p.b_s!r}" for p in points
             ], name
             assert points[1].lambda_s > 0.0, name
+
+    @pytest.mark.parametrize("on_phy, tau, message", [
+        (True, [0.0, 0.5], "tau grid entries must be > 0"),
+        (False, [0.5], "tau-dependent target modes need full PhyParams"),
+    ])
+    def test_config_error_leaves_no_output_directory(self, tmp_path, capsys, on_phy, tau, message):
+        doc = dict(BENCH_BASE, sensing={"mode": "target_pfa", "value": 0.2},
+                   grids={"lambda_p": LAMBDAS, "tau": tau}, output_dir=str(tmp_path / "out"))
+        if on_phy:
+            del doc["channel"]
+            doc["phy"] = PHY_DOC
+        code, out, err = run_cli(capsys, ["region", "-c", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulate:
@@ -507,9 +548,10 @@ class TestEstimateCommand:
         assert payload["policy"] == {"variant": policy.variant.value, "a_s": policy.a_s, "b_s": policy.b_s,
                                      "tau": policy.sensing.tau}
         assert payload["fallback_silent"] is report.fallback_silent is False
+        rp = report.rp_result
         assert payload["regular_phase"] == {
-            "slots": 20_000, "primary_stable": report.primary_stable, "primary_drift": report.primary_drift,
-            "secondary_throughput": report.secondary_throughput, "empirical_mu_p": report.rp_result.empirical_mu_p,
+            "slots": 20_000, "primary_stable": rp.stability.stable, "primary_drift": rp.stability.drift,
+            "secondary_throughput": rp.secondary_departures / 20_000, "empirical_mu_p": rp.empirical_mu_p,
         }
 
     def estimate_doc(self, tmp_path, **overrides):
@@ -744,6 +786,24 @@ class TestFuzz:
             code, _, err = run_cli(capsys, [command, "-c", write_config(run_dir, doc)])
             if code not in (0, 2) or (code == 2 and any(run_dir.rglob("trace.csv"))):
                 crashes.append((path, value, code, err.strip()))
+        assert crashes == []
+
+    FLAGS = [("--seed", "-1"), ("--seed", str(10**30)), ("--margin", "-0.1"), ("--margin", "nan"),
+             ("--margin", "inf"), ("--margin", "-0.0"), ("--margin", "2"), ("--output-dir", "")]
+
+    @pytest.mark.parametrize("command", sorted(DOCS))
+    def test_hostile_flags_never_reach_internal_error(self, command, tmp_path, capsys, monkeypatch):
+        name, shrunk = self.DOCS[command]
+        doc = yaml.safe_load((Path(__file__).resolve().parent.parent / "configs" / name).read_text())
+        doc.update(shrunk, margin=0.0, output_dir="out")
+        crashes = []
+        for i, flag in enumerate(self.FLAGS):
+            run_dir = tmp_path / str(i)
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            code, _, err = run_cli(capsys, [command, "-c", write_config(run_dir, doc), *flag])
+            if code not in (0, 2) or (code == 2 and any(run_dir.rglob("trace.csv"))):
+                crashes.append((flag, code, err.strip()))
         assert crashes == []
 
 

@@ -159,14 +159,15 @@ class TestLearningThenRegular:
                                scheme=oracle_scheme, phy=BENCH_LINKS, mode=SimMode.ORIGINAL)
         oracle_run = run(oracle_cfg)
         oracle_throughput = oracle_run.secondary_departures / oracle_run.slots
-        assert report.secondary_throughput == pytest.approx(oracle_throughput, rel=0.02)
-        assert report.primary_stable is True
+        rp = report.rp_result
+        assert rp.secondary_departures / rp.slots == pytest.approx(oracle_throughput, rel=0.02)
+        assert rp.stability.stable is True
         assert report.fallback_silent is False
 
     def test_short_noisy_learning_with_margin_stays_stable(self):
         report = learning_then_regular(100, 5_000, self.template(seed=23))
         assert report.margin > 0.0
-        assert report.primary_stable is True
+        assert report.rp_result.stability.stable is True
 
     def test_margin_zero_noisy_estimates_still_run(self):
         report = learning_then_regular(1_000, 20_000, self.template(seed=5), margin=0.0)
@@ -182,7 +183,7 @@ class TestLearningThenRegular:
         template = self.template(variant=Variant.S2, lambda_p=0.1)
         report = learning_then_regular(20_000, 200_000, template, margin=0.0)
         assert report.policy.variant is Variant.S2
-        assert report.primary_stable is True
+        assert report.rp_result.stability.stable is True
 
     def test_phase_length_precondition(self):
         with pytest.raises(DomainError):
