@@ -12,27 +12,30 @@ load_config is the one path from a command line to a RunConfig, and it
 builds the library's own types: the sensing section becomes a TargetMode.
 The flags --seed, --mode, --margin and --output-dir replace the keys
 sim.seed, sim.mode, margin and output_dir before validation, so a flag is
-checked exactly as the key it overrides.
+checked exactly as the key it overrides.  A `.json` document is read as
+JSON, without NaN or Infinity; any other as YAML 1.1, whose `1e-5` is a
+string (write `1.0e-5`).
 
 Only the CLI converts units: SNRs are given in dB here and become linear
 inside PhyParams.  Outputs are deterministic functions of the config
 (seeds included): no timestamps, fixed row order, shortest-roundtrip
 float formatting.  Exit codes: 0 success (an infeasible optimization is
-still a success), 2 config error, 3 internal error.
+still a success), 1 standard output closed before it was written (say, by
+`| head`; output files are complete), 2 config error, 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
-
-import yaml
 
 from .errors import CogAccessError, ConfigError, DomainError, PrimaryUnstableError
 from .optimizer import (
@@ -55,9 +58,7 @@ from .optimizer import (
     union_curve,
 )
 from .phy import LinkSuccess, PhyParams, SensingPoint, link_success
-from .schemes import NO_SENSING, SchemeConfig, Variant, service_rates
-from .sim import TRACE_CSV_HEADER, SimConfig, SimMode, run, write_trace_rows
-from .estimator import EstimatorMode, learning_then_regular
+from .schemes import NO_SENSING, EstimatorMode, SchemeConfig, SimMode, Variant, service_rates
 
 __all__ = ["main", "load_config", "RunConfig"]
 
@@ -89,6 +90,25 @@ MAX_TRACED_SLOTS = 4 * 2**30 // 25
 
 _SCHEME_NAMES = [v.value for v in Variant]
 _CURVE_NAMES = _SCHEME_NAMES + [UNION]
+
+# sim and estimator are imported when simulate or estimate first runs.  Their
+# names are then bound here, as cli.<name>, keeping a name already set (patched).
+_LAZY = {"sim": ("SimConfig", "TRACE_CSV_HEADER", "run", "write_trace_rows"),
+         "estimator": ("learning_then_regular",)}
+
+
+def _bind(module: str) -> None:
+    source = importlib.import_module(f".{module}", __package__)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --- config validation helpers -----------------------------------------------
@@ -394,16 +414,33 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
 
+def _not_a_number(constant: str) -> float:
+    raise ValueError(f"{constant} is not a JSON number")
+
+
+def _read_document(path: Path) -> Any:
+    """A `.json` file as JSON, any other as YAML."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        try:
+            return json.loads(text.removeprefix("\ufeff"), parse_constant=_not_a_number)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    import yaml
+
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+
+
 def load_config(path: str | Path, overrides: dict[str, Any] | None = None) -> RunConfig:
     """Parse the document at `path`, with each dotted key of `overrides`
     (such as "sim.seed") set to its value before validation."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    doc = _read_document(path)
     doc = doc if doc is not None else {}
     for key, value in (overrides or {}).items():
         *sections, leaf = key.split(".")
@@ -439,6 +476,13 @@ def _jsonable(obj: Any) -> Any:
     return str(obj)
 
 
+def _make_output_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, say
+        raise ConfigError(f"cannot create output_dir {str(path)!r}: {exc.strerror}") from exc
+
+
 def _emit_json(payload: dict) -> None:
     print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
 
@@ -472,7 +516,7 @@ def cmd_region(cfg: RunConfig) -> int:
               for name in _SCHEME_NAMES if name in cfg.schemes or (union and name in ("S0", "S2"))}
     if union:
         curves[UNION] = union_curve(curves["S0"], curves["S2"])
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    _make_output_dir(cfg.output_dir)
     for name in cfg.schemes:
         curve = curves[name]
         path = cfg.output_dir / f"region_{name}.csv"
@@ -546,12 +590,13 @@ def _check_sim_slots(slots: int, limit: int, keys: str) -> None:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    _bind("sim")
     traced = cfg.sim["record_traces"]
     _check_sim_slots(cfg.sim["slots"], MAX_TRACED_SLOTS if traced else MAX_SIM_SLOTS, "sim.slots")
     scheme, note = _resolve_scheme_config(cfg)
     sim_cfg = _sim_config(cfg, scheme, cfg.sim["slots"])
     if traced:
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        _make_output_dir(cfg.output_dir)
         trace_path = cfg.output_dir / "trace.csv"
         try:
             with open(trace_path, "wb") as fh:
@@ -615,6 +660,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
+    _bind("sim")
+    _bind("estimator")
     _check_sim_slots(cfg.estimate["lp_slots"] + cfg.estimate["rp_slots"], MAX_SIM_SLOTS,
                      "estimate.lp_slots + estimate.rp_slots")
     scheme, _ = _resolve_scheme_config(cfg)
@@ -687,7 +734,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if "S0" in sweep_schemes:
         blocks.append(("S0", "none", 0.0, scan(Variant.S0, cfg.lambda_p_grid, cfg.request(Variant.S0), cfg.channel)))
 
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    _make_output_dir(cfg.output_dir)
     path = cfg.output_dir / "sweep.csv"
     lams = [_fmt(lam) for lam in cfg.lambda_p_grid]
     # the rows csv.writer would write (no field needs quoting), formatted a column at a time
@@ -726,7 +773,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("-c", "--config", required=True, help="YAML or JSON config document")
+        p.add_argument("-c", "--config", required=True, help="JSON (.json) or YAML config document")
         p.add_argument("--seed", type=int, default=None, help="override sim.seed")
         p.add_argument("--output-dir", default=None, help="override output_dir")
         p.add_argument("--mode", choices=["original", "dominant"], default=None, help="override sim.mode")
@@ -742,7 +789,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {key: getattr(args, flag) for flag, key in _FLAG_KEYS.items() if getattr(args, flag) is not None}
     try:
-        return _COMMANDS[args.command](load_config(args.config, overrides))
+        code = _COMMANDS[args.command](load_config(args.config, overrides))
+        sys.stdout.flush()  # a closed stdout shows here rather than at exit
+        return code
+    except BrokenPipeError:  # end quietly, with stdout on devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 from .errors import DomainError, InfeasibleError
 from .optimizer import FixedSensing, OptimizationRequest, scan
 from .phy import LinkSuccess
-from .schemes import NO_SENSING, SchemeConfig, Variant
+from .schemes import NO_SENSING, EstimatorMode, SchemeConfig, Variant
 from .sim import SimConfig, SimMode, SimResult, run
 
 __all__ = [
@@ -42,11 +41,6 @@ __all__ = [
 # of the arrival-rate estimate: the same envelope the consistency checks
 # use as "maximum positive estimation error".
 MARGIN_SE_MULTIPLIER = 4.0
-
-
-class EstimatorMode(str, Enum):
-    PAPER = "paper"
-    UNBIASED = "unbiased"
 
 
 @dataclass(frozen=True)

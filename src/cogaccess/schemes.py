@@ -28,6 +28,8 @@ from .phy import LinkSuccess, SensingPoint
 
 __all__ = [
     "Variant",
+    "SimMode",
+    "EstimatorMode",
     "NO_SENSING",
     "SchemeConfig",
     "ServiceRates",
@@ -41,6 +43,17 @@ class Variant(str, Enum):
     S1 = "S1"
     S2 = "S2"
     S0 = "S0"
+
+
+# sim's and estimator's modes, here so that a config names them without importing either
+class SimMode(str, Enum):
+    ORIGINAL = "original"
+    DOMINANT = "dominant"
+
+
+class EstimatorMode(str, Enum):
+    PAPER = "paper"
+    UNBIASED = "unbiased"
 
 
 # S0's sensing point: no sensing time, and a detector that always declares

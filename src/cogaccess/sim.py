@@ -51,14 +51,13 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import BinaryIO, Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
 from .phy import LinkSuccess, PhyParams, link_success
-from .schemes import SchemeConfig, effective_sensing
+from .schemes import SchemeConfig, SimMode, effective_sensing
 
 __all__ = [
     "SimMode",
@@ -100,11 +99,6 @@ FB_ACK_HEARD = 1
 FB_NACK_HEARD = 2
 FB_ACK_MISSED = 3
 FB_NACK_MISSED = 4
-
-
-class SimMode(str, Enum):
-    ORIGINAL = "original"
-    DOMINANT = "dominant"
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,9 @@ PINNED = [
 
 
 def write_config(tmp_path, doc, name="config.yaml"):
+    """Write `doc` as YAML, or as JSON under a `.json` name."""
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(doc))
+    path.write_text(json.dumps(doc) if name.endswith(".json") else yaml.safe_dump(doc))
     return str(path)
 
 
@@ -768,18 +769,24 @@ class TestFuzz:
             if isinstance(value, dict):
                 yield from TestFuzz.paths(value, prefix + (key,))
 
-    @pytest.mark.parametrize("command", sorted(DOCS))
-    def test_mutated_documents_never_reach_internal_error(self, command, tmp_path, capsys, monkeypatch):
-        name, shrunk = self.DOCS[command]
+    @classmethod
+    def mutants(cls, command):
+        """(key path, value, document) for every key of the command's document set to every value."""
+        name, shrunk = cls.DOCS[command]
         base = yaml.safe_load((Path(__file__).resolve().parent.parent / "configs" / name).read_text())
         base.update(shrunk, margin=0.0, output_dir="out")
-        crashes = []
-        for i, (path, value) in enumerate(itertools.product(list(self.paths(base)), self.VALUES)):
+        for path, value in itertools.product(list(cls.paths(base)), cls.VALUES):
             doc = copy.deepcopy(base)
             section = doc
             for key in path[:-1]:
                 section = section[key]
             section[path[-1]] = value
+            yield path, value, doc
+
+    @pytest.mark.parametrize("command", sorted(DOCS))
+    def test_mutated_documents_never_reach_internal_error(self, command, tmp_path, capsys, monkeypatch):
+        crashes = []
+        for i, (path, value, doc) in enumerate(self.mutants(command)):
             run_dir = tmp_path / str(i)  # a fresh directory: no run overwrites another's files
             run_dir.mkdir()
             monkeypatch.chdir(run_dir)
@@ -787,6 +794,24 @@ class TestFuzz:
             if code not in (0, 2) or (code == 2 and any(run_dir.rglob("trace.csv"))):
                 crashes.append((path, value, code, err.strip()))
         assert crashes == []
+
+    @pytest.mark.parametrize("command", sorted(DOCS))
+    def test_json_twin_of_every_mutant_gives_the_same_run(self, command, tmp_path, capsys, monkeypatch):
+        # the mutant as YAML and as json.dumps writes it: the same exit code, and on exit 0 the same bytes
+        mismatches = []
+        for i, (path, value, doc) in enumerate(self.mutants(command)):
+            runs = []
+            for name in ("config.yaml", "config.json"):
+                run_dir = tmp_path / f"{i}{Path(name).suffix}"
+                run_dir.mkdir()
+                monkeypatch.chdir(run_dir)
+                code, out, _ = run_cli(capsys, [command, "-c", write_config(run_dir, doc, name)])
+                files = {f.relative_to(run_dir).as_posix(): f.read_bytes()
+                         for f in sorted(run_dir.rglob("*")) if f.is_file() and f.name != name}
+                runs.append((code, out, files) if code == 0 else (code,))
+            if runs[0] != runs[1]:
+                mismatches.append((path, value, runs[0][0], runs[1][0]))
+        assert mismatches == []
 
     FLAGS = [("--seed", "-1"), ("--seed", str(10**30)), ("--margin", "-0.1"), ("--margin", "nan"),
              ("--margin", "inf"), ("--margin", "-0.0"), ("--margin", "2"), ("--output-dir", "")]
@@ -807,6 +832,107 @@ class TestFuzz:
         assert crashes == []
 
 
+class TestJsonDocuments:
+    """A `.json` document is read as JSON, where PyYAML would read `1e-05` as a string."""
+
+    DOC = dict(BENCH_BASE, phy=PHY_DOC, sensing={"mode": "target_pfa", "value": 0.2}, scheme="S2", lambda_p=0.1,
+               margin=1e-05, grids={"lambda_p": [0.0, 0.1], "tau": [5e-05, 0.01, 0.5], "b_s": {"count": 5}})
+    del DOC["channel"]
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    def test_small_floats_match_the_yaml_twin(self, command, tmp_path, capsys):
+        runs = []
+        for name in ("config.json", "config.yaml"):  # yaml.safe_dump writes 1e-05 as 1.0e-05
+            run_dir = tmp_path / Path(name).suffix[1:]
+            run_dir.mkdir()
+            doc = dict(self.DOC, output_dir=str(tmp_path / "out"))
+            code, out, err = run_cli(capsys, [command, "-c", write_config(run_dir, doc, name)])
+            assert (code, err) == (0, "")
+            runs.append((out, [f.read_bytes() for f in sorted((tmp_path / "out").rglob("*"))]))
+        assert '"margin": 1e-05' in (tmp_path / "json" / "config.json").read_text()
+        assert runs[0] == runs[1]
+        if command == "optimize":
+            payload = json.loads(runs[0][0])
+            assert payload["margin"] == 1e-05 and payload["per_tau"][0]["tau"] == 5e-05
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literals_rejected(self, constant, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(BENCH_BASE, scheme="S1")).replace("}", f', "lambda_p": {constant}}}', 1))
+        code, out, err = run_cli(capsys, ["optimize", "-c", str(path)])
+        assert (code, out) == (2, "")
+        assert f"cannot parse {path}: {constant} is not a JSON number" in err
+
+    def test_byte_order_mark_accepted(self, tmp_path, capsys):
+        doc = dict(BENCH_BASE, scheme="S1", lambda_p=0.3)
+        plain = run_cli(capsys, ["optimize", "-c", write_config(tmp_path, doc, "plain.json")])
+        (tmp_path / "bom.json").write_text(json.dumps(doc), encoding="utf-8-sig")
+        assert run_cli(capsys, ["optimize", "-c", str(tmp_path / "bom.json")]) == plain
+        assert plain[0] == 0
+
+    @pytest.mark.parametrize("text", ["scheme: S1\nlambda_p: 0.3\n", "", "{scheme: S1}"])
+    def test_yaml_only_or_empty_text_rejected(self, text, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, ["optimize", "-c", str(path)])
+        assert (code, out) == (2, "")
+        assert f"config error: cannot parse {path}" in err
+
+
+class TestOutputDir:
+    DOCS = {
+        "region": dict(BENCH_BASE, grids={"lambda_p": [0.0, 0.3], "b_s": {"count": 5}}),
+        "sweep": dict(BENCH_BASE, grids={"lambda_p": [0.0, 0.3], "b_s": {"count": 5}}),
+        "simulate": dict(BENCH_BASE, scheme="S1", lambda_p=0.3, access={"a_s": 0.5},
+                         sim={"slots": 2_000, "seed": 1, "record_traces": True}),
+    }
+
+    @pytest.mark.parametrize("below", [False, True])
+    @pytest.mark.parametrize("command", sorted(DOCS))
+    def test_file_in_the_way_is_a_config_error(self, command, below, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("keep me")
+        output_dir = blocker / "sub" if below else blocker
+        config = write_config(tmp_path, dict(self.DOCS[command], output_dir=str(output_dir)))
+        code, out, err = run_cli(capsys, [command, "-c", config])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: cannot create output_dir {str(output_dir)!r}: ")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["afile", "config.yaml"]
+        assert blocker.read_text() == "keep me"
+
+
+def run_module(args, cwd, **kwargs):
+    """`python ARGS` in a fresh interpreter that imports cogaccess from this tree,
+    with stdout block-buffered as it is on a pipe from a shell."""
+    src = str(Path(cogaccess.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, timeout=120, **kwargs)
+
+
+class TestImportSurface:
+    """A command imports only what it uses: sim and estimator only for simulate
+    and estimate, PyYAML only for YAML documents."""
+
+    LAZY = {"cogaccess.estimator", "cogaccess.sim", "yaml"}
+
+    def test_package_and_cli_load_neither(self, tmp_path):
+        script = ("import json, sys; import cogaccess;"
+                  "package = sorted(m for m in sys.modules if m.startswith('cogaccess.')); import cogaccess.cli;"
+                  f"print(json.dumps([package, sorted({sorted(self.LAZY)!r} & sys.modules.keys())]))")
+        proc = run_module(["-c", script], tmp_path, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == [[], []]
+
+    @pytest.mark.parametrize("command, loaded", [("region", []), ("simulate", ["cogaccess.sim"])])
+    def test_json_command_loads_only_what_it_uses(self, command, loaded, tmp_path):
+        config = write_config(tmp_path, dict(TestOutputDir.DOCS[command], output_dir="out"), "config.json")
+        script = ("import json, sys; from cogaccess.cli import main; code = main(sys.argv[1:]);"
+                  f"print(json.dumps([code, sorted({sorted(self.LAZY)!r} & sys.modules.keys())]), file=sys.stderr)")
+        proc = run_module(["-c", script, command, "-c", config], tmp_path, capture_output=True, text=True)
+        assert json.loads(proc.stderr) == [0, loaded]
+
+
 class TestEntryPoint:
     def test_module_runs_without_warnings(self, tmp_path, capsys):
         # `python -m cogaccess.cli` must not find the module already imported by the package
@@ -817,3 +943,18 @@ class TestEntryPoint:
                                "-c", config], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == run_cli(capsys, ["optimize", "-c", config])[1]
+
+    def test_closed_stdout_ends_quietly(self, tmp_path, capsys, monkeypatch):
+        config = str(Path(__file__).resolve().parent.parent / "configs" / "sweep_sensing_durations.yaml")
+        (tmp_path / "piped").mkdir()
+        read, write = os.pipe()
+        os.close(read)  # no reader: every write to stdout fails with EPIPE
+        try:
+            proc = run_module(["-m", "cogaccess.cli", "sweep", "-c", config, "--output-dir", "out"], tmp_path / "piped",
+                              stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, ["sweep", "-c", config, "--output-dir", "out"])[0] == 0
+        assert (tmp_path / "piped" / "out" / "sweep.csv").read_bytes() == (tmp_path / "out" / "sweep.csv").read_bytes()

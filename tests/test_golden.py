@@ -4,7 +4,8 @@ Each config in `configs/` runs through `cli.main` from a fresh working
 directory with `--output-dir out`; the SHA-256 of stdout and of every file
 written under `out/` must match `tests/golden.json`.  One more case runs
 `validate_simulation` with `sim.record_traces: true`, which pins the bytes
-of its 1e6-row `trace.csv`.  The digests hold for the numpy version
+of its 1e6-row `trace.csv`.  Each case's `.json` twin, the document as
+`json.dumps` writes it, must give the same digests as the YAML.  The digests hold for the numpy version
 recorded next to them (random streams and float formatting may shift
 across numpy releases), so the test skips on any other version.
 
@@ -45,15 +46,17 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_config(name: str, workdir: Path) -> dict:
-    """Run one case in `workdir` and digest what it printed and wrote."""
+def run_config(name: str, workdir: Path, as_json: bool = False) -> dict:
+    """Run one case in `workdir`, from its `.json` twin if `as_json`, and
+    digest what it printed and wrote."""
     command, config, sim_keys = CASES[name]
     config_path = ROOT / "configs" / f"{config}.yaml"
-    if sim_keys:
+    if sim_keys or as_json:
         doc = yaml.safe_load(config_path.read_text())
-        doc["sim"].update(sim_keys)
-        config_path = workdir / f"{name}.yaml"
-        config_path.write_text(yaml.safe_dump(doc))
+        if sim_keys:
+            doc["sim"].update(sim_keys)
+        config_path = workdir / f"{name}.{'json' if as_json else 'yaml'}"
+        config_path.write_text(json.dumps(doc) if as_json else yaml.safe_dump(doc))
     stdout = io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -81,6 +84,13 @@ def test_shipped_config_outputs_unchanged(name, tmp_path):
     if np.__version__ != golden["numpy"]:
         pytest.skip(f"golden digests were recorded with numpy {golden['numpy']}, running {np.__version__}")
     assert run_config(name, tmp_path) == golden["configs"][name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_twin_gives_the_same_outputs(name, tmp_path):
+    (tmp_path / "yaml").mkdir()
+    (tmp_path / "json").mkdir()
+    assert run_config(name, tmp_path / "json", as_json=True) == run_config(name, tmp_path / "yaml")
 
 
 if __name__ == "__main__":
