@@ -134,7 +134,7 @@ def _number(section: dict, key: str, name: str, *, lo: float | None = None,
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name}.{key} must be a number, got {value!r}")
-    value = float(value)
+    value = _as_float(value)
     if not math.isfinite(value):
         raise ConfigError(f"{name}.{key} must be finite")
     if lo is not None and value < lo:
@@ -158,6 +158,14 @@ def _integer(section: dict, key: str, name: str, *, lo: int = 0,
     return value
 
 
+def _as_float(value: int | float) -> float:
+    """float(value), with an integer past the float range as an infinity."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
@@ -171,7 +179,9 @@ def _grid_values(spec: Any, name: str, *, lo: float, hi: float) -> tuple[float, 
         for v in spec:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError(f"{name} grid entries must be numbers")
-            values.append(float(v))
+            values.append(_as_float(v))
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{name} grid entries must be finite")
         if values != sorted(set(values)):
             raise ConfigError(f"{name} grid must be strictly increasing")
         if values[0] < lo or values[-1] > hi:
@@ -419,18 +429,21 @@ def _not_a_number(constant: str) -> float:
 
 
 def _read_document(path: Path) -> Any:
-    """A `.json` file as JSON, any other as YAML."""
-    text = path.read_text()
+    """A `.json` file as JSON, any other as YAML; either in UTF-8."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     if path.suffix == ".json":
         try:
             return json.loads(text.removeprefix("\ufeff"), parse_constant=_not_a_number)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
     import yaml
 
     try:
         return yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # ValueError: an int past the digit limit
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
 

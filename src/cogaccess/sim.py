@@ -27,15 +27,19 @@ The engine solves the queues with array passes over chunks of
 _SIM_CHUNK slots, carrying both queue sizes across chunk boundaries; a
 stream read in chunks yields the same numbers as one read of the whole
 run.  Given its service opportunities, a queue follows Lindley's
-recursion, which one cumsum and one running minimum solve.  In dominant mode the primary's opportunities
-(no secondary coin, no outage) do not depend on the secondary queue, so
-one pass gives qp and a second, with service only in silent slots, gives
-qs.  In original mode the secondary contends only when backlogged, so
-the passes start from the all-backlogged (dominant) qs > 0 pattern and
-re-solve both queues until the pattern stops changing.  Slot t's qs
-depends only on the pattern before t, so everything before the first
-changed slot is exact and the next pass resumes there: every pass fixes
-at least one more slot.
+recursion, which one cumsum and one running minimum solve.  In dominant
+mode the primary's opportunities (no secondary coin, no outage) do not
+depend on the secondary queue, so one pass gives qp and a second, with
+service only in silent slots, gives qs.  In original mode the secondary
+contends only when backlogged, so the passes start from the
+all-backlogged (dominant) qs > 0 pattern and re-solve until the pattern
+stops changing.  A later pass re-solves only the dirty segments: the
+dominant pass's qp = qs = 0 slots, which every pass shares, cut the
+chunk into segments, and a segment is dirty when its pattern changed
+where the secondary's contention blocks a queued primary packet.  When
+the dirty segments hold more than half of what is left to solve, the
+pass solves all of that in place instead.  Every pass fixes at least one
+more slot (see `_solve_queues`).
 
 Nothing per slot outlives its chunk: `run` adds each chunk, while it is
 in cache, to the exact sums behind the primary queue's stability verdict
@@ -81,7 +85,7 @@ TERMINAL_FACTOR = 10.0
 
 # Slots per engine chunk: the draws and per-slot arrays of one chunk are
 # the working set that does not grow with the run.
-_SIM_CHUNK = 65_536
+_SIM_CHUNK = 32_768
 
 # Event bitfield layout (trace CSV "events" column).
 EV_ARRIVAL_P = 1 << 0
@@ -209,9 +213,9 @@ def _lindley(q0: int, service: np.ndarray, arrivals: np.ndarray, out: np.ndarray
     walk[0] = q0 - int(service[0])
     np.subtract(arrivals[:-1], service[1:], out=walk[1:], dtype=np.int64)
     np.cumsum(walk, out=walk)
-    floor = np.minimum.accumulate(walk)
-    np.minimum(floor, 0, out=floor)
-    walk -= floor
+    np.minimum.accumulate(walk, out=out)  # the floor, built in `out`
+    np.minimum(out, 0, out=out)
+    walk -= out
     out[0] = q0
     np.add(walk[:-1], arrivals[:-1], out=out[1:])
     return int(walk[-1]) + int(arrivals[-1])
@@ -228,25 +232,64 @@ def _solve_queues(qp0: int, qs0: int, p_service: np.ndarray, p_blocked: np.ndarr
     primary is silent.  The first pass lets the secondary contend in every
     slot, which is the dominant system.  In original mode it contends only
     when backlogged: each further pass solves both queues for the qs > 0
-    pattern of the pass before, resuming from the first slot whose bit
-    changed.  Slot t's qs depends only on the pattern before t, so
-    everything before that slot is exact and every pass fixes at least one
-    more slot.
+    pattern of the pass before, until a pass leaves it unchanged, which is
+    the original system.  Two facts keep the later passes short:
+
+    A. Lindley's recursion is monotone in service and no pattern contends
+       more than the first, so every pass, and the answer, has qp and qs at
+       or below the first pass, slot by slot.  Where the first pass has
+       qp = qs = 0, so does every pass: the queues regenerate there, and
+       the segments between such slots can be solved apart.
+    B. A pattern bit at slot t acts only if p_blocked[t] and qp[t] > 0.  A
+       segment with no such changed bit already solves its new pattern;
+       only the others, the dirty segments, are solved again.
+
+    A pass gathers the dirty segments and solves them in one Lindley call.
+    Each segment but the last ends just before a regeneration slot, so its
+    queues end empty, as the next gathered segment starts: the gathered
+    segments chain exactly, with no reset between them.  When the dirty
+    segments hold more than half as many slots as lie from the first
+    acting bit on, the pass solves those slots in place instead.  Slot t
+    depends only on the pattern before t, so that bit is exact after the
+    pass and the next pass's first acting bit lies past it: every pass
+    fixes at least one more slot.
     """
-    backlog = np.ones(len(p_service), dtype=bool)
-    lo = 0
+    qp_end = _lindley(qp0, p_service & ~p_blocked, arrival_p, qp)
+    qs_end = _lindley(qs0, s_service & (qp == 0), arrival_s, qs)
+    if dominant:
+        return qp_end, qs_end
+    idle = (qp == 0) & (qs == 0)
+    # a segment starts at slot 0 and at each regeneration slot before a busy one
+    starts = np.flatnonzero(np.concatenate(([True], idle[1:-1] & ~idle[2:])))
+    del idle
+    # the open slots: the whole chunk, then dirty segments only (`at` indexes
+    # them in the chunk), with their pattern, qp > 0, qs > 0 and segment starts
+    at, backlog, busy, solved = slice(None), np.ones(len(qp), dtype=bool), qp > 0, qs > 0
     while True:
-        qp_end = _lindley(qp0, p_service[lo:] & ~(p_blocked[lo:] & backlog[lo:]), arrival_p[lo:], qp[lo:])
-        qs_end = _lindley(qs0, s_service[lo:] & (qp[lo:] == 0), arrival_s[lo:], qs[lo:])
-        if dominant:
+        acting = (solved != backlog) & p_blocked[at] & busy
+        lo = int(acting.argmax())
+        if not acting[lo]:
             return qp_end, qs_end
-        solved = qs[lo:] > 0
-        changed = np.flatnonzero(solved != backlog[lo:])
-        if changed.size == 0:
-            return qp_end, qs_end
-        backlog[lo:] = solved
-        lo += int(changed[0])
-        qp0, qs0 = int(qp[lo]), int(qs[lo])
+        dirty = np.logical_or.reduceat(acting, starts)
+        lens = np.diff(starts, append=len(acting))
+        keep = np.flatnonzero(np.repeat(dirty, lens))
+        if 2 * len(keep) > len(acting) - lo:  # solve from lo on, in place
+            part, backlog, solved = slice(lo, None), solved, solved.copy()
+        else:  # keep only the dirty segments open
+            at = keep if isinstance(at, slice) else at[keep]
+            backlog, busy, solved = solved[keep], np.empty(len(keep), dtype=bool), np.empty(len(keep), dtype=bool)
+            starts = np.concatenate(([0], np.cumsum(lens[dirty][:-1])))
+            part = slice(None)
+        del acting, keep
+        slots = part if isinstance(at, slice) else at[part]
+        q = qp[slots]
+        qp_last = _lindley(int(q[0]), p_service[slots] & ~(p_blocked[slots] & backlog[part]), arrival_p[slots], q)
+        qp[slots], busy[part] = q, q > 0  # the scatter is a no-op on a view
+        q = qs[slots]
+        qs_last = _lindley(int(q[0]), s_service[slots] & ~busy[part], arrival_s[slots], q)
+        qs[slots], solved[part] = q, q > 0
+        if isinstance(at, slice) or at[-1] == len(qp) - 1:  # the chunk's last slot is open
+            qp_end, qs_end = qp_last, qs_last
 
 
 def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> SimResult:
@@ -418,8 +461,8 @@ def _add_chunk_sums(sums: tuple[int, int], q: np.ndarray, lo: int) -> tuple[int,
     starts at slot lo, as exact Python ints.
 
     The chunk's sums are taken in int64, sum(t*q) = lo*sum(q) + sum(u*q)
-    with u < m, exact while max|q| * m * m < 2**63: for a chunk of 65,536
-    slots, queue sizes up to 2**31 - 1.  A queue grows by at most one packet
+    with u < m, exact while max|q| * m * m < 2**63: for a chunk of 32,768
+    slots, queue sizes up to 2**33 - 1.  A queue grows by at most one packet
     a slot, so that holds up to cli's slot limit unless the run starts with
     a huge initial queue; a chunk past it is summed in Python ints.
     """

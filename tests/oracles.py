@@ -114,6 +114,59 @@ def replay_queue(q0, departures, arrivals):
     return out
 
 
+def _lindley_cumsum(q0: int, service: np.ndarray, arrivals: np.ndarray, out: np.ndarray) -> int:
+    """Queue sizes at slot start under Q[t+1] = max(Q[t] - S[t], 0) + A[t].
+
+    Writes Q[0..m-1] (Q[0] = q0) into `out` and returns Q[m].  The size
+    just after slot t-1's departures, Y[t] = Q[t] - A[t-1], follows
+    Lindley's recursion Y[t+1] = max(Y[t] + A[t-1] - S[t], 0), whose
+    solution is the free walk minus its running minimum below zero.
+    """
+    walk = np.empty(len(service), dtype=np.int64)
+    walk[0] = q0 - int(service[0])
+    np.subtract(arrivals[:-1], service[1:], out=walk[1:], dtype=np.int64)
+    np.cumsum(walk, out=walk)
+    floor = np.minimum.accumulate(walk)
+    np.minimum(floor, 0, out=floor)
+    walk -= floor
+    out[0] = q0
+    np.add(walk[:-1], arrivals[:-1], out=out[1:])
+    return int(walk[-1]) + int(arrivals[-1])
+
+
+def solve_queues_fixed_point(qp0: int, qs0: int, p_service: np.ndarray, p_blocked: np.ndarray,
+                             s_service: np.ndarray, arrival_p: np.ndarray, arrival_s: np.ndarray,
+                             qp: np.ndarray, qs: np.ndarray, dominant: bool) -> tuple[int, int]:
+    """The chunk solve `sim._solve_queues` must match, with its own Lindley
+    recursion: both queues of one chunk, written into qp and qs; returns
+    the sizes after the chunk's last slot.
+
+    The primary is served when p_service and not (p_blocked and the
+    secondary contends); the secondary is served when s_service and the
+    primary is silent.  The first pass lets the secondary contend in every
+    slot, which is the dominant system.  In original mode it contends only
+    when backlogged: each further pass solves both queues for the qs > 0
+    pattern of the pass before, resuming from the first slot whose bit
+    changed.  Slot t's qs depends only on the pattern before t, so
+    everything before that slot is exact and every pass fixes at least one
+    more slot.
+    """
+    backlog = np.ones(len(p_service), dtype=bool)
+    lo = 0
+    while True:
+        qp_end = _lindley_cumsum(qp0, p_service[lo:] & ~(p_blocked[lo:] & backlog[lo:]), arrival_p[lo:], qp[lo:])
+        qs_end = _lindley_cumsum(qs0, s_service[lo:] & (qp[lo:] == 0), arrival_s[lo:], qs[lo:])
+        if dominant:
+            return qp_end, qs_end
+        solved = qs[lo:] > 0
+        changed = np.flatnonzero(solved != backlog[lo:])
+        if changed.size == 0:
+            return qp_end, qs_end
+        backlog[lo:] = solved
+        lo += int(changed[0])
+        qp0, qs0 = int(qp[lo]), int(qs[lo])
+
+
 def write_trace_csv_rowwise(trace, path):
     """Trace CSV written one csv.writerow per slot, the reference the
     chunked writer must match byte for byte."""

@@ -128,6 +128,46 @@ class TestConfigValidation:
                 assert len(grid) == count and grid[-1] == 1.0
                 assert all(a < b for a, b in zip(grid, grid[1:])), (k, count)
 
+    @pytest.mark.parametrize("entry", [float("nan"), 10**400], ids=["nan", "int past the float range"])
+    @pytest.mark.parametrize("command", ["region", "sweep"])
+    def test_non_finite_grid_entry_rejected(self, tmp_path, capsys, command, entry):
+        doc = dict(BENCH_BASE, grids={"lambda_p": [entry], "b_s": {"count": 5}}, output_dir=str(tmp_path / "out"))
+        code, out, err = run_cli(capsys, [command, "-c", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert "grids.lambda_p grid entries must be finite" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        (dict(BENCH_BASE, scheme="S1", lambda_p=10**400), "config.lambda_p must be finite"),
+        (dict(BENCH_BASE, scheme="S1", lambda_p=0.3, grids={"b_s": {"start": 0.0, "stop": -10**400, "count": 3}}),
+         "grids.b_s.stop must be finite"),
+    ], ids=["number", "grid stop"])
+    def test_integer_past_the_float_range_rejected(self, tmp_path, capsys, doc, message):
+        code, out, err = run_cli(capsys, ["optimize", "-c", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize("document, name, verb", [
+        ("a directory", "config.yaml", "read"),
+        ("not UTF-8", "config.yaml", "read"),
+        ("an integer of 5,000 digits", "config.yaml", "parse"),  # past Python's int-from-text limit of 4,300
+        ("lists nested 5,000 deep", "config.yaml", "parse"),
+        ("lists nested 5,000 deep", "config.json", "parse"),
+    ])
+    def test_unreadable_document_is_a_config_error(self, tmp_path, capsys, document, name, verb):
+        path = tmp_path / name
+        if document == "a directory":
+            path.mkdir()
+        elif document == "not UTF-8":
+            path.write_bytes(b"scheme: S1\nlambda_p: 0.3\n# caf\xe9\n")
+        elif document.startswith("an integer"):
+            path.write_text("scheme: S1\nlambda_p: " + "1" * 5_000 + "\n")
+        else:
+            path.write_text('{"scheme": "S1", "lambda_p": ' + "[" * 5_000 + "]" * 5_000 + "}")
+        code, out, err = run_cli(capsys, ["optimize", "-c", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: cannot {verb} {path}: ")
+
     def test_json_config_also_accepted(self, tmp_path, capsys):
         doc = dict(BENCH_BASE, scheme="S1", lambda_p=0.3)
         path = tmp_path / "config.json"

@@ -37,6 +37,7 @@ from oracles import (
     measure_stability,
     replay_queue,
     run_loop,
+    solve_queues_fixed_point,
     traced_run,
     write_trace_csv_rowwise,
 )
@@ -512,6 +513,158 @@ class TestEngine:
         _, dominant = traced_run(replace(cfg, mode=SimMode.DOMINANT))
         assert np.all(dominant.qp >= original.qp)
         assert np.all(dominant.qs >= original.qs)
+
+
+# density ranges of p_service, p_blocked, s_service, arrival_p and arrival_s
+# under which both queues empty and refill often: many segments, many passes
+BUSY_AND_IDLE = ((0.7, 1.0), (0.2, 1.0), (0.3, 0.9), (0.05, 0.6), (0.05, 0.5))
+
+
+@st.composite
+def chunks(draw):
+    """The arguments of `_solve_queues` before its outputs: initial sizes
+    from 0 to huge, and each mask at its own drawn density, anywhere in
+    [0, 1] or within BUSY_AND_IDLE."""
+    m = draw(st.integers(1, 300) | st.just(CHUNK))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = st.integers(0, 3) | st.integers(0, 2**62)
+    busy_and_idle = draw(st.booleans())
+    densities = [draw(st.floats(lo, hi) if busy_and_idle else unit_or_random) for lo, hi in BUSY_AND_IDLE]
+    return (draw(sizes), draw(sizes), *(rng.random(m) < density for density in densities))
+
+
+def solve_both(args, dominant):
+    """_solve_queues and the fixed-point oracle on one chunk: (ends, qp, qs) each."""
+    m = len(args[2])
+    results = []
+    for solve in (sim._solve_queues, solve_queues_fixed_point):
+        qp, qs = np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64)
+        results.append((solve(*args, qp, qs, dominant), qp, qs))
+    return results
+
+
+def assert_same_solve(args, dominant):
+    (ends, qp, qs), (ref_ends, ref_qp, ref_qs) = solve_both(args, dominant)
+    assert ends == ref_ends
+    assert np.array_equal(qp, ref_qp) and np.array_equal(qs, ref_qs)
+    return qp, qs
+
+
+def block_chunk(kinds):
+    """A chunk of one-packet busy periods of the primary, each its own
+    segment: a dirty block (3 slots) is blocked where the first pass's
+    secondary contends, a clean block (2 slots) is not.  The secondary
+    never has a packet."""
+    p_service, p_blocked, arrival_p = [], [], []
+    for dirty in kinds:
+        p_service += [1, 1, 1] if dirty else [1, 1]
+        p_blocked += [0, 1, 0] if dirty else [0, 0]
+        arrival_p += [1, 0, 0] if dirty else [1, 0]
+    m = len(p_service)
+    masks = (p_service, p_blocked, np.ones(m), arrival_p, np.zeros(m))
+    return (0, 0, *(np.array(mask, dtype=bool) for mask in masks))
+
+
+def lindley_lengths(call):
+    """The lengths of the series `call()` hands to sim._lindley, in order."""
+    lengths = []
+    lindley = sim._lindley
+
+    def counting(q0, service, *args):
+        lengths.append(len(service))
+        return lindley(q0, service, *args)
+
+    with mock.patch.object(sim, "_lindley", counting):
+        call()
+    return lengths
+
+
+class TestChunkSolve:
+    """The segmented original-mode solve against the fixed point it replaced."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(args=chunks(), dominant=st.booleans())
+    def test_matches_the_fixed_point(self, args, dominant):
+        assert_same_solve(args, dominant)
+
+    @pytest.mark.parametrize("shape", ["overloaded primary", "all regeneration", "p_blocked all True",
+                                       "p_blocked all False"])
+    @pytest.mark.parametrize("m", [1, 2, 300, CHUNK])
+    def test_corner_shapes(self, shape, m):
+        rng = np.random.default_rng(m)
+        p_service, p_blocked, s_service, arrival_p, arrival_s = (rng.random((5, m)) < 0.6)
+        if shape == "overloaded primary":
+            arrival_p[:] = True
+        elif shape == "all regeneration":
+            arrival_p[:] = arrival_s[:] = False
+        else:
+            p_blocked[:] = shape == "p_blocked all True"
+        qp, qs = assert_same_solve((0, 0, p_service, p_blocked, s_service, arrival_p, arrival_s), False)
+        if shape == "overloaded primary":
+            assert np.all(qp[1:] > 0)  # no slot after slot 0 regenerates
+        elif shape == "all regeneration":
+            assert not qp.any() and not qs.any()
+
+    @pytest.mark.parametrize("clean, gathered", [(61, True), (60, False)])
+    def test_dirty_share_at_the_fallback(self, clean, gathered):
+        # 40 dirty blocks, the first one leading: from its blocked slot (slot 1)
+        # on, 120 dirty slots are at most half of the 241 slots of 61 clean
+        # blocks' chunk, but more than half of the 239 of 60 clean blocks'
+        kinds = [True] + list(np.random.default_rng(clean).permutation([True] * 39 + [False] * clean))
+        args = block_chunk(kinds)
+        m = len(args[2])
+        lengths = lindley_lengths(lambda: assert_same_solve(args, False))
+        assert lengths == ([m, m, 120, 120] if gathered else [m, m, m - 1, m - 1])
+
+    def test_gathered_last_segment_gives_the_end_sizes(self):
+        # the chunk ends in a dirty block's blocked slot: the first pass
+        # leaves its packet queued, the answer serves it, and the pass that
+        # does so gathers the two dirty segments (5 slots of 13)
+        p_service, p_blocked, s_service, arrival_p, arrival_s = (mask[:-1] for mask in block_chunk(
+            [True, False, False, False, False, True])[2:])
+        args = (0, 0, p_service, p_blocked, s_service, arrival_p, arrival_s)
+        lengths = lindley_lengths(lambda: assert_same_solve(args, False))
+        assert lengths == [13, 13, 5, 5]
+        assert solve_both(args, True)[0][0] == (1, 0) and solve_both(args, False)[0][0] == (0, 0)
+
+    @pytest.mark.parametrize("cfg, most", [
+        (sim_config(a_s=0.7, lambda_p=0.3), 3.5),  # 7.89 with the fixed-point solve
+        (sim_config(a_s=0.9, lambda_p=1.0), 2.2),  # 2.13 with it
+    ], ids=["stable", "overloaded"])
+    def test_slots_solved_per_slot(self, cfg, most):
+        cfg = replace(cfg, slots=1_000_000, mode=SimMode.ORIGINAL)
+        assert sum(lindley_lengths(lambda: run(cfg))) / cfg.slots <= most
+
+    @pytest.mark.parametrize("cfg", [
+        sim_config(a_s=0.7, lambda_p=0.3),  # stable
+        sim_config(variant=Variant.S2, a_s=0.8, b_s=0.3, lambda_p=0.3),  # stable, more passes
+        sim_config(a_s=0.7, lambda_p=0.68, lambda_s=0.1),  # near the boundary (mu_p = 0.711)
+        sim_config(a_s=0.9, lambda_p=1.0),  # overloaded
+    ], ids=["stable S1", "stable S2", "near the boundary", "overloaded"])
+    def test_peak_memory_per_chunk_at_most_the_fixed_points(self, cfg):
+        # the oracle is the solve this one replaced, recursion included, so
+        # its traced peak is the old solve's
+        chunks = []
+        solve = sim._solve_queues
+
+        def keep_args(*args):
+            chunks.append(args[:7])
+            return solve(*args)
+
+        with mock.patch.object(sim, "_solve_queues", keep_args):
+            run(replace(cfg, slots=4 * CHUNK, mode=SimMode.ORIGINAL))
+        assert len(chunks) == 4
+        qp, qs = np.empty(CHUNK, dtype=np.int64), np.empty(CHUNK, dtype=np.int64)
+        for args in chunks:  # the first chunk included
+            peaks = []
+            for solver in (sim._solve_queues, solve_queues_fixed_point):
+                tracemalloc.start()
+                try:
+                    solver(*args, qp, qs, False)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[0] <= peaks[1]
 
 
 class TestValidation:
