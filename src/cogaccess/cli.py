@@ -8,34 +8,38 @@ Five subcommands over one validated config document (YAML or JSON):
     estimate  learning-phase -> regular-phase end-to-end run
     sweep     long-format CSV over (tau, sensing target, lambda_p) cells
 
-load_config is the one path from a command line to a RunConfig, and it
-builds the library's own types: the sensing section becomes a TargetMode.
-The flags --seed, --mode, --margin and --output-dir replace the keys
-sim.seed, sim.mode, margin and output_dir before validation, so a flag is
-checked exactly as the key it overrides.  A `.json` document is read as
-JSON, without NaN or Infinity; any other as YAML 1.1, whose `1e-5` is a
-string (write `1.0e-5`).
+load_config is the one path from a command line to a RunConfig.  The schema
+is one table per section of the document, giving each key its kind, bounds
+and default (a key without a default is required); one walker checks each
+section against its table, so every key present is checked.  The result holds
+the library's own types: sensing becomes a TargetMode, and sim, estimate and
+access become records whose fields are their tables' keys.  The flags --seed,
+--mode, --margin and --output-dir replace the keys sim.seed, sim.mode, margin
+and output_dir before validation, so a flag is checked exactly as the key it
+overrides.  A `.json` document is read as JSON, without NaN or Infinity; any
+other as YAML 1.1, whose `1e-5` is a string (write `1.0e-5`).
 
 Only the CLI converts units: SNRs are given in dB here and become linear
 inside PhyParams.  Outputs are deterministic functions of the config
 (seeds included): no timestamps, fixed row order, shortest-roundtrip
 float formatting.  Exit codes: 0 success (an infeasible optimization is
 still a success), 1 standard output closed before it was written (say, by
-`| head`; output files are complete), 2 config error, 3 internal error.
+`| head`; output files are complete), 2 config error (an output file that
+cannot be created included), 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import IO, Any, Callable, Iterable, Sequence
 
 from .errors import CogAccessError, ConfigError, DomainError, PrimaryUnstableError
 from .optimizer import (
@@ -60,7 +64,7 @@ from .optimizer import (
 from .phy import LinkSuccess, PhyParams, SensingPoint, link_success
 from .schemes import NO_SENSING, EstimatorMode, SchemeConfig, SimMode, Variant, service_rates
 
-__all__ = ["main", "load_config", "RunConfig"]
+__all__ = ["main", "load_config", "RunConfig", "AccessSection", "SimSection", "EstimateSection"]
 
 REGION_CSV_SCHEMA = "region/1"
 SWEEP_CSV_SCHEMA = "sweep/1"
@@ -88,30 +92,13 @@ MAX_SWEEP_CELLS = 10_000_000
 MAX_SIM_SLOTS = 2**31 - 1
 MAX_TRACED_SLOTS = 4 * 2**30 // 25
 
-_SCHEME_NAMES = [v.value for v in Variant]
-_CURVE_NAMES = _SCHEME_NAMES + [UNION]
-
-# sim and estimator are imported when simulate or estimate first runs.  Their
-# names are then bound here, as cli.<name>, keeping a name already set (patched).
-_LAZY = {"sim": ("SimConfig", "TRACE_CSV_HEADER", "run", "write_trace_rows"),
-         "estimator": ("learning_then_regular",)}
+_SCHEME_NAMES = tuple(v.value for v in Variant)
+_CURVE_NAMES = (*_SCHEME_NAMES, UNION)
 
 
-def _bind(module: str) -> None:
-    source = importlib.import_module(f".{module}", __package__)
-    for name in _LAZY[module]:
-        globals().setdefault(name, getattr(source, name))
-
-
-def __getattr__(name: str) -> Any:
-    for module, names in _LAZY.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# --- config validation helpers -----------------------------------------------
+# --- config schema: kinds -----------------------------------------------------
+# A kind parses the value of one key, named by its dotted path, within the
+# bounds lo and hi of the key's schema entry; it raises ConfigError on anything else.
 
 def _as_mapping(obj: Any, name: str) -> dict:
     if not isinstance(obj, dict):
@@ -119,79 +106,92 @@ def _as_mapping(obj: Any, name: str) -> dict:
     return obj
 
 
-def _reject_unknown(section: dict, allowed: Sequence[str], name: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}; allowed: {', '.join(sorted(allowed))}")
-
-
-def _number(section: dict, key: str, name: str, *, lo: float | None = None,
-            hi: float | None = None, default: float | None = None, required: bool = False) -> float | None:
-    if key not in section:
-        if required:
-            raise ConfigError(f"{name}.{key} is required")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name}.{key} must be a number, got {value!r}")
-    value = _as_float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{name}.{key} must be finite")
+def _within(value: float, name: str, lo: float | None, hi: float | None) -> float:
     if lo is not None and value < lo:
-        raise ConfigError(f"{name}.{key} must be >= {lo}, got {value}")
+        raise ConfigError(f"{name} must be >= {lo}, got {value}")
     if hi is not None and value > hi:
-        raise ConfigError(f"{name}.{key} must be <= {hi}, got {value}")
+        raise ConfigError(f"{name} must be <= {hi}, got {value}")
     return value
 
 
-def _integer(section: dict, key: str, name: str, *, lo: int = 0,
-             default: int | None = None, required: bool = False) -> int | None:
-    if key not in section:
-        if required:
-            raise ConfigError(f"{name}.{key} is required")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name}.{key} must be an integer, got {value!r}")
-    if value < lo:
-        raise ConfigError(f"{name}.{key} must be >= {lo}, got {value}")
-    return value
-
-
-def _as_float(value: int | float) -> float:
-    """float(value), with an integer past the float range as an infinity."""
+def _number(value: Any, name: str, *, lo: float | None = None, hi: float | None = None) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
+        value = float(value)
+    except OverflowError:  # an integer past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite")
+    return _within(value, name, lo, hi)
+
+
+def _decibels(value: Any, name: str, **bounds: Any) -> float:
+    """A number in dB, as a linear ratio; past the float range, an infinity (which PhyParams rejects)."""
+    try:
+        return 10.0 ** (_number(value, name, **bounds) / 10.0)
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        return math.inf
 
 
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+def _integer(value: Any, name: str, *, lo: int | None = None, hi: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return _within(value, name, lo, hi)
 
 
-def _grid_values(spec: Any, name: str, *, lo: float, hi: float) -> tuple[float, ...]:
-    """A grid is either an explicit list or {start, stop, count}."""
+def _boolean(value: Any, name: str, **_: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be a boolean, got {value!r}")
+    return value
+
+
+def _one_of(choices: Iterable[str], value: Any, name: str, **_: Any) -> str:
+    """The choice equal to `value`: a member, where `choices` is a str enum."""
+    for choice in choices:
+        if value == choice:
+            return choice
+    raise ConfigError(f"{name} must be {'|'.join(choices)}, got {value!r}")
+
+
+def _list_of(kind: Callable[..., Any], value: Any, name: str, **bounds: Any) -> tuple:
+    """A non-empty list of distinct values of `kind`."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+    items = tuple(kind(item, f"{name}[{i}]", **bounds) for i, item in enumerate(value))
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ConfigError(f"{name}[{i}] repeats {item!r}")
+    return items
+
+
+def _or_null(kind: Callable[..., Any], value: Any, name: str, **bounds: Any) -> Any:
+    return None if value is None else kind(value, name, **bounds)
+
+
+def _path(value: Any, name: str, **_: Any) -> Path:
+    try:  # no file name holds a NUL or a lone surrogate
+        if isinstance(value, str) and b"\0" not in os.fsencode(value):
+            return Path(value)
+    except UnicodeEncodeError:
+        pass
+    raise ConfigError(f"{name} must be a string path, got {value!r}")
+
+
+def _grid_values(spec: Any, name: str, *, lo: float, hi: float, default: Callable | None = None) -> tuple[float, ...]:
+    """A grid is either an explicit list or {start, stop, count}; where the axis
+    has a `default` grid on [0, hi], {count} alone is that grid with count points."""
+    if default and isinstance(spec, dict) and spec.keys() == _COUNT.keys():
+        return default(hi, _walk(spec, _COUNT, name)["count"])
     if isinstance(spec, list):
         if not spec:
             raise ConfigError(f"{name} grid must be non-empty")
-        values = []
-        for v in spec:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"{name} grid entries must be numbers")
-            values.append(_as_float(v))
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(f"{name} grid entries must be finite")
+        values = [_number(v, f"{name} grid entries", lo=lo, hi=hi) for v in spec]
         if values != sorted(set(values)):
             raise ConfigError(f"{name} grid must be strictly increasing")
-        if values[0] < lo or values[-1] > hi:
-            raise ConfigError(f"{name} grid entries must lie in [{lo}, {hi}]")
         return tuple(values)
-    spec = _as_mapping(spec, name)
-    _reject_unknown(spec, ["start", "stop", "count"], name)
-    start = _number(spec, "start", name, lo=lo, hi=hi, required=True)
-    stop = _number(spec, "stop", name, lo=lo, hi=hi, required=True)
-    count = _integer(spec, "count", name, lo=2, required=True)
+    span = {"start": _Key(_number, lo, hi), "stop": _Key(_number, lo, hi), **_COUNT}
+    start, stop, count = _walk(spec, span, name).values()
     if stop <= start:
         raise ConfigError(f"{name}.stop must exceed {name}.start")
     # the points of np.linspace: start + i*step, the last one exactly stop
@@ -202,19 +202,123 @@ def _grid_values(spec: Any, name: str, *, lo: float, hi: float) -> tuple[float, 
     return values
 
 
-def _axis(grids: dict, key: str, default: Callable[..., tuple[float, ...]], hi: float) -> tuple[float, ...]:
-    """grids[key] as a grid on [0, hi]; absent, the default grid, and {count}
-    alone, the default grid with that many points."""
-    name = f"grids.{key}"
-    if key not in grids:
-        return default()
-    spec = grids[key]
-    if isinstance(spec, dict) and set(spec) == {"count"}:
-        return default(_integer(spec, "count", name, lo=2, required=True))
-    return _grid_values(spec, name, lo=0.0, hi=hi)
+# --- config schema: tables and the walker ---------------------------------------
+
+_REQUIRED = object()
+_SLOT = object()  # a bound: the slot length, T on phy and 1.0 on channel
+
+# A key's schema entry: its kind, a parse function or, for a section of the
+# document, the section's table; its bounds; and its default, without which it is required.
+_Key = namedtuple("_Key", "kind lo hi default", defaults=(None, None, _REQUIRED))
+
+_COUNT = {"count": _Key(_integer, 2)}  # the size of a {start, stop, count} grid
+
+_PHY = {  # in PhyParams' field order
+    "bits_per_packet": _Key(_number, 1e-12),
+    "slot_seconds": _Key(_number, 1e-12),
+    "bandwidth_hz": _Key(_number, 1e-12),
+    "sampling_hz": _Key(_number, 1e-12),
+    "sense_snr_db": _Key(_decibels),
+    "noise_variance": _Key(_number, 1e-12, default=1.0),
+    "secondary_snr_db": _Key(_decibels),
+    "secondary_mean_gain": _Key(_number, 1e-12, default=1.0),
+    "primary_snr_db": _Key(_decibels),
+    "primary_mean_gain": _Key(_number, 1e-12, default=1.0),
+}
+_CHANNEL = {
+    "p_bar_p_pd": _Key(_number, 0.0, 1.0),
+    "p_bar_s_sd": _Key(_number, 0.0, 1.0),
+}
+_PINNED_TAU = _Key(_number, 1e-12, _SLOT, None)  # pins a tau-dependent target to one point (simulate/estimate)
+_SENSING = {  # each sensing.mode: the target it sets, and the table of the keys beside mode
+    "fixed_point": (FixedSensing, {
+        "tau": _Key(_number, 0.0, _SLOT),
+        "p_fa": _Key(_number, 0.0, 1.0),
+        "p_md": _Key(_number, 0.0, 1.0),
+    }),
+    "target_pfa": (FixedFalseAlarm, {
+        "value": _Key(_number, 1e-12, 1.0 - 1e-12),
+        "tau": _PINNED_TAU,
+    }),
+    "target_pmd": (FixedMisdetection, {
+        "value": _Key(_number, 1e-12, 1.0 - 1e-12),
+        "tau": _PINNED_TAU,
+    }),
+    "threshold": (FixedThreshold, {
+        "epsilon": _Key(_number, 1e-12),
+        "tau": _PINNED_TAU,
+    }),
+}
+_MODE = _Key(partial(_one_of, _SENSING))  # sensing.mode, which picks the table of the other sensing keys
+_ACCESS = {
+    "optimal": _Key(_boolean, default=False),
+    "a_s": _Key(_number, 0.0, 1.0, None),  # required unless optimal
+    "b_s": _Key(_number, 0.0, 1.0, 0.0),
+}
+_GRIDS = {  # tau and b_s absent: their default grids
+    "lambda_p": _Key(_grid_values, 0.0, 1.0, None),
+    "tau": _Key(partial(_grid_values, default=default_tau_grid), 0.0, _SLOT, None),
+    "b_s": _Key(partial(_grid_values, default=lambda _, count: default_b_s_grid(count)), 0.0, 1.0, None),
+    "p_fa": _Key(_grid_values, 0.0, 1.0, ()),
+    "p_md": _Key(_grid_values, 0.0, 1.0, ()),
+}
+_SIM = {
+    "slots": _Key(_integer, 1, default=100_000),
+    "seed": _Key(_integer, 0, default=0),
+    "mode": _Key(partial(_one_of, SimMode), default=SimMode.ORIGINAL),
+    "feedback_error": _Key(_number, 0.0, 0.999999, 0.0),
+    "record_traces": _Key(_boolean, default=False),
+}
+_ESTIMATE = {
+    "lp_slots": _Key(_integer, 1, default=10_000),
+    "rp_slots": _Key(_integer, 10, default=100_000),
+    "estimator_mode": _Key(partial(_one_of, EstimatorMode), default=EstimatorMode.UNBIASED),
+    "margin": _Key(partial(_or_null, _number), 0.0, default=None),  # null: the recommended margin
+}
+_CONFIG = {
+    "phy": _Key(_PHY, default=None),
+    "channel": _Key(_CHANNEL, default=None),
+    "sensing": _Key(_SENSING, default={"mode": "fixed_point", **vars(NO_SENSING)}),
+    "scheme": _Key(partial(_one_of, Variant), default=None),
+    "schemes": _Key(partial(_list_of, partial(_one_of, _CURVE_NAMES)), default=_CURVE_NAMES),
+    "access": _Key(_ACCESS, default=None),
+    "lambda_p": _Key(_number, 0.0, 1.0, 0.0),
+    "lambda_s": _Key(_number, 0.0, 1.0, 0.0),
+    "margin": _Key(_number, 0.0, default=0.0),
+    "grids": _Key(_GRIDS, default={}),
+    "sim": _Key(_SIM, default={}),
+    "estimate": _Key(_ESTIMATE, default={}),
+    "output_dir": _Key(_path, default=Path("out")),
+}
+
+
+def _walk(section: Any, table: dict[str, _Key], name: str, slot: float = 1.0) -> dict[str, Any]:
+    """Check `section` against its table: no unknown key, every required key, each value of its kind within
+    its bounds.  Returns each key's value or default in table order; a section of the document stays as given."""
+    section = _as_mapping(section, name)
+    unknown = sorted(map(str, section.keys() - table.keys()))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}; allowed: {', '.join(sorted(table))}")
+    values = {}
+    for key, (kind, lo, hi, default) in table.items():
+        if key not in section:
+            if default is _REQUIRED:
+                raise ConfigError(f"{name}.{key} is required")
+            values[key] = default
+        elif isinstance(kind, dict):
+            values[key] = _as_mapping(section[key], key)
+        else:
+            values[key] = kind(section[key], f"{name}.{key}", lo=lo, hi=slot if hi is _SLOT else hi)
+    return values
 
 
 # --- parsed configuration ------------------------------------------------------
+
+# the sections that commands read key by key, as records of their tables' keys
+AccessSection = namedtuple("AccessSection", _ACCESS)
+SimSection = namedtuple("SimSection", _SIM)
+EstimateSection = namedtuple("EstimateSection", _ESTIMATE)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -225,7 +329,7 @@ class RunConfig:
     sensing_tau: float | None  # pins a tau-dependent target to one point (simulate/estimate)
     scheme: Variant | None
     schemes: tuple[str, ...]
-    access: dict | None
+    access: AccessSection | None
     lambda_p: float
     lambda_s: float
     margin: float
@@ -234,8 +338,8 @@ class RunConfig:
     b_s_grid: tuple[float, ...]
     p_fa_values: tuple[float, ...]
     p_md_values: tuple[float, ...]
-    sim: dict
-    estimate: dict
+    sim: SimSection
+    estimate: EstimateSection
     output_dir: Path
 
     def request(self, variant: Variant, target: TargetMode | None = None) -> OptimizationRequest:
@@ -251,176 +355,36 @@ class RunConfig:
         if not isinstance(self.channel, PhyParams):
             raise ConfigError("tau-dependent sensing modes need the `phy` section, not `channel`")
         if self.sensing_tau is None:
-            mode = _TARGET_MODES[type(self.target)][0]
+            mode = next(mode for mode, (target, _) in _SENSING.items() if isinstance(self.target, target))
             raise ConfigError(f"sensing.tau is required to pin a single operating point in mode {mode}")
         (pt,) = operating_points(self.target, (self.sensing_tau,), self.channel)
         return SensingPoint(tau=pt.tau, p_fa=pt.p_fa, p_md=pt.p_md)
 
 
-_TOP_KEYS = [
-    "phy", "channel", "sensing", "scheme", "schemes", "access",
-    "lambda_p", "lambda_s", "margin", "grids", "sim", "estimate", "output_dir",
-]
-_PHY_KEYS = [
-    "bits_per_packet", "slot_seconds", "bandwidth_hz", "sampling_hz",
-    "sense_snr_db", "noise_variance", "secondary_snr_db", "secondary_mean_gain",
-    "primary_snr_db", "primary_mean_gain",
-]
-
-
-def _parse_channel(doc: dict) -> Channel:
-    if ("phy" in doc) == ("channel" in doc):
-        raise ConfigError("exactly one of `phy` (detector + link physics) or `channel` (direct probabilities) is required")
-    if "channel" in doc:
-        section = _as_mapping(doc["channel"], "channel")
-        _reject_unknown(section, ["p_bar_p_pd", "p_bar_s_sd"], "channel")
-        return LinkSuccess(
-            p_bar_p_pd=_number(section, "p_bar_p_pd", "channel", lo=0.0, hi=1.0, required=True),
-            p_bar_s_sd=_number(section, "p_bar_s_sd", "channel", lo=0.0, hi=1.0, required=True),
-        )
-    section = _as_mapping(doc["phy"], "phy")
-    _reject_unknown(section, _PHY_KEYS, "phy")
-    return PhyParams(
-        b=_number(section, "bits_per_packet", "phy", lo=1e-12, required=True),
-        T=_number(section, "slot_seconds", "phy", lo=1e-12, required=True),
-        W=_number(section, "bandwidth_hz", "phy", lo=1e-12, required=True),
-        f_s=_number(section, "sampling_hz", "phy", lo=1e-12, required=True),
-        gamma_sense=_db_to_linear(_number(section, "sense_snr_db", "phy", required=True)),
-        sigma_u2=_number(section, "noise_variance", "phy", lo=1e-12, default=1.0),
-        gamma_s_sd=_db_to_linear(_number(section, "secondary_snr_db", "phy", required=True)),
-        sigma2_s_sd=_number(section, "secondary_mean_gain", "phy", lo=1e-12, default=1.0),
-        gamma_p_pd=_db_to_linear(_number(section, "primary_snr_db", "phy", required=True)),
-        sigma2_p_pd=_number(section, "primary_mean_gain", "phy", lo=1e-12, default=1.0),
-    )
-
-
-# the tau-dependent target modes: sensing.mode, its parameter's key and the parameter's upper bound
-_TARGET_MODES = {
-    FixedFalseAlarm: ("target_pfa", "value", 1.0 - 1e-12),
-    FixedMisdetection: ("target_pmd", "value", 1.0 - 1e-12),
-    FixedThreshold: ("threshold", "epsilon", None),
-}
-
-
-def _parse_sensing(doc: dict, slot: float) -> tuple[TargetMode, float | None]:
-    """The target mode and the tau that pins it, if any; tau lies in [0, slot], as on grids.tau."""
-    section = _as_mapping(doc.get("sensing", {"mode": "fixed_point", **vars(NO_SENSING)}), "sensing")
-    mode = section.get("mode")
-    if mode == "fixed_point":
-        _reject_unknown(section, ["mode", "tau", "p_fa", "p_md"], "sensing")
-        return FixedSensing(SensingPoint(
-            tau=_number(section, "tau", "sensing", lo=0.0, hi=slot, required=True),
-            p_fa=_number(section, "p_fa", "sensing", lo=0.0, hi=1.0, required=True),
-            p_md=_number(section, "p_md", "sensing", lo=0.0, hi=1.0, required=True),
-        )), None
-    for target, (name, key, hi) in _TARGET_MODES.items():
-        if mode == name:
-            _reject_unknown(section, ["mode", key, "tau"], "sensing")
-            value = _number(section, key, "sensing", lo=1e-12, hi=hi, required=True)
-            return target(value), _number(section, "tau", "sensing", lo=1e-12, hi=slot)
-    raise ConfigError(f"sensing.mode must be one of fixed_point|target_pfa|target_pmd|threshold, got {mode!r}")
-
-
 def parse_config(doc: dict) -> RunConfig:
-    doc = _as_mapping(doc, "config")
-    _reject_unknown(doc, _TOP_KEYS, "config")
-    channel = _parse_channel(doc)
+    top = _walk(doc, _CONFIG, "config")
+    if (top["phy"] is None) == (top["channel"] is None):
+        raise ConfigError("exactly one of `phy` (detector + link physics) or `channel` (direct probabilities) "
+                          "is required")
+    channel = (LinkSuccess(**_walk(top["channel"], _CHANNEL, "channel")) if top["phy"] is None
+               else PhyParams(*_walk(top["phy"], _PHY, "phy").values()))
     slot = channel.T if isinstance(channel, PhyParams) else 1.0
-    target, sensing_tau = _parse_sensing(doc, slot)
-
-    scheme = None
-    if "scheme" in doc:
-        if doc["scheme"] not in _SCHEME_NAMES:
-            raise ConfigError(f"scheme must be one of {_SCHEME_NAMES}, got {doc['scheme']!r}")
-        scheme = Variant(doc["scheme"])
-
-    schemes = doc.get("schemes", _CURVE_NAMES)
-    if not isinstance(schemes, list) or not schemes:
-        raise ConfigError("schemes must be a non-empty list")
-    for name in schemes:
-        if name not in _CURVE_NAMES:
-            raise ConfigError(f"schemes entries must be in {_CURVE_NAMES}, got {name!r}")
-
-    access = None
-    if "access" in doc:
-        section = _as_mapping(doc["access"], "access")
-        _reject_unknown(section, ["a_s", "b_s", "optimal"], "access")
-        optimal = section.get("optimal", False)
-        if not isinstance(optimal, bool):
-            raise ConfigError("access.optimal must be a boolean")
-        if optimal:
-            access = {"optimal": True}
-        else:
-            access = {
-                "optimal": False,
-                "a_s": _number(section, "a_s", "access", lo=0.0, hi=1.0, required=True),
-                "b_s": _number(section, "b_s", "access", lo=0.0, hi=1.0, default=0.0),
-            }
-
-    grids = _as_mapping(doc.get("grids", {}), "grids")
-    _reject_unknown(grids, ["lambda_p", "tau", "b_s", "p_fa", "p_md"], "grids")
-
-    lambda_p_grid = None
-    if "lambda_p" in grids:
-        lambda_p_grid = _grid_values(grids["lambda_p"], "grids.lambda_p", lo=0.0, hi=1.0)
-    tau_grid = _axis(grids, "tau", partial(default_tau_grid, slot), slot)
-    b_s_grid = _axis(grids, "b_s", default_b_s_grid, 1.0)
-    p_fa_values = _grid_values(grids["p_fa"], "grids.p_fa", lo=0.0, hi=1.0) if "p_fa" in grids else ()
-    p_md_values = _grid_values(grids["p_md"], "grids.p_md", lo=0.0, hi=1.0) if "p_md" in grids else ()
-
-    sim_section = _as_mapping(doc.get("sim", {}), "sim")
-    _reject_unknown(sim_section, ["slots", "seed", "mode", "feedback_error", "record_traces"], "sim")
-    sim_mode = sim_section.get("mode", "original")
-    if sim_mode not in ("original", "dominant"):
-        raise ConfigError(f"sim.mode must be original|dominant, got {sim_mode!r}")
-    record = sim_section.get("record_traces", False)
-    if not isinstance(record, bool):
-        raise ConfigError("sim.record_traces must be a boolean")
-    sim = {
-        "slots": _integer(sim_section, "slots", "sim", lo=1, default=100_000),
-        "seed": _integer(sim_section, "seed", "sim", lo=0, default=0),
-        "mode": SimMode(sim_mode),
-        "feedback_error": _number(sim_section, "feedback_error", "sim", lo=0.0, hi=0.999999, default=0.0),
-        "record_traces": record,
-    }
-
-    est_section = _as_mapping(doc.get("estimate", {}), "estimate")
-    _reject_unknown(est_section, ["lp_slots", "rp_slots", "estimator_mode", "margin"], "estimate")
-    est_mode = est_section.get("estimator_mode", "unbiased")
-    if est_mode not in ("paper", "unbiased"):
-        raise ConfigError(f"estimate.estimator_mode must be paper|unbiased, got {est_mode!r}")
-    est_margin = None
-    if est_section.get("margin") is not None:
-        est_margin = _number(est_section, "margin", "estimate", lo=0.0)
-    estimate_cfg = {
-        "lp_slots": _integer(est_section, "lp_slots", "estimate", lo=1, default=10_000),
-        "rp_slots": _integer(est_section, "rp_slots", "estimate", lo=10, default=100_000),
-        "estimator_mode": EstimatorMode(est_mode),
-        "margin": est_margin,
-    }
-
-    output_dir = doc.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError("output_dir must be a string path")
-
+    target, table = _SENSING[_MODE.kind(top["sensing"].get("mode"), "sensing.mode")]
+    sensing = _walk(top["sensing"], {"mode": _MODE, **table}, "sensing", slot)
+    del sensing["mode"]
+    sensing_tau = None if target is FixedSensing else sensing.pop("tau")
+    target = FixedSensing(SensingPoint(**sensing)) if target is FixedSensing else target(*sensing.values())
+    access = None if top["access"] is None else AccessSection(**_walk(top["access"], _ACCESS, "access"))
+    if access and not access.optimal and access.a_s is None:
+        raise ConfigError("access.a_s is required")
+    grids = _walk(top["grids"], _GRIDS, "grids", slot)
     return RunConfig(
-        channel=channel,
-        target=target,
-        sensing_tau=sensing_tau,
-        scheme=scheme,
-        schemes=tuple(schemes),
-        access=access,
-        lambda_p=_number(doc, "lambda_p", "config", lo=0.0, hi=1.0, default=0.0),
-        lambda_s=_number(doc, "lambda_s", "config", lo=0.0, hi=1.0, default=0.0),
-        margin=_number(doc, "margin", "config", lo=0.0, default=0.0),
-        lambda_p_grid=lambda_p_grid,
-        tau_grid=tau_grid,
-        b_s_grid=b_s_grid,
-        p_fa_values=p_fa_values,
-        p_md_values=p_md_values,
-        sim=sim,
-        estimate=estimate_cfg,
-        output_dir=Path(output_dir),
+        channel=channel, target=target, sensing_tau=sensing_tau, scheme=top["scheme"], schemes=top["schemes"],
+        access=access, lambda_p=top["lambda_p"], lambda_s=top["lambda_s"], margin=top["margin"],
+        lambda_p_grid=grids["lambda_p"], tau_grid=grids["tau"] or default_tau_grid(slot),
+        b_s_grid=grids["b_s"] or default_b_s_grid(), p_fa_values=grids["p_fa"], p_md_values=grids["p_md"],
+        sim=SimSection(**_walk(top["sim"], _SIM, "sim")), output_dir=top["output_dir"],
+        estimate=EstimateSection(**_walk(top["estimate"], _ESTIMATE, "estimate")),
     )
 
 
@@ -489,11 +453,17 @@ def _jsonable(obj: Any) -> Any:
     return str(obj)
 
 
-def _make_output_dir(path: Path) -> None:
+def _create(path: Path, mode: str = "w") -> IO:
+    """Open an output file for writing, making output_dir first.  A file in the
+    way of output_dir, or a directory in the way of the file, is a config error."""
     try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file in the way, say
-        raise ConfigError(f"cannot create output_dir {str(path)!r}: {exc.strerror}") from exc
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {str(path.parent)!r}: {exc.strerror}") from exc
+    try:
+        return open(path, mode, newline=None if "b" in mode else "")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _emit_json(payload: dict) -> None:
@@ -529,11 +499,10 @@ def cmd_region(cfg: RunConfig) -> int:
               for name in _SCHEME_NAMES if name in cfg.schemes or (union and name in ("S0", "S2"))}
     if union:
         curves[UNION] = union_curve(curves["S0"], curves["S2"])
-    _make_output_dir(cfg.output_dir)
     for name in cfg.schemes:
         curve = curves[name]
         path = cfg.output_dir / f"region_{name}.csv"
-        with open(path, "w", newline="") as fh:
+        with _create(path) as fh:
             fh.write("lambda_p,lambda_s,scheme,tau,a_s,b_s\r\n")
             fh.writelines(f"{_fmt(p.lambda_p)},{_fmt(p.lambda_s)},{p.scheme},{_fmt(p.tau)},"
                           f"{_fmt(p.a_s)},{_fmt(p.b_s)}\r\n" for p in curve.points)
@@ -579,7 +548,7 @@ def _resolve_scheme_config(cfg: RunConfig) -> tuple[SchemeConfig, dict]:
         return SchemeConfig(variant=cfg.scheme, a_s=1.0, b_s=0.0, sensing=point), note
     if cfg.access is None:
         raise ConfigError("simulate needs an `access` section (fixed a_s/b_s or optimal: true)")
-    if cfg.access["optimal"]:
+    if cfg.access.optimal:
         _check_load(cfg.lambda_p, cfg.margin)
         result = optimize_with_margin(cfg.request(cfg.scheme, FixedSensing(point)), cfg.channel)
         if not result.feasible:
@@ -587,13 +556,15 @@ def _resolve_scheme_config(cfg: RunConfig) -> tuple[SchemeConfig, dict]:
         note["optimized"] = _result_payload(result)
         best = result.best
         return SchemeConfig(variant=cfg.scheme, a_s=best.a_s, b_s=best.b_s, sensing=point), note
-    b_s = cfg.access["b_s"] if cfg.scheme is Variant.S2 else 0.0
-    return SchemeConfig(variant=cfg.scheme, a_s=cfg.access["a_s"], b_s=b_s, sensing=point), note
+    b_s = cfg.access.b_s if cfg.scheme is Variant.S2 else 0.0
+    return SchemeConfig(variant=cfg.scheme, a_s=cfg.access.a_s, b_s=b_s, sensing=point), note
 
 
 def _sim_config(cfg: RunConfig, scheme: SchemeConfig, slots: int) -> SimConfig:
-    return SimConfig(slots=slots, seed=cfg.sim["seed"], lambda_p=cfg.lambda_p, lambda_s=cfg.lambda_s, scheme=scheme,
-                     phy=cfg.channel, mode=cfg.sim["mode"], feedback_error=cfg.sim["feedback_error"])
+    from .sim import SimConfig
+
+    return SimConfig(slots=slots, seed=cfg.sim.seed, lambda_p=cfg.lambda_p, lambda_s=cfg.lambda_s, scheme=scheme,
+                     phy=cfg.channel, mode=cfg.sim.mode, feedback_error=cfg.sim.feedback_error)
 
 
 def _check_sim_slots(slots: int, limit: int, keys: str) -> None:
@@ -603,21 +574,21 @@ def _check_sim_slots(slots: int, limit: int, keys: str) -> None:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    _bind("sim")
-    traced = cfg.sim["record_traces"]
-    _check_sim_slots(cfg.sim["slots"], MAX_TRACED_SLOTS if traced else MAX_SIM_SLOTS, "sim.slots")
+    from .sim import TRACE_CSV_HEADER, run, write_trace_rows
+
+    traced = cfg.sim.record_traces
+    _check_sim_slots(cfg.sim.slots, MAX_TRACED_SLOTS if traced else MAX_SIM_SLOTS, "sim.slots")
     scheme, note = _resolve_scheme_config(cfg)
-    sim_cfg = _sim_config(cfg, scheme, cfg.sim["slots"])
+    sim_cfg = _sim_config(cfg, scheme, cfg.sim.slots)
     if traced:
-        _make_output_dir(cfg.output_dir)
         trace_path = cfg.output_dir / "trace.csv"
-        try:
-            with open(trace_path, "wb") as fh:
+        with _create(trace_path, "wb") as fh:
+            try:
                 fh.write(TRACE_CSV_HEADER)
                 result = run(sim_cfg, sink=lambda lo, chunk: write_trace_rows(fh, lo, chunk))
-        except BaseException:
-            trace_path.unlink(missing_ok=True)  # leave no partial trace
-            raise
+            except BaseException:
+                trace_path.unlink(missing_ok=True)  # leave no partial trace
+                raise
     else:
         result = run(sim_cfg)
 
@@ -633,7 +604,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "abs_diff_mu_p": abs(result.empirical_mu_p - rates.mu_p),
             "abs_diff_mu_s": (
                 abs(result.empirical_mu_s - rates.mu_s)
-                if cfg.sim["mode"] is SimMode.DOMINANT else None
+                if cfg.sim.mode is SimMode.DOMINANT else None
             ),
             "abs_diff_p_empty": abs(result.empirical_p_empty - rates.p_empty),
         }
@@ -673,18 +644,18 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    _bind("sim")
-    _bind("estimator")
-    _check_sim_slots(cfg.estimate["lp_slots"] + cfg.estimate["rp_slots"], MAX_SIM_SLOTS,
+    from .estimator import learning_then_regular
+
+    _check_sim_slots(cfg.estimate.lp_slots + cfg.estimate.rp_slots, MAX_SIM_SLOTS,
                      "estimate.lp_slots + estimate.rp_slots")
     scheme, _ = _resolve_scheme_config(cfg)
-    template = _sim_config(cfg, scheme, cfg.estimate["rp_slots"])
+    template = _sim_config(cfg, scheme, cfg.estimate.rp_slots)
     report = learning_then_regular(
-        cfg.estimate["lp_slots"],
-        cfg.estimate["rp_slots"],
+        cfg.estimate.lp_slots,
+        cfg.estimate.rp_slots,
         template,
-        mode=cfg.estimate["estimator_mode"],
-        margin=cfg.estimate["margin"],
+        mode=cfg.estimate.estimator_mode,
+        margin=cfg.estimate.margin,
         b_s_grid=cfg.b_s_grid,
     )
     rp = report.rp_result
@@ -747,11 +718,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if "S0" in sweep_schemes:
         blocks.append(("S0", "none", 0.0, scan(Variant.S0, cfg.lambda_p_grid, cfg.request(Variant.S0), cfg.channel)))
 
-    _make_output_dir(cfg.output_dir)
     path = cfg.output_dir / "sweep.csv"
     lams = [_fmt(lam) for lam in cfg.lambda_p_grid]
     # the rows csv.writer would write (no field needs quoting), formatted a column at a time
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         fh.write("scheme,target_kind,target_value,tau,p_fa,p_md,lambda_p,lambda_s,a_s,b_s,feasible\r\n")
         for scheme_name, kind, value, grid in blocks:
             for j, pt in enumerate(grid.points):

@@ -1,16 +1,25 @@
+import contextlib
 import copy
+import io
 import itertools
 import json
+import math
 import os
+import random
+import re
 import subprocess
 import sys
+import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cogaccess
-from cogaccess import cli, sim
+from cogaccess import cli, estimator, sim
 from cogaccess.cli import main
 from cogaccess.errors import ConfigError
 from cogaccess.estimator import EstimatorMode, learning_then_regular
@@ -57,6 +66,13 @@ PINNED = [
     ({"mode": "target_pmd", "value": 0.3, "tau": 0.05}, pfa_for_target_pmd(PHY, 0.3, 0.05)),
     (dict(THRESHOLD, tau=0.05), roc_from_threshold(PHY, 1.03, 0.05)),
 ]
+
+
+def section_table(key, spec):
+    """The table of a section: for sensing, every mode's keys beside mode, which picks the mode's table."""
+    if key != "sensing":
+        return spec.kind
+    return {"mode": cli._MODE, **{k: entry for _, table in spec.kind.values() for k, entry in table.items()}}
 
 
 def write_config(tmp_path, doc, name="config.yaml"):
@@ -226,8 +242,8 @@ class TestConfigValidation:
         path = tmp_path / "alias.yaml"
         path.write_text("channel: {p_bar_p_pd: 0.9, p_bar_s_sd: 0.8}\nscheme: S1\ngrids: &empty {}\nsim: *empty\n")
         cfg = cli.load_config(path, {"sim.seed": 5, "margin": 0.1})
-        assert (cfg.sim["seed"], cfg.margin) == (5, 0.1)
-        assert cli.load_config(path).sim["seed"] == 0
+        assert (cfg.sim.seed, cfg.margin) == (5, 0.1)
+        assert cli.load_config(path).sim.seed == 0
 
 
 class TestOptimize:
@@ -451,7 +467,7 @@ class TestSimulate:
             real(fh, lo, trace)
 
         monkeypatch.setattr(sim, "_SIM_CHUNK", 7)
-        monkeypatch.setattr(cli, "write_trace_rows", failing_rows)
+        monkeypatch.setattr(sim, "write_trace_rows", failing_rows)
         doc = self.simulate_doc(tmp_path, sim={"slots": 2_000, "seed": 1, "record_traces": True})
         code, out, err = run_cli(capsys, ["simulate", "-c", write_config(tmp_path, doc)])
         assert (code, out) == (3, "")
@@ -465,7 +481,6 @@ class TestSimulate:
             slots.append(cfg.slots)
             return real_run(cfg)
 
-        monkeypatch.setattr(cli, "run", counting_run)
         monkeypatch.setattr(sim, "run", counting_run)  # what measure_stability would call
         code, _, _ = run_cli(capsys, ["simulate", "-c", write_config(tmp_path, self.simulate_doc(tmp_path))])
         assert code == 0
@@ -491,7 +506,7 @@ class TestSimulate:
             recorded.append(sink is not None)
             return real_run(cfg, sink)
 
-        monkeypatch.setattr(cli, "run", spying_run)
+        monkeypatch.setattr(sim, "run", spying_run)
         code, out, _ = run_cli(capsys, ["simulate", "-c", write_config(tmp_path, self.simulate_doc(tmp_path))])
         assert code == 0
         assert recorded == [False]
@@ -628,8 +643,8 @@ class TestRunSizeBound:
         def refuse(*args, **kwargs):
             raise AssertionError("an oversize document reached the simulator")
 
-        monkeypatch.setattr(cli, "run", refuse)
-        monkeypatch.setattr(cli, "learning_then_regular", refuse)
+        monkeypatch.setattr(sim, "run", refuse)
+        monkeypatch.setattr(estimator, "learning_then_regular", refuse)
 
     def test_oversize_simulate_rejected_with_hint(self, tmp_path, capsys):
         doc = dict(BENCH_BASE, scheme="S1", lambda_p=0.3, access={"a_s": 0.5},
@@ -939,6 +954,205 @@ class TestOutputDir:
         assert err.startswith(f"config error: cannot create output_dir {str(output_dir)!r}: ")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["afile", "config.yaml"]
         assert blocker.read_text() == "keep me"
+
+    @pytest.mark.parametrize("command, name", [("region", "region_S2.csv"), ("sweep", "sweep.csv"),
+                                               ("simulate", "trace.csv")])
+    def test_directory_in_the_way_of_an_output_file(self, command, name, tmp_path, capsys):
+        blocked = tmp_path / "out" / name
+        blocked.mkdir(parents=True)
+        config = write_config(tmp_path, dict(self.DOCS[command], output_dir=str(tmp_path / "out")))
+        code, out, err = run_cli(capsys, [command, "-c", config])
+        assert (code, out, err) == (2, "", f"config error: cannot write {blocked}: Is a directory\n")
+        assert blocked.is_dir() and not any(blocked.iterdir())
+
+
+class TestSchema:
+    """Each key present is checked against its schema entry, whatever the other keys say."""
+
+    @pytest.mark.parametrize("access, message", [
+        ({"optimal": True, "a_s": "x", "b_s": [1]}, "access.a_s must be a number, got 'x'"),
+        ({"optimal": True, "b_s": [1]}, "access.b_s must be a number, got [1]"),
+        ({"optimal": False, "b_s": 0.5}, "access.a_s is required"),
+    ])
+    def test_optimal_access_checks_the_other_keys(self, access, message, tmp_path, capsys):
+        doc = dict(BENCH_BASE, scheme="S2", lambda_p=0.3, access=access, sim={"slots": 20_000})
+        assert run_cli(capsys, ["simulate", "-c", write_config(tmp_path, doc)]) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["region", "sweep"])
+    def test_repeated_scheme_rejected(self, command, tmp_path, capsys):
+        doc = dict(BENCH_BASE, schemes=["S1", "S1", "S0", "S0"], grids={"lambda_p": [0.0, 0.3], "b_s": {"count": 5}},
+                   output_dir=str(tmp_path / "out"))
+        code, out, err = run_cli(capsys, [command, "-c", write_config(tmp_path, doc)])
+        assert (code, out, err) == (2, "", "config error: config.schemes[1] repeats 'S1'\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("optimize", {**BENCH_BASE, "scheme": "S1", 1: 2}, "unknown key(s) in config: 1; allowed: "),
+        ("region", dict(BENCH_BASE, grids={"lambda_p": [0.0]}, output_dir="a\0b"),
+         "config.output_dir must be a string path, got 'a\\x00b'"),
+        ("region", dict(BENCH_BASE, grids={"lambda_p": [0.0]}, output_dir="\ud800"),
+         "config.output_dir must be a string path, got '\\ud800'"),
+        ("optimize", dict(TestJsonDocuments.DOC, phy=dict(PHY_DOC, sense_snr_db=4000)),
+         "PhyParams.gamma_sense must be a positive finite number, got inf"),
+    ], ids=["integer key", "NUL in a path", "lone surrogate in a path", "dB past the float range"])
+    def test_documents_that_reached_internal_error(self, command, doc, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, [command, "-c", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: {message}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+
+    @staticmethod
+    def keys(doc, table, prefix=""):
+        """The dotted keys of `doc` (or, given None, of `table`), down every section that `table` declares."""
+        keys = set()
+        for key in table if doc is None else doc:
+            keys.add(prefix + str(key))
+            spec = table.get(key)
+            if spec is not None and isinstance(spec.kind, dict):
+                keys |= TestSchema.keys(None if doc is None else doc[key], section_table(key, spec), f"{key}.")
+        return keys
+
+    def test_readme_sample_has_exactly_the_schema_keys(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        sample = readme.split("### Config document", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        sample = re.sub(r"^( *)# (\w+:)", r"\1\2", sample, flags=re.M)  # a commented-out key is a key too
+        assert self.keys(yaml.safe_load(sample), cli._CONFIG) == self.keys(None, cli._CONFIG)
+
+
+# Whole documents drawn from the schema tables.  The sizes that set how long a
+# run takes are capped here, never in the CLI: these keys' values, and grids.
+RUN_CAPS = {"slots": 20_000, "lp_slots": 2_000, "rp_slots": 20_000, "count": 6}
+HOSTILE = [None, "x", [], {}, True, math.nan, math.inf, -math.inf, 10**400, {"bogus": 1}]
+
+
+def down(x):
+    return math.nextafter(x, -math.inf)
+
+
+def up(x):
+    return math.nextafter(x, math.inf)
+
+
+def kind_strategies(key, spec, slot):
+    """(valid values, invalid values) for one key: the valid ones include its
+    bounds and one ulp inside them, the invalid ones one ulp outside and values hostile to its kind."""
+    lo, hi = spec.lo, slot if spec.hi is cli._SLOT else spec.hi
+    kind = spec.kind
+    name = (kind.func if isinstance(kind, partial) else kind).__name__
+    if name in ("_number", "_decibels", "_or_null"):
+        bounds = [x for b, inside in ((lo, up), (hi, down)) if b is not None for x in (b, inside(b))]
+        valid = st.one_of(st.sampled_from(bounds or [0.0]), st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+        outside = [out(b) for b, out in ((lo, down), (hi, up)) if b is not None]
+        return (st.one_of(st.none(), valid) if name == "_or_null" else valid), outside + ["0.5"]
+    if name == "_integer":
+        return st.integers(lo, RUN_CAPS.get(key, 2**64)), [lo - 1, 2.5, "3"]
+    if name == "_boolean":
+        return st.booleans(), [0, 1, "true"]
+    if name == "_one_of":
+        choices = [getattr(choice, "value", choice) for choice in kind.args[0]]  # a str enum's values
+        return st.sampled_from(choices), [choices[0].upper()]
+    if name == "_list_of":
+        names = list(kind.args[0].args[0])
+        return st.lists(st.sampled_from(names), min_size=1, unique=True), [names[:1] * 2, "S1", ["x"]]
+    if name == "_path":
+        return st.sampled_from(["out", "out/sub", "o u", "ü", ""]), ["a\0b", "\ud800"]
+    assert name == "_grid_values", name
+
+    def span(start, stop, count=2):
+        return {"start": start, "stop": stop, "count": count}
+
+    points = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    valid = [st.lists(points, min_size=1, max_size=RUN_CAPS["count"], unique=True).map(sorted),
+             st.builds(lambda a, b, count: span(min(a, b), max(a, b), count), points, points,
+                       st.integers(2, RUN_CAPS["count"])),
+             st.sampled_from([[lo], [up(lo)], [hi], [down(hi)], span(lo, hi), span(up(lo), down(hi))])]
+    if "default" in getattr(kind, "keywords", {}):  # an axis with a default grid takes {count} alone
+        valid.append(st.builds(lambda count: {"count": count}, st.integers(2, RUN_CAPS["count"])))
+    invalid = [[down(lo)], [up(hi)], span(down(lo), hi), span(lo, up(hi)), {"count": 1}, span(hi / 2, up(hi / 2), 3),
+               [math.nan], [hi, hi / 2], span(hi, lo, 3)]
+    return st.one_of(valid), invalid
+
+
+@st.composite
+def sections(draw, table, fault, rng, slot=1.0, essential=()):
+    """A section drawn from its table: a required or essential key present, and
+    any other half the time; each key missing or invalid where `fault()` says so."""
+    doc = {}
+    for key, spec in table.items():
+        wanted = spec.default is cli._REQUIRED or key in essential
+        if fault() if wanted else draw(st.booleans()):
+            continue
+        valid, invalid = kind_strategies(key, spec, slot)
+        doc[key] = draw(st.sampled_from(invalid if rng.random() < 0.5 else HOSTILE) if fault() else valid)
+    return doc
+
+
+@st.composite
+def documents(draw, command):
+    """A whole document for `command`, with the keys it needs, and a share of faults drawn per document."""
+    rate, rng = draw(st.sampled_from([0.0, 0.0, 0.05, 0.2, 0.5])), random.Random(draw(st.integers(0, 2**32)))
+
+    def fault():  # the share `rate` of the document's keys, uniformly
+        return rng.random() < rate
+
+    doc = {}
+    links = draw(st.sampled_from(["phy", "channel"] * 4 + (["both", "neither"] if rate else [])))
+    if links in ("phy", "both"):
+        doc["phy"] = draw(sections(cli._PHY, fault, rng))
+    if links in ("channel", "both"):
+        doc["channel"] = draw(sections(cli._CHANNEL, fault, rng))
+    slot = doc.get("phy", {}).get("slot_seconds", 1.0)
+    slot = slot if isinstance(slot, float) and cli._PHY["slot_seconds"].lo <= slot < math.inf else 1.0
+    if draw(st.booleans()):
+        mode = draw(st.sampled_from(list(cli._SENSING) + (["x"] if rate else [])))
+        doc["sensing"] = {"mode": mode, **draw(sections(cli._SENSING.get(mode, (None, {}))[1], fault, rng, slot))}
+    essential = {"region": ["grids"], "sweep": ["grids"], "optimize": ["scheme"],
+                 "simulate": ["scheme", "access", "sim"], "estimate": ["scheme", "access", "estimate"]}[command]
+    leaves = {key: spec for key, spec in cli._CONFIG.items() if not isinstance(spec.kind, dict)}
+    doc.update(draw(sections(leaves, fault, rng, essential=essential)))
+    for key in ("access", "grids", "sim", "estimate"):
+        if key in essential or draw(st.booleans()):
+            doc[key] = draw(sections(cli._CONFIG[key].kind, fault, rng, slot, essential=["a_s", "lambda_p", *RUN_CAPS]))
+    if fault():
+        doc[draw(st.sampled_from(["bogus", 1]))] = 1
+    return doc
+
+
+def run_in(run_dir, argv):
+    """main(argv) from `run_dir`: its exit code, stdout, stderr and the files it wrote."""
+    cwd = os.getcwd()
+    os.chdir(run_dir)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    files = {f.relative_to(run_dir).as_posix(): f.read_bytes()
+             for f in sorted(run_dir.rglob("*")) if f.is_file() and f.name != "config.yaml"}
+    return code, out.getvalue(), err.getvalue(), files
+
+
+class TestWholeDocumentFuzz:
+    """Documents drawn whole from the schema tables, for every command: each run
+    exits 0 or 2, an exit 2 writes no output file, and a rerun gives the same bytes."""
+
+    @pytest.mark.parametrize("command", ["region", "optimize", "simulate", "estimate", "sweep"])
+    @settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_drawn_documents(self, command, data):
+        doc = data.draw(documents(command))
+        runs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for run in ("first", "rerun"):
+                run_dir = Path(tmp) / run
+                run_dir.mkdir()
+                (run_dir / "config.yaml").write_text(yaml.safe_dump(doc, sort_keys=False))
+                runs.append(run_in(run_dir, [command, "-c", "config.yaml"]))
+        code, _, err, files = runs[0]
+        assert code in (0, 2), err
+        assert code == 0 or files == {}
+        assert runs[1] == runs[0]
 
 
 def run_module(args, cwd, **kwargs):
