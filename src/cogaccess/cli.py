@@ -54,7 +54,6 @@ from .optimizer import (
     UNION,
     default_b_s_grid,
     default_tau_grid,
-    operating_points,
     optimize_with_margin,
     primary_delay,
     scan,
@@ -127,11 +126,14 @@ def _number(value: Any, name: str, *, lo: float | None = None, hi: float | None 
 
 
 def _decibels(value: Any, name: str, **bounds: Any) -> float:
-    """A number in dB, as a linear ratio; past the float range, an infinity (which PhyParams rejects)."""
+    """A number in dB, as a linear ratio, which must be positive and finite."""
     try:
-        return 10.0 ** (_number(value, name, **bounds) / 10.0)
+        ratio = 10.0 ** (_number(value, name, **bounds) / 10.0)
     except OverflowError:
-        return math.inf
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ConfigError(f"{name} must be a dB value whose linear ratio is a positive finite number, got {value!r}")
+    return ratio
 
 
 def _integer(value: Any, name: str, *, lo: int | None = None, hi: int | None = None) -> int:
@@ -357,8 +359,7 @@ class RunConfig:
         if self.sensing_tau is None:
             mode = next(mode for mode, (target, _) in _SENSING.items() if isinstance(self.target, target))
             raise ConfigError(f"sensing.tau is required to pin a single operating point in mode {mode}")
-        (pt,) = operating_points(self.target, (self.sensing_tau,), self.channel)
-        return SensingPoint(tau=pt.tau, p_fa=pt.p_fa, p_md=pt.p_md)
+        return self.target.at(self.channel, self.sensing_tau)
 
 
 def parse_config(doc: dict) -> RunConfig:

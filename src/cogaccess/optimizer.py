@@ -13,10 +13,10 @@ the optimizers, region tracing, sweeps and the estimator's policy.  It
 evaluates (lambda_p, tau, b_s) cells, resolving the operating points once
 per tau grid, in passes of about _BLOCK elements, which bounds its
 temporaries.  The variants are pinned versions of S2 (S1: b_s = 0; Sc:
-also a_s = 1; S0: p_fa = 0, p_md = 1), but each keeps its own closed form
-in the kernel: S1 evaluated as S2 at b_s = 0 differs in the last digits.
-The scalar closed forms the kernel matches bit for bit live in
-tests/oracles.py as its reference.
+also a_s = 1; S0: p_fa = 0, p_md = 1): the kernel has roots per variant,
+rates from `schemes.rates`, whose S1 form is not S2's at b_s = 0 (that
+differs in the last digits).  The scalar closed forms the kernel matches
+bit for bit live in tests/oracles.py as its reference.
 
 Grid ties are broken toward smaller tau, then smaller b_s: less sensing
 and less interference at equal throughput.
@@ -40,9 +40,8 @@ from .phy import (
     pfa_for_target_pmd,
     pmd_for_target_pfa,
     roc_from_threshold,
-    secondary_success_prob,
 )
-from .schemes import NO_SENSING, SchemeConfig, Variant
+from .schemes import NO_SENSING, SchemeConfig, Variant, rates
 
 __all__ = [
     "FixedFalseAlarm",
@@ -51,7 +50,6 @@ __all__ = [
     "FixedSensing",
     "TargetMode",
     "Channel",
-    "OperatingPoint",
     "OptimizationRequest",
     "TauResult",
     "OptimizationResult",
@@ -80,6 +78,9 @@ class FixedFalseAlarm:
 
     p_fa: float
 
+    def at(self, channel: PhyParams, tau: float) -> SensingPoint:
+        return pmd_for_target_pfa(channel, self.p_fa, tau)
+
 
 @dataclass(frozen=True)
 class FixedMisdetection:
@@ -87,12 +88,18 @@ class FixedMisdetection:
 
     p_md: float
 
+    def at(self, channel: PhyParams, tau: float) -> SensingPoint:
+        return pfa_for_target_pmd(channel, self.p_md, tau)
+
 
 @dataclass(frozen=True)
 class FixedThreshold:
     """Sweep tau at a fixed detector threshold; both ROC legs move."""
 
     epsilon: float
+
+    def at(self, channel: PhyParams, tau: float) -> SensingPoint:
+        return roc_from_threshold(channel, self.epsilon, tau)
 
 
 @dataclass(frozen=True)
@@ -113,16 +120,6 @@ UNION = "UNION"
 
 
 @dataclass(frozen=True)
-class OperatingPoint:
-    """Resolved per-tau quantities the scheme objectives consume."""
-
-    tau: float
-    p_fa: float
-    p_md: float
-    p_bar_s_sd: float
-
-
-@dataclass(frozen=True)
 class OptimizationRequest:
     variant: Variant
     lambda_p: float
@@ -136,6 +133,8 @@ class OptimizationRequest:
             raise DomainError(f"lambda_p must be in [0, 1], got {self.lambda_p!r}")
         if not (math.isfinite(self.margin) and self.margin >= 0.0):
             raise DomainError(f"margin must be >= 0, got {self.margin!r}")
+        if not isinstance(self.target_mode, TargetMode):
+            raise DomainError(f"unknown target mode {self.target_mode!r}")
         object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
         object.__setattr__(self, "b_s_grid", tuple(float(b) for b in self.b_s_grid))
         if any(t <= 0.0 for t in self.tau_grid):
@@ -208,19 +207,11 @@ def b_s_scan_grid(grid: Sequence[float]) -> tuple[float, ...]:
     return grid if 0.0 in grid else (0.0,) + grid
 
 
-def operating_points(mode: TargetMode, tau_grid: Sequence[float], channel: Channel) -> list[OperatingPoint]:
+def operating_points(mode: TargetMode, tau_grid: Sequence[float], channel: Channel) -> list[SensingPoint]:
     """Resolve a sensing mode into concrete points, one per tau of the grid
     (a FixedSensing mode ignores the grid: its point is the one point)."""
     if isinstance(mode, FixedSensing):
-        pt = mode.point
-        return [
-            OperatingPoint(
-                tau=pt.tau,
-                p_fa=pt.p_fa,
-                p_md=pt.p_md,
-                p_bar_s_sd=link_success(channel, pt.tau).p_bar_s_sd,
-            )
-        ]
+        return [mode.point]
     if not isinstance(channel, PhyParams):
         raise DomainError(
             "tau-dependent target modes need full PhyParams; "
@@ -228,25 +219,7 @@ def operating_points(mode: TargetMode, tau_grid: Sequence[float], channel: Chann
         )
     if not tau_grid:
         raise DomainError("tau grid must be non-empty for tau-dependent target modes")
-    points = []
-    for tau in tau_grid:
-        if isinstance(mode, FixedFalseAlarm):
-            sp = pmd_for_target_pfa(channel, mode.p_fa, tau)
-        elif isinstance(mode, FixedMisdetection):
-            sp = pfa_for_target_pmd(channel, mode.p_md, tau)
-        elif isinstance(mode, FixedThreshold):
-            sp = roc_from_threshold(channel, mode.epsilon, tau)
-        else:
-            raise DomainError(f"unknown target mode {mode!r}")
-        points.append(
-            OperatingPoint(
-                tau=tau,
-                p_fa=sp.p_fa,
-                p_md=sp.p_md,
-                p_bar_s_sd=secondary_success_prob(channel, tau),
-            )
-        )
-    return points
+    return [mode.at(channel, tau) for tau in tau_grid]
 
 
 # --- grid optimizers ---------------------------------------------------------
@@ -269,12 +242,12 @@ _BELOW_ONE = 1.0 - 2.0**-53
 class GridScan(NamedTuple):
     """Per-(lambda_p, tau) optima of one variant.
 
-    `points` is the tau axis (one tau = 0 point for S0); the arrays have
+    `points` is the tau axis (NO_SENSING alone for S0); the arrays have
     shape (len(lambda_p grid), len(points)).  Infeasible cells hold a zero
     rate with a_s = b_s = 0 (a_s = 1 for Sc).
     """
 
-    points: list[OperatingPoint]
+    points: list[SensingPoint]
     a_s: np.ndarray
     b_s: np.ndarray
     lambda_s: np.ndarray
@@ -293,14 +266,15 @@ def _empty_factor(lam: np.ndarray, mu_p: np.ndarray) -> np.ndarray:
 def _cells(variant, lam, p_fa, p_md, p_s, pp, margin, b):
     """a_s, b_s, lambda_s and feasibility of `variant` at each (lambda_p, point) cell.
 
-    Each variant keeps its own root, cap, feasibility test and product
-    order: S1 is not S2 evaluated at b_s = 0, because p_md + (1 - p_md)
-    need not round to 1.  The substitutions that are exact are used: Sc is
-    S1 with a_s = 1 and its own feasibility test, and S0 is S1 at p_fa = 0,
-    p_md = 1 (every product with 1.0 is exact).  S2 maximizes over the b_s
-    axis; its degenerate corners (idle primary, perfect sensing, certain
-    false alarm, a primary link that never succeeds) are masks, applied in
-    reverse order of precedence.
+    Roots per variant, rates from `schemes.rates`: each variant keeps its
+    own root, cap and feasibility test, and S1 is not S2 evaluated at
+    b_s = 0, because p_md + (1 - p_md) need not round to 1.  The
+    substitutions that are exact are used: Sc is S1 with a_s = 1 and its
+    own feasibility test, and S0 is S1 at NO_SENSING (every product with
+    1.0 is exact).  S2 maximizes over the b_s axis; its degenerate
+    corners (idle primary, perfect sensing, certain false alarm, a primary
+    link that never succeeds) are masks, applied in reverse order of
+    precedence.
     """
     lm = lam + margin
     if variant is Variant.S2:
@@ -316,8 +290,8 @@ def _cells(variant, lam, p_fa, p_md, p_s, pp, margin, b):
         a = np.where(p_fa >= 1.0, 0.0, a)
         a = np.where((lam == 0.0) | (c == 0.0), cap, a)
         a = np.where(pp == 0.0, 1.0, a)
-        mu_p = pp * (p_md * (1.0 - a) + e)
-        lam_s = (a * (1.0 - p_fa) + b * p_fa) * p_s * _empty_factor(lam, mu_p)
+        mu_p, access = rates(variant, a, b, p_fa, p_md, pp, p_s)
+        lam_s = access * _empty_factor(lam, mu_p)
         j = np.argmax(np.where(ok, lam_s, -np.inf), axis=1)  # first b_s of the largest rate
         i, ok = np.arange(j.size), ok.any(axis=1)
         return np.where(ok, a[i, j], 0.0), np.where(ok, b[j], 0.0), np.where(ok, lam_s[i, j], 0.0), ok
@@ -329,7 +303,8 @@ def _cells(variant, lam, p_fa, p_md, p_s, pp, margin, b):
         a = np.minimum(np.maximum((1.0 - np.sqrt(lam / pp)) / p_md, 0.0), np.minimum(1.0, (1.0 - lm / pp) / p_md))
         a = np.where((a == 1.0) & (p_md == 1.0) & (lam > 0.0), _BELOW_ONE, a)  # a_s = 1 would leave mu_p = 0
         a = np.where(ok, np.where((p_md == 0.0) | (pp == 0.0), 1.0, a), 0.0)
-    lam_s = a * p_s * (1.0 - p_fa) * _empty_factor(lam, pp * (1.0 - a * p_md))
+    mu_p, access = rates(variant, a, 0.0, p_fa, p_md, pp, p_s)
+    lam_s = access * _empty_factor(lam, mu_p)
     return a, np.zeros_like(lam), np.where(ok, lam_s, 0.0), ok
 
 
@@ -343,13 +318,9 @@ def scan(
     once, and the cells are evaluated in passes of about _BLOCK elements.
     """
     lam = np.asarray(lambda_p_grid, dtype=float)
-    links = link_success(channel, 0.0)
-    if variant is Variant.S0:
-        points = [OperatingPoint(**vars(NO_SENSING), p_bar_s_sd=links.p_bar_s_sd)]
-        variant = Variant.S1
-    else:
-        points = operating_points(req.target_mode, req.tau_grid, channel)
-    cols = np.array([(p.p_fa, p.p_md, p.p_bar_s_sd) for p in points]).T
+    points = [NO_SENSING] if variant is Variant.S0 else operating_points(req.target_mode, req.tau_grid, channel)
+    cols = np.array([(p.p_fa, p.p_md, link_success(channel, p.tau).p_bar_s_sd) for p in points]).T
+    pp = link_success(channel, 0.0).p_bar_p_pd
     b = np.array(b_s_scan_grid(req.b_s_grid))
     n, m = lam.size, len(points)
     step = max(1, _BLOCK // b.size) if variant is Variant.S2 else _BLOCK
@@ -357,7 +328,7 @@ def scan(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, n * m, step):
             li, ti = np.divmod(np.arange(start, min(start + step, n * m)), m)
-            out[:, start : start + li.size] = _cells(variant, lam[li], *cols[:, ti], links.p_bar_p_pd, req.margin, b)
+            out[:, start : start + li.size] = _cells(variant, lam[li], *cols[:, ti], pp, req.margin, b)
     a, b_s, lam_s, ok = out.reshape(4, n, m)
     return GridScan(points, a, b_s, lam_s, ok.astype(bool))
 
@@ -370,9 +341,8 @@ def optimize(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
     (j,), (feasible,) = grid.best()
     if not feasible:
         return OptimizationResult(best=None, lambda_s_max=0.0, per_tau=rows, feasible=False)
-    pt, row = grid.points[j], rows[j]
-    sensing = SensingPoint(tau=pt.tau, p_fa=pt.p_fa, p_md=pt.p_md)
-    cfg = SchemeConfig(variant=variant, a_s=row.a_s, b_s=row.b_s, sensing=sensing)
+    row = rows[j]
+    cfg = SchemeConfig(variant=variant, a_s=row.a_s, b_s=row.b_s, sensing=grid.points[j])
     return OptimizationResult(best=cfg, lambda_s_max=row.lambda_s, per_tau=rows, feasible=True)
 
 

@@ -1,10 +1,10 @@
 """Physical-layer closed forms.
 
-Covers the three ingredients the access schemes consume:
+Covers the two ingredients the access schemes consume:
 
-* transmission rate when a slot of length T loses tau seconds to sensing,
 * Rayleigh block-fading success probabilities for the primary and
-  secondary links (complement of the outage probability), and
+  secondary links (complement of the outage probability), the secondary's
+  at the rate left when a slot of length T loses tau seconds to sensing, and
 * the energy-detector ROC relating sensing time, false-alarm probability
   and misdetection probability, in threshold form and in both target
   forms (fixed P_FA or fixed P_MD).
@@ -24,7 +24,6 @@ __all__ = [
     "PhyParams",
     "SensingPoint",
     "LinkSuccess",
-    "tx_rate",
     "secondary_success_prob",
     "primary_success_prob",
     "roc_from_threshold",
@@ -79,7 +78,7 @@ class SensingPoint:
     """One operating point of the detector: sensing time and its ROC pair.
 
     tau = 0 is the degenerate no-sensing point used by the S0 scheme; the
-    scheme layer, not this module, assigns its effective probabilities.
+    scheme layer, not this module, fixes its probabilities (NO_SENSING).
     """
 
     tau: float
@@ -112,13 +111,6 @@ class LinkSuccess:
             value = getattr(self, name)
             if not (math.isfinite(value) and 0.0 <= value <= 1.0):
                 raise DomainError(f"LinkSuccess.{name} must be in [0, 1], got {value!r}")
-
-
-def tx_rate(params: PhyParams, tau: float) -> float:
-    """Transmission rate b/(T - tau) in bits/second; increasing in tau."""
-    if not (0.0 <= tau < params.T):
-        raise DomainError(f"tx_rate requires 0 <= tau < T={params.T!r}, got tau={tau!r}")
-    return params.b / (params.T - tau)
 
 
 def secondary_success_prob(params: PhyParams, tau: float) -> float:

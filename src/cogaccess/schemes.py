@@ -33,7 +33,7 @@ __all__ = [
     "NO_SENSING",
     "SchemeConfig",
     "ServiceRates",
-    "effective_sensing",
+    "rates",
     "service_rates",
 ]
 
@@ -56,8 +56,9 @@ class EstimatorMode(str, Enum):
     UNBIASED = "unbiased"
 
 
-# S0's sensing point: no sensing time, and a detector that always declares
-# the channel idle (see effective_sensing).
+# S0's sensing point, the only one SchemeConfig lets an S0 scheme have: no
+# sensing time, and a detector that always declares the channel idle, at
+# which S1's events and rates are S0's.
 NO_SENSING = SensingPoint(tau=0.0, p_fa=0.0, p_md=1.0)
 
 
@@ -86,8 +87,8 @@ class SchemeConfig:
             raise DomainError("Sc transmits with probability one on idle and never on busy")
         if self.variant is Variant.S1 and self.b_s != 0.0:
             raise DomainError("S1 never transmits on a busy sensing outcome (b_s must be 0)")
-        if self.variant is Variant.S0 and self.sensing.tau != 0.0:
-            raise DomainError("S0 performs no sensing; its SensingPoint must have tau = 0")
+        if self.variant is Variant.S0 and self.sensing != NO_SENSING:
+            raise DomainError(f"S0 performs no sensing; its SensingPoint must be {NO_SENSING!r}")
 
 
 class ServiceRates(NamedTuple):
@@ -98,29 +99,29 @@ class ServiceRates(NamedTuple):
     p_empty: float
 
 
-def effective_sensing(cfg: SchemeConfig) -> tuple[float, float]:
-    """(p_fa, p_md) as the scheme actually experiences them.
+def rates(variant: Variant, a_s, b_s, p_fa, p_md, pp, ps):
+    """(mu_p, access_rate) of `variant`, on floats or arrays:
 
-    S0 never senses, which is equivalent to a detector that always
-    declares the channel idle: p_fa = 0, p_md = 1.  With those values the
-    S2 event algebra collapses to the S0 one, which both the service-rate
-    formulas and the simulator rely on.
+        S2:         mu_p = pp*(p_md*(1 - a_s) + (1 - p_md)*(1 - b_s))
+                    access_rate = ps*(a_s*(1 - p_fa) + b_s*p_fa)
+        Sc, S1, S0: mu_p = pp*(1 - a_s*p_md)
+                    access_rate = a_s*ps*(1 - p_fa)
+
+    with pp/ps the link success probabilities; the secondary is served at
+    access_rate times Pr{primary queue empty}.  Sc is S1 at a_s = 1 and S0
+    is S1 at NO_SENSING, both exact in floating point; S1 is not S2 at
+    b_s = 0, because p_md + (1 - p_md) need not round to 1.  service_rates
+    and the optimizer's scan kernel agree bit for bit because both
+    evaluate these products here, in this order.
     """
-    if cfg.variant is Variant.S0:
-        return NO_SENSING.p_fa, NO_SENSING.p_md
-    return cfg.sensing.p_fa, cfg.sensing.p_md
+    if variant is Variant.S2:
+        return pp * (p_md * (1.0 - a_s) + (1.0 - p_md) * (1.0 - b_s)), ps * (a_s * (1.0 - p_fa) + b_s * p_fa)
+    return pp * (1.0 - a_s * p_md), a_s * ps * (1.0 - p_fa)
 
 
 def service_rates(cfg: SchemeConfig, links: LinkSuccess, lambda_p: float) -> ServiceRates:
-    """Average service rates of both queues for a backlogged secondary.
-
-        Sc: mu_p = Pp*(1 - p_md)            mu_s = Ps*(1 - p_fa)*E
-        S1: mu_p = Pp*(1 - a_s*p_md)        mu_s = a_s*Ps*(1 - p_fa)*E
-        S2: mu_p = Pp*(p_md*(1 - a_s)       mu_s = (a_s*(1 - p_fa)
-                      + (1 - p_md)*(1 - b_s))         + b_s*p_fa)*Ps*E
-        S0: mu_p = Pp*(1 - a_s)             mu_s = a_s*Ps*E
-
-    with Pp/Ps the link success probabilities and E = 1 - lambda_p/mu_p
+    """Average service rates of both queues for a backlogged secondary:
+    mu_p and mu_s = access_rate*E from `rates`, with E = 1 - lambda_p/mu_p
     the probability that the primary queue is empty.
 
     lambda_p > mu_p leaves the secondary with no service at all and raises
@@ -128,21 +129,8 @@ def service_rates(cfg: SchemeConfig, links: LinkSuccess, lambda_p: float) -> Ser
     that boundary tracing stays continuous.
     """
     _check_prob("lambda_p", lambda_p)
-    p_fa, p_md = effective_sensing(cfg)
-    pp, ps = links.p_bar_p_pd, links.p_bar_s_sd
-
-    if cfg.variant is Variant.SC:
-        mu_p = pp * (1.0 - p_md)
-        access_rate = ps * (1.0 - p_fa)
-    elif cfg.variant is Variant.S1:
-        mu_p = pp * (1.0 - cfg.a_s * p_md)
-        access_rate = cfg.a_s * ps * (1.0 - p_fa)
-    elif cfg.variant is Variant.S2:
-        mu_p = pp * (p_md * (1.0 - cfg.a_s) + (1.0 - p_md) * (1.0 - cfg.b_s))
-        access_rate = ps * (cfg.a_s * (1.0 - p_fa) + cfg.b_s * p_fa)
-    else:  # S0
-        mu_p = pp * (1.0 - cfg.a_s)
-        access_rate = cfg.a_s * ps
+    point = cfg.sensing
+    mu_p, access_rate = rates(cfg.variant, cfg.a_s, cfg.b_s, point.p_fa, point.p_md, links.p_bar_p_pd, links.p_bar_s_sd)
 
     if lambda_p == 0.0:
         p_empty = 1.0

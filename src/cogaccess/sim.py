@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import DomainError
 from .phy import LinkSuccess, PhyParams, link_success
-from .schemes import SchemeConfig, SimMode, effective_sensing
+from .schemes import SchemeConfig, SimMode
 
 __all__ = [
     "SimMode",
@@ -298,7 +298,7 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
     columns, in slot order, to read during the call."""
     n = cfg.slots
     links = link_success(cfg.phy, cfg.scheme.sensing.tau)
-    p_fa, p_md = effective_sensing(cfg.scheme)
+    p_fa, p_md = cfg.scheme.sensing.p_fa, cfg.scheme.sensing.p_md
     dominant = cfg.mode is SimMode.DOMINANT
     threshold_p = _success_threshold(links.p_bar_p_pd)
     threshold_s = _success_threshold(links.p_bar_s_sd)

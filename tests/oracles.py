@@ -25,7 +25,6 @@ from cogaccess.estimator import FeedbackLog
 from cogaccess.optimizer import (
     UNION,
     Channel,
-    OperatingPoint,
     OptimizationRequest,
     OptimizationResult,
     RegionCurve,
@@ -35,7 +34,7 @@ from cogaccess.optimizer import (
     operating_points,
 )
 from cogaccess.phy import SensingPoint, link_success
-from cogaccess.schemes import SchemeConfig, ServiceRates, Variant, effective_sensing
+from cogaccess.schemes import SchemeConfig, ServiceRates, Variant
 
 
 def grid_max_fractional(a, f, c, d, K, w, step=1e-6):
@@ -223,7 +222,7 @@ def run_loop(cfg):
     trace.  Returns (SimResult, SimTrace)."""
     n = cfg.slots
     links = link_success(cfg.phy, cfg.scheme.sensing.tau)
-    p_fa, p_md = effective_sensing(cfg.scheme)
+    p_fa, p_md = cfg.scheme.sensing.p_fa, cfg.scheme.sensing.p_md
     dominant = cfg.mode is sim.SimMode.DOMINANT
 
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(7)]
@@ -476,7 +475,7 @@ def _best_row(rows: Sequence[TauResult]) -> TauResult | None:
 
 
 def _result_from_rows(
-    variant: Variant, rows: list[TauResult], points: dict[float, OperatingPoint]
+    variant: Variant, rows: list[TauResult], points: dict[float, SensingPoint]
 ) -> OptimizationResult:
     best = _best_row(rows)
     if best is None:
@@ -503,7 +502,7 @@ def optimize_sc_loop(req: OptimizationRequest, channel: Channel) -> Optimization
         if lam + m > mu_p:
             rows.append(TauResult(pt.tau, 1.0, 0.0, 0.0, False))
             continue
-        lam_s = pt.p_bar_s_sd * (1.0 - pt.p_fa) * _empty_factor(lam, mu_p)
+        lam_s = link_success(channel, pt.tau).p_bar_s_sd * (1.0 - pt.p_fa) * _empty_factor(lam, mu_p)
         rows.append(TauResult(pt.tau, 1.0, 0.0, lam_s, True))
     return _result_from_rows(Variant.SC, rows, {pt.tau: pt for pt in pts})
 
@@ -521,7 +520,7 @@ def optimize_s1_loop(req: OptimizationRequest, channel: Channel) -> Optimization
             rows.append(TauResult(pt.tau, 0.0, 0.0, 0.0, False))
             continue
         mu_p = pp * (1.0 - a * pt.p_md)
-        lam_s = a * pt.p_bar_s_sd * (1.0 - pt.p_fa) * _empty_factor(lam, mu_p)
+        lam_s = a * link_success(channel, pt.tau).p_bar_s_sd * (1.0 - pt.p_fa) * _empty_factor(lam, mu_p)
         rows.append(TauResult(pt.tau, a, 0.0, lam_s, True))
     return _result_from_rows(Variant.S1, rows, {pt.tau: pt for pt in pts})
 
@@ -543,7 +542,7 @@ def optimize_s2_loop(req: OptimizationRequest, channel: Channel) -> Optimization
             mu_p = pp * (pt.p_md * (1.0 - a) + (1.0 - pt.p_md) * (1.0 - b))
             lam_s = (
                 (a * (1.0 - pt.p_fa) + b * pt.p_fa)
-                * pt.p_bar_s_sd
+                * link_success(channel, pt.tau).p_bar_s_sd
                 * _empty_factor(lam, mu_p)
             )
             if best_cell is None or lam_s > best_cell[0]:
@@ -560,7 +559,7 @@ def optimize_s0_loop(req: OptimizationRequest, channel: Channel) -> Optimization
     lam, m = req.lambda_p, req.margin
     links = link_success(channel, 0.0)
     pp, ps = links.p_bar_p_pd, links.p_bar_s_sd
-    pt = OperatingPoint(tau=0.0, p_fa=0.0, p_md=1.0, p_bar_s_sd=ps)
+    pt = SensingPoint(tau=0.0, p_fa=0.0, p_md=1.0)
     try:
         a = optimal_as_s0(lam, pp, margin=m)
     except InfeasibleError:

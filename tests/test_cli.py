@@ -993,7 +993,7 @@ class TestSchema:
         ("region", dict(BENCH_BASE, grids={"lambda_p": [0.0]}, output_dir="\ud800"),
          "config.output_dir must be a string path, got '\\ud800'"),
         ("optimize", dict(TestJsonDocuments.DOC, phy=dict(PHY_DOC, sense_snr_db=4000)),
-         "PhyParams.gamma_sense must be a positive finite number, got inf"),
+         "phy.sense_snr_db must be a dB value whose linear ratio is a positive finite number, got 4000"),
     ], ids=["integer key", "NUL in a path", "lone surrogate in a path", "dB past the float range"])
     def test_documents_that_reached_internal_error(self, command, doc, message, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1001,6 +1001,14 @@ class TestSchema:
         assert (code, out) == (2, "")
         assert err.startswith(f"config error: {message}")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+
+    @pytest.mark.parametrize("db", [-4000, 4000])
+    @pytest.mark.parametrize("key", ["sense_snr_db", "secondary_snr_db", "primary_snr_db"])
+    def test_db_past_the_float_range_names_its_key(self, key, db, tmp_path, capsys):
+        doc = dict(TestJsonDocuments.DOC, phy=dict(PHY_DOC, **{key: db}))
+        assert run_cli(capsys, ["optimize", "-c", write_config(tmp_path, doc)]) == (
+            2, "", f"config error: phy.{key} must be a dB value whose linear ratio is a positive finite number, "
+                   f"got {db}\n")
 
     @staticmethod
     def keys(doc, table, prefix=""):

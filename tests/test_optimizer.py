@@ -366,6 +366,11 @@ class TestRequestValidation:
         with pytest.raises(DomainError):
             OptimizationRequest(Variant.S1, 0.1, BENCH_MODE, tau_grid=(0.2, 0.1))
 
+    @pytest.mark.parametrize("variant", [Variant.S2, Variant.S0])
+    def test_unknown_target_mode_rejected(self, variant):
+        with pytest.raises(DomainError, match="unknown target mode 'target_pfa'"):
+            optimize(OptimizationRequest(variant, 0.1, "target_pfa", tau_grid=(0.1,)), tradeoff_phy())
+
     def test_target_modes_need_phy(self):
         req = OptimizationRequest(Variant.S1, 0.1, FixedFalseAlarm(0.2), tau_grid=(0.1,))
         with pytest.raises(DomainError):

@@ -15,7 +15,6 @@ from cogaccess.phy import (
     primary_success_prob,
     roc_from_threshold,
     secondary_success_prob,
-    tx_rate,
 )
 
 from oracles import gain_for_success_prob
@@ -31,21 +30,6 @@ def make_params(**overrides):
     )
     base.update(overrides)
     return PhyParams(**base)
-
-
-class TestTxRate:
-    def test_full_slot(self):
-        assert tx_rate(make_params(b=1000.0), 0.0) == pytest.approx(1000.0)
-
-    def test_half_slot_doubles(self):
-        assert tx_rate(make_params(b=1000.0), 0.5) == pytest.approx(2000.0)
-
-    def test_near_slot_end(self):
-        assert tx_rate(make_params(b=1000.0), 0.999) == pytest.approx(1e6)
-
-    def test_rejects_tau_at_slot_end(self):
-        with pytest.raises(DomainError):
-            tx_rate(make_params(), 1.0)
 
 
 class TestLinkSuccess:

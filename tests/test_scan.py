@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cogaccess import optimizer
-from cogaccess.errors import InfeasibleError
+from cogaccess.errors import InfeasibleError, PrimaryUnstableError
 from cogaccess.optimizer import (
     FixedFalseAlarm,
     FixedMisdetection,
@@ -18,8 +18,8 @@ from cogaccess.optimizer import (
     scan,
     trace_region,
 )
-from cogaccess.phy import LinkSuccess, PhyParams, SensingPoint
-from cogaccess.schemes import Variant
+from cogaccess.phy import LinkSuccess, PhyParams, SensingPoint, link_success
+from cogaccess.schemes import SchemeConfig, Variant, service_rates
 
 from oracles import OPTIMIZERS_LOOP, optimal_as_s0, optimal_as_s1, optimal_as_s2_given, trace_region_loop
 
@@ -80,6 +80,24 @@ def test_kernel_matches_scalar_loops(problem):
             assert repr(optimize(r, channel)) == repr(OPTIMIZERS_LOOP[variant](r, channel))
     for scheme in SCHEMES:
         assert repr(trace_region(scheme, lambdas, req, channel)) == repr(trace_region_loop(scheme, lambdas, req, channel))
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=problems())
+def test_kernel_matches_service_rates(problem):
+    """Each feasible cell's rate is service_rates' mu_s at the cell's policy, bit for bit,
+    and 0 where service_rates finds the primary unstable: both take their rates from schemes.rates."""
+    channel, req, lambdas = problem
+    for variant in (Variant.SC, Variant.S1, Variant.S2, Variant.S0):
+        grid = scan(variant, lambdas, req, channel)
+        for i, j in zip(*np.nonzero(grid.feasible)):
+            point = grid.points[j]
+            scheme = SchemeConfig(variant, float(grid.a_s[i, j]), float(grid.b_s[i, j]), point)
+            try:
+                mu_s = service_rates(scheme, link_success(channel, point.tau), lambdas[i]).mu_s
+            except PrimaryUnstableError:
+                mu_s = 0.0
+            assert grid.lambda_s[i, j] == mu_s, (variant, lambdas[i], point, scheme)
 
 
 @pytest.mark.parametrize("case", ["fixed_roc", "tradeoff"])

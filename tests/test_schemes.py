@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cogaccess.errors import DomainError, PrimaryUnstableError
+from cogaccess.optimizer import FixedSensing, OptimizationRequest, scan
 from cogaccess.phy import LinkSuccess, SensingPoint
-from cogaccess.schemes import SchemeConfig, Variant, effective_sensing, service_rates
+from cogaccess.schemes import SchemeConfig, Variant, service_rates
 
 from oracles import RatePair, is_stable, s0_boundary, s2_feasible
 
@@ -155,5 +156,9 @@ class TestConfigInvariants:
         with pytest.raises(DomainError):
             SchemeConfig(Variant.S0, a_s=0.5, b_s=0.0, sensing=BENCH_POINT)
 
-    def test_effective_sensing_for_s0(self):
-        assert effective_sensing(cfg(Variant.S0, a_s=0.3)) == (0.0, 1.0)
+    def test_s0_point_is_no_sensing(self):
+        # a tau = 0 point with any other probabilities is not S0's point
+        with pytest.raises(DomainError):
+            SchemeConfig(Variant.S0, a_s=0.5, b_s=0.0, sensing=SensingPoint(tau=0.0, p_fa=0.2, p_md=0.3))
+        req = OptimizationRequest(Variant.S0, 0.3, FixedSensing(BENCH_POINT))
+        assert scan(Variant.S0, (0.0, 0.3), req, BENCH_LINKS).points == [NO_SENSING]
