@@ -348,18 +348,37 @@ class RunConfig:
         """The config's problem for `variant`, at `target` in place of the config's own."""
         target = self.target if target is None else target
         tau_grid = () if isinstance(target, FixedSensing) else self.tau_grid
-        return OptimizationRequest(variant, self.lambda_p, target, tau_grid, self.b_s_grid, self.margin)
+        req = OptimizationRequest(variant, self.lambda_p, target, tau_grid, self.b_s_grid, self.margin)
+        if tau_grid and variant is not Variant.S0 and isinstance(self.channel, PhyParams):
+            # the ROC's arguments grow with tau: finite at the grid's last, finite at all
+            self._roc(target, req.tau_grid[-1], "grids.tau")
+        return req
+
+    def _roc(self, target: TargetMode, tau: float, tau_key: str) -> SensingPoint:
+        """`target`'s point at `tau`; a ROC past the float range is a config error naming its keys."""
+        try:
+            return target.at(self.channel, tau)
+        except DomainError as exc:
+            threshold = ", phy.noise_variance, sensing.epsilon" if isinstance(target, FixedThreshold) else ""
+            raise ConfigError(f"phy.sampling_hz, phy.sense_snr_db{threshold} and {tau_key} = {tau!r} put the "
+                              f"detector's ROC past the float range ({exc})") from exc
 
     def sensing_point(self) -> SensingPoint:
-        """Resolve the config to one detector operating point (simulate/estimate)."""
+        """The one sensing point of a simulate or estimate run: NO_SENSING for S0, else the config's, with tau > 0."""
+        if self.scheme is None:
+            raise ConfigError("simulate/estimate need a `scheme`")
+        if self.scheme is Variant.S0:
+            return NO_SENSING
         if isinstance(self.target, FixedSensing):
+            if self.target.point.tau == 0.0:
+                raise ConfigError("sensing.tau must be > 0 for sensing schemes (use scheme S0 for no sensing)")
             return self.target.point
         if not isinstance(self.channel, PhyParams):
             raise ConfigError("tau-dependent sensing modes need the `phy` section, not `channel`")
         if self.sensing_tau is None:
             mode = next(mode for mode, (target, _) in _SENSING.items() if isinstance(self.target, target))
             raise ConfigError(f"sensing.tau is required to pin a single operating point in mode {mode}")
-        return self.target.at(self.channel, self.sensing_tau)
+        return self._roc(self.target, self.sensing_tau, "sensing.tau")
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -367,8 +386,14 @@ def parse_config(doc: dict) -> RunConfig:
     if (top["phy"] is None) == (top["channel"] is None):
         raise ConfigError("exactly one of `phy` (detector + link physics) or `channel` (direct probabilities) "
                           "is required")
-    channel = (LinkSuccess(**_walk(top["channel"], _CHANNEL, "channel")) if top["phy"] is None
-               else PhyParams(*_walk(top["phy"], _PHY, "phy").values()))
+    if top["phy"] is None:
+        channel = LinkSuccess(**_walk(top["channel"], _CHANNEL, "channel"))
+    else:
+        phy = _walk(top["phy"], _PHY, "phy")
+        try:  # each key is positive and finite: what PhyParams may still reject is b/(T*W)
+            channel = PhyParams(*phy.values())
+        except DomainError as exc:
+            raise ConfigError("phy.bits_per_packet / (phy.slot_seconds * phy.bandwidth_hz) must be finite") from exc
     slot = channel.T if isinstance(channel, PhyParams) else 1.0
     target, table = _SENSING[_MODE.kind(top["sensing"].get("mode"), "sensing.mode")]
     sensing = _walk(top["sensing"], {"mode": _MODE, **table}, "sensing", slot)
@@ -494,9 +519,8 @@ def cmd_region(cfg: RunConfig) -> int:
     if cfg.lambda_p_grid is None:
         raise ConfigError("region needs grids.lambda_p")
     summary: dict[str, Any] = {"schema": REGION_JSON_SCHEMA, "files": {}, "max_boundary": {}}
-    base = cfg.request(Variant.S2)
     union = UNION in cfg.schemes  # UNION reuses the S0 and S2 curves
-    curves = {name: trace_region(Variant(name), cfg.lambda_p_grid, base, cfg.channel)
+    curves = {name: trace_region(Variant(name), cfg.lambda_p_grid, cfg.request(Variant(name)), cfg.channel)
               for name in _SCHEME_NAMES if name in cfg.schemes or (union and name in ("S0", "S2"))}
     if union:
         curves[UNION] = union_curve(curves["S0"], curves["S2"])
@@ -535,15 +559,8 @@ def cmd_optimize(cfg: RunConfig) -> int:
 
 
 def _resolve_scheme_config(cfg: RunConfig) -> tuple[SchemeConfig, dict]:
-    """Scheme + access probabilities for a single simulation run."""
-    if cfg.scheme is None:
-        raise ConfigError("simulate/estimate need a `scheme`")
-    if cfg.scheme is Variant.S0:
-        point = NO_SENSING
-    else:
-        point = cfg.sensing_point()
-        if point.tau == 0.0:
-            raise ConfigError("sensing.tau must be > 0 for sensing schemes (use scheme S0 for no sensing)")
+    """Scheme + access probabilities for a simulate run."""
+    point = cfg.sensing_point()
     note: dict[str, Any] = {}
     if cfg.scheme is Variant.SC:
         return SchemeConfig(variant=cfg.scheme, a_s=1.0, b_s=0.0, sensing=point), note
@@ -649,16 +666,10 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
     _check_sim_slots(cfg.estimate.lp_slots + cfg.estimate.rp_slots, MAX_SIM_SLOTS,
                      "estimate.lp_slots + estimate.rp_slots")
-    scheme, _ = _resolve_scheme_config(cfg)
-    template = _sim_config(cfg, scheme, cfg.estimate.rp_slots)
-    report = learning_then_regular(
-        cfg.estimate.lp_slots,
-        cfg.estimate.rp_slots,
-        template,
-        mode=cfg.estimate.estimator_mode,
-        margin=cfg.estimate.margin,
-        b_s_grid=cfg.b_s_grid,
-    )
+    # the estimator picks the access probabilities: the template's scheme gives only the variant and point
+    template = _sim_config(cfg, SchemeConfig(cfg.scheme, 1.0, 0.0, cfg.sensing_point()), cfg.estimate.rp_slots)
+    report = learning_then_regular(cfg.estimate.lp_slots, template, mode=cfg.estimate.estimator_mode,
+                                   margin=cfg.estimate.margin, b_s_grid=cfg.b_s_grid)
     rp = report.rp_result
     payload = {
         "schema": ESTIMATE_JSON_SCHEMA,

@@ -378,14 +378,14 @@ def primary_delay(lambda_p: float, mu_p: float) -> float:
 # --- region tracing ----------------------------------------------------------
 
 def trace_region(
-    scheme: Variant | str,
+    scheme: Variant,
     lambda_p_grid: Sequence[float],
     req: OptimizationRequest,
     channel: Channel,
 ) -> RegionCurve:
-    """Trace the stability-region boundary over a lambda_p grid.
+    """Trace one variant's stability-region boundary over a lambda_p grid
+    (UNION's is union_curve of the S0 and S2 curves).
 
-    For UNION the boundary is union_curve of the S0 and S2 curves.
     Infeasible points map to a zero boundary with a silent policy.
     """
     grid = [float(x) for x in lambda_p_grid]
@@ -395,11 +395,7 @@ def trace_region(
         raise DomainError("lambda_p grid must be strictly increasing")
     if any(not 0.0 <= x <= 1.0 for x in grid):
         raise DomainError("lambda_p grid entries must be in [0, 1]")
-    if isinstance(scheme, str) and scheme.upper() == UNION:
-        return union_curve(*(trace_region(v, grid, req, channel) for v in (Variant.S0, Variant.S2)))
-
-    variant = Variant(scheme)
-    res, name = scan(variant, grid, req, channel), variant.value
+    res, name = scan(scheme, grid, req, channel), scheme.value
     points = tuple(
         RegionPoint(lam, float(res.lambda_s[i, j]), name, res.points[j].tau, float(res.a_s[i, j]), float(res.b_s[i, j]))
         if feasible else RegionPoint(lam, 0.0, name, 0.0, 0.0, 0.0)

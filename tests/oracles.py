@@ -21,7 +21,6 @@ import numpy as np
 
 from cogaccess import optimizer, sim
 from cogaccess.errors import DomainError, InfeasibleError
-from cogaccess.estimator import FeedbackLog
 from cogaccess.optimizer import (
     UNION,
     Channel,
@@ -579,6 +578,16 @@ OPTIMIZERS_LOOP = {
 }
 
 
+def region_curve(scheme: Variant | str, lambda_p_grid: Sequence[float], req: OptimizationRequest,
+                 channel: Channel) -> RegionCurve:
+    """The package's curve for a `region` scheme name: trace_region's, or for
+    UNION union_curve of the S0 and S2 curves, as the region command builds it."""
+    if scheme == UNION:
+        return optimizer.union_curve(*(optimizer.trace_region(v, lambda_p_grid, req, channel)
+                                       for v in (Variant.S0, Variant.S2)))
+    return optimizer.trace_region(Variant(scheme), lambda_p_grid, req, channel)
+
+
 def trace_region_loop(
     scheme: Variant | str,
     lambda_p_grid: Sequence[float],
@@ -751,7 +760,7 @@ def compare_dominant(cfg) -> DominanceReport:
     return DominanceReport(dominant_ge_original=ge, saturation_indistinguishable=identical)
 
 
-def feedback_log_from_trace_csv(path: str, p_e_assumed: float = 0.0) -> FeedbackLog:
+def feedback_log_from_trace_csv(path: str) -> sim.FeedbackCounts:
     """Rebuild the learning-phase counting summary from an exported trace CSV."""
     n = m = a = 0
     with open(path, newline="") as fh:
@@ -759,4 +768,4 @@ def feedback_log_from_trace_csv(path: str, p_e_assumed: float = 0.0) -> Feedback
             n += 1
             m += row["feedback"] in ("ack", "nack")
             a += row["feedback"] == "ack"
-    return FeedbackLog(N=n, M=m, A=a, p_e_assumed=p_e_assumed)
+    return sim.FeedbackCounts(A=a, M=m, N=n)

@@ -17,7 +17,6 @@ import yaml
 from cogaccess.cli import main
 from cogaccess.estimator import (
     estimate,
-    feedback_log_from_result,
     learning_then_regular,
 )
 from cogaccess.mathcore import q_func, q_inv
@@ -28,6 +27,7 @@ from cogaccess.optimizer import (
     optimize,
     scan,
     trace_region,
+    union_curve,
 )
 from cogaccess.phy import (
     LinkSuccess,
@@ -48,6 +48,7 @@ from oracles import (
     kernel_s2_cell,
     measure_stability,
     random_s2_cell,
+    region_curve,
     s2_program,
 )
 
@@ -191,8 +192,8 @@ def test_criterion_05_region_structure():
     s2 = trace_region(Variant.S2, lams, base, BENCH_LINKS)
     s1 = trace_region(Variant.S1, lams, base, BENCH_LINKS)
     s2_forced = trace_region(Variant.S2, lams, replace(base, b_s_grid=(0.0,)), BENCH_LINKS)
-    union = trace_region("UNION", lams, base, BENCH_LINKS)
     s0 = trace_region(Variant.S0, lams, base, BENCH_LINKS)
+    union = union_curve(s0, s2)
     for p2, p1, pf, pu, p0 in zip(s2.points, s1.points, s2_forced.points, union.points, s0.points):
         assert p2.lambda_s >= p1.lambda_s - 1e-15
         assert p1.lambda_s >= 0.0
@@ -225,7 +226,7 @@ def test_criterion_06_monotonicity():
     for series in (a1, a2, a0):
         assert all(b <= a + 1e-15 for a, b in zip(series, series[1:]))
     for scheme in (Variant.SC, Variant.S1, Variant.S2, Variant.S0, "UNION"):
-        curve = trace_region(scheme, lams, base, BENCH_LINKS)
+        curve = region_curve(scheme, lams, base, BENCH_LINKS)
         vals = [p.lambda_s for p in curve.points]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:])), scheme
     announce(6, "a_s*(lambda_p) and optimized boundaries non-increasing for all schemes")
@@ -296,7 +297,7 @@ def test_criterion_09_estimator_consistency():
     for p_e in (0.0, 0.1, 0.3):
         cfg = SimConfig(slots=n, seed=17, lambda_p=lam, lambda_s=0.0, scheme=silent,
                         phy=BENCH_LINKS, mode=SimMode.ORIGINAL, feedback_error=p_e)
-        report = estimate(feedback_log_from_result(run(cfg), p_e_assumed=p_e))
+        report = estimate(run(cfg).feedback_counts, p_e)
         se = math.sqrt(lam * (1 - lam * (1 - p_e)) / n) / (1 - p_e)
         assert abs(report.lambda_p_est - lam) <= 4 * se, p_e
         assert abs(report.p_bar_p_pd_est - 0.9) <= 0.01, p_e
@@ -306,7 +307,7 @@ def test_criterion_09_estimator_consistency():
         scheme=SchemeConfig(Variant.S1, 1.0, 0.0, BENCH_POINT),
         phy=BENCH_LINKS, mode=SimMode.ORIGINAL, feedback_error=0.1,
     )
-    two_phase = learning_then_regular(10_000, 100_000, template)
+    two_phase = learning_then_regular(10_000, replace(template, slots=100_000))
     assert two_phase.margin > 0.0
     assert two_phase.rp_result.stability.stable is True
     announce(9, "estimator within 4 SE (P_e in {0, 0.1, 0.3}), link within 0.01, "

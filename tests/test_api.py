@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +27,10 @@ def test_all_names_resolve_and_star_import_works(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_no_source_line_is_over_120_characters():
+    package = Path(cogaccess.__file__).parent
+    long_lines = [f"{path.name}:{n}" for path in sorted(package.glob("*.py"))
+                  for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if len(line) > 120]
+    assert long_lines == []

@@ -30,7 +30,6 @@ from cogaccess.optimizer import (
     default_b_s_grid,
     optimize_with_margin,
     scan,
-    trace_region,
 )
 from cogaccess.phy import (
     LinkSuccess,
@@ -44,7 +43,7 @@ from cogaccess.phy import (
 from cogaccess.schemes import NO_SENSING, SchemeConfig, Variant, service_rates
 from cogaccess.sim import SimConfig, SimMode
 
-from oracles import measure_stability
+from oracles import measure_stability, region_curve
 
 BENCH_BASE = {
     "channel": {"p_bar_p_pd": 0.9, "p_bar_s_sd": 0.8},
@@ -382,7 +381,7 @@ class TestRegion:
         assert set(files) == {"Sc", "S1", "S2", "S0", "UNION"}
         req = OptimizationRequest(Variant.S2, 0.0, FixedThreshold(1.03), TAUS, default_b_s_grid(5))
         for name, path in files.items():
-            points = trace_region(name, LAMBDAS, req, PHY).points
+            points = region_curve(name, LAMBDAS, req, PHY).points
             assert open(path).read().splitlines()[1:] == [
                 f"{p.lambda_p!r},{p.lambda_s!r},{p.scheme},{p.tau!r},{p.a_s!r},{p.b_s!r}" for p in points
             ], name
@@ -595,7 +594,7 @@ class TestEstimateCommand:
     def assert_matches_library(payload, scheme, channel, margin=None):
         """The payload against learning_then_regular on the same inputs."""
         template = SimConfig(slots=20_000, seed=3, lambda_p=0.3, lambda_s=0.05, scheme=scheme, phy=channel)
-        report = learning_then_regular(2_000, 20_000, template, mode=EstimatorMode.UNBIASED, margin=margin,
+        report = learning_then_regular(2_000, template, mode=EstimatorMode.UNBIASED, margin=margin,
                                        b_s_grid=default_b_s_grid())
         est, policy = report.estimates, report.policy
         assert payload["estimates"]["lambda_p_est"] == est.lambda_p_est
@@ -632,6 +631,35 @@ class TestEstimateCommand:
         assert payload["margin"] == 0.02
         self.assert_matches_library(payload, SchemeConfig(Variant.S1, 1.0, 0.0, BENCH_POINT),
                                     LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8), margin=0.02)
+
+    SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "estimate_two_phase.yaml"
+
+    def test_access_is_not_read(self, tmp_path, capsys, monkeypatch):
+        """The shipped document, which has no `access`, prints what it prints with access fixed or optimal,
+        and the command solves nothing at the true lambda_p: the estimator sets the access probabilities."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimate solved an access problem of its own")
+
+        monkeypatch.setattr(cli, "optimize_with_margin", refuse)
+        monkeypatch.chdir(tmp_path)
+        shipped = yaml.safe_load(self.SHIPPED.read_text())
+        assert "access" not in shipped
+        runs = [run_cli(capsys, ["estimate", "-c", str(self.SHIPPED)])]
+        for access in ({"a_s": 1.0}, {"a_s": 0.1}, {"optimal": True}):
+            runs.append(run_cli(capsys, ["estimate", "-c", write_config(tmp_path, dict(shipped, access=access))]))
+        assert runs[0][::2] == (0, "")
+        assert runs == [runs[0]] * 4
+
+    def test_optimal_access_at_an_overloaded_primary_falls_back_to_silence(self, tmp_path, capsys):
+        # lambda_p = 0.95 exceeds the primary link's 0.9: the problem at the true load, and at the estimated one,
+        # is infeasible, so the estimator deploys the silent policy
+        doc = dict(yaml.safe_load(self.SHIPPED.read_text()), lambda_p=0.95, access={"optimal": True},
+                   output_dir=str(tmp_path / "out"))
+        code, out, err = run_cli(capsys, ["estimate", "-c", write_config(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["fallback_silent"] is True
+        assert payload["policy"]["a_s"] == 0.0
 
 
 class TestRunSizeBound:
@@ -1009,6 +1037,34 @@ class TestSchema:
         assert run_cli(capsys, ["optimize", "-c", write_config(tmp_path, doc)]) == (
             2, "", f"config error: phy.{key} must be a dB value whose linear ratio is a positive finite number, "
                    f"got {db}\n")
+
+    # b/(T*W) overflows; sqrt(tau*f_s)*gamma_sense overflows at tau = 0.5; epsilon/sigma_u2 overflows
+    CROSS_KEY = {"b/(T*W)": dict(bits_per_packet=1e300, slot_seconds=1e-12, bandwidth_hz=1e-12),
+                 "target_pfa": dict(sense_snr_db=3000, sampling_hz=1e300),
+                 "threshold": dict(noise_variance=1e-12)}
+
+    @pytest.mark.parametrize("command, case, sensing, message", [
+        ("optimize", "b/(T*W)", None, "phy.bits_per_packet / (phy.slot_seconds * phy.bandwidth_hz) must be finite"),
+        ("optimize", "target_pfa", None, "phy.sampling_hz, phy.sense_snr_db and grids.tau = 0.5 put the detector's "
+                                         "ROC past the float range (q_func requires a finite argument, got -inf)"),
+        ("simulate", "target_pfa", {"mode": "target_pfa", "value": 0.2, "tau": 0.5},
+         "phy.sampling_hz, phy.sense_snr_db and sensing.tau = 0.5 put the detector's ROC past the float range "
+         "(q_func requires a finite argument, got -inf)"),
+        ("simulate", "threshold", {"mode": "threshold", "epsilon": 1e300, "tau": 0.5},
+         "phy.sampling_hz, phy.sense_snr_db, phy.noise_variance, sensing.epsilon and sensing.tau = 0.5 put the "
+         "detector's ROC past the float range (q_func requires a finite argument, got inf)"),
+        ("optimize", "target_pfa", {"mode": "fixed_point", "tau": 0.05, "p_fa": 0.2, "p_md": 0.3}, None),
+    ], ids=["b/(T*W)", "target_pfa over grids.tau", "target_pfa at sensing.tau", "threshold at sensing.tau",
+            "fixed_point evaluates no ROC"])
+    def test_cross_key_checks_name_their_keys(self, command, case, sensing, message, tmp_path, capsys):
+        doc = dict(TestJsonDocuments.DOC, phy=dict(PHY_DOC, **self.CROSS_KEY[case]), access={"a_s": 0.5},
+                   sim={"slots": 1_000}, output_dir=str(tmp_path / "out"))
+        doc["sensing"] = sensing or doc["sensing"]
+        code, out, err = run_cli(capsys, [command, "-c", write_config(tmp_path, doc, "config.json")])
+        if message is None:
+            assert (code, err) == (0, "") and json.loads(out)["feasible"] is True
+        else:
+            assert (code, out, err) == (2, "", f"config error: {message}\n")
 
     @staticmethod
     def keys(doc, table, prefix=""):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -6,15 +7,13 @@ import pytest
 from cogaccess.errors import DomainError
 from cogaccess.estimator import (
     EstimatorMode,
-    FeedbackLog,
     _policy_from_estimates,
     estimate,
-    feedback_log_from_result,
     learning_then_regular,
 )
 from cogaccess.phy import LinkSuccess, SensingPoint
 from cogaccess.schemes import SchemeConfig, Variant
-from cogaccess.sim import TRACE_CSV_HEADER, SimConfig, SimMode, run, write_trace_rows
+from cogaccess.sim import TRACE_CSV_HEADER, FeedbackCounts, SimConfig, SimMode, run, write_trace_rows
 
 from oracles import feedback_log_from_trace_csv, measure_stability, optimal_as_s1
 
@@ -34,29 +33,29 @@ def listen_only(lambda_p, slots, feedback_error=0.0, seed=7):
 class TestEstimate:
     def test_clean_feedback_identifies_arrival_rate(self):
         result = listen_only(0.3, 10_000)
-        report = estimate(feedback_log_from_result(result))
+        report = estimate(result.feedback_counts)
         assert report.lambda_p_est == pytest.approx(0.3, abs=0.015)
 
     def test_no_nacks_means_perfect_link(self):
-        report = estimate(FeedbackLog(N=1000, M=200, A=200))
+        report = estimate(FeedbackCounts(A=200, M=200, N=1000))
         assert report.p_bar_p_pd_est == 1.0
         assert report.mu_p_est == 1.0
 
     def test_degenerate_counts(self):
-        report = estimate(FeedbackLog(N=1000, M=100, A=0))
+        report = estimate(FeedbackCounts(A=0, M=100, N=1000))
         assert report.lambda_p_est == 0.0
         assert report.p_bar_p_pd_est == 0.0
 
     def test_no_feedback_flags_link_estimate(self):
-        report = estimate(FeedbackLog(N=1000, M=0, A=0))
+        report = estimate(FeedbackCounts(A=0, M=0, N=1000))
         assert report.link_estimate_available is False
         assert report.p_bar_p_pd_est is None
         assert report.mu_p_est is None
 
     def test_modes_differ_under_erasures(self):
-        log = FeedbackLog(N=10_000, M=3_000, A=2_700, p_e_assumed=0.1)
-        unbiased = estimate(log, EstimatorMode.UNBIASED)
-        paper = estimate(log, EstimatorMode.PAPER)
+        counts = FeedbackCounts(A=2_700, M=3_000, N=10_000)
+        unbiased = estimate(counts, 0.1, EstimatorMode.UNBIASED)
+        paper = estimate(counts, 0.1, EstimatorMode.PAPER)
         assert unbiased.lambda_p_est == pytest.approx(0.27 / 0.9)
         assert paper.lambda_p_est == pytest.approx(0.27 * 0.9)
 
@@ -64,7 +63,7 @@ class TestEstimate:
         results = {}
         for p_e in (0.0, 0.1, 0.3):
             r = listen_only(0.3, 100_000, feedback_error=p_e)
-            report = estimate(feedback_log_from_result(r, p_e_assumed=p_e))
+            report = estimate(r.feedback_counts, p_e)
             results[p_e] = report.p_bar_p_pd_est
         for p_e, value in results.items():
             assert value == pytest.approx(0.9, abs=0.01), p_e
@@ -74,7 +73,7 @@ class TestEstimate:
         for n in (1_000, 10_000, 100_000):
             for p_e in (0.0, 0.1, 0.3):
                 r = listen_only(0.3, n, feedback_error=p_e)
-                report = estimate(feedback_log_from_result(r, p_e_assumed=p_e))
+                report = estimate(r.feedback_counts, p_e)
                 err = abs(report.lambda_p_est - 0.3)
                 se = math.sqrt(0.3 * (1 - 0.3 * (1 - p_e)) / n) / (1 - p_e)
                 assert err <= 4 * se, (n, p_e)
@@ -84,7 +83,7 @@ class TestEstimate:
 
     def test_nonempty_probability_consistent(self):
         r = listen_only(0.3, 100_000)
-        report = estimate(feedback_log_from_result(r))
+        report = estimate(r.feedback_counts)
         assert report.p_nonempty_est == pytest.approx(
             report.lambda_p_est / report.mu_p_est, abs=1e-12
         )
@@ -92,13 +91,13 @@ class TestEstimate:
 
     def test_rejects_empty_log(self):
         with pytest.raises(DomainError):
-            estimate(FeedbackLog(N=0, M=0, A=0))
+            estimate(FeedbackCounts(A=0, M=0, N=0))
 
     def test_count_ordering_enforced(self):
         with pytest.raises(DomainError):
-            FeedbackLog(N=10, M=20, A=5)
+            estimate(FeedbackCounts(A=5, M=20, N=10))
         with pytest.raises(DomainError):
-            FeedbackLog(N=10, M=5, A=7)
+            estimate(FeedbackCounts(A=7, M=5, N=10))
 
 
 class TestRecommendMargin:
@@ -108,10 +107,10 @@ class TestRecommendMargin:
                          phy=BENCH_LINKS, mode=SimMode.ORIGINAL)
 
     def test_zero_bound(self):
-        assert learning_then_regular(100, 1_000, self.template(), margin=0.0).margin == 0.0
+        assert learning_then_regular(100, replace(self.template(), slots=1_000), margin=0.0).margin == 0.0
 
     def test_bound_passthrough_with_delay_implication(self):
-        mu_pe = learning_then_regular(100, 1_000, self.template(), margin=0.05).margin
+        mu_pe = learning_then_regular(100, replace(self.template(), slots=1_000), margin=0.05).margin
         assert mu_pe == 0.05
         assert (1 - 0.4) / mu_pe == pytest.approx(12.0)
 
@@ -122,7 +121,7 @@ class TestRecommendMargin:
         monkeypatch.setattr("cogaccess.estimator.run", no_run)
         for margin in (-0.01, math.nan):
             with pytest.raises(DomainError):
-                learning_then_regular(100, 1_000, self.template(), margin=margin)
+                learning_then_regular(100, replace(self.template(), slots=1_000), margin=margin)
 
     def test_margin_covers_overestimated_load(self):
         # policy built from lambda_hat = lambda + e with margin e still
@@ -152,7 +151,7 @@ class TestLearningThenRegular:
         )
 
     def test_long_learning_approaches_oracle_policy(self):
-        report = learning_then_regular(50_000, 500_000, self.template(), margin=0.0)
+        report = learning_then_regular(50_000, replace(self.template(), slots=500_000), margin=0.0)
         a_oracle = optimal_as_s1(0.3, 0.3, 0.9)
         oracle_scheme = SchemeConfig(Variant.S1, a_oracle, 0.0, BENCH_POINT)
         oracle_cfg = SimConfig(slots=500_000, seed=12, lambda_p=0.3, lambda_s=0.1,
@@ -165,29 +164,29 @@ class TestLearningThenRegular:
         assert report.fallback_silent is False
 
     def test_short_noisy_learning_with_margin_stays_stable(self):
-        report = learning_then_regular(100, 5_000, self.template(seed=23))
+        report = learning_then_regular(100, replace(self.template(seed=23), slots=5_000))
         assert report.margin > 0.0
         assert report.rp_result.stability.stable is True
 
     def test_margin_zero_noisy_estimates_still_run(self):
-        report = learning_then_regular(1_000, 20_000, self.template(seed=5), margin=0.0)
+        report = learning_then_regular(1_000, replace(self.template(seed=5), slots=20_000), margin=0.0)
         assert report.policy.a_s > 0.0
         assert report.rp_result.slots == 20_000
 
     def test_idle_primary_falls_back_to_silence(self):
-        report = learning_then_regular(1_000, 10_000, self.template(lambda_p=0.0))
+        report = learning_then_regular(1_000, replace(self.template(lambda_p=0.0), slots=10_000))
         assert report.fallback_silent is True
         assert report.policy.a_s == 0.0
 
     def test_s2_policy_uses_busy_access_under_false_alarms(self):
         template = self.template(variant=Variant.S2, lambda_p=0.1)
-        report = learning_then_regular(20_000, 200_000, template, margin=0.0)
+        report = learning_then_regular(20_000, replace(template, slots=200_000), margin=0.0)
         assert report.policy.variant is Variant.S2
         assert report.rp_result.stability.stable is True
 
     def test_phase_length_precondition(self):
         with pytest.raises(DomainError):
-            learning_then_regular(10_000, 50_000, self.template())
+            learning_then_regular(10_000, replace(self.template(), slots=50_000))
 
     def test_s2_policy_where_idle_term_underflows(self):
         # (lambda_p_est/p_bar_est)*(1 - p_fa) underflows to 0: a policy, not a DomainError
@@ -204,6 +203,6 @@ class TestTraceIngestion:
         with open(path, "wb") as fh:
             fh.write(TRACE_CSV_HEADER)
             result = run(cfg, sink=partial(write_trace_rows, fh))
-        from_csv = feedback_log_from_trace_csv(str(path), p_e_assumed=0.2)
-        live = feedback_log_from_result(result, p_e_assumed=0.2)
+        from_csv = feedback_log_from_trace_csv(str(path))
+        live = result.feedback_counts
         assert from_csv == live

@@ -15,6 +15,7 @@ from cogaccess.optimizer import (
     optimize_with_margin,
     primary_delay,
     trace_region,
+    union_curve,
 )
 from cogaccess.phy import LinkSuccess, PhyParams, SensingPoint
 from cogaccess.schemes import SchemeConfig, Variant, service_rates
@@ -26,6 +27,7 @@ from oracles import (
     optimal_as_s0,
     optimal_as_s1,
     optimal_as_s2_given,
+    region_curve,
     s0_boundary,
 )
 
@@ -288,9 +290,9 @@ class TestRegionTracing:
 
     def test_union_dominates_constituents(self):
         req = bench_request(Variant.S2, 0.0, b_s_grid=default_b_s_grid())
-        union = trace_region("UNION", self.LAMBDAS, req, BENCH_LINKS)
         s2 = trace_region(Variant.S2, self.LAMBDAS, req, BENCH_LINKS)
         s0 = trace_region(Variant.S0, self.LAMBDAS, req, BENCH_LINKS)
+        union = union_curve(s0, s2)
         for u, a, b in zip(union.points, s2.points, s0.points):
             assert u.lambda_s >= a.lambda_s - 1e-15
             assert u.lambda_s >= b.lambda_s - 1e-15
@@ -302,7 +304,7 @@ class TestRegionTracing:
         lambdas = tuple(0.63 / 63 * i for i in range(64))
         req = bench_request(Variant.S2, 0.0, b_s_grid=(0.5, 1.0))
         curves = {
-            scheme: [p.lambda_s for p in trace_region(scheme, lambdas, req, BENCH_LINKS).points]
+            scheme: [p.lambda_s for p in region_curve(scheme, lambdas, req, BENCH_LINKS).points]
             for scheme in (Variant.SC, Variant.S1, Variant.S2, Variant.S0, "UNION")
         }
         for i in range(len(lambdas)):
@@ -318,7 +320,7 @@ class TestRegionTracing:
     def test_boundaries_monotone_non_increasing(self):
         req = bench_request(Variant.S2, 0.0, b_s_grid=default_b_s_grid())
         for scheme in (Variant.SC, Variant.S1, Variant.S2, Variant.S0, "UNION"):
-            curve = trace_region(scheme, self.LAMBDAS, req, BENCH_LINKS)
+            curve = region_curve(scheme, self.LAMBDAS, req, BENCH_LINKS)
             vals = [p.lambda_s for p in curve.points]
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -331,9 +333,9 @@ class TestRegionTracing:
 
     def test_switch_policy_records_argmax(self):
         req = bench_request(Variant.S2, 0.0, b_s_grid=default_b_s_grid())
-        union = trace_region("UNION", self.LAMBDAS, req, BENCH_LINKS)
         s2 = trace_region(Variant.S2, self.LAMBDAS, req, BENCH_LINKS)
         s0 = trace_region(Variant.S0, self.LAMBDAS, req, BENCH_LINKS)
+        union = union_curve(s0, s2)
         # the union's points carry the winning scheme's label, tau, a_s and b_s
         assert len(union.points) == len(self.LAMBDAS)
         for point, a, b in zip(union.points, s2.points, s0.points):

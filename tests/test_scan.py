@@ -16,12 +16,18 @@ from cogaccess.optimizer import (
     OptimizationRequest,
     optimize,
     scan,
-    trace_region,
 )
 from cogaccess.phy import LinkSuccess, PhyParams, SensingPoint, link_success
 from cogaccess.schemes import SchemeConfig, Variant, service_rates
 
-from oracles import OPTIMIZERS_LOOP, optimal_as_s0, optimal_as_s1, optimal_as_s2_given, trace_region_loop
+from oracles import (
+    OPTIMIZERS_LOOP,
+    optimal_as_s0,
+    optimal_as_s1,
+    optimal_as_s2_given,
+    region_curve,
+    trace_region_loop,
+)
 
 SCHEMES = (Variant.SC, Variant.S1, Variant.S2, Variant.S0, "UNION")
 
@@ -79,7 +85,7 @@ def test_kernel_matches_scalar_loops(problem):
             r = OptimizationRequest(variant, lam, req.target_mode, req.tau_grid, req.b_s_grid, req.margin)
             assert repr(optimize(r, channel)) == repr(OPTIMIZERS_LOOP[variant](r, channel))
     for scheme in SCHEMES:
-        assert repr(trace_region(scheme, lambdas, req, channel)) == repr(trace_region_loop(scheme, lambdas, req, channel))
+        assert repr(region_curve(scheme, lambdas, req, channel)) == repr(trace_region_loop(scheme, lambdas, req, channel))
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -108,7 +114,7 @@ def test_kernel_matches_scalar_loops_on_dense_grids(case):
     else:
         channel, req, lambdas = _tradeoff_case()
     for scheme in SCHEMES:
-        assert repr(trace_region(scheme, lambdas, req, channel)) == repr(trace_region_loop(scheme, lambdas, req, channel))
+        assert repr(region_curve(scheme, lambdas, req, channel)) == repr(trace_region_loop(scheme, lambdas, req, channel))
 
 
 def _tradeoff_case():
@@ -122,10 +128,10 @@ def _tradeoff_case():
 @pytest.mark.parametrize("block", [1, 7, 28])  # 28: S2 passes of 7 cells over the 4-value b_s scan
 def test_block_size_changes_no_output(block, monkeypatch):
     phy, req, lambdas = _tradeoff_case()
-    before = [repr(trace_region(s, lambdas, req, phy)) for s in SCHEMES]
+    before = [repr(region_curve(s, lambdas, req, phy)) for s in SCHEMES]
     grids = [scan(v, lambdas, req, phy) for v in SCHEMES[:-1]]
     monkeypatch.setattr(optimizer, "_BLOCK", block)
-    assert [repr(trace_region(s, lambdas, req, phy)) for s in SCHEMES] == before
+    assert [repr(region_curve(s, lambdas, req, phy)) for s in SCHEMES] == before
     for v, grid in zip(SCHEMES[:-1], grids):
         again = scan(v, lambdas, req, phy)
         for x, y in zip(grid[1:], again[1:]):
@@ -158,7 +164,7 @@ def test_zero_primary_link_is_silent_unless_idle():
     links = LinkSuccess(p_bar_p_pd=0.0, p_bar_s_sd=0.8)
     req = OptimizationRequest(Variant.S2, 0.0, FixedSensing(SensingPoint(0.05, 0.2, 0.3)), b_s_grid=(0.0, 1.0))
     for scheme in SCHEMES:
-        pts = trace_region(scheme, (0.0, 0.1), req, links).points
+        pts = region_curve(scheme, (0.0, 0.1), req, links).points
         assert pts[0].lambda_s > 0.0 and pts[1].lambda_s == 0.0
     assert optimal_as_s1(0.0, 0.3, 0.0) == 1.0
     assert optimal_as_s0(0.0, 0.0) == 1.0
@@ -174,7 +180,7 @@ def test_tiny_lambda_p_leaves_the_primary_served():
     for point, b_s_grid in ((SensingPoint(0.05, 0.2, 1.0), ()), (SensingPoint(0.05, 0.9, 0.3), (1.0,))):
         req = OptimizationRequest(Variant.S2, 0.0, FixedSensing(point), b_s_grid=b_s_grid)
         for scheme in SCHEMES:
-            curve = trace_region(scheme, lambdas, req, links)
+            curve = region_curve(scheme, lambdas, req, links)
             assert repr(curve) == repr(trace_region_loop(scheme, lambdas, req, links))
             at_0, tiny, far = curve.points
             assert at_0.lambda_s >= tiny.lambda_s >= far.lambda_s
@@ -190,7 +196,7 @@ def test_boundary_structure(problem):
     """S2 >= S1 >= Sc at a shared sensing point, UNION >= every scheme, every
     boundary non-increasing in lambda_p, rates in [0, 1]."""
     channel, req, lambdas = problem
-    value = {s: [p.lambda_s for p in trace_region(s, lambdas, req, channel).points] for s in SCHEMES}
+    value = {s: [p.lambda_s for p in region_curve(s, lambdas, req, channel).points] for s in SCHEMES}
     tol = 1e-12
     for i in range(len(lambdas)):
         assert value[Variant.S2][i] >= value[Variant.S1][i] - tol
