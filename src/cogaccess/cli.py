@@ -666,6 +666,9 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
     _check_sim_slots(cfg.estimate.lp_slots + cfg.estimate.rp_slots, MAX_SIM_SLOTS,
                      "estimate.lp_slots + estimate.rp_slots")
+    if cfg.estimate.rp_slots < 10 * cfg.estimate.lp_slots:
+        raise ConfigError(f"estimate.rp_slots must be at least 10 x estimate.lp_slots = "
+                          f"{10 * cfg.estimate.lp_slots}, got {cfg.estimate.rp_slots}")
     # the estimator picks the access probabilities: the template's scheme gives only the variant and point
     template = _sim_config(cfg, SchemeConfig(cfg.scheme, 1.0, 0.0, cfg.sensing_point()), cfg.estimate.rp_slots)
     report = learning_then_regular(cfg.estimate.lp_slots, template, mode=cfg.estimate.estimator_mode,

@@ -40,6 +40,7 @@ from .phy import (
     pfa_for_target_pmd,
     pmd_for_target_pfa,
     roc_from_threshold,
+    secondary_success_prob,
 )
 from .schemes import NO_SENSING, SchemeConfig, Variant, rates
 
@@ -319,7 +320,11 @@ def scan(
     """
     lam = np.asarray(lambda_p_grid, dtype=float)
     points = [NO_SENSING] if variant is Variant.S0 else operating_points(req.target_mode, req.tau_grid, channel)
-    cols = np.array([(p.p_fa, p.p_md, link_success(channel, p.tau).p_bar_s_sd) for p in points]).T
+    if isinstance(channel, LinkSuccess):
+        p_s = [channel.p_bar_s_sd] * len(points)
+    else:
+        p_s = [secondary_success_prob(channel, p.tau) for p in points]
+    cols = np.array([(p.p_fa, p.p_md, s) for p, s in zip(points, p_s)]).T
     pp = link_success(channel, 0.0).p_bar_p_pd
     b = np.array(b_s_scan_grid(req.b_s_grid))
     n, m = lam.size, len(points)

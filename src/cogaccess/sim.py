@@ -378,10 +378,13 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
             arrived.popleft()
 
         if sink is not None:
-            collision = ptx & stx
-            sensed_busy = np.where(ptx, busy_if_tx, busy_if_idle)
-            bits = (arrival_p, arrival_s, ptx, stx, collision, p_succ, s_succ, sensed_busy)  # EV_* order
-            events = np.packbits(np.stack(bits, axis=1), axis=1, bitorder="little")[:, 0]
+            # bitwise selects: np.where on a boolean condition branches per slot
+            sensed_busy = (ptx & busy_if_tx) | (~ptx & busy_if_idle)
+            events = np.zeros(m, dtype=np.uint8)
+            for flag, bit in ((arrival_p, EV_ARRIVAL_P), (arrival_s, EV_ARRIVAL_S), (ptx, EV_PRIMARY_TX),
+                              (stx, EV_SECONDARY_TX), (ptx & stx, EV_COLLISION), (p_succ, EV_PRIMARY_SUCCESS),
+                              (s_succ, EV_SECONDARY_SUCCESS), (sensed_busy, EV_SENSED_BUSY)):
+                events |= flag.view(np.uint8) * bit  # flag << k as a product: numpy's uint8 shift is slower
             # FB_* codes: 1 + (NACK) + 2 * (missed), on primary transmissions only
             feedback = (1 + (~p_succ).view(np.uint8) + 2 * (~fb_heard).view(np.uint8)) * ptx
             sink(lo, SimTrace(qp=qp_c, qs=qs_c, events=events, feedback=feedback))
@@ -477,10 +480,10 @@ def _add_chunk_sums(sums: tuple[int, int], q: np.ndarray, lo: int) -> tuple[int,
 
 TRACE_CSV_HEADER = b"slot,qp,qs,events,feedback\r\n"
 _FEEDBACK_NAMES = ("none", "ack", "nack", "ack-missed", "nack-missed")  # indexed by FB_* code
-_TRACE_CSV_CHUNK = 16_384  # rows formatted per write: bounds the memory of the formatted text (about 270 B a row)
-# FB_* code -> the name's bytes, zero-padded to the longest name
-_FEEDBACK_TEXT = np.array([list(name.encode().ljust(max(map(len, _FEEDBACK_NAMES)), b"\0"))
-                           for name in _FEEDBACK_NAMES], dtype=np.uint8)
+_TRACE_CSV_CHUNK = 8_192  # rows formatted per write: bounds the formatting's memory (about 110 B a row)
+# FB_* code -> the end of its row, "<name>\r\n" zero-padded to 16 bytes (two uint64s)
+_ROW_ENDS = np.array([list(f"{name}\r\n".encode().ljust(16, b"\0")) for name in _FEEDBACK_NAMES],
+                     dtype=np.uint8).view(np.uint64)
 
 
 def write_trace_rows(fh: BinaryIO, lo: int, trace: SimTrace) -> None:
@@ -488,40 +491,43 @@ def write_trace_rows(fh: BinaryIO, lo: int, trace: SimTrace) -> None:
     sink (bound to fh) it streams a run's trace.
 
     The bytes are those of csv.writer (CRLF line ends, nothing quoted).
-    Each chunk of rows is formatted as one uint8 array: every integer
-    column is a block of ASCII digits as wide as the chunk's largest
-    value, the feedback column a zero-padded name, and one boolean
-    compress drops the leading zeros and the padding.
+    Each chunk of rows is formatted one byte position at a time: an
+    integer column is a block of digit rows, as many as the chunk's largest
+    value has digits, computed in the narrowest unsigned dtype that holds
+    that value, with a leading zero written as byte 0; one lookup of the
+    feedback codes gives each row's end, zero-padded.  One transpose makes
+    the rows, and dropping every 0, which no CSV byte is, gives the text.
     """
     for at in range(0, len(trace.qp), _TRACE_CSV_CHUNK):
         rows = slice(at, at + _TRACE_CSV_CHUNK)
-        slots = np.arange(lo + at, lo + at + len(trace.qp[rows]), dtype=np.int64)
-        fh.write(_csv_rows((slots, trace.qp[rows], trace.qs[rows], trace.events[rows]), trace.feedback[rows]))
+        fh.write(_csv_rows(lo + at, (trace.qp[rows], trace.qs[rows], trace.events[rows]), trace.feedback[rows]))
 
 
-def _csv_rows(columns: tuple[np.ndarray, ...], feedback: np.ndarray) -> np.ndarray:
-    """CSV text of rows made of non-negative integer columns and a feedback name."""
-    values = [column.astype(np.int64, copy=False) for column in columns]
-    if any(int(v.min()) < 0 for v in values):
-        raise DomainError("trace columns must be non-negative")
-    widths = [len(str(int(v.max()))) for v in values]
-    text = np.empty((len(feedback), sum(widths) + len(widths) + _FEEDBACK_TEXT.shape[1] + 2), dtype=np.uint8)
-    keep = np.ones(text.shape, dtype=bool)
+def _csv_rows(first: int, columns: tuple[np.ndarray, ...], feedback: np.ndarray) -> np.ndarray:
+    """CSV text of rows numbered from `first`, then non-negative integer
+    columns and a feedback name."""
+    n = len(feedback)
+    top = first + n - 1
+    fields = [(np.arange(first, top + 1, dtype=np.min_scalar_type(top)), first, len(str(top)))]  # (values, min, digits)
+    for column in columns:
+        low, top = int(column.min()), int(column.max())
+        if low < 0:
+            raise DomainError("trace columns must be non-negative")
+        fields.append((column.astype(np.min_scalar_type(top), copy=False), low, len(str(top))))
+    num = np.empty((sum(width + 1 for *_, width in fields), n), dtype=np.uint8)  # one row per byte position
     at = 0
-    for q, width in zip(values, widths):
-        # digits from the ones up; a digit of place value 10**j > 1 is
-        # written only when the value reaches 10**j, i.e. when q > 0 here
-        for k in range(at + width - 1, at, -1):
+    for v, low, width in fields:
+        ones, q = at + width - 1, v
+        for k in range(ones, at, -1):  # the digits, from the ones up
             tens = q // 10
-            text[:, k] = q - 10 * tens
+            np.subtract(q, tens * 10, out=num[k], casting="unsafe")
             q = tens
-            keep[:, k - 1] = q > 0
-        text[:, at] = q
-        text[:, at:at + width] += ord("0")
-        text[:, at + width] = ord(",")
-        at += width + 1
-    names = _FEEDBACK_TEXT[feedback]
-    text[:, at:-2] = names
-    keep[:, at:-2] = names != 0
-    text[:, -2:] = (ord("\r"), ord("\n"))
-    return np.compress(keep.ravel(), text.ravel())
+        num[at] = q
+        num[at:ones + 1] += ord("0")
+        for k in range(at, ones):  # a digit of place 10**j above the value is a leading zero
+            if low < 10 ** (ones - k):
+                np.copyto(num[k], 0, where=v < 10 ** (ones - k))
+        num[ones + 1] = ord(",")
+        at = ones + 2
+    text = np.concatenate((num.T, _ROW_ENDS.take(feedback, axis=0).view(np.uint8)), axis=1)
+    return text[text != 0]

@@ -165,16 +165,16 @@ def solve_queues_fixed_point(qp0: int, qs0: int, p_service: np.ndarray, p_blocke
         qp0, qs0 = int(qp[lo]), int(qs[lo])
 
 
-def write_trace_csv_rowwise(trace, path):
-    """Trace CSV written one csv.writerow per slot, the reference the
-    chunked writer must match byte for byte."""
+def write_trace_csv_rowwise(trace, path, first=0):
+    """Trace CSV written one csv.writerow per slot, slots numbered from
+    `first`: the reference the chunked writer must match byte for byte."""
     names = {0: "none", 1: "ack", 2: "nack", 3: "ack-missed", 4: "nack-missed"}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "qp", "qs", "events", "feedback"])
         for t in range(len(trace.qp)):
             writer.writerow(
-                [t, int(trace.qp[t]), int(trace.qs[t]), int(trace.events[t]),
+                [first + t, int(trace.qp[t]), int(trace.qs[t]), int(trace.events[t]),
                  names[int(trace.feedback[t])]]
             )
 

@@ -661,6 +661,12 @@ class TestEstimateCommand:
         assert payload["fallback_silent"] is True
         assert payload["policy"]["a_s"] == 0.0
 
+    def test_short_regular_phase_names_its_keys(self, tmp_path, capsys):
+        doc = self.estimate_doc(tmp_path, estimate={"lp_slots": 10_000, "rp_slots": 50_000})
+        code, out, err = run_cli(capsys, ["estimate", "-c", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert err == "config error: estimate.rp_slots must be at least 10 x estimate.lp_slots = 100000, got 50000\n"
+
 
 class TestRunSizeBound:
     """Simulate and estimate documents past cli.MAX_SIM_SLOTS (or, with a trace,

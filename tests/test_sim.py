@@ -60,11 +60,12 @@ CHUNK = sim._SIM_CHUNK
 unit_or_random = st.integers(-200, 1200).map(lambda k: min(max(k, 0), 1000) / 1000)  # 0 and 1 about 1/7 each
 
 
-def write_csv(trace, path):
-    """The trace CSV of a whole-run trace, as `simulate` streams it."""
+def write_csv(trace, path, lo=0):
+    """The trace CSV of a whole-run trace, as `simulate` streams it, with
+    slots numbered from lo."""
     with open(path, "wb") as fh:
         fh.write(sim.TRACE_CSV_HEADER)
-        write_trace_rows(fh, 0, trace)
+        write_trace_rows(fh, lo, trace)
 
 
 class TestDeterminism:
@@ -308,24 +309,31 @@ class TestFeedback:
         assert r.feedback_counts.A / r.feedback_counts.N == pytest.approx(0.3, abs=0.01)
 
 
-# 0, 2**63 - 1 and both sides of every power of ten in between: each digit count of an int64
-POWER_OF_TEN_EDGES = np.array(sorted({0, 2**63 - 1} | {10**k + d for k in range(19) for d in (-1, 0)}), dtype=np.int64)
+# 0, 2**63 - 1, and both sides of every power of ten in between (each digit
+# count of an int64) and of 2**8, 2**16 and 2**32 (each unsigned dtype the
+# writer computes digits in)
+QUEUE_EDGES = np.array(sorted({0, 2**63 - 1} | {10**k + d for k in range(19) for d in (-1, 0)}
+                              | {2**b + d for b in (8, 16, 32) for d in (-1, 0)}), dtype=np.int64)
+# first slots whose chunks cross 2**8, 2**16 and 2**32, or start past them
+SLOT_STARTS = (0, 200, 2**16 - 100, 2**32 - 100, 10**15 - 50)
 
 
 @st.composite
 def traces(draw):
     """Trace columns of chunk-edge lengths; the queue columns mix small sizes
-    with power-of-ten edges up to a drawn maximum."""
+    with the edges up to a drawn maximum, and events below a drawn maximum
+    (0 and 255 among them) with that maximum."""
     n = draw(st.sampled_from([1, sim._TRACE_CSV_CHUNK - 1, sim._TRACE_CSV_CHUNK, sim._TRACE_CSV_CHUNK + 1])
              | st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def queue():
-        edges = POWER_OF_TEN_EDGES[: draw(st.integers(1, len(POWER_OF_TEN_EDGES)))]
+        edges = QUEUE_EDGES[: draw(st.integers(1, len(QUEUE_EDGES)))]
         return np.where(rng.random(n) < 0.5, rng.choice(edges, n), rng.integers(0, 20, n))
 
-    return sim.SimTrace(qp=queue(), qs=queue(), events=rng.integers(0, 256, n, dtype=np.uint8),
-                        feedback=rng.integers(0, 5, n, dtype=np.uint8))
+    top = draw(st.sampled_from([0, 255]) | st.integers(0, 255))
+    events = np.where(rng.random(n) < 0.5, top, rng.integers(0, top + 1, n)).astype(np.uint8)
+    return sim.SimTrace(qp=queue(), qs=queue(), events=events, feedback=rng.integers(0, 5, n, dtype=np.uint8))
 
 
 class TestTraceExport:
@@ -348,12 +356,30 @@ class TestTraceExport:
         assert fast.read_bytes() == reference.read_bytes()
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(trace=traces())
-    def test_writer_matches_rowwise_reference(self, trace, tmp_path_factory):
+    @given(trace=traces(), lo=st.sampled_from(SLOT_STARTS) | st.integers(0, 2**40))
+    def test_writer_matches_rowwise_reference(self, trace, lo, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("csv")
-        write_csv(trace, tmp / "fast.csv")
-        write_trace_csv_rowwise(trace, str(tmp / "reference.csv"))
+        write_csv(trace, tmp / "fast.csv", lo)
+        write_trace_csv_rowwise(trace, str(tmp / "reference.csv"), first=lo)
         assert (tmp / "fast.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+
+    def test_writer_peak_memory_per_chunk(self):
+        # one 16,384-row chunk with a 7-digit slot column: the formatted text,
+        # its digit rows and the selection fit in 3 MiB
+        _, trace = traced_run(sim_config(slots=16_384, lambda_p=0.4, feedback_error=0.2))
+
+        class Discard:
+            def write(self, text):
+                pass
+
+        with mock.patch.object(sim, "_TRACE_CSV_CHUNK", 16_384):
+            tracemalloc.start()
+            try:
+                write_trace_rows(Discard(), 1_000_000, trace)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
     def test_chunk_size_changes_no_bytes(self, tmp_path):
         _, trace = traced_run(sim_config(variant=Variant.S2, a_s=0.8, b_s=0.3, lambda_p=0.45, lambda_s=0.3,
