@@ -44,18 +44,25 @@ more slot (see `_solve_queues`).
 Nothing per slot outlives its chunk: `run` adds each chunk, while it is
 in cache, to the exact sums behind the primary queue's stability verdict
 and to the batch counts behind the standard errors, and hands its trace
-columns to an optional sink, the only way they leave the run.  What grows
-with the run is the FIFO delay's arrival bits (1 bit a slot) of the chunks
-since the oldest queued primary arrival, at most 1/8 B a slot.
+columns to an optional sink, the only way they leave the run.  What lives
+per run is made once, at chunk size: the chunk's two queue-size columns
+and the solve's scratch (`_Scratch`: the Lindley walk, which also takes
+each uniform and exponential draw, the gathered open slots, and the mask
+and pattern rows), which every chunk uses through views.  What is made per
+chunk is its boolean draws and outcomes (`_chunk`), freed before the sink
+runs.  What grows with the run is the FIFO delay's arrival bits (1 bit a
+slot) of the chunks since the oldest queued primary arrival, at most 1/8 B
+a slot.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, NamedTuple
+from typing import BinaryIO, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -71,7 +78,6 @@ __all__ = [
     "SimResult",
     "StabilityProbe",
     "run",
-    "stability",
     "write_trace_rows",
     "TRACE_CSV_HEADER",
     "DRIFT_EPSILON",
@@ -86,6 +92,7 @@ TERMINAL_FACTOR = 10.0
 # Slots per engine chunk: the draws and per-slot arrays of one chunk are
 # the working set that does not grow with the run.
 _SIM_CHUNK = 32_768
+_SUM_ROW = 256  # slots per row of a chunk's blocked sum(u * q[u])
 
 # Event bitfield layout (trace CSV "events" column).
 EV_ARRIVAL_P = 1 << 0
@@ -171,7 +178,7 @@ class SimResult:
     primary_departures: int
     secondary_departures: int
     feedback_counts: FeedbackCounts
-    stability: StabilityProbe  # the primary queue's, as sim.stability judges its series
+    stability: StabilityProbe  # the primary queue's, from its exact sums (see _verdict)
 
 
 def _success_threshold(p_bar: float) -> float:
@@ -181,37 +188,63 @@ def _success_threshold(p_bar: float) -> float:
     return -math.log(p_bar)
 
 
-def _batch_edges(n: int, batches: int = 50) -> np.ndarray:
+def _batch_edges(n: int, batches: int = 50) -> list[int]:
     """Slot boundaries of the contiguous batches behind the batch-mean SEs."""
     if n < batches * 2:
         batches = max(2, n // 2)
-    return np.linspace(0, n, batches + 1, dtype=np.int64)
+    return np.linspace(0, n, batches + 1, dtype=np.int64).tolist()
 
 
-def _batch_ratio_se(num: np.ndarray, den: np.ndarray) -> float:
+def _add_batch_counts(counts: Iterable[list[int]], edges: list[int], lo: int, columns: tuple[np.ndarray, ...]) -> None:
+    """Add the nonzero entries of each boolean column of the chunk that
+    starts at slot lo, batch by batch, to its list of batch counts."""
+    hi = lo + len(columns[0])
+    for b in range(bisect.bisect_right(edges, lo) - 1, bisect.bisect_left(edges, hi)):  # the batches met
+        a, z = max(edges[b], lo) - lo, min(edges[b + 1], hi) - lo
+        for count, column in zip(counts, columns):
+            count[b] += int(np.count_nonzero(column[a:z]))
+
+
+def _batch_ratio_se(num: list[int], den: list[int]) -> float:
     """Standard error of sum(num)/sum(den) from contiguous batch ratios,
     given each batch's integer sums.
 
     Batch means absorb the serial correlation the queue state induces;
     for independent slots this reduces to the binomial standard error.
     """
-    ratios = [float(a) / float(b) for a, b in zip(num.tolist(), den.tolist()) if b > 0]
+    ratios = [float(a) / float(b) for a, b in zip(num, den) if b > 0]
     if len(ratios) < 2:
         return math.nan
     return float(np.std(ratios, ddof=1) / math.sqrt(len(ratios)))
 
 
-def _lindley(q0: int, service: np.ndarray, arrivals: np.ndarray, out: np.ndarray) -> int:
+class _Scratch(NamedTuple):
+    """The chunk solve's working arrays at chunk size: every chunk of a run
+    solves in views of the same ones."""
+
+    work: np.ndarray  # int64: `_lindley`'s walk; a gathered pass splits it into walk and output halves
+    at: np.ndarray  # intp: the chunk slots a gathered pass keeps open, at most half a chunk
+    flags: np.ndarray  # bool, five rows: two masks, then the open slots' qp > 0, pattern and qs > 0
+
+    @classmethod
+    def of(cls, size: int) -> _Scratch:
+        return cls(np.empty(size, dtype=np.int64), np.empty(size // 2 + 1, dtype=np.intp),
+                   np.empty((5, size), dtype=bool))
+
+
+def _lindley(q0: int, service: np.ndarray, arrivals: np.ndarray, out: np.ndarray, walk: np.ndarray) -> int:
     """Queue sizes at slot start under Q[t+1] = max(Q[t] - S[t], 0) + A[t].
 
-    Writes Q[0..m-1] (Q[0] = q0) into `out` and returns Q[m].  The size
-    just after slot t-1's departures, Y[t] = Q[t] - A[t-1], follows
-    Lindley's recursion Y[t+1] = max(Y[t] + A[t-1] - S[t], 0), whose
-    solution is the free walk minus its running minimum below zero.
+    Writes Q[0..m-1] (Q[0] = q0) into `out` and returns Q[m]; `walk` is
+    scratch of at least m entries.  The size just after slot t-1's
+    departures, Y[t] = Q[t] - A[t-1], follows Lindley's recursion
+    Y[t+1] = max(Y[t] + A[t-1] - S[t], 0), whose solution is the free walk
+    minus its running minimum below zero.
     """
-    walk = np.empty(len(service), dtype=np.int64)
+    walk = walk[:len(service)]
     walk[0] = q0 - int(service[0])
-    np.subtract(arrivals[:-1], service[1:], out=walk[1:], dtype=np.int64)
+    # in int8, which numpy widens into `walk` without buffering both inputs as int64
+    np.subtract(arrivals[:-1].view(np.int8), service[1:].view(np.int8), out=walk[1:])
     np.cumsum(walk, out=walk)
     np.minimum.accumulate(walk, out=out)  # the floor, built in `out`
     np.minimum(out, 0, out=out)
@@ -221,11 +254,30 @@ def _lindley(q0: int, service: np.ndarray, arrivals: np.ndarray, out: np.ndarray
     return int(walk[-1]) + int(arrivals[-1])
 
 
+def _ranges(first: np.ndarray, lens: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """first[0], first[0] + 1, ..., first[0] + lens[0] - 1, first[1], ...
+    (each lens[i] >= 1), written into the head of `out`."""
+    ends = np.cumsum(lens)
+    at = out[:ends[-1]]
+    at.fill(1)
+    at[0] = first[0]
+    at[ends[:-1]] = first[1:] - first[:-1] - lens[:-1] + 1  # the step from one range's last slot to the next's first
+    return np.cumsum(at, out=at)
+
+
+def _pick(a: np.ndarray, slots: slice | np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a[slots]: a view for a slice, else gathered into `out`.  numpy
+    buffers `out` under the default mode, "raise"; the slots are valid
+    indices, so "clip" never acts."""
+    return a[slots] if isinstance(slots, slice) else np.take(a, slots, out=out, mode="clip")
+
+
 def _solve_queues(qp0: int, qs0: int, p_service: np.ndarray, p_blocked: np.ndarray,
                   s_service: np.ndarray, arrival_p: np.ndarray, arrival_s: np.ndarray,
-                  qp: np.ndarray, qs: np.ndarray, dominant: bool) -> tuple[int, int]:
+                  qp: np.ndarray, qs: np.ndarray, dominant: bool, scratch: _Scratch | None = None) -> tuple[int, int]:
     """Both queues of one chunk, written into qp and qs; returns the sizes
-    after the chunk's last slot.
+    after the chunk's last slot.  The work is done in views of `scratch`
+    (by default, arrays made for this call).
 
     The primary is served when p_service and not (p_blocked and the
     secondary contends); the secondary is served when s_service and the
@@ -252,63 +304,149 @@ def _solve_queues(qp0: int, qs0: int, p_service: np.ndarray, p_blocked: np.ndarr
     acting bit on, the pass solves those slots in place instead.  Slot t
     depends only on the pattern before t, so that bit is exact after the
     pass and the next pass's first acting bit lies past it: every pass
-    fixes at least one more slot.
+    fixes at least one more slot.  A gathered pass thus holds at most half
+    the chunk, which is what lets its Lindley walk and output share `work`.
     """
-    qp_end = _lindley(qp0, p_service & ~p_blocked, arrival_p, qp)
-    qs_end = _lindley(qs0, s_service & (qp == 0), arrival_s, qs)
+    m = len(qp)
+    work, at_buf, flags = scratch if scratch is not None else _Scratch.of(m)
+    mask, acting, busy, backlog, solved = flags[:, :m]
+    # p & ~b is p > b on booleans
+    qp_end = _lindley(qp0, np.greater(p_service, p_blocked, out=mask), arrival_p, qp, work)
+    qs_end = _lindley(qs0, np.greater(s_service, np.greater(qp, 0, out=busy), out=mask), arrival_s, qs, work)
     if dominant:
         return qp_end, qs_end
-    idle = (qp == 0) & (qs == 0)
-    # a segment starts at slot 0 and at each regeneration slot before a busy one
-    starts = np.flatnonzero(np.concatenate(([True], idle[1:-1] & ~idle[2:])))
-    del idle
-    # the open slots: the whole chunk, then dirty segments only (`at` indexes
-    # them in the chunk), with their pattern, qp > 0, qs > 0 and segment starts
-    at, backlog, busy, solved = slice(None), np.ones(len(qp), dtype=bool), qp > 0, qs > 0
+    np.greater(qs, 0, out=solved)
+    # a segment starts at slot 0 and at each regeneration slot before an occupied one
+    occupied = np.logical_or(busy, solved, out=mask)
+    acting[0] = True
+    np.greater(occupied[2:], occupied[1:-1], out=acting[1:m - 1])
+    bounds = np.append(np.flatnonzero(acting[:max(m - 1, 1)]), m)  # segment starts, then the end
+    backlog.fill(True)
+    # the open slots: the whole chunk (at is None), then the dirty segments'
+    # chunk slots at[:k]; the flag rows hold their values in their first k entries
+    at, k = None, m
     while True:
-        acting = (solved != backlog) & p_blocked[at] & busy
-        lo = int(acting.argmax())
-        if not acting[lo]:
+        act = np.not_equal(solved[:k], backlog[:k], out=acting[:k])  # the acting bits (B)
+        act &= p_blocked if at is None else _pick(p_blocked, at, mask[:k])
+        act &= busy[:k]
+        hits = np.flatnonzero(act)
+        if not len(hits):
             return qp_end, qs_end
-        dirty = np.logical_or.reduceat(acting, starts)
-        lens = np.diff(starts, append=len(acting))
-        keep = np.flatnonzero(np.repeat(dirty, lens))
-        if 2 * len(keep) > len(acting) - lo:  # solve from lo on, in place
-            part, backlog, solved = slice(lo, None), solved, solved.copy()
-        else:  # keep only the dirty segments open
-            at = keep if isinstance(at, slice) else at[keep]
-            backlog, busy, solved = solved[keep], np.empty(len(keep), dtype=bool), np.empty(len(keep), dtype=bool)
-            starts = np.concatenate(([0], np.cumsum(lens[dirty][:-1])))
-            part = slice(None)
-        del acting, keep
-        slots = part if isinstance(at, slice) else at[part]
-        q = qp[slots]
-        qp_last = _lindley(int(q[0]), p_service[slots] & ~(p_blocked[slots] & backlog[part]), arrival_p[slots], q)
-        qp[slots], busy[part] = q, q > 0  # the scatter is a no-op on a view
-        q = qs[slots]
-        qs_last = _lindley(int(q[0]), s_service[slots] & ~busy[part], arrival_s[slots], q)
-        qs[slots], solved[part] = q, q > 0
-        if isinstance(at, slice) or at[-1] == len(qp) - 1:  # the chunk's last slot is open
+        lo = int(hits[0])
+        seg = np.searchsorted(bounds, hits, side="right") - 1
+        dirty = seg[np.diff(seg, prepend=-1) != 0]
+        first, lens = bounds[dirty], bounds[dirty + 1] - bounds[dirty]
+        if 2 * int(lens.sum()) > k - lo:  # solve from lo on, in place
+            part = slice(lo, k)
+            backlog, solved = solved, backlog
+            solved[:lo] = backlog[:lo]
+        else:  # keep only the dirty segments open, with the pattern they last solved
+            at = _ranges(first if at is None else at[first], lens, at_buf)
+            k = len(at)
+            np.greater(_pick(qs, at, work[:k]), 0, out=backlog[:k])
+            bounds = np.append(0, np.cumsum(lens))
+            part = slice(0, k)
+        if at is None:  # chunk slots part, solved where they lie
+            slots, head, out_p, out_s, walk = part, part.start, qp[part], qs[part], work
+        else:  # chunk slots at[part], gathered into `work`'s two halves
+            slots, head, n = at[part], int(at[part.start]), k - part.start
+            out_p = out_s = work[len(work) - n:]
+            walk = work[:n]
+        blocked = np.logical_and(_pick(p_blocked, slots, mask[part]), backlog[part], out=mask[part])
+        service = np.greater(_pick(p_service, slots, acting[part]), blocked, out=mask[part])
+        qp_last = _lindley(int(qp[head]), service, _pick(arrival_p, slots, acting[part]), out_p, walk)
+        if at is not None:
+            qp[slots] = out_p
+        busy_part = np.greater(out_p, 0, out=busy[part])
+        service = np.greater(_pick(s_service, slots, acting[part]), busy_part, out=mask[part])
+        qs_last = _lindley(int(qs[head]), service, _pick(arrival_s, slots, acting[part]), out_s, walk)
+        if at is not None:
+            qs[slots] = out_s
+        np.greater(out_s, 0, out=solved[part])
+        if at is None or at[k - 1] == m - 1:  # the chunk's last slot is open
             qp_end, qs_end = qp_last, qs_last
+
+
+class _Outcomes(NamedTuple):
+    """One chunk's per-slot outcomes, as the tallies and the trace read them."""
+
+    arrival_p: np.ndarray
+    arrival_s: np.ndarray
+    busy_if_tx: np.ndarray  # the sensing outcome were the primary transmitting
+    busy_if_idle: np.ndarray  # and were it silent
+    fb_heard: np.ndarray
+    ptx: np.ndarray
+    s_has_packet: np.ndarray
+    stx: np.ndarray
+    p_succ: np.ndarray
+    s_succ: np.ndarray
+
+
+def _chunk(cfg: SimConfig, streams: list[np.random.Generator], thresholds: tuple[float, float], qp0: int, qs0: int,
+           qp: np.ndarray, qs: np.ndarray, scratch: _Scratch) -> tuple[int, int, _Outcomes]:
+    """Draw one chunk of len(qp) slots, solve its queues from sizes qp0 and
+    qs0 into qp and qs, and return the sizes after its last slot and its
+    slots' outcomes."""
+    m = len(qp)
+    rng_arr_p, rng_arr_s, rng_sense, rng_coin, rng_chan_p, rng_chan_s, rng_fb = streams
+    dominant = cfg.mode is SimMode.DOMINANT
+    u = scratch.work[:m].view(np.float64)  # each draw, before the solve needs `work`
+    arrival_p = rng_arr_p.random(out=u) < cfg.lambda_p
+    arrival_s = rng_arr_s.random(out=u) < cfg.lambda_s
+    rng_sense.random(out=u)
+    busy_if_tx = u < 1.0 - cfg.scheme.sensing.p_md
+    busy_if_idle = u < cfg.scheme.sensing.p_fa
+    rng_coin.random(out=u)
+    coin_idle = u < cfg.scheme.a_s
+    coin_busy = u < cfg.scheme.b_s
+    chan_p_ok = rng_chan_p.standard_exponential(out=u) >= thresholds[0]
+    chan_s_ok = rng_chan_s.standard_exponential(out=u) >= thresholds[1]
+    fb_heard = rng_fb.random(out=u) < 1.0 - cfg.feedback_error
+    # the access coin as it falls when the primary transmits / is silent, by
+    # bitwise selects, about 15 times cheaper a slot than `where` on a condition
+    coin_if_tx = (busy_if_tx & coin_busy) | (~busy_if_tx & coin_idle)
+    coin_if_idle = (busy_if_idle & coin_busy) | (~busy_if_idle & coin_idle)
+
+    qp_end, qs_end = _solve_queues(qp0, qs0, chan_p_ok, coin_if_tx, coin_if_idle & chan_s_ok,
+                                   arrival_p, arrival_s, qp, qs, dominant, scratch)
+    ptx = qp > 0
+    s_has_packet = qs > 0
+    coin = (ptx & coin_if_tx) | (~ptx & coin_if_idle)
+    stx = coin if dominant else coin & s_has_packet
+    return qp_end, qs_end, _Outcomes(arrival_p, arrival_s, busy_if_tx, busy_if_idle, fb_heard, ptx, s_has_packet,
+                                     stx, ptx & ~stx & chan_p_ok, stx & ~ptx & chan_s_ok)
+
+
+def _trace_columns(o: _Outcomes) -> tuple[np.ndarray, np.ndarray]:
+    """A chunk's trace columns from its outcomes: event bits and feedback codes."""
+    sensed_busy = (o.ptx & o.busy_if_tx) | (~o.ptx & o.busy_if_idle)
+    events = np.zeros(len(o.ptx), dtype=np.uint8)
+    for flag, bit in ((o.arrival_p, EV_ARRIVAL_P), (o.arrival_s, EV_ARRIVAL_S), (o.ptx, EV_PRIMARY_TX),
+                      (o.stx, EV_SECONDARY_TX), (o.ptx & o.stx, EV_COLLISION), (o.p_succ, EV_PRIMARY_SUCCESS),
+                      (o.s_succ, EV_SECONDARY_SUCCESS), (sensed_busy, EV_SENSED_BUSY)):
+        events |= flag.view(np.uint8) * bit  # flag << k as a product: numpy's uint8 shift is slower
+    # FB_* codes: 1 + (NACK) + 2 * (missed), on primary transmissions only
+    feedback = (1 + (~o.p_succ).view(np.uint8) + 2 * (~o.fb_heard).view(np.uint8)) * o.ptx
+    return events, feedback
 
 
 def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> SimResult:
     """Simulate cfg.slots slots: empirical rates, counts and the primary
     queue's stability.  A sink gets each chunk's first slot and trace
-    columns, in slot order, to read during the call."""
+    columns, in slot order, to read during the call only: qp and qs are
+    views of buffers the run reuses for every chunk."""
     n = cfg.slots
     links = link_success(cfg.phy, cfg.scheme.sensing.tau)
-    p_fa, p_md = cfg.scheme.sensing.p_fa, cfg.scheme.sensing.p_md
-    dominant = cfg.mode is SimMode.DOMINANT
-    threshold_p = _success_threshold(links.p_bar_p_pd)
-    threshold_s = _success_threshold(links.p_bar_s_sd)
-
+    thresholds = (_success_threshold(links.p_bar_p_pd), _success_threshold(links.p_bar_s_sd))
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(7)]
-    rng_arr_p, rng_arr_s, rng_sense, rng_coin, rng_chan_p, rng_chan_s, rng_fb = streams
 
     edges = _batch_edges(n)
     # per-batch counts of the indicator series behind the batch-mean SEs
-    batch = {k: np.zeros(len(edges) - 1, dtype=np.int64) for k in ("ptx", "pdep", "ssucc", "snon", "sdep")}
+    batch = {k: [0] * (len(edges) - 1) for k in ("ptx", "pdep", "ssucc", "snon", "sdep")}
+
+    # per-run buffers at chunk size: the chunk's queue sizes and the solve's scratch
+    size = min(n, _SIM_CHUNK)
+    queues, scratch = np.empty((2, size), dtype=np.int64), _Scratch.of(size)
 
     qp, qs = cfg.initial_qp, cfg.initial_qs
     initial_left = cfg.initial_qp  # queued packets that count as arriving in slot -1
@@ -322,90 +460,51 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
     sums = (0, 0)  # sum(qp[t]) and sum(t * qp[t]), exact
 
     for lo in range(0, n, _SIM_CHUNK):
-        hi = min(lo + _SIM_CHUNK, n)
-        m = hi - lo
-        arrival_p = rng_arr_p.random(m) < cfg.lambda_p
-        arrival_s = rng_arr_s.random(m) < cfg.lambda_s
-        u = rng_sense.random(m)
-        busy_if_tx = u < 1.0 - p_md
-        busy_if_idle = u < p_fa
-        u = rng_coin.random(m)
-        coin_idle = u < cfg.scheme.a_s
-        coin_busy = u < cfg.scheme.b_s
-        chan_p_ok = rng_chan_p.standard_exponential(m) >= threshold_p
-        chan_s_ok = rng_chan_s.standard_exponential(m) >= threshold_s
-        fb_heard = rng_fb.random(m) < 1.0 - cfg.feedback_error
-        del u
-        # the access coin as it falls when the primary transmits / is silent
-        coin_if_tx = np.where(busy_if_tx, coin_busy, coin_idle)
-        coin_if_idle = np.where(busy_if_idle, coin_busy, coin_idle)
-
-        qp_c = np.empty(m, dtype=np.int64)
-        qs_c = np.empty(m, dtype=np.int64)
-        qp, qs = _solve_queues(qp, qs, chan_p_ok, coin_if_tx, coin_if_idle & chan_s_ok,
-                               arrival_p, arrival_s, qp_c, qs_c, dominant)
+        qp_c, qs_c = queues[:, :min(_SIM_CHUNK, n - lo)]
+        qp, qs, o = _chunk(cfg, streams, thresholds, qp, qs, qp_c, qs_c, scratch)
         sums = _add_chunk_sums(sums, qp_c, lo)
 
-        ptx = qp_c > 0
-        s_has_packet = qs_c > 0
-        coin = np.where(ptx, coin_if_tx, coin_if_idle)
-        stx = coin if dominant else coin & s_has_packet
-        p_succ = ptx & ~stx & chan_p_ok
-        s_succ = stx & ~ptx & chan_s_ok
-        s_dep = s_succ & s_has_packet
-
-        heard += int(np.count_nonzero(ptx & fb_heard))
-        acks_heard += int(np.count_nonzero(p_succ & fb_heard))
-        # batches i-1 .. j-1 meet this chunk; each later one starts at its edge
-        i, j = np.searchsorted(edges, (lo, hi - 1), side="right")
-        starts = np.concatenate(([lo], edges[i:j])) - lo
-        for key, series in (("ptx", ptx), ("pdep", p_succ), ("ssucc", s_succ),
-                            ("snon", s_has_packet), ("sdep", s_dep)):
-            batch[key][i - 1:j] += np.add.reduceat(series, starts, dtype=np.int64)
+        heard += int(np.count_nonzero(o.ptx & o.fb_heard))
+        acks_heard += int(np.count_nonzero(o.p_succ & o.fb_heard))
+        _add_batch_counts(batch.values(), edges, lo,  # in batch's key order
+                          (o.ptx, o.p_succ, o.s_succ, o.s_has_packet, o.s_succ & o.s_has_packet))
 
         # FIFO delay: departure slots here, the arrival slots of the first
-        # `served` arrivals after the run
-        departed = np.flatnonzero(p_succ)
-        from_initial = min(len(departed), initial_left)
+        # `served` arrivals after the run (each a count and a slot sum)
+        departures, departure_slot_sum = _add_chunk_sums((0, 0), o.p_succ, lo)
+        from_initial = min(departures, initial_left)
         initial_left -= from_initial
-        served += len(departed) - from_initial
-        delay_sum += lo * len(departed) + int(departed.sum()) + from_initial
-        arrived.append((lo, arrivals, arrival_slot_sum, np.packbits(arrival_p)))
-        arrival_slots = np.flatnonzero(arrival_p)
-        arrivals += len(arrival_slots)
-        arrival_slot_sum += lo * len(arrival_slots) + int(arrival_slots.sum())
+        served += departures - from_initial
+        delay_sum += departure_slot_sum + from_initial
+        arrived.append((lo, arrivals, arrival_slot_sum, np.packbits(o.arrival_p)))
+        arrivals, arrival_slot_sum = _add_chunk_sums((arrivals, arrival_slot_sum), o.arrival_p, lo)
         while len(arrived) > 1 and arrived[1][1] <= served:
             arrived.popleft()
 
-        if sink is not None:
-            # bitwise selects: np.where on a boolean condition branches per slot
-            sensed_busy = (ptx & busy_if_tx) | (~ptx & busy_if_idle)
-            events = np.zeros(m, dtype=np.uint8)
-            for flag, bit in ((arrival_p, EV_ARRIVAL_P), (arrival_s, EV_ARRIVAL_S), (ptx, EV_PRIMARY_TX),
-                              (stx, EV_SECONDARY_TX), (ptx & stx, EV_COLLISION), (p_succ, EV_PRIMARY_SUCCESS),
-                              (s_succ, EV_SECONDARY_SUCCESS), (sensed_busy, EV_SENSED_BUSY)):
-                events |= flag.view(np.uint8) * bit  # flag << k as a product: numpy's uint8 shift is slower
-            # FB_* codes: 1 + (NACK) + 2 * (missed), on primary transmissions only
-            feedback = (1 + (~p_succ).view(np.uint8) + 2 * (~fb_heard).view(np.uint8)) * ptx
-            sink(lo, SimTrace(qp=qp_c, qs=qs_c, events=events, feedback=feedback))
+        trace = None if sink is None else SimTrace(qp_c, qs_c, *_trace_columns(o))
+        # the chunk's per-slot arrays go before the sink runs: what it makes
+        # of the trace (the CSV writer's text) then adds to the trace alone
+        del o
+        if trace is not None:
+            sink(lo, trace)
 
     # the served-th arrival is in the first kept chunk
     lo, before, before_sum, bits = arrived[0]
     first = np.flatnonzero(np.unpackbits(bits))[:served - before]
     delay_sum -= before_sum + lo * len(first) + int(first.sum())
 
-    ptx_slots = int(batch["ptx"].sum())
-    p_dep_total = int(batch["pdep"].sum())
-    s_dep_total = int(batch["sdep"].sum())
+    ptx_slots = sum(batch["ptx"])
+    p_dep_total = sum(batch["pdep"])
+    s_dep_total = sum(batch["sdep"])
     mu_p = p_dep_total / ptx_slots if ptx_slots else math.nan
     mu_p_se = _batch_ratio_se(batch["pdep"], batch["ptx"]) if ptx_slots else math.nan
-    if dominant:
+    if cfg.mode is SimMode.DOMINANT:
         # the secondary always has something to send: its service rate is
         # the unconditional per-slot success rate, dummies included
-        mu_s = int(batch["ssucc"].sum()) / n
-        mu_s_se = _batch_ratio_se(batch["ssucc"], np.diff(edges))
+        mu_s = sum(batch["ssucc"]) / n
+        mu_s_se = _batch_ratio_se(batch["ssucc"], [b - a for a, b in zip(edges, edges[1:])])
     else:
-        snon_slots = int(batch["snon"].sum())
+        snon_slots = sum(batch["snon"])
         mu_s = s_dep_total / snon_slots if snon_slots else math.nan
         mu_s_se = _batch_ratio_se(batch["sdep"], batch["snon"]) if snon_slots else math.nan
 
@@ -425,24 +524,13 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
     )
 
 
-def stability(series: np.ndarray) -> StabilityProbe:
-    """Finite-run stability verdict from one queue's per-slot sizes.
+def _verdict(n: int, sums: tuple[int, int], terminal: int) -> StabilityProbe:
+    """The finite-run stability verdict of an n-slot queue series from its
+    exact sums sum(q[t]) and sum(t * q[t]) and its last value.
 
     The drift is the least-squares slope of the series against the slot
     index (nan for a single slot); stable means drift <= DRIFT_EPSILON and
-    a terminal size below TERMINAL_FACTOR * sqrt(len(series)).
-    """
-    if not np.issubdtype(series.dtype, np.integer):
-        raise DomainError(f"stability needs an integer series, got dtype {series.dtype}")
-    sums = (0, 0)
-    for lo in range(0, len(series), _SIM_CHUNK):
-        sums = _add_chunk_sums(sums, series[lo:lo + _SIM_CHUNK], lo)
-    return _verdict(len(series), sums, int(series[-1]))
-
-
-def _verdict(n: int, sums: tuple[int, int], terminal: int) -> StabilityProbe:
-    """The stability verdict of an n-slot series from its exact sums
-    sum(q[t]) and sum(t * q[t]) and its last value."""
+    a terminal size below TERMINAL_FACTOR * sqrt(n)."""
     sum_q, sum_tq = sums
     # slope = (n*sum(t*q) - sum(t)*sum(q)) / (n*sum(t^2) - sum(t)^2), with
     # sum(t) = n(n-1)/2 and the denominator n^2(n^2-1)/12, both scaled by 12:
@@ -460,20 +548,28 @@ def _verdict(n: int, sums: tuple[int, int], terminal: int) -> StabilityProbe:
 
 
 def _add_chunk_sums(sums: tuple[int, int], q: np.ndarray, lo: int) -> tuple[int, int]:
-    """sums plus sum(q[u]) and sum((lo + u) * q[u]) of an integer chunk that
-    starts at slot lo, as exact Python ints.
+    """sums plus sum(q[u]) and sum((lo + u) * q[u]) of an integer or boolean
+    chunk that starts at slot lo, as exact Python ints.
 
     The chunk's sums are taken in int64, sum(t*q) = lo*sum(q) + sum(u*q)
     with u < m, exact while max|q| * m * m < 2**63: for a chunk of 32,768
     slots, queue sizes up to 2**33 - 1.  A queue grows by at most one packet
     a slot, so that holds up to cli's slot limit unless the run starts with
-    a huge initial queue; a chunk past it is summed in Python ints.
+    a huge initial queue; a chunk past it is summed in Python ints.  sum(u*q)
+    is taken over rows of _SUM_ROW slots, u = _SUM_ROW * r + c, from the
+    rows' and columns' sums, so no index array of the chunk's size is made.
     """
     m = len(q)
     if max(-int(q.min()), int(q.max())) * m * m < 2**63:
-        q = q.astype(np.int64, copy=False)
-        s_q = int(q.sum())
-        return sums[0] + s_q, sums[1] + lo * s_q + int(np.dot(np.arange(m, dtype=np.int64), q))
+        whole = m - m % _SUM_ROW
+        grid, rest = q[:whole].reshape(-1, _SUM_ROW), q[whole:].astype(np.int64)
+        total = np.uint32 if q.dtype == np.bool_ else np.int64  # booleans count faster in uint32
+        by_row = grid.sum(axis=1, dtype=total)
+        s_q = int(by_row.sum()) + int(rest.sum())
+        s_uq = (_SUM_ROW * int(np.dot(np.arange(len(grid)), by_row))
+                + int(np.dot(np.arange(_SUM_ROW), grid.sum(axis=0, dtype=total)))
+                + int(np.dot(np.arange(whole, m), rest)))
+        return sums[0] + s_q, sums[1] + lo * s_q + s_uq
     values = q.tolist()
     return sums[0] + sum(values), sums[1] + sum(map(operator.mul, range(lo, lo + m), values))
 

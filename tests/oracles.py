@@ -4,8 +4,9 @@ The oracles and references evaluate objectives from first principles
 (plain grid search over the feasible interval, one Python step per slot,
 per row or per cell) and never call the code paths they are used to
 check.  The helpers at the end drive the package the way several tests
-need: a run with its whole trace, one kernel cell, a stability window,
-the coupled dominance check, trace ingestion.
+need: a run with its whole trace, one kernel cell, the run's stability
+verdict for any series, a stability window, the coupled dominance check,
+trace ingestion.
 """
 
 from __future__ import annotations
@@ -360,7 +361,7 @@ def run_loop(cfg):
         primary_departures=p_dep_total,
         secondary_departures=s_dep_total,
         feedback_counts=sim.FeedbackCounts(A=acks_heard, M=heard, N=n),
-        stability=sim.stability(tr_qp),
+        stability=stability(tr_qp),
     )
     return result, trace
 
@@ -724,15 +725,27 @@ def kernel_s2_cell(b_s, lam, p_md, p_fa, p_bar_p_pd, margin=0.0):
     return float(a[0]), float(lam_s[0]), bool(ok[0])
 
 
+def stability(series: np.ndarray) -> sim.StabilityProbe:
+    """The stability verdict `sim.run` gives its primary queue, for any
+    integer series: the series fed to `sim._add_chunk_sums` a `sim._SIM_CHUNK`
+    at a time, as the run feeds it, and judged by `sim._verdict`."""
+    if not np.issubdtype(series.dtype, np.integer):
+        raise DomainError(f"stability needs an integer series, got dtype {series.dtype}")
+    sums, chunk = (0, 0), sim._SIM_CHUNK
+    for lo in range(0, len(series), chunk):
+        sums = sim._add_chunk_sums(sums, series[lo:lo + chunk], lo)
+    return sim._verdict(len(series), sums, int(series[-1]))
+
+
 def measure_stability(cfg, window: int, queue: str = "primary"):
-    """Run `window` slots of cfg, then judge the selected queue with `sim.stability`."""
+    """Run `window` slots of cfg, then judge the selected queue with `stability`."""
     if window < 10_000:
         raise DomainError(f"stability window must be >= 1e4 slots, got {window!r}")
     if queue not in ("primary", "secondary"):
         raise DomainError(f"queue must be 'primary' or 'secondary', got {queue!r}")
     if queue == "primary":
         return sim.run(replace(cfg, slots=window)).stability
-    return sim.stability(traced_run(replace(cfg, slots=window))[1].qs)
+    return stability(traced_run(replace(cfg, slots=window))[1].qs)
 
 
 @dataclass(frozen=True)

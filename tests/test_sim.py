@@ -1,12 +1,18 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +31,6 @@ from cogaccess.sim import (
     SimMode,
     SimResult,
     run,
-    stability,
     write_trace_rows,
 )
 from cogaccess import cli, sim
@@ -38,6 +43,7 @@ from oracles import (
     replay_queue,
     run_loop,
     solve_queues_fixed_point,
+    stability,
     traced_run,
     write_trace_csv_rowwise,
 )
@@ -447,6 +453,20 @@ class TestEngine:
         assert_same_result(tiny, traced_run(cfg))
         assert_same_result(tiny, run_loop(cfg))
 
+    @pytest.mark.parametrize("mode", list(SimMode))
+    @pytest.mark.parametrize("slots", [350, 700])
+    def test_batch_edges_on_chunk_edges(self, slots, mode):
+        # 50 batches of 7 or 14 slots over 7-slot chunks: every batch starts
+        # on a chunk's first slot and ends on a chunk's last slot
+        cfg = sim_config(variant=Variant.S2, a_s=0.8, b_s=0.3, lambda_p=0.35, lambda_s=0.3, slots=slots,
+                         mode=mode, feedback_error=0.2, initial_qp=4, initial_qs=2)
+        assert [edge % 7 for edge in sim._batch_edges(slots)] == [0] * 51
+        with mock.patch.object(sim, "_SIM_CHUNK", 7):
+            traced, bare = traced_run(cfg), run(cfg)
+        reference = run_loop(cfg)
+        assert_same_result(traced, reference)
+        assert_same_result((bare, traced[1]), reference)
+
     @pytest.mark.parametrize("initial_qp", [0, 40])
     def test_overloaded_primary_delay_across_chunks(self, initial_qp):
         # the backlog spans hundreds of 7-slot chunks, so the FIFO delay reads
@@ -496,6 +516,26 @@ class TestEngine:
 
             peak(4)  # first-call allocations are not per slot
             assert peak(64) - peak(4) <= 8192
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_original_mode_peak_memory_is_flat_in_the_run_length(self, tmp_path):
+        # the solve's working arrays are made once per run, at chunk size, so
+        # a run 20 times longer peaks no higher (VmHWM of fresh interpreters)
+        doc = yaml.safe_load((Path(__file__).parent.parent / "configs" / "validate_simulation.yaml").read_text())
+        src = str(Path(sim.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import sys; from cogaccess.cli import main; main(sys.argv[1:]); status = open('/proc/self/status');"
+                  "print([line.split()[1] for line in status if line.startswith('VmHWM')][0], file=sys.stderr)")
+
+        def peak_kib(slots):
+            doc["sim"].update(slots=slots, mode="original", record_traces=False)
+            (tmp_path / "config.json").write_text(json.dumps(doc))
+            proc = subprocess.run([sys.executable, "-c", script, "simulate", "-c", "config.json"], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stderr)
+
+        assert peak_kib(20_000_000) - peak_kib(1_000_000) <= 512
 
     @pytest.mark.parametrize("draw", ["random", "standard_exponential"])
     def test_stream_read_in_chunks_equals_one_read(self, draw):
