@@ -1000,6 +1000,49 @@ class TestOutputDir:
         assert blocked.is_dir() and not any(blocked.iterdir())
 
 
+NEEDS_PHY_PARAMS = "tau-dependent target modes need full PhyParams; fixed link probabilities only support FixedSensing"
+NEEDS_PHY_SECTION = "tau-dependent sensing modes need the `phy` section, not `channel`"
+TAU_MODES = ("target_pfa", "target_pmd", "threshold")
+# (sensing mode, channel section, sensing.tau given): the stderr message of region, optimize, simulate,
+# estimate and sweep in turn, each an exit 2, or None for a run that exits 0 with nothing on stderr
+ERROR_MATRIX = {
+    ("fixed_point", "phy", True): (None,) * 5,
+    ("fixed_point", "phy", False): ("sensing.tau is required",) * 5,
+    ("fixed_point", "channel", True): (None,) * 5,
+    ("fixed_point", "channel", False): ("sensing.tau is required",) * 5,
+    **{(mode, "phy", True): (None,) * 5 for mode in TAU_MODES},
+    **{(mode, "phy", False): (None, None, *[f"sensing.tau is required to pin a single operating point in mode {mode}"]
+                              * 2, None) for mode in TAU_MODES},
+    **{(mode, "channel", tau): (NEEDS_PHY_PARAMS,) * 2 + (NEEDS_PHY_SECTION,) * 2 + (NEEDS_PHY_PARAMS,)
+       for mode in TAU_MODES for tau in (True, False)},
+}
+
+
+class TestConfigErrorMatrix:
+    """Every sensing mode on either channel section, with and without sensing.tau, through every
+    command: the exit code and the exact stderr of each run, against ERROR_MATRIX."""
+
+    MODES = {"fixed_point": {"p_fa": 0.2, "p_md": 0.3}, "target_pfa": {"value": 0.2},
+             "target_pmd": {"value": 0.3}, "threshold": {"epsilon": 1.03}}
+
+    COMMANDS = ("region", "optimize", "simulate", "estimate", "sweep")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("with_tau", [True, False], ids=["tau", "no tau"])
+    @pytest.mark.parametrize("section", ["phy", "channel"])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_exit_code_and_stderr(self, mode, section, with_tau, command, tmp_path, capsys):
+        sensing = {"mode": mode, **self.MODES[mode], **({"tau": 0.05} if with_tau else {})}
+        doc = {section: PHY_DOC if section == "phy" else BENCH_BASE["channel"], "sensing": sensing,
+               "scheme": "S2", "lambda_p": 0.3, "access": {"a_s": 0.5, "b_s": 0.2},
+               "grids": {"lambda_p": [0.0, 0.3], "tau": [0.01, 0.5], "b_s": {"count": 5}},
+               "sim": {"slots": 2_000}, "estimate": {"lp_slots": 1_000, "rp_slots": 10_000},
+               "output_dir": str(tmp_path / "out")}
+        message = ERROR_MATRIX[mode, section, with_tau][self.COMMANDS.index(command)]
+        code, _, err = run_cli(capsys, [command, "-c", write_config(tmp_path, doc)])
+        assert (code, err) == ((0, "") if message is None else (2, f"config error: {message}\n"))
+
+
 class TestSchema:
     """Each key present is checked against its schema entry, whatever the other keys say."""
 
