@@ -25,25 +25,27 @@ inside PhyParams.  Outputs are deterministic functions of the config
 float formatting.  Exit codes: 0 success (an infeasible optimization is
 still a success), 1 standard output closed before it was written (say, by
 `| head`; output files are complete), 2 config error (an output file that
-cannot be created included), 3 internal error.
+cannot be created or written included), 3 internal error.  Output files
+appear whole or not at all.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import CogAccessError, ConfigError, DomainError, PrimaryUnstableError
 from .optimizer import (
-    Channel,
     FixedFalseAlarm,
     FixedMisdetection,
     FixedSensing,
@@ -60,7 +62,7 @@ from .optimizer import (
     trace_region,
     union_curve,
 )
-from .phy import LinkSuccess, PhyParams, SensingPoint, link_success
+from .phy import Channel, LinkSuccess, PhyParams, SensingPoint
 from .schemes import NO_SENSING, EstimatorMode, SchemeConfig, SimMode, Variant, service_rates
 
 __all__ = ["main", "load_config", "RunConfig", "AccessSection", "SimSection", "EstimateSection"]
@@ -72,14 +74,9 @@ SIMULATE_JSON_SCHEMA = "simulate/1"
 ESTIMATE_JSON_SCHEMA = "estimate/1"
 REGION_JSON_SCHEMA = "region-summary/1"
 
-# A sweep evaluates every cell before it writes its CSV, so a bad document
-# fails before any row is written.  It holds 34 B per cell (four float64
-# result arrays and a feasibility mask per scan) and takes 1.2 us per cell
-# with all four schemes, 1.8-2.1 us with S2 alone, most of it CSV formatting
-# (2-CPU AMD EPYC, Python 3.11.7, numpy 2.4.6): peak RSS grew 0.6 MiB for
-# 10,416 cells in 0.018 s and 34 MiB for 1,041,600 cells in 1.2 s.  At the
-# cap a sweep holds about 330 MiB and runs for 12-18 s; its CSV (107 B per
-# row, about 1 GiB) is what sets the cap.
+# A sweep evaluates every cell before it writes its CSV, so a bad document fails before any row is
+# written.  It holds 34 B a cell; at the cap, about 330 MiB and a CSV of about 1 GiB (107 B a row), which
+# is what sets the cap.  README gives its measured times.
 MAX_SWEEP_CELLS = 10_000_000
 
 # sim.run holds no per-slot memory but the FIFO delay's arrival bits while an
@@ -251,6 +248,8 @@ _SENSING = {  # each sensing.mode: the target it sets, and the table of the keys
         "tau": _PINNED_TAU,
     }),
 }
+# the keys a mode's ROC reads besides phy.sampling_hz, phy.sense_snr_db and its tau
+_ROC_KEYS = {"threshold": ", phy.noise_variance, sensing.epsilon"}
 _MODE = _Key(partial(_one_of, _SENSING))  # sensing.mode, which picks the table of the other sensing keys
 _ACCESS = {
     "optimal": _Key(_boolean, default=False),
@@ -327,6 +326,7 @@ class RunConfig:
     """Validated, unit-converted view of a config document."""
 
     channel: Channel
+    sensing_mode: str
     target: TargetMode
     sensing_tau: float | None  # pins a tau-dependent target to one point (simulate/estimate)
     scheme: Variant | None
@@ -347,21 +347,21 @@ class RunConfig:
     def request(self, variant: Variant, target: TargetMode | None = None) -> OptimizationRequest:
         """The config's problem for `variant`, at `target` in place of the config's own."""
         target = self.target if target is None else target
-        tau_grid = () if isinstance(target, FixedSensing) else self.tau_grid
+        tau_grid = () if target.pinned else self.tau_grid
         req = OptimizationRequest(variant, self.lambda_p, target, tau_grid, self.b_s_grid, self.margin)
-        if tau_grid and variant is not Variant.S0 and isinstance(self.channel, PhyParams):
+        if tau_grid and variant is not Variant.S0:
             # the ROC's arguments grow with tau: finite at the grid's last, finite at all
             self._roc(target, req.tau_grid[-1], "grids.tau")
         return req
 
     def _roc(self, target: TargetMode, tau: float, tau_key: str) -> SensingPoint:
         """`target`'s point at `tau`; a ROC past the float range is a config error naming its keys."""
+        params = self.channel.detector()
         try:
-            return target.at(self.channel, tau)
+            return target.at(params, tau)
         except DomainError as exc:
-            threshold = ", phy.noise_variance, sensing.epsilon" if isinstance(target, FixedThreshold) else ""
-            raise ConfigError(f"phy.sampling_hz, phy.sense_snr_db{threshold} and {tau_key} = {tau!r} put the "
-                              f"detector's ROC past the float range ({exc})") from exc
+            raise ConfigError(f"phy.sampling_hz, phy.sense_snr_db{_ROC_KEYS.get(self.sensing_mode, '')} and "
+                              f"{tau_key} = {tau!r} put the detector's ROC past the float range ({exc})") from exc
 
     def sensing_point(self) -> SensingPoint:
         """The one sensing point of a simulate or estimate run: NO_SENSING for S0, else the config's, with tau > 0."""
@@ -369,15 +369,14 @@ class RunConfig:
             raise ConfigError("simulate/estimate need a `scheme`")
         if self.scheme is Variant.S0:
             return NO_SENSING
-        if isinstance(self.target, FixedSensing):
+        if self.target.pinned:
             if self.target.point.tau == 0.0:
                 raise ConfigError("sensing.tau must be > 0 for sensing schemes (use scheme S0 for no sensing)")
             return self.target.point
         if not isinstance(self.channel, PhyParams):
             raise ConfigError("tau-dependent sensing modes need the `phy` section, not `channel`")
         if self.sensing_tau is None:
-            mode = next(mode for mode, (target, _) in _SENSING.items() if isinstance(self.target, target))
-            raise ConfigError(f"sensing.tau is required to pin a single operating point in mode {mode}")
+            raise ConfigError(f"sensing.tau is required to pin a single operating point in mode {self.sensing_mode}")
         return self._roc(self.target, self.sensing_tau, "sensing.tau")
 
 
@@ -394,20 +393,20 @@ def parse_config(doc: dict) -> RunConfig:
             channel = PhyParams(*phy.values())
         except DomainError as exc:
             raise ConfigError("phy.bits_per_packet / (phy.slot_seconds * phy.bandwidth_hz) must be finite") from exc
-    slot = channel.T if isinstance(channel, PhyParams) else 1.0
-    target, table = _SENSING[_MODE.kind(top["sensing"].get("mode"), "sensing.mode")]
-    sensing = _walk(top["sensing"], {"mode": _MODE, **table}, "sensing", slot)
+    mode = _MODE.kind(top["sensing"].get("mode"), "sensing.mode")
+    target, table = _SENSING[mode]
+    sensing = _walk(top["sensing"], {"mode": _MODE, **table}, "sensing", channel.slot)
     del sensing["mode"]
-    sensing_tau = None if target is FixedSensing else sensing.pop("tau")
-    target = FixedSensing(SensingPoint(**sensing)) if target is FixedSensing else target(*sensing.values())
+    sensing_tau = None if target.pinned else sensing.pop("tau")
+    target = FixedSensing(SensingPoint(**sensing)) if target.pinned else target(*sensing.values())
     access = None if top["access"] is None else AccessSection(**_walk(top["access"], _ACCESS, "access"))
     if access and not access.optimal and access.a_s is None:
         raise ConfigError("access.a_s is required")
-    grids = _walk(top["grids"], _GRIDS, "grids", slot)
+    grids = _walk(top["grids"], _GRIDS, "grids", channel.slot)
     return RunConfig(
-        channel=channel, target=target, sensing_tau=sensing_tau, scheme=top["scheme"], schemes=top["schemes"],
-        access=access, lambda_p=top["lambda_p"], lambda_s=top["lambda_s"], margin=top["margin"],
-        lambda_p_grid=grids["lambda_p"], tau_grid=grids["tau"] or default_tau_grid(slot),
+        channel=channel, sensing_mode=mode, target=target, sensing_tau=sensing_tau, scheme=top["scheme"],
+        schemes=top["schemes"], access=access, lambda_p=top["lambda_p"], lambda_s=top["lambda_s"],
+        margin=top["margin"], lambda_p_grid=grids["lambda_p"], tau_grid=grids["tau"] or default_tau_grid(channel.slot),
         b_s_grid=grids["b_s"] or default_b_s_grid(), p_fa_values=grids["p_fa"], p_md_values=grids["p_md"],
         sim=SimSection(**_walk(top["sim"], _SIM, "sim")), output_dir=top["output_dir"],
         estimate=EstimateSection(**_walk(top["estimate"], _ESTIMATE, "estimate")),
@@ -479,17 +478,37 @@ def _jsonable(obj: Any) -> Any:
     return str(obj)
 
 
-def _create(path: Path, mode: str = "w") -> IO:
-    """Open an output file for writing, making output_dir first.  A file in the
-    way of output_dir, or a directory in the way of the file, is a config error."""
+@contextmanager
+def _outputs() -> Iterator[Callable[..., IO]]:
+    """Output files that appear whole or not at all.  The block gets `create(path, mode)`, which makes
+    output_dir and opens the file under a temporary name beside `path`.  Leaving the block without error
+    moves each file to its path; leaving it any other way removes them.  A file in the way of output_dir,
+    a directory in the way of a file, and an OS error while a file is written are config errors."""
+    temporaries, path = {}, None
+
+    def create(final: Path, mode: str = "w") -> IO:
+        nonlocal path
+        path = final
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output_dir {str(path.parent)!r}: {exc.strerror}") from exc
+        if path.is_dir():  # the one target os.replace refuses a file
+            raise ConfigError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+        temporaries[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        return open(temporaries[path], mode, newline=None if "b" in mode else "")
+
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        yield create
+        for path, temporary in temporaries.items():
+            os.replace(temporary, path)
     except OSError as exc:
-        raise ConfigError(f"cannot create output_dir {str(path.parent)!r}: {exc.strerror}") from exc
-    try:
-        return open(path, mode, newline=None if "b" in mode else "")
-    except OSError as exc:
+        if exc.errno is None:  # not the system's answer about a file
+            raise
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:
+        for temporary in temporaries.values():
+            temporary.unlink(missing_ok=True)
 
 
 def _emit_json(payload: dict) -> None:
@@ -506,10 +525,7 @@ def _result_payload(result: OptimizationResult) -> dict:
         "lambda_s_max": result.lambda_s_max,
         "best": None if result.best is None else _scheme_payload(result.best),
         "designed_delay_bound": result.designed_delay_bound,
-        "per_tau": [
-            {"tau": r.tau, "a_s": r.a_s, "b_s": r.b_s, "lambda_s": r.lambda_s, "feasible": r.feasible}
-            for r in result.per_tau
-        ],
+        "per_tau": [r._asdict() for r in result.per_tau],
     }
 
 
@@ -518,23 +534,23 @@ def _result_payload(result: OptimizationResult) -> dict:
 def cmd_region(cfg: RunConfig) -> int:
     if cfg.lambda_p_grid is None:
         raise ConfigError("region needs grids.lambda_p")
-    summary: dict[str, Any] = {"schema": REGION_JSON_SCHEMA, "files": {}, "max_boundary": {}}
+    summary: dict[str, Any] = {"schema": REGION_JSON_SCHEMA, "csv_schema": REGION_CSV_SCHEMA, "files": {},
+                               "max_boundary": {}, "points_per_curve": len(cfg.lambda_p_grid)}
     union = UNION in cfg.schemes  # UNION reuses the S0 and S2 curves
     curves = {name: trace_region(Variant(name), cfg.lambda_p_grid, cfg.request(Variant(name)), cfg.channel)
               for name in _SCHEME_NAMES if name in cfg.schemes or (union and name in ("S0", "S2"))}
     if union:
         curves[UNION] = union_curve(curves["S0"], curves["S2"])
-    for name in cfg.schemes:
-        curve = curves[name]
-        path = cfg.output_dir / f"region_{name}.csv"
-        with _create(path) as fh:
-            fh.write("lambda_p,lambda_s,scheme,tau,a_s,b_s\r\n")
-            fh.writelines(f"{_fmt(p.lambda_p)},{_fmt(p.lambda_s)},{p.scheme},{_fmt(p.tau)},"
-                          f"{_fmt(p.a_s)},{_fmt(p.b_s)}\r\n" for p in curve.points)
-        summary["files"][name] = str(path)
-        summary["max_boundary"][name] = max(p.lambda_s for p in curve.points)
-    summary["csv_schema"] = REGION_CSV_SCHEMA
-    summary["points_per_curve"] = len(cfg.lambda_p_grid)
+    with _outputs() as create:
+        for name in cfg.schemes:
+            curve = curves[name]
+            path = cfg.output_dir / f"region_{name}.csv"
+            with create(path) as fh:
+                fh.write("lambda_p,lambda_s,scheme,tau,a_s,b_s\r\n")
+                fh.writelines(f"{_fmt(p.lambda_p)},{_fmt(p.lambda_s)},{p.scheme},{_fmt(p.tau)},"
+                              f"{_fmt(p.a_s)},{_fmt(p.b_s)}\r\n" for p in curve.points)
+            summary["files"][name] = str(path)
+            summary["max_boundary"][name] = max(p.lambda_s for p in curve.points)
     _emit_json(summary)
     return 0
 
@@ -548,34 +564,27 @@ def cmd_optimize(cfg: RunConfig) -> int:
     if cfg.scheme is None:
         raise ConfigError("optimize needs a `scheme`")
     _check_load(cfg.lambda_p, cfg.margin)
-    req = cfg.request(cfg.scheme)
-    result = optimize_with_margin(req, cfg.channel)
-    payload = _result_payload(result)
-    payload["schema"] = OPTIMIZE_JSON_SCHEMA
-    payload["lambda_p"] = cfg.lambda_p
-    payload["margin"] = cfg.margin
-    _emit_json(payload)
+    result = optimize_with_margin(cfg.request(cfg.scheme), cfg.channel)
+    _emit_json({**_result_payload(result), "schema": OPTIMIZE_JSON_SCHEMA, "lambda_p": cfg.lambda_p,
+                "margin": cfg.margin})
     return 0
 
 
 def _resolve_scheme_config(cfg: RunConfig) -> tuple[SchemeConfig, dict]:
-    """Scheme + access probabilities for a simulate run."""
+    """Scheme + access probabilities for a simulate run, and the payload of the optimization behind them."""
     point = cfg.sensing_point()
-    note: dict[str, Any] = {}
     if cfg.scheme is Variant.SC:
-        return SchemeConfig(variant=cfg.scheme, a_s=1.0, b_s=0.0, sensing=point), note
+        return SchemeConfig(variant=cfg.scheme, a_s=1.0, b_s=0.0, sensing=point), {}
     if cfg.access is None:
         raise ConfigError("simulate needs an `access` section (fixed a_s/b_s or optimal: true)")
-    if cfg.access.optimal:
-        _check_load(cfg.lambda_p, cfg.margin)
-        result = optimize_with_margin(cfg.request(cfg.scheme, FixedSensing(point)), cfg.channel)
-        if not result.feasible:
-            raise ConfigError("optimal access requested but the problem is infeasible at this lambda_p")
-        note["optimized"] = _result_payload(result)
-        best = result.best
-        return SchemeConfig(variant=cfg.scheme, a_s=best.a_s, b_s=best.b_s, sensing=point), note
-    b_s = cfg.access.b_s if cfg.scheme is Variant.S2 else 0.0
-    return SchemeConfig(variant=cfg.scheme, a_s=cfg.access.a_s, b_s=b_s, sensing=point), note
+    if not cfg.access.optimal:
+        b_s = cfg.access.b_s if cfg.scheme is Variant.S2 else 0.0
+        return SchemeConfig(variant=cfg.scheme, a_s=cfg.access.a_s, b_s=b_s, sensing=point), {}
+    _check_load(cfg.lambda_p, cfg.margin)
+    result = optimize_with_margin(cfg.request(cfg.scheme, FixedSensing(point)), cfg.channel)
+    if not result.feasible:
+        raise ConfigError("optimal access requested but the problem is infeasible at this lambda_p")
+    return result.best, {"optimized": _result_payload(result)}  # at the one point given, `point`
 
 
 def _sim_config(cfg: RunConfig, scheme: SchemeConfig, slots: int) -> SimConfig:
@@ -600,35 +609,27 @@ def cmd_simulate(cfg: RunConfig) -> int:
     sim_cfg = _sim_config(cfg, scheme, cfg.sim.slots)
     if traced:
         trace_path = cfg.output_dir / "trace.csv"
-        with _create(trace_path, "wb") as fh:
-            try:
-                fh.write(TRACE_CSV_HEADER)
-                result = run(sim_cfg, sink=lambda lo, chunk: write_trace_rows(fh, lo, chunk))
-            except BaseException:
-                trace_path.unlink(missing_ok=True)  # leave no partial trace
-                raise
+        with _outputs() as create, create(trace_path, "wb") as fh:
+            fh.write(TRACE_CSV_HEADER)
+            result = run(sim_cfg, sink=lambda lo, chunk: write_trace_rows(fh, lo, chunk))
     else:
         result = run(sim_cfg)
 
-    links = link_success(cfg.channel, scheme.sensing.tau)
-    analytic: dict[str, Any] = {}
     try:
-        rates = service_rates(scheme, links, cfg.lambda_p)
+        rates = service_rates(scheme, cfg.channel.links(scheme.sensing.tau), cfg.lambda_p)
         analytic = {
             "mu_p": rates.mu_p,
             "mu_s": rates.mu_s,
             "p_empty": rates.p_empty,
             "primary_delay": primary_delay(cfg.lambda_p, rates.mu_p),
             "abs_diff_mu_p": abs(result.empirical_mu_p - rates.mu_p),
-            "abs_diff_mu_s": (
-                abs(result.empirical_mu_s - rates.mu_s)
-                if cfg.sim.mode is SimMode.DOMINANT else None
-            ),
+            "abs_diff_mu_s": abs(result.empirical_mu_s - rates.mu_s) if cfg.sim.mode is SimMode.DOMINANT else None,
             "abs_diff_p_empty": abs(result.empirical_p_empty - rates.p_empty),
         }
     except PrimaryUnstableError:
         analytic = {"note": "primary unstable at this lambda_p: closed-form rates undefined"}
 
+    probe = result.stability
     payload: dict[str, Any] = {
         "schema": SIMULATE_JSON_SCHEMA,
         "mode": sim_cfg.mode,
@@ -646,14 +647,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         },
         "analytic": analytic,
         "feedback_counts": result.feedback_counts,
+        "stability": {"stable": probe.stable, "drift": probe.drift, "terminal_queue": probe.terminal_queue}
+        if sim_cfg.slots >= 10_000 else {"note": "slots < 1e4: stability window too short"},
+        **note,
     }
-    payload.update(note)
-
-    if sim_cfg.slots >= 10_000:
-        probe = result.stability
-        payload["stability"] = {"stable": probe.stable, "drift": probe.drift, "terminal_queue": probe.terminal_queue}
-    else:
-        payload["stability"] = {"note": "slots < 1e4: stability window too short"}
 
     if traced:
         payload["trace_file"] = str(trace_path)
@@ -701,34 +698,25 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.lambda_p_grid is None:
         raise ConfigError("sweep needs grids.lambda_p")
 
+    # a target's axis takes the values of its grid where the document gives one, else the target's own
     target = cfg.target
-    if isinstance(target, FixedFalseAlarm):
-        targets = [("p_fa", v, FixedFalseAlarm(v)) for v in (cfg.p_fa_values or (target.p_fa,))]
-    elif isinstance(target, FixedMisdetection):
-        targets = [("p_md", v, FixedMisdetection(v)) for v in (cfg.p_md_values or (target.p_md,))]
-    elif isinstance(target, FixedThreshold):
-        targets = [("epsilon", target.epsilon, target)]
-    else:
-        targets = [("fixed", 0.0, target)]
+    values = {"p_fa": cfg.p_fa_values, "p_md": cfg.p_md_values}.get(target.kind)
+    targets = [replace(target, **{target.kind: v}) for v in values] if values else [target]
 
     sweep_schemes = [s for s in cfg.schemes if s != UNION] or ["S2", "S0"]
     sensing_schemes = [s for s in sweep_schemes if s != "S0"]
-    n_tau = 1 if isinstance(target, FixedSensing) else len(cfg.tau_grid)
-    cells = len(sensing_schemes) * len(targets) * n_tau * len(cfg.lambda_p_grid)
-    if "S0" in sweep_schemes:
-        cells += len(cfg.lambda_p_grid)
+    n_tau = 1 if target.pinned else len(cfg.tau_grid)
+    cells = (len(sensing_schemes) * len(targets) * n_tau + ("S0" in sweep_schemes)) * len(cfg.lambda_p_grid)
     if cells > MAX_SWEEP_CELLS:
-        raise ConfigError(
-            f"sweep would evaluate {cells} cells (> {MAX_SWEEP_CELLS}); "
-            "shrink grids.lambda_p, grids.tau, or the target value lists"
-        )
+        raise ConfigError(f"sweep would evaluate {cells} cells (> {MAX_SWEEP_CELLS}); "
+                          "shrink grids.lambda_p, grids.tau, or the target value lists")
     _check_load(max(cfg.lambda_p_grid), cfg.margin)
 
     blocks = []  # (scheme, target kind, target value, per-(lambda_p, tau) scan), in row order
     for scheme_name in sensing_schemes:
-        for kind, value, mode in targets:
+        for mode in targets:
             variant = Variant(scheme_name)
-            blocks.append((scheme_name, kind, value,
+            blocks.append((scheme_name, mode.kind, mode.value,
                            scan(variant, cfg.lambda_p_grid, cfg.request(variant, mode), cfg.channel)))
     if "S0" in sweep_schemes:
         blocks.append(("S0", "none", 0.0, scan(Variant.S0, cfg.lambda_p_grid, cfg.request(Variant.S0), cfg.channel)))
@@ -736,7 +724,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     path = cfg.output_dir / "sweep.csv"
     lams = [_fmt(lam) for lam in cfg.lambda_p_grid]
     # the rows csv.writer would write (no field needs quoting), formatted a column at a time
-    with _create(path) as fh:
+    with _outputs() as create, create(path) as fh:
         fh.write("scheme,target_kind,target_value,tau,p_fa,p_md,lambda_p,lambda_s,a_s,b_s,feasible\r\n")
         for scheme_name, kind, value, grid in blocks:
             for j, pt in enumerate(grid.points):

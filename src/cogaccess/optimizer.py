@@ -33,14 +33,12 @@ import numpy as np
 from .errors import DomainError, InfeasibleError
 from .phy import (
     TAU_EDGE,
-    LinkSuccess,
+    Channel,
     PhyParams,
     SensingPoint,
-    link_success,
     pfa_for_target_pmd,
     pmd_for_target_pfa,
     roc_from_threshold,
-    secondary_success_prob,
 )
 from .schemes import NO_SENSING, SchemeConfig, Variant, rates
 
@@ -50,7 +48,6 @@ __all__ = [
     "FixedThreshold",
     "FixedSensing",
     "TargetMode",
-    "Channel",
     "OptimizationRequest",
     "TauResult",
     "OptimizationResult",
@@ -72,35 +69,47 @@ __all__ = [
 
 
 # --- sensing target modes ---------------------------------------------------
+# A target mode answers `pinned`, whether it is one point whatever the tau
+# grid, and its sweep axis: `kind`, the name of the axis, and `value`, its
+# value there.  A mode that is not pinned has `at(params, tau)`, its ROC
+# point at tau, and one field, named `kind`; a pinned one has `point`.
+
+class _RocTarget:
+    pinned = False
+    value = property(lambda self: getattr(self, self.kind))
+
 
 @dataclass(frozen=True)
-class FixedFalseAlarm:
+class FixedFalseAlarm(_RocTarget):
     """Sweep tau while holding the false-alarm probability at a target."""
 
     p_fa: float
+    kind = "p_fa"
 
-    def at(self, channel: PhyParams, tau: float) -> SensingPoint:
-        return pmd_for_target_pfa(channel, self.p_fa, tau)
+    def at(self, params: PhyParams, tau: float) -> SensingPoint:
+        return pmd_for_target_pfa(params, self.p_fa, tau)
 
 
 @dataclass(frozen=True)
-class FixedMisdetection:
+class FixedMisdetection(_RocTarget):
     """Sweep tau while holding the misdetection probability at a target."""
 
     p_md: float
+    kind = "p_md"
 
-    def at(self, channel: PhyParams, tau: float) -> SensingPoint:
-        return pfa_for_target_pmd(channel, self.p_md, tau)
+    def at(self, params: PhyParams, tau: float) -> SensingPoint:
+        return pfa_for_target_pmd(params, self.p_md, tau)
 
 
 @dataclass(frozen=True)
-class FixedThreshold:
+class FixedThreshold(_RocTarget):
     """Sweep tau at a fixed detector threshold; both ROC legs move."""
 
     epsilon: float
+    kind = "epsilon"
 
-    def at(self, channel: PhyParams, tau: float) -> SensingPoint:
-        return roc_from_threshold(channel, self.epsilon, tau)
+    def at(self, params: PhyParams, tau: float) -> SensingPoint:
+        return roc_from_threshold(params, self.epsilon, tau)
 
 
 @dataclass(frozen=True)
@@ -112,10 +121,10 @@ class FixedSensing:
     """
 
     point: SensingPoint
+    pinned, kind, value = True, "fixed", 0.0
 
 
 TargetMode = Union[FixedFalseAlarm, FixedMisdetection, FixedThreshold, FixedSensing]
-Channel = Union[PhyParams, LinkSuccess]
 
 UNION = "UNION"
 
@@ -211,16 +220,12 @@ def b_s_scan_grid(grid: Sequence[float]) -> tuple[float, ...]:
 def operating_points(mode: TargetMode, tau_grid: Sequence[float], channel: Channel) -> list[SensingPoint]:
     """Resolve a sensing mode into concrete points, one per tau of the grid
     (a FixedSensing mode ignores the grid: its point is the one point)."""
-    if isinstance(mode, FixedSensing):
+    if mode.pinned:
         return [mode.point]
-    if not isinstance(channel, PhyParams):
-        raise DomainError(
-            "tau-dependent target modes need full PhyParams; "
-            "fixed link probabilities only support FixedSensing"
-        )
+    params = channel.detector()
     if not tau_grid:
         raise DomainError("tau grid must be non-empty for tau-dependent target modes")
-    return [mode.at(channel, tau) for tau in tau_grid]
+    return [mode.at(params, tau) for tau in tau_grid]
 
 
 # --- grid optimizers ---------------------------------------------------------
@@ -320,12 +325,8 @@ def scan(
     """
     lam = np.asarray(lambda_p_grid, dtype=float)
     points = [NO_SENSING] if variant is Variant.S0 else operating_points(req.target_mode, req.tau_grid, channel)
-    if isinstance(channel, LinkSuccess):
-        p_s = [channel.p_bar_s_sd] * len(points)
-    else:
-        p_s = [secondary_success_prob(channel, p.tau) for p in points]
-    cols = np.array([(p.p_fa, p.p_md, s) for p, s in zip(points, p_s)]).T
-    pp = link_success(channel, 0.0).p_bar_p_pd
+    cols = np.array([(p.p_fa, p.p_md, channel.links(p.tau).p_bar_s_sd) for p in points]).T
+    pp = channel.links(0.0).p_bar_p_pd
     b = np.array(b_s_scan_grid(req.b_s_grid))
     n, m = lam.size, len(points)
     step = max(1, _BLOCK // b.size) if variant is Variant.S2 else _BLOCK

@@ -9,6 +9,10 @@ Covers the two ingredients the access schemes consume:
   and misdetection probability, in threshold form and in both target
   forms (fixed P_FA or fixed P_MD).
 
+A Channel, PhyParams or LinkSuccess, answers `slot` (T, or 1.0), `links(tau)`
+(its LinkSuccess with tau spent sensing) and `detector()` (the PhyParams a
+ROC reads; a LinkSuccess has none and raises DomainError).
+
 All SNRs are linear here; dB conversion happens at the CLI boundary only.
 """
 
@@ -24,12 +28,12 @@ __all__ = [
     "PhyParams",
     "SensingPoint",
     "LinkSuccess",
+    "Channel",
     "secondary_success_prob",
     "primary_success_prob",
     "roc_from_threshold",
     "pfa_for_target_pmd",
     "pmd_for_target_pfa",
-    "link_success",
 ]
 
 # tau/T is kept out of [1 - TAU_EDGE, 1]: at tau = T there is no
@@ -72,6 +76,16 @@ class PhyParams:
         if not math.isfinite(self.b / (self.T * self.W)):
             raise DomainError("PhyParams requires finite b/(T*W)")
 
+    @property
+    def slot(self) -> float:
+        return self.T
+
+    def links(self, tau: float) -> LinkSuccess:
+        return LinkSuccess(p_bar_p_pd=primary_success_prob(self), p_bar_s_sd=secondary_success_prob(self, tau))
+
+    def detector(self) -> PhyParams:
+        return self
+
 
 @dataclass(frozen=True)
 class SensingPoint:
@@ -105,12 +119,23 @@ class LinkSuccess:
 
     p_bar_p_pd: float
     p_bar_s_sd: float
+    slot = 1.0
 
     def __post_init__(self) -> None:
         for name in ("p_bar_p_pd", "p_bar_s_sd"):
             value = getattr(self, name)
             if not (math.isfinite(value) and 0.0 <= value <= 1.0):
                 raise DomainError(f"LinkSuccess.{name} must be in [0, 1], got {value!r}")
+
+    def links(self, tau: float) -> LinkSuccess:
+        return self
+
+    def detector(self) -> PhyParams:
+        raise DomainError("tau-dependent target modes need full PhyParams; "
+                          "fixed link probabilities only support FixedSensing")
+
+
+Channel = PhyParams | LinkSuccess
 
 
 def secondary_success_prob(params: PhyParams, tau: float) -> float:
@@ -182,18 +207,3 @@ def pmd_for_target_pfa(params: PhyParams, p_fa_target: float, tau: float) -> Sen
     gamma = params.gamma_sense
     arg = (q_inv(p_fa_target) - math.sqrt(tau * params.f_s) * gamma) / math.sqrt(2.0 * gamma + 1.0)
     return SensingPoint(tau=tau, p_fa=p_fa_target, p_md=1.0 - q_func(arg))
-
-
-def link_success(channel: PhyParams | LinkSuccess, tau: float) -> LinkSuccess:
-    """Success probabilities of both links when the secondary senses for tau.
-
-    Accepts either full physical-layer parameters (probabilities computed
-    from the outage formulas) or an already-resolved LinkSuccess pair
-    (returned as-is; the secondary probability is then tau-independent).
-    """
-    if isinstance(channel, LinkSuccess):
-        return channel
-    return LinkSuccess(
-        p_bar_p_pd=primary_success_prob(channel),
-        p_bar_s_sd=secondary_success_prob(channel, tau),
-    )

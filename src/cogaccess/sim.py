@@ -67,7 +67,7 @@ from typing import BinaryIO, Callable, Iterable, NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .phy import LinkSuccess, PhyParams, link_success
+from .phy import Channel
 from .schemes import SchemeConfig, SimMode
 
 __all__ = [
@@ -119,7 +119,7 @@ class SimConfig:
     lambda_p: float
     lambda_s: float
     scheme: SchemeConfig
-    phy: PhyParams | LinkSuccess
+    phy: Channel
     mode: SimMode = SimMode.ORIGINAL
     feedback_error: float = 0.0
     initial_qp: int = 0
@@ -436,7 +436,7 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
     columns, in slot order, to read during the call only: qp and qs are
     views of buffers the run reuses for every chunk."""
     n = cfg.slots
-    links = link_success(cfg.phy, cfg.scheme.sensing.tau)
+    links = cfg.phy.links(cfg.scheme.sensing.tau)
     thresholds = (_success_threshold(links.p_bar_p_pd), _success_threshold(links.p_bar_s_sd))
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(7)]
 

@@ -24,7 +24,6 @@ from cogaccess import optimizer, sim
 from cogaccess.errors import DomainError, InfeasibleError
 from cogaccess.optimizer import (
     UNION,
-    Channel,
     OptimizationRequest,
     OptimizationResult,
     RegionCurve,
@@ -33,7 +32,7 @@ from cogaccess.optimizer import (
     b_s_scan_grid,
     operating_points,
 )
-from cogaccess.phy import SensingPoint, link_success
+from cogaccess.phy import Channel, SensingPoint
 from cogaccess.schemes import SchemeConfig, ServiceRates, Variant
 
 
@@ -221,7 +220,7 @@ def run_loop(cfg):
     reference `cogaccess.sim.run` must match field for field and trace for
     trace.  Returns (SimResult, SimTrace)."""
     n = cfg.slots
-    links = link_success(cfg.phy, cfg.scheme.sensing.tau)
+    links = cfg.phy.links(cfg.scheme.sensing.tau)
     p_fa, p_md = cfg.scheme.sensing.p_fa, cfg.scheme.sensing.p_md
     dominant = cfg.mode is sim.SimMode.DOMINANT
 
@@ -494,7 +493,7 @@ def _result_from_rows(
 def optimize_sc_loop(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
     """Scan tau for the conventional scheme (a_s = 1, no busy access)."""
     lam, m = req.lambda_p, req.margin
-    pp = link_success(channel, 0.0).p_bar_p_pd
+    pp = channel.links(0.0).p_bar_p_pd
     pts = operating_points(req.target_mode, req.tau_grid, channel)
     rows = []
     for pt in pts:
@@ -502,7 +501,7 @@ def optimize_sc_loop(req: OptimizationRequest, channel: Channel) -> Optimization
         if lam + m > mu_p:
             rows.append(TauResult(pt.tau, 1.0, 0.0, 0.0, False))
             continue
-        lam_s = link_success(channel, pt.tau).p_bar_s_sd * (1.0 - pt.p_fa) * _empty_factor(lam, mu_p)
+        lam_s = channel.links(pt.tau).p_bar_s_sd * (1.0 - pt.p_fa) * _empty_factor(lam, mu_p)
         rows.append(TauResult(pt.tau, 1.0, 0.0, lam_s, True))
     return _result_from_rows(Variant.SC, rows, {pt.tau: pt for pt in pts})
 
@@ -510,7 +509,7 @@ def optimize_sc_loop(req: OptimizationRequest, channel: Channel) -> Optimization
 def optimize_s1_loop(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
     """Scan tau; a_s is closed-form at each point."""
     lam, m = req.lambda_p, req.margin
-    pp = link_success(channel, 0.0).p_bar_p_pd
+    pp = channel.links(0.0).p_bar_p_pd
     pts = operating_points(req.target_mode, req.tau_grid, channel)
     rows = []
     for pt in pts:
@@ -520,7 +519,7 @@ def optimize_s1_loop(req: OptimizationRequest, channel: Channel) -> Optimization
             rows.append(TauResult(pt.tau, 0.0, 0.0, 0.0, False))
             continue
         mu_p = pp * (1.0 - a * pt.p_md)
-        lam_s = a * link_success(channel, pt.tau).p_bar_s_sd * (1.0 - pt.p_fa) * _empty_factor(lam, mu_p)
+        lam_s = a * channel.links(pt.tau).p_bar_s_sd * (1.0 - pt.p_fa) * _empty_factor(lam, mu_p)
         rows.append(TauResult(pt.tau, a, 0.0, lam_s, True))
     return _result_from_rows(Variant.S1, rows, {pt.tau: pt for pt in pts})
 
@@ -528,7 +527,7 @@ def optimize_s1_loop(req: OptimizationRequest, channel: Channel) -> Optimization
 def optimize_s2_loop(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
     """Scan (tau, b_s); a_s is closed-form at each cell."""
     lam, m = req.lambda_p, req.margin
-    pp = link_success(channel, 0.0).p_bar_p_pd
+    pp = channel.links(0.0).p_bar_p_pd
     pts = operating_points(req.target_mode, req.tau_grid, channel)
     b_grid = b_s_scan_grid(req.b_s_grid)
     rows = []
@@ -542,7 +541,7 @@ def optimize_s2_loop(req: OptimizationRequest, channel: Channel) -> Optimization
             mu_p = pp * (pt.p_md * (1.0 - a) + (1.0 - pt.p_md) * (1.0 - b))
             lam_s = (
                 (a * (1.0 - pt.p_fa) + b * pt.p_fa)
-                * link_success(channel, pt.tau).p_bar_s_sd
+                * channel.links(pt.tau).p_bar_s_sd
                 * _empty_factor(lam, mu_p)
             )
             if best_cell is None or lam_s > best_cell[0]:
@@ -557,7 +556,7 @@ def optimize_s2_loop(req: OptimizationRequest, channel: Channel) -> Optimization
 def optimize_s0_loop(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
     """No sensing: single closed-form point at tau = 0."""
     lam, m = req.lambda_p, req.margin
-    links = link_success(channel, 0.0)
+    links = channel.links(0.0)
     pp, ps = links.p_bar_p_pd, links.p_bar_s_sd
     pt = SensingPoint(tau=0.0, p_fa=0.0, p_md=1.0)
     try:

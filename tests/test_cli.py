@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import io
 import itertools
 import json
@@ -35,7 +36,6 @@ from cogaccess.phy import (
     LinkSuccess,
     PhyParams,
     SensingPoint,
-    link_success,
     pfa_for_target_pmd,
     pmd_for_target_pfa,
     roc_from_threshold,
@@ -527,7 +527,7 @@ class TestSimulate:
             "secondary_throughput": result.secondary_departures / 20_000,
         }
         assert payload["feedback_counts"] == list(result.feedback_counts)
-        rates = service_rates(scheme, link_success(channel, scheme.sensing.tau), 0.3)
+        rates = service_rates(scheme, channel.links(scheme.sensing.tau), 0.3)
         assert (payload["analytic"]["mu_p"], payload["analytic"]["mu_s"]) == (rates.mu_p, rates.mu_s)
 
     @pytest.mark.parametrize("sensing, point", PINNED, ids=[s["mode"] for s, _ in PINNED])
@@ -968,6 +968,33 @@ class TestJsonDocuments:
         assert f"config error: cannot parse {path}" in err
 
 
+def full_disk_after(writes):
+    """An `open` whose files take `writes` writes between them, then fail as on a full disk."""
+    left = [writes]
+
+    class File:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if not left[0]:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            left[0] -= 1
+            return self.fh.write(data)
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+    return lambda *args, **kwargs: File(open(*args, **kwargs))
+
+
 class TestOutputDir:
     DOCS = {
         "region": dict(BENCH_BASE, grids={"lambda_p": [0.0, 0.3], "b_s": {"count": 5}}),
@@ -998,6 +1025,34 @@ class TestOutputDir:
         code, out, err = run_cli(capsys, [command, "-c", config])
         assert (code, out, err) == (2, "", f"config error: cannot write {blocked}: Is a directory\n")
         assert blocked.is_dir() and not any(blocked.iterdir())
+
+    # a second run whose every output differs from the first run's
+    CHANGED = {"region": {"grids": {"lambda_p": [0.0, 0.2], "b_s": {"count": 5}}},
+               "sweep": {"grids": {"lambda_p": [0.0, 0.2], "b_s": {"count": 5}}},
+               "simulate": {"sim": {"slots": 2_000, "seed": 2, "record_traces": True}}}
+
+    @pytest.mark.parametrize("fault", ["directory in the way", "full disk"])
+    @pytest.mark.parametrize("command, name, failing", [("region", "region_S2.csv", "region_S1.csv"),
+                                                        ("sweep", "sweep.csv", "sweep.csv"),
+                                                        ("simulate", "trace.csv", "trace.csv")])
+    def test_failed_run_leaves_the_earlier_outputs_as_they_were(self, command, name, failing, fault, tmp_path,
+                                                                capsys, monkeypatch):
+        out = tmp_path / "out"
+        assert run_cli(capsys, [command, "-c", write_config(tmp_path, dict(self.DOCS[command], output_dir=str(out)))
+                                ])[0] == 0
+        if fault == "directory in the way":
+            (out / name).unlink()
+            (out / name).mkdir()
+            failing, strerror = name, "Is a directory"
+        else:  # the fifth write of the run fails: mid-file, in region's second file
+            monkeypatch.setattr(sim, "_TRACE_CSV_CHUNK", 100)
+            monkeypatch.setattr(cli, "open", full_disk_after(4), raising=False)
+            strerror = os.strerror(errno.ENOSPC)
+        before = {path: path.is_file() and path.read_bytes() for path in out.rglob("*")}
+        config = write_config(tmp_path, dict(self.DOCS[command], output_dir=str(out), **self.CHANGED[command]))
+        code, stdout, err = run_cli(capsys, [command, "-c", config])
+        assert (code, stdout, err) == (2, "", f"config error: cannot write {out / failing}: {strerror}\n")
+        assert {path: path.is_file() and path.read_bytes() for path in out.rglob("*")} == before
 
 
 NEEDS_PHY_PARAMS = "tau-dependent target modes need full PhyParams; fixed link probabilities only support FixedSensing"

@@ -9,7 +9,6 @@ from cogaccess.phy import (
     LinkSuccess,
     PhyParams,
     SensingPoint,
-    link_success,
     pfa_for_target_pmd,
     pmd_for_target_pfa,
     primary_success_prob,
@@ -65,7 +64,7 @@ class TestLinkSuccess:
     def test_primary_overflowing_rate_ratio_is_certain_outage(self):
         # 2**5000 overflows a float; the packet cannot fit and always fails
         assert primary_success_prob(make_params(W=200.0)) == 0.0
-        assert link_success(make_params(W=2.0), 0.0) == LinkSuccess(0.0, 0.0)
+        assert make_params(W=2.0).links(0.0) == LinkSuccess(0.0, 0.0)
 
     def test_calibrated_gain_reproduces_target(self):
         gain = gain_for_success_prob(0.9, 1.0)
@@ -161,8 +160,16 @@ class TestTypes:
 
     def test_link_success_dispatch(self):
         fixed = LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8)
-        assert link_success(fixed, 0.7) is fixed
+        assert fixed.links(0.7) is fixed
         p = make_params()
-        derived = link_success(p, 0.25)
+        derived = p.links(0.25)
         assert derived.p_bar_p_pd == pytest.approx(primary_success_prob(p))
         assert derived.p_bar_s_sd == pytest.approx(secondary_success_prob(p, 0.25))
+
+    def test_channel_slot_and_detector(self):
+        # a given link pair has a unit slot and no detector: only a fixed operating point applies to it
+        fixed, p = LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8), make_params(T=2.0)
+        assert (fixed.slot, p.slot) == (1.0, 2.0)
+        assert p.detector() is p
+        with pytest.raises(DomainError, match="tau-dependent target modes need full PhyParams"):
+            fixed.detector()

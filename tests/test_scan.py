@@ -17,7 +17,7 @@ from cogaccess.optimizer import (
     optimize,
     scan,
 )
-from cogaccess.phy import LinkSuccess, PhyParams, SensingPoint, link_success
+from cogaccess.phy import LinkSuccess, PhyParams, SensingPoint
 from cogaccess.schemes import SchemeConfig, Variant, service_rates
 
 from oracles import (
@@ -100,7 +100,7 @@ def test_kernel_matches_service_rates(problem):
             point = grid.points[j]
             scheme = SchemeConfig(variant, float(grid.a_s[i, j]), float(grid.b_s[i, j]), point)
             try:
-                mu_s = service_rates(scheme, link_success(channel, point.tau), lambdas[i]).mu_s
+                mu_s = service_rates(scheme, channel.links(point.tau), lambdas[i]).mu_s
             except PrimaryUnstableError:
                 mu_s = 0.0
             assert grid.lambda_s[i, j] == mu_s, (variant, lambdas[i], point, scheme)
