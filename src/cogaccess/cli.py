@@ -647,8 +647,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         },
         "analytic": analytic,
         "feedback_counts": result.feedback_counts,
-        "stability": {"stable": probe.stable, "drift": probe.drift, "terminal_queue": probe.terminal_queue}
-        if sim_cfg.slots >= 10_000 else {"note": "slots < 1e4: stability window too short"},
+        "stability": ({"stable": probe.stable, "drift": probe.drift, "terminal_queue": probe.terminal_queue}
+                      if sim_cfg.slots >= 10_000 else {"note": "slots < 1e4: stability window too short"}),
         **note,
     }
 
