@@ -38,7 +38,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -56,7 +56,7 @@ from .optimizer import (
     UNION,
     default_b_s_grid,
     default_tau_grid,
-    optimize_with_margin,
+    optimize,
     primary_delay,
     scan,
     trace_region,
@@ -344,12 +344,11 @@ class RunConfig:
     estimate: EstimateSection
     output_dir: Path
 
-    def request(self, variant: Variant, target: TargetMode | None = None) -> OptimizationRequest:
+    def request(self, variant: Variant | str, target: TargetMode | None = None) -> OptimizationRequest:
         """The config's problem for `variant`, at `target` in place of the config's own."""
         target = self.target if target is None else target
-        tau_grid = () if target.pinned else self.tau_grid
-        req = OptimizationRequest(variant, self.lambda_p, target, tau_grid, self.b_s_grid, self.margin)
-        if tau_grid and variant is not Variant.S0:
+        req = OptimizationRequest(variant, target, () if target.pinned else self.tau_grid, self.b_s_grid, self.margin)
+        if req.tau_grid and req.variant is not Variant.S0:
             # the ROC's arguments grow with tau: finite at the grid's last, finite at all
             self._roc(target, req.tau_grid[-1], "grids.tau")
         return req
@@ -482,13 +481,15 @@ def _jsonable(obj: Any) -> Any:
 def _outputs() -> Iterator[Callable[..., IO]]:
     """Output files that appear whole or not at all.  The block gets `create(path, mode)`, which makes
     output_dir and opens the file under a temporary name beside `path`.  Leaving the block without error
-    moves each file to its path; leaving it any other way removes them.  A file in the way of output_dir,
-    a directory in the way of a file, and an OS error while a file is written are config errors."""
-    temporaries, path = {}, None
+    moves each file to its path; leaving it any other way removes them, and the directories it made that
+    are left empty.  A file in the way of output_dir, a directory in the way of a file, and an OS error
+    while a file is written are config errors."""
+    temporaries, made, path = {}, [], None
 
     def create(final: Path, mode: str = "w") -> IO:
         nonlocal path
         path = final
+        made.extend(reversed([d for d in path.parents if not d.exists()]))  # outermost first
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -509,6 +510,9 @@ def _outputs() -> Iterator[Callable[..., IO]]:
     finally:
         for temporary in temporaries.values():
             temporary.unlink(missing_ok=True)
+        for directory in reversed(made):  # innermost first; one that holds anything stays
+            with suppress(OSError):
+                directory.rmdir()
 
 
 def _emit_json(payload: dict) -> None:
@@ -537,7 +541,7 @@ def cmd_region(cfg: RunConfig) -> int:
     summary: dict[str, Any] = {"schema": REGION_JSON_SCHEMA, "csv_schema": REGION_CSV_SCHEMA, "files": {},
                                "max_boundary": {}, "points_per_curve": len(cfg.lambda_p_grid)}
     union = UNION in cfg.schemes  # UNION reuses the S0 and S2 curves
-    curves = {name: trace_region(Variant(name), cfg.lambda_p_grid, cfg.request(Variant(name)), cfg.channel)
+    curves = {name: trace_region(cfg.request(name), cfg.lambda_p_grid, cfg.channel)
               for name in _SCHEME_NAMES if name in cfg.schemes or (union and name in ("S0", "S2"))}
     if union:
         curves[UNION] = union_curve(curves["S0"], curves["S2"])
@@ -564,7 +568,7 @@ def cmd_optimize(cfg: RunConfig) -> int:
     if cfg.scheme is None:
         raise ConfigError("optimize needs a `scheme`")
     _check_load(cfg.lambda_p, cfg.margin)
-    result = optimize_with_margin(cfg.request(cfg.scheme), cfg.channel)
+    result = optimize(cfg.request(cfg.scheme), cfg.lambda_p, cfg.channel)
     _emit_json({**_result_payload(result), "schema": OPTIMIZE_JSON_SCHEMA, "lambda_p": cfg.lambda_p,
                 "margin": cfg.margin})
     return 0
@@ -581,7 +585,7 @@ def _resolve_scheme_config(cfg: RunConfig) -> tuple[SchemeConfig, dict]:
         b_s = cfg.access.b_s if cfg.scheme is Variant.S2 else 0.0
         return SchemeConfig(variant=cfg.scheme, a_s=cfg.access.a_s, b_s=b_s, sensing=point), {}
     _check_load(cfg.lambda_p, cfg.margin)
-    result = optimize_with_margin(cfg.request(cfg.scheme, FixedSensing(point)), cfg.channel)
+    result = optimize(cfg.request(cfg.scheme, FixedSensing(point)), cfg.lambda_p, cfg.channel)
     if not result.feasible:
         raise ConfigError("optimal access requested but the problem is infeasible at this lambda_p")
     return result.best, {"optimized": _result_payload(result)}  # at the one point given, `point`
@@ -715,11 +719,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     blocks = []  # (scheme, target kind, target value, per-(lambda_p, tau) scan), in row order
     for scheme_name in sensing_schemes:
         for mode in targets:
-            variant = Variant(scheme_name)
             blocks.append((scheme_name, mode.kind, mode.value,
-                           scan(variant, cfg.lambda_p_grid, cfg.request(variant, mode), cfg.channel)))
+                           scan(cfg.request(scheme_name, mode), cfg.lambda_p_grid, cfg.channel)))
     if "S0" in sweep_schemes:
-        blocks.append(("S0", "none", 0.0, scan(Variant.S0, cfg.lambda_p_grid, cfg.request(Variant.S0), cfg.channel)))
+        blocks.append(("S0", "none", 0.0, scan(cfg.request(Variant.S0), cfg.lambda_p_grid, cfg.channel)))
 
     path = cfg.output_dir / "sweep.csv"
     lams = [_fmt(lam) for lam in cfg.lambda_p_grid]
@@ -763,7 +766,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override sim.seed")
         p.add_argument("--output-dir", default=None, help="override output_dir")
         p.add_argument("--mode", choices=["original", "dominant"], default=None, help="override sim.mode")
-        p.add_argument("--margin", type=float, default=None, help="override the protection margin")
+        p.add_argument("--margin", type=float, default=None,
+                       help="override margin (estimate reads estimate.margin, which this does not set)")
     return parser
 
 

@@ -116,10 +116,8 @@ def _policy_from_estimates(
     the optimum at the template's sensing point on a primary link of
     success probability p_bar_est (the secondary's own link scales the
     objective, not its argmax)."""
-    variant = template_scheme.variant
-    lam_est = min(max(lam_est, 0.0), 1.0)
-    req = OptimizationRequest(variant, lam_est, FixedSensing(template_scheme.sensing), b_s_grid=b_s_grid, margin=margin)
-    cell = scan(variant, (lam_est,), req, LinkSuccess(p_bar_est, 1.0))
+    req = OptimizationRequest(template_scheme.variant, FixedSensing(template_scheme.sensing), (), b_s_grid, margin)
+    cell = scan(req, (lam_est,), LinkSuccess(p_bar_est, 1.0))
     if not cell.feasible[0, 0]:
         raise InfeasibleError("no feasible access policy under the estimated load")
     return replace(template_scheme, a_s=float(cell.a_s[0, 0]), b_s=float(cell.b_s[0, 0]))

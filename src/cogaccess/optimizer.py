@@ -8,15 +8,17 @@ fixed busy-outcome probability b_s is the clipped smaller root of a
 concave fractional program; b_s and tau are scanned over explicit grids,
 which keeps results deterministic and testable.
 
-One numpy kernel, `scan`, solves every access problem in the package:
-the optimizers, region tracing, sweeps and the estimator's policy.  It
-evaluates (lambda_p, tau, b_s) cells, resolving the operating points once
-per tau grid, in passes of about _BLOCK elements, which bounds its
-temporaries.  The variants are pinned versions of S2 (S1: b_s = 0; Sc:
-also a_s = 1; S0: p_fa = 0, p_md = 1): the kernel has roots per variant,
-rates from `schemes.rates`, whose S1 form is not S2's at b_s = 0 (that
-differs in the last digits).  The scalar closed forms the kernel matches
-bit for bit live in tests/oracles.py as its reference.
+An OptimizationRequest is the problem and the primary load is where it
+is solved: every solver takes (request, load, channel).  One numpy
+kernel, `scan`, solves every access problem in the package: `optimize`,
+region tracing, sweeps and the estimator's policy.  It evaluates
+(lambda_p, tau, b_s) cells, resolving the operating points once per tau
+grid, in passes of about _BLOCK elements, which bounds its temporaries.
+The variants are pinned versions of S2 (S1: b_s = 0; Sc: also a_s = 1;
+S0: p_fa = 0, p_md = 1): the kernel has roots per variant, rates from
+`schemes.rates`, whose S1 form is not S2's at b_s = 0 (that differs in
+the last digits).  The scalar closed forms the kernel matches bit for
+bit live in tests/oracles.py as its reference.
 
 Grid ties are broken toward smaller tau, then smaller b_s: less sensing
 and less interference at equal throughput.
@@ -25,12 +27,12 @@ and less interference at equal throughput.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError
 from .phy import (
     TAU_EDGE,
     Channel,
@@ -59,7 +61,6 @@ __all__ = [
     "b_s_scan_grid",
     "operating_points",
     "optimize",
-    "optimize_with_margin",
     "GridScan",
     "scan",
     "trace_region",
@@ -131,16 +132,18 @@ UNION = "UNION"
 
 @dataclass(frozen=True)
 class OptimizationRequest:
+    """One access problem: a variant (given by name or member; coerced with
+    Variant(...)), its sensing target, tau and b_s grids, and the protection
+    margin.  The primary load it is solved at is the solver's argument."""
+
     variant: Variant
-    lambda_p: float
     target_mode: TargetMode
     tau_grid: tuple[float, ...] = ()
     b_s_grid: tuple[float, ...] = ()
     margin: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.lambda_p <= 1.0):
-            raise DomainError(f"lambda_p must be in [0, 1], got {self.lambda_p!r}")
+        object.__setattr__(self, "variant", Variant(self.variant))
         if not (math.isfinite(self.margin) and self.margin >= 0.0):
             raise DomainError(f"margin must be >= 0, got {self.margin!r}")
         if not isinstance(self.target_mode, TargetMode):
@@ -171,7 +174,7 @@ class OptimizationResult:
     lambda_s_max: float
     per_tau: tuple[TauResult, ...]
     feasible: bool
-    designed_delay_bound: float | None = None
+    designed_delay_bound: float  # (1 - lambda_p)/margin, inf at margin 0
 
 
 @dataclass(frozen=True)
@@ -314,16 +317,15 @@ def _cells(variant, lam, p_fa, p_md, p_s, pp, margin, b):
     return a, np.zeros_like(lam), np.where(ok, lam_s, 0.0), ok
 
 
-def scan(
-    variant: Variant, lambda_p_grid: Sequence[float], req: OptimizationRequest, channel: Channel
-) -> GridScan:
-    """Optimize `variant` at every (lambda_p, tau) cell of the request's grids.
-
-    The request supplies the sensing mode, tau and b_s grids and margin;
-    its variant and lambda_p are ignored.  Operating points are resolved
-    once, and the cells are evaluated in passes of about _BLOCK elements.
-    """
+def scan(req: OptimizationRequest, lambda_p_grid: Sequence[float], channel: Channel) -> GridScan:
+    """Solve the request at every (lambda_p, tau) cell of `lambda_p_grid` and
+    its tau grid.  Operating points are resolved once, and the cells are
+    evaluated in passes of about _BLOCK elements."""
     lam = np.asarray(lambda_p_grid, dtype=float)
+    bad = lam[~((lam >= 0.0) & (lam <= 1.0))]
+    if bad.size:
+        raise DomainError(f"lambda_p must be in [0, 1], got {float(bad[0])!r}")
+    variant = req.variant
     points = [NO_SENSING] if variant is Variant.S0 else operating_points(req.target_mode, req.tau_grid, channel)
     cols = np.array([(p.p_fa, p.p_md, channel.links(p.tau).p_bar_s_sd) for p in points]).T
     pp = channel.links(0.0).p_bar_p_pd
@@ -339,34 +341,22 @@ def scan(
     return GridScan(points, a, b_s, lam_s, ok.astype(bool))
 
 
-def optimize(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
-    """Optimize the variant named in the request over its tau (and b_s) grid."""
-    variant = Variant(req.variant)
-    grid = scan(variant, (req.lambda_p,), req, channel)
-    rows = tuple(TauResult(pt.tau, *cell) for pt, *cell in zip(grid.points, *(x[0].tolist() for x in grid[1:])))
-    (j,), (feasible,) = grid.best()
-    if not feasible:
-        return OptimizationResult(best=None, lambda_s_max=0.0, per_tau=rows, feasible=False)
-    row = rows[j]
-    cfg = SchemeConfig(variant=variant, a_s=row.a_s, b_s=row.b_s, sensing=grid.points[j])
-    return OptimizationResult(best=cfg, lambda_s_max=row.lambda_s, per_tau=rows, feasible=True)
-
-
-def optimize_with_margin(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
-    """Optimize with the protection margin and report the designed delay bound.
+def optimize(req: OptimizationRequest, lambda_p: float, channel: Channel) -> OptimizationResult:
+    """Solve the request at `lambda_p` over its tau (and b_s) grid.
 
     The margin tightens only the primary-stability constraint; the
     objective keeps the true lambda_p in the queue-empty factor.  The
-    designed primary delay bound is (1 - lambda_p)/margin (infinite when
-    the margin is zero, where this reduces to the plain problem).
+    designed primary delay bound is (1 - lambda_p)/margin, infinite at
+    margin 0; past lambda_p + margin = 1 every cell is infeasible.
     """
-    if req.lambda_p + req.margin > 1.0:
-        raise InfeasibleError(
-            f"lambda_p + margin = {req.lambda_p + req.margin!r} exceeds one packet per slot"
-        )
-    result = optimize(req, channel)
-    bound = math.inf if req.margin == 0.0 else (1.0 - req.lambda_p) / req.margin
-    return replace(result, designed_delay_bound=bound)
+    grid = scan(req, (lambda_p,), channel)
+    rows = tuple(TauResult(pt.tau, *cell) for pt, *cell in zip(grid.points, *(x[0].tolist() for x in grid[1:])))
+    bound = math.inf if req.margin == 0.0 else (1.0 - lambda_p) / req.margin
+    (j,), (feasible,) = grid.best()
+    if not feasible:
+        return OptimizationResult(None, 0.0, rows, False, bound)
+    cfg = SchemeConfig(req.variant, rows[j].a_s, rows[j].b_s, grid.points[j])
+    return OptimizationResult(cfg, rows[j].lambda_s, rows, True, bound)
 
 
 def primary_delay(lambda_p: float, mu_p: float) -> float:
@@ -383,25 +373,17 @@ def primary_delay(lambda_p: float, mu_p: float) -> float:
 
 # --- region tracing ----------------------------------------------------------
 
-def trace_region(
-    scheme: Variant,
-    lambda_p_grid: Sequence[float],
-    req: OptimizationRequest,
-    channel: Channel,
-) -> RegionCurve:
-    """Trace one variant's stability-region boundary over a lambda_p grid
-    (UNION's is union_curve of the S0 and S2 curves).
+def trace_region(req: OptimizationRequest, lambda_p_grid: Sequence[float], channel: Channel) -> RegionCurve:
+    """Trace the request's stability-region boundary over a non-empty,
+    strictly increasing lambda_p grid (UNION's is union_curve of the S0 and
+    S2 curves).
 
     Infeasible points map to a zero boundary with a silent policy.
     """
     grid = [float(x) for x in lambda_p_grid]
-    if not grid:
-        raise DomainError("lambda_p grid must be non-empty")
-    if grid != sorted(set(grid)):
-        raise DomainError("lambda_p grid must be strictly increasing")
-    if any(not 0.0 <= x <= 1.0 for x in grid):
-        raise DomainError("lambda_p grid entries must be in [0, 1]")
-    res, name = scan(scheme, grid, req, channel), scheme.value
+    if not grid or grid != sorted(set(grid)):
+        raise DomainError("lambda_p grid must be non-empty and strictly increasing")
+    res, name = scan(req, grid, channel), req.variant.value
     points = tuple(
         RegionPoint(lam, float(res.lambda_s[i, j]), name, res.points[j].tau, float(res.a_s[i, j]), float(res.b_s[i, j]))
         if feasible else RegionPoint(lam, 0.0, name, 0.0, 0.0, 0.0)

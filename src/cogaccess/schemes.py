@@ -44,6 +44,10 @@ class Variant(str, Enum):
     S2 = "S2"
     S0 = "S0"
 
+    @classmethod
+    def _missing_(cls, value):  # Variant(name) on an unknown name
+        raise DomainError(f"unknown variant {value!r}; expected {'|'.join(cls)}")
+
 
 # sim's and estimator's modes, here so that a config names them without importing either
 class SimMode(str, Enum):
@@ -72,7 +76,8 @@ class SchemeConfig:
     """A scheme variant together with its access probabilities.
 
     a_s applies after an idle sensing outcome (or unconditionally for S0);
-    b_s applies after a busy outcome and is meaningful for S2 only.
+    b_s applies after a busy outcome and is meaningful for S2 only.  The
+    variant may be given by name: it is coerced with Variant(...).
     """
 
     variant: Variant
@@ -81,6 +86,7 @@ class SchemeConfig:
     sensing: SensingPoint
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "variant", Variant(self.variant))
         _check_prob("SchemeConfig.a_s", self.a_s)
         _check_prob("SchemeConfig.b_s", self.b_s)
         if self.variant is Variant.SC and (self.a_s != 1.0 or self.b_s != 0.0):

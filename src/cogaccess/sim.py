@@ -449,14 +449,13 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
     queues, scratch = np.empty((2, size), dtype=np.int64), _Scratch.of(size)
 
     qp, qs = cfg.initial_qp, cfg.initial_qs
-    initial_left = cfg.initial_qp  # queued packets that count as arriving in slot -1
-    # FIFO delay: the packets that leave after the initial ones are the run's
-    # first `served` primary arrivals.  Only the chunks from the one holding
-    # the served-th arrival on keep their arrival bits (1 bit a slot), each
-    # with the count and slot sum of the arrivals before it.
+    # FIFO delay: the primary packets still queued are the last qp arrivals
+    # (with the initial ones, arriving in slot -1, before the run's).  Only
+    # the chunks from the one holding the oldest queued arrival on keep their
+    # arrival bits (1 bit a slot), each with the count and slot sum of the
+    # arrivals before it.
     arrived = deque()  # (lo, arrivals before lo, their slot sum, packed arrival bits)
-    arrivals = arrival_slot_sum = served = 0
-    acks_heard = heard = delay_sum = 0
+    arrivals = arrival_slot_sum = acks_heard = heard = 0
     sums = (0, 0)  # sum(qp[t]) and sum(t * qp[t]), exact
 
     for lo in range(0, n, _SIM_CHUNK):
@@ -469,16 +468,9 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
         _add_batch_counts(batch.values(), edges, lo,  # in batch's key order
                           (o.ptx, o.p_succ, o.s_succ, o.s_has_packet, o.s_succ & o.s_has_packet))
 
-        # FIFO delay: departure slots here, the arrival slots of the first
-        # `served` arrivals after the run (each a count and a slot sum)
-        departures, departure_slot_sum = _add_chunk_sums((0, 0), o.p_succ, lo)
-        from_initial = min(departures, initial_left)
-        initial_left -= from_initial
-        served += departures - from_initial
-        delay_sum += departure_slot_sum + from_initial
         arrived.append((lo, arrivals, arrival_slot_sum, np.packbits(o.arrival_p)))
         arrivals, arrival_slot_sum = _add_chunk_sums((arrivals, arrival_slot_sum), o.arrival_p, lo)
-        while len(arrived) > 1 and arrived[1][1] <= served:
+        while len(arrived) > 1 and arrived[1][1] <= arrivals - qp:  # chunk 0's arrivals have all left
             arrived.popleft()
 
         trace = None if sink is None else SimTrace(qp_c, qs_c, *_trace_columns(o))
@@ -488,10 +480,15 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
         if trace is not None:
             sink(lo, trace)
 
-    # the served-th arrival is in the first kept chunk
+    # Little's identity: sum(qp[t]) counts a departed packet d - a slots
+    # (arrival slot a, departure slot d) and a queued one n - 1 - a slots, so
+    # the departed packets' delay sum is sum(qp[t]) less the queued ones'
+    # share.  The oldest queued arrival is in the first kept chunk.
+    gone = arrivals - qp  # the arrivals that have left; below 0, -gone initial packets are queued
     lo, before, before_sum, bits = arrived[0]
-    first = np.flatnonzero(np.unpackbits(bits))[:served - before]
-    delay_sum -= before_sum + lo * len(first) + int(first.sum())
+    first = np.flatnonzero(np.unpackbits(bits))[:max(gone, 0) - before]
+    queued_slot_sum = arrival_slot_sum - before_sum - lo * len(first) - int(first.sum()) - max(-gone, 0)
+    delay_sum = sums[0] - qp * (n - 1) + queued_slot_sum
 
     ptx_slots = sum(batch["ptx"])
     p_dep_total = sum(batch["pdep"])

@@ -474,11 +474,13 @@ def _best_row(rows: Sequence[TauResult]) -> TauResult | None:
 
 
 def _result_from_rows(
-    variant: Variant, rows: list[TauResult], points: dict[float, SensingPoint]
+    variant: Variant, rows: list[TauResult], points: dict[float, SensingPoint], lam: float, margin: float
 ) -> OptimizationResult:
+    bound = math.inf if margin == 0.0 else (1.0 - lam) / margin  # the designed primary delay bound
     best = _best_row(rows)
     if best is None:
-        return OptimizationResult(best=None, lambda_s_max=0.0, per_tau=tuple(rows), feasible=False)
+        return OptimizationResult(best=None, lambda_s_max=0.0, per_tau=tuple(rows), feasible=False,
+                                  designed_delay_bound=bound)
     pt = points[best.tau]
     if variant is Variant.S0:
         sensing = SensingPoint(tau=0.0, p_fa=0.0, p_md=1.0)
@@ -486,13 +488,13 @@ def _result_from_rows(
         sensing = SensingPoint(tau=pt.tau, p_fa=pt.p_fa, p_md=pt.p_md)
     cfg = SchemeConfig(variant=variant, a_s=best.a_s, b_s=best.b_s, sensing=sensing)
     return OptimizationResult(
-        best=cfg, lambda_s_max=best.lambda_s, per_tau=tuple(rows), feasible=True
+        best=cfg, lambda_s_max=best.lambda_s, per_tau=tuple(rows), feasible=True, designed_delay_bound=bound
     )
 
 
-def optimize_sc_loop(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
+def optimize_sc_loop(req: OptimizationRequest, lam: float, channel: Channel) -> OptimizationResult:
     """Scan tau for the conventional scheme (a_s = 1, no busy access)."""
-    lam, m = req.lambda_p, req.margin
+    m = req.margin
     pp = channel.links(0.0).p_bar_p_pd
     pts = operating_points(req.target_mode, req.tau_grid, channel)
     rows = []
@@ -503,12 +505,12 @@ def optimize_sc_loop(req: OptimizationRequest, channel: Channel) -> Optimization
             continue
         lam_s = channel.links(pt.tau).p_bar_s_sd * (1.0 - pt.p_fa) * _empty_factor(lam, mu_p)
         rows.append(TauResult(pt.tau, 1.0, 0.0, lam_s, True))
-    return _result_from_rows(Variant.SC, rows, {pt.tau: pt for pt in pts})
+    return _result_from_rows(Variant.SC, rows, {pt.tau: pt for pt in pts}, lam, m)
 
 
-def optimize_s1_loop(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
+def optimize_s1_loop(req: OptimizationRequest, lam: float, channel: Channel) -> OptimizationResult:
     """Scan tau; a_s is closed-form at each point."""
-    lam, m = req.lambda_p, req.margin
+    m = req.margin
     pp = channel.links(0.0).p_bar_p_pd
     pts = operating_points(req.target_mode, req.tau_grid, channel)
     rows = []
@@ -521,12 +523,12 @@ def optimize_s1_loop(req: OptimizationRequest, channel: Channel) -> Optimization
         mu_p = pp * (1.0 - a * pt.p_md)
         lam_s = a * channel.links(pt.tau).p_bar_s_sd * (1.0 - pt.p_fa) * _empty_factor(lam, mu_p)
         rows.append(TauResult(pt.tau, a, 0.0, lam_s, True))
-    return _result_from_rows(Variant.S1, rows, {pt.tau: pt for pt in pts})
+    return _result_from_rows(Variant.S1, rows, {pt.tau: pt for pt in pts}, lam, m)
 
 
-def optimize_s2_loop(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
+def optimize_s2_loop(req: OptimizationRequest, lam: float, channel: Channel) -> OptimizationResult:
     """Scan (tau, b_s); a_s is closed-form at each cell."""
-    lam, m = req.lambda_p, req.margin
+    m = req.margin
     pp = channel.links(0.0).p_bar_p_pd
     pts = operating_points(req.target_mode, req.tau_grid, channel)
     b_grid = b_s_scan_grid(req.b_s_grid)
@@ -550,12 +552,12 @@ def optimize_s2_loop(req: OptimizationRequest, channel: Channel) -> Optimization
             rows.append(TauResult(pt.tau, 0.0, 0.0, 0.0, False))
         else:
             rows.append(TauResult(pt.tau, best_cell[1], best_cell[2], best_cell[0], True))
-    return _result_from_rows(Variant.S2, rows, {pt.tau: pt for pt in pts})
+    return _result_from_rows(Variant.S2, rows, {pt.tau: pt for pt in pts}, lam, m)
 
 
-def optimize_s0_loop(req: OptimizationRequest, channel: Channel) -> OptimizationResult:
+def optimize_s0_loop(req: OptimizationRequest, lam: float, channel: Channel) -> OptimizationResult:
     """No sensing: single closed-form point at tau = 0."""
-    lam, m = req.lambda_p, req.margin
+    m = req.margin
     links = channel.links(0.0)
     pp, ps = links.p_bar_p_pd, links.p_bar_s_sd
     pt = SensingPoint(tau=0.0, p_fa=0.0, p_md=1.0)
@@ -563,11 +565,11 @@ def optimize_s0_loop(req: OptimizationRequest, channel: Channel) -> Optimization
         a = optimal_as_s0(lam, pp, margin=m)
     except InfeasibleError:
         rows = [TauResult(0.0, 0.0, 0.0, 0.0, False)]
-        return _result_from_rows(Variant.S0, rows, {0.0: pt})
+        return _result_from_rows(Variant.S0, rows, {0.0: pt}, lam, m)
     mu_p = pp * (1.0 - a)
     lam_s = a * ps * _empty_factor(lam, mu_p)
     rows = [TauResult(0.0, a, 0.0, lam_s, True)]
-    return _result_from_rows(Variant.S0, rows, {0.0: pt})
+    return _result_from_rows(Variant.S0, rows, {0.0: pt}, lam, m)
 
 
 OPTIMIZERS_LOOP = {
@@ -580,12 +582,13 @@ OPTIMIZERS_LOOP = {
 
 def region_curve(scheme: Variant | str, lambda_p_grid: Sequence[float], req: OptimizationRequest,
                  channel: Channel) -> RegionCurve:
-    """The package's curve for a `region` scheme name: trace_region's, or for
-    UNION union_curve of the S0 and S2 curves, as the region command builds it."""
+    """The package's curve for a `region` scheme name on `req`'s problem with
+    that variant: trace_region's, or for UNION union_curve of the S0 and S2
+    curves, as the region command builds it."""
     if scheme == UNION:
-        return optimizer.union_curve(*(optimizer.trace_region(v, lambda_p_grid, req, channel)
+        return optimizer.union_curve(*(optimizer.trace_region(replace(req, variant=v), lambda_p_grid, channel)
                                        for v in (Variant.S0, Variant.S2)))
-    return optimizer.trace_region(Variant(scheme), lambda_p_grid, req, channel)
+    return optimizer.trace_region(replace(req, variant=scheme), lambda_p_grid, channel)
 
 
 def trace_region_loop(
@@ -594,7 +597,8 @@ def trace_region_loop(
     req: OptimizationRequest,
     channel: Channel,
 ) -> RegionCurve:
-    """Trace the stability-region boundary over a lambda_p grid.
+    """Trace the stability-region boundary of `req`'s problem with the
+    variant `scheme` over a lambda_p grid.
 
     For UNION the boundary is the pointwise maximum of the optimized S0
     and S2 boundaries and each point is labelled with the winning scheme
@@ -615,11 +619,10 @@ def trace_region_loop(
 
     points = []
     for lam in grid:
-        req_lam = replace(req, lambda_p=lam)
         if union:
             candidates = [
-                ("S0", optimize_s0_loop(req_lam, channel)),
-                ("S2", optimize_s2_loop(replace(req_lam, variant=Variant.S2), channel)),
+                ("S0", optimize_s0_loop(replace(req, variant=Variant.S0), lam, channel)),
+                ("S2", optimize_s2_loop(replace(req, variant=Variant.S2), lam, channel)),
             ]
             label, res = candidates[0]
             for cand_label, cand in candidates[1:]:
@@ -627,7 +630,7 @@ def trace_region_loop(
                     label, res = cand_label, cand
         else:
             label = scheme.value
-            res = OPTIMIZERS_LOOP[scheme](replace(req_lam, variant=scheme), channel)
+            res = OPTIMIZERS_LOOP[scheme](replace(req, variant=scheme), lam, channel)
         if res.feasible:
             cfg = res.best
             points.append(

@@ -91,8 +91,8 @@ def test_criterion_02_closed_form_access_vs_grid():
         lam = float(rng.uniform(0.0, pbar))
         pmd = float(rng.uniform(0.0, 1.0))
         pfa = float(rng.uniform(0, 1))
-        req = OptimizationRequest(Variant.S1, lam, FixedSensing(SensingPoint(0.05, pfa, pmd)))
-        a = float(scan(Variant.S1, (lam,), req, LinkSuccess(pbar, 1.0)).a_s[0, 0])
+        req = OptimizationRequest(Variant.S1, FixedSensing(SensingPoint(0.05, pfa, pmd)))
+        a = float(scan(req, (lam,), LinkSuccess(pbar, 1.0)).a_s[0, 0])
         a_grid = grid_max_access(lam, pmd, pfa, pbar, 0.0, step=1e-5)
         worst = max(worst, abs(a - a_grid))
         assert abs(a - a_grid) <= 2e-5
@@ -116,8 +116,8 @@ def test_criterion_02_closed_form_access_vs_grid():
 
 
 def _optimal_config(variant, links, point, lam):
-    req = OptimizationRequest(variant, lam, FixedSensing(point), b_s_grid=default_b_s_grid())
-    return optimize(req, links).best
+    req = OptimizationRequest(variant, FixedSensing(point), b_s_grid=default_b_s_grid())
+    return optimize(req, lam, links).best
 
 
 ANALYSIS_POINTS = [
@@ -185,14 +185,11 @@ def test_criterion_04_stability_boundary_bisection():
 def test_criterion_05_region_structure():
     """Nesting, b_s=0 collapse, union dominance, degenerate-sensor collapse."""
     lams = tuple(float(x) for x in np.linspace(0.0, 0.62, 50))
-    base = OptimizationRequest(
-        variant=Variant.S2, lambda_p=0.0, target_mode=FixedSensing(BENCH_POINT),
-        b_s_grid=default_b_s_grid(),
-    )
-    s2 = trace_region(Variant.S2, lams, base, BENCH_LINKS)
-    s1 = trace_region(Variant.S1, lams, base, BENCH_LINKS)
-    s2_forced = trace_region(Variant.S2, lams, replace(base, b_s_grid=(0.0,)), BENCH_LINKS)
-    s0 = trace_region(Variant.S0, lams, base, BENCH_LINKS)
+    base = OptimizationRequest(variant=Variant.S2, target_mode=FixedSensing(BENCH_POINT), b_s_grid=default_b_s_grid())
+    s2 = trace_region(base, lams, BENCH_LINKS)
+    s1 = trace_region(replace(base, variant=Variant.S1), lams, BENCH_LINKS)
+    s2_forced = trace_region(replace(base, b_s_grid=(0.0,)), lams, BENCH_LINKS)
+    s0 = trace_region(replace(base, variant=Variant.S0), lams, BENCH_LINKS)
     union = union_curve(s0, s2)
     for p2, p1, pf, pu, p0 in zip(s2.points, s1.points, s2_forced.points, union.points, s0.points):
         assert p2.lambda_s >= p1.lambda_s - 1e-15
@@ -204,7 +201,7 @@ def test_criterion_05_region_structure():
     perfect = SensingPoint(tau=0.05, p_fa=0.0, p_md=0.0)
     req = replace(base, target_mode=FixedSensing(perfect))
     curves = [
-        trace_region(v, tuple(float(x) for x in np.linspace(0.0, 0.89, 50)), req, BENCH_LINKS)
+        trace_region(replace(req, variant=v), tuple(float(x) for x in np.linspace(0.0, 0.89, 50)), BENCH_LINKS)
         for v in (Variant.SC, Variant.S1, Variant.S2)
     ]
     for pc, p1, p2 in zip(*[c.points for c in curves]):
@@ -216,13 +213,10 @@ def test_criterion_05_region_structure():
 def test_criterion_06_monotonicity():
     """Access probabilities and boundaries non-increasing in lambda_p."""
     lams = tuple(float(x) for x in np.linspace(0.0, 0.62, 50))
-    base = OptimizationRequest(
-        variant=Variant.S2, lambda_p=0.0, target_mode=FixedSensing(BENCH_POINT),
-        b_s_grid=default_b_s_grid(),
-    )
-    a1 = scan(Variant.S1, lams, base, BENCH_LINKS).a_s[:, 0].tolist()
+    base = OptimizationRequest(variant=Variant.S2, target_mode=FixedSensing(BENCH_POINT), b_s_grid=default_b_s_grid())
+    a1 = scan(replace(base, variant=Variant.S1), lams, BENCH_LINKS).a_s[:, 0].tolist()
     a2 = [kernel_s2_cell(0.4, l, 0.3, 0.2, 0.9)[0] for l in lams]
-    a0 = scan(Variant.S0, lams, base, BENCH_LINKS).a_s[:, 0].tolist()
+    a0 = scan(replace(base, variant=Variant.S0), lams, BENCH_LINKS).a_s[:, 0].tolist()
     for series in (a1, a2, a0):
         assert all(b <= a + 1e-15 for a, b in zip(series, series[1:]))
     for scheme in (Variant.SC, Variant.S1, Variant.S2, Variant.S0, "UNION"):

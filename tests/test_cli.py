@@ -29,7 +29,7 @@ from cogaccess.optimizer import (
     FixedThreshold,
     OptimizationRequest,
     default_b_s_grid,
-    optimize_with_margin,
+    optimize,
     scan,
 )
 from cogaccess.phy import (
@@ -284,14 +284,14 @@ class TestOptimize:
         assert (code, out) == (2, "")
         assert "config.margin must be >= 0.0" in err
 
-    def test_threshold_mode_matches_optimize_with_margin(self, tmp_path, capsys):
+    def test_threshold_mode_matches_optimize(self, tmp_path, capsys):
         doc = {"phy": PHY_DOC, "sensing": THRESHOLD, "scheme": "S2", "lambda_p": 0.2, "margin": 0.01,
                "grids": {"tau": TAUS, "b_s": {"count": 5}}}
         code, out, err = run_cli(capsys, ["optimize", "-c", write_config(tmp_path, doc)])
         assert (code, err) == (0, "")
         payload = json.loads(out)
-        req = OptimizationRequest(Variant.S2, 0.2, FixedThreshold(1.03), TAUS, default_b_s_grid(5), margin=0.01)
-        result = optimize_with_margin(req, PHY)
+        req = OptimizationRequest(Variant.S2, FixedThreshold(1.03), TAUS, default_b_s_grid(5), margin=0.01)
+        result = optimize(req, 0.2, PHY)
         best = result.best
         assert result.feasible and payload["feasible"] is True
         assert payload["lambda_s_max"] == result.lambda_s_max > 0.0
@@ -379,7 +379,7 @@ class TestRegion:
         assert (code, err) == (0, "")
         files = json.loads(out)["files"]
         assert set(files) == {"Sc", "S1", "S2", "S0", "UNION"}
-        req = OptimizationRequest(Variant.S2, 0.0, FixedThreshold(1.03), TAUS, default_b_s_grid(5))
+        req = OptimizationRequest(Variant.S2, FixedThreshold(1.03), TAUS, default_b_s_grid(5))
         for name, path in files.items():
             points = region_curve(name, LAMBDAS, req, PHY).points
             assert open(path).read().splitlines()[1:] == [
@@ -640,7 +640,7 @@ class TestEstimateCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("estimate solved an access problem of its own")
 
-        monkeypatch.setattr(cli, "optimize_with_margin", refuse)
+        monkeypatch.setattr(cli, "optimize", refuse)
         monkeypatch.chdir(tmp_path)
         shipped = yaml.safe_load(self.SHIPPED.read_text())
         assert "access" not in shipped
@@ -785,10 +785,10 @@ class TestSweep:
 
         expected = []
         for value, mode in modes:
-            req = OptimizationRequest(Variant.S2, 0.0, mode, TAUS, default_b_s_grid(5))
-            expected += cells("S2", kind, value, scan(Variant.S2, LAMBDAS, req, PHY))
-        s0_req = OptimizationRequest(Variant.S0, 0.0, modes[0][1], TAUS, default_b_s_grid(5))
-        expected += cells("S0", "none", 0.0, scan(Variant.S0, LAMBDAS, s0_req, PHY))
+            req = OptimizationRequest(Variant.S2, mode, TAUS, default_b_s_grid(5))
+            expected += cells("S2", kind, value, scan(req, LAMBDAS, PHY))
+        s0_req = OptimizationRequest(Variant.S0, modes[0][1], TAUS, default_b_s_grid(5))
+        expected += cells("S0", "none", 0.0, scan(s0_req, LAMBDAS, PHY))
         rows = [r.split(",") for r in open(json.loads(out)["file"]).read().splitlines()[1:]]
         assert [(*r[:2], *(None if x == "" else float(x) for x in r[2:])) for r in rows] == expected
         assert any(e[7] > 0.0 for e in expected if e[0] == "S2")
@@ -1053,6 +1053,13 @@ class TestOutputDir:
         code, stdout, err = run_cli(capsys, [command, "-c", config])
         assert (code, stdout, err) == (2, "", f"config error: cannot write {out / failing}: {strerror}\n")
         assert {path: path.is_file() and path.read_bytes() for path in out.rglob("*")} == before
+        if fault == "full disk":  # with no earlier run, the directories the run made go too
+            fresh = tmp_path / "new" / "out"
+            monkeypatch.setattr(cli, "open", full_disk_after(4), raising=False)
+            config = write_config(tmp_path, dict(self.DOCS[command], output_dir=str(fresh), **self.CHANGED[command]))
+            code, stdout, err = run_cli(capsys, [command, "-c", config])
+            assert (code, stdout, err) == (2, "", f"config error: cannot write {fresh / failing}: {strerror}\n")
+            assert not (tmp_path / "new").exists()
 
 
 NEEDS_PHY_PARAMS = "tau-dependent target modes need full PhyParams; fixed link probabilities only support FixedSensing"

@@ -12,8 +12,8 @@ from cogaccess.optimizer import (
     b_s_scan_grid,
     default_b_s_grid,
     optimize,
-    optimize_with_margin,
     primary_delay,
+    scan,
     trace_region,
     union_curve,
 )
@@ -36,10 +36,9 @@ BENCH_POINT = SensingPoint(tau=0.05, p_fa=0.2, p_md=0.3)
 BENCH_MODE = FixedSensing(BENCH_POINT)
 
 
-def bench_request(variant, lambda_p, margin=0.0, b_s_grid=()):
+def bench_request(variant, margin=0.0, b_s_grid=()):
     return OptimizationRequest(
         variant=variant,
-        lambda_p=lambda_p,
         target_mode=BENCH_MODE,
         b_s_grid=b_s_grid,
         margin=margin,
@@ -190,18 +189,15 @@ class TestOptimalAsS0:
 class TestOptimizeS2:
     def test_zero_false_alarm_collapses_to_s1(self):
         point = SensingPoint(tau=0.05, p_fa=0.0, p_md=0.3)
-        req2 = OptimizationRequest(
-            variant=Variant.S2, lambda_p=0.4, target_mode=FixedSensing(point),
-            b_s_grid=default_b_s_grid(),
-        )
+        req2 = OptimizationRequest(variant=Variant.S2, target_mode=FixedSensing(point), b_s_grid=default_b_s_grid())
         req1 = replace(req2, variant=Variant.S1)
-        r2 = optimize(req2, BENCH_LINKS)
-        r1 = optimize(req1, BENCH_LINKS)
+        r2 = optimize(req2, 0.4, BENCH_LINKS)
+        r1 = optimize(req1, 0.4, BENCH_LINKS)
         assert r2.best.b_s == 0.0
         assert r2.lambda_s_max == pytest.approx(r1.lambda_s_max, abs=1e-12)
 
     def test_idle_primary_grabs_everything(self):
-        r = optimize(bench_request(Variant.S2, 0.0, b_s_grid=default_b_s_grid()), BENCH_LINKS)
+        r = optimize(bench_request(Variant.S2, b_s_grid=default_b_s_grid()), 0.0, BENCH_LINKS)
         assert r.best.a_s == 1.0
         assert r.best.b_s == 1.0
         assert r.lambda_s_max == pytest.approx(0.8, abs=1e-12)
@@ -209,16 +205,16 @@ class TestOptimizeS2:
     def test_small_tau_beats_large_tau_at_small_lambda_p(self):
         phy = tradeoff_phy()
         req = OptimizationRequest(
-            variant=Variant.S2, lambda_p=0.05, target_mode=FixedFalseAlarm(0.2),
+            variant=Variant.S2, target_mode=FixedFalseAlarm(0.2),
             tau_grid=(1e-3, 0.9), b_s_grid=default_b_s_grid(),
         )
-        r = optimize(req, phy)
+        r = optimize(req, 0.05, phy)
         by_tau = {row.tau: row for row in r.per_tau}
         assert by_tau[1e-3].lambda_s > by_tau[0.9].lambda_s
         assert r.best.sensing.tau == 1e-3
 
     def test_all_infeasible_reports_zero(self):
-        r = optimize(bench_request(Variant.S2, 0.95, b_s_grid=(0.0, 0.5)), BENCH_LINKS)
+        r = optimize(bench_request(Variant.S2, b_s_grid=(0.0, 0.5)), 0.95, BENCH_LINKS)
         assert r.feasible is False
         assert r.lambda_s_max == 0.0
         assert r.best is None
@@ -226,55 +222,57 @@ class TestOptimizeS2:
 
 class TestOptimizeSc:
     def test_matches_service_rates_at_single_point(self):
-        r = optimize(bench_request(Variant.SC, 0.3), BENCH_LINKS)
+        r = optimize(bench_request(Variant.SC), 0.3, BENCH_LINKS)
         rates = service_rates(
             SchemeConfig(Variant.SC, 1.0, 0.0, BENCH_POINT), BENCH_LINKS, 0.3
         )
         assert r.lambda_s_max == pytest.approx(rates.mu_s, abs=1e-12)
 
     def test_misdetection_saturates_feasibility(self):
-        r = optimize(bench_request(Variant.SC, 0.64), BENCH_LINKS)  # 0.64 > 0.9*0.7
+        r = optimize(bench_request(Variant.SC), 0.64, BENCH_LINKS)  # 0.64 > 0.9*0.7
         assert r.feasible is False
 
     def test_idle_primary_factorizes(self):
-        r = optimize(bench_request(Variant.SC, 0.0), BENCH_LINKS)
+        r = optimize(bench_request(Variant.SC), 0.0, BENCH_LINKS)
         assert r.lambda_s_max == pytest.approx(0.8 * 0.8, abs=1e-12)
 
 
 class TestMarginAndDelay:
     def test_zero_margin_is_plain_problem(self):
-        plain = optimize(bench_request(Variant.S1, 0.4), BENCH_LINKS)
-        margined = optimize_with_margin(bench_request(Variant.S1, 0.4, margin=0.0), BENCH_LINKS)
+        plain = optimize(bench_request(Variant.S1), 0.4, BENCH_LINKS)
+        margined = optimize(bench_request(Variant.S1, margin=0.0), 0.4, BENCH_LINKS)
         assert margined.lambda_s_max == plain.lambda_s_max
         assert margined.best == plain.best
         assert margined.designed_delay_bound == math.inf
 
     def test_margin_tightens_throughput(self):
-        plain = optimize_with_margin(bench_request(Variant.S1, 0.4), BENCH_LINKS)
-        tight = optimize_with_margin(bench_request(Variant.S1, 0.4, margin=0.05), BENCH_LINKS)
+        plain = optimize(bench_request(Variant.S1), 0.4, BENCH_LINKS)
+        tight = optimize(bench_request(Variant.S1, margin=0.05), 0.4, BENCH_LINKS)
         assert tight.lambda_s_max <= plain.lambda_s_max
         assert tight.designed_delay_bound == pytest.approx((1 - 0.4) / 0.05)
 
     def test_delay_bound_example(self):
-        r = optimize_with_margin(bench_request(Variant.S1, 0.4, margin=0.1), BENCH_LINKS)
+        r = optimize(bench_request(Variant.S1, margin=0.1), 0.4, BENCH_LINKS)
         assert r.designed_delay_bound == pytest.approx(6.0)
 
     def test_margin_near_capacity_clips_access(self):
         # max mu_p at a_s = 0 is p_bar = 0.9; margin pushes the cap to zero
-        r = optimize_with_margin(bench_request(Variant.S1, 0.4, margin=0.499999), BENCH_LINKS)
+        r = optimize(bench_request(Variant.S1, margin=0.499999), 0.4, BENCH_LINKS)
         assert r.feasible
         assert r.best.a_s == pytest.approx(0.0, abs=1e-4)
 
     def test_margin_constraint_enforced(self):
         lam, m = 0.4, 0.1
-        r = optimize_with_margin(bench_request(Variant.S2, lam, margin=m), BENCH_LINKS)
+        r = optimize(bench_request(Variant.S2, margin=m), lam, BENCH_LINKS)
         cfgb = r.best
         mu_p = 0.9 * (0.3 * (1 - cfgb.a_s) + 0.7 * (1 - cfgb.b_s))
         assert lam + m <= mu_p + 1e-12
 
     def test_margin_infeasible_past_capacity(self):
-        with pytest.raises(InfeasibleError):
-            optimize_with_margin(bench_request(Variant.S1, 0.9, margin=0.2), BENCH_LINKS)
+        # lambda_p + margin > 1 exceeds every service rate: no cell is feasible
+        r = optimize(bench_request(Variant.S1, margin=0.2), 0.9, BENCH_LINKS)
+        assert not r.feasible and r.best is None and r.lambda_s_max == 0.0
+        assert r.designed_delay_bound == pytest.approx(0.5)
 
     def test_primary_delay_values(self):
         assert primary_delay(0.0, 0.5) == pytest.approx(2.0)
@@ -289,9 +287,9 @@ class TestRegionTracing:
     LAMBDAS = tuple(float(x) for x in np.linspace(0.0, 0.63, 22))
 
     def test_union_dominates_constituents(self):
-        req = bench_request(Variant.S2, 0.0, b_s_grid=default_b_s_grid())
-        s2 = trace_region(Variant.S2, self.LAMBDAS, req, BENCH_LINKS)
-        s0 = trace_region(Variant.S0, self.LAMBDAS, req, BENCH_LINKS)
+        req = bench_request(Variant.S2, b_s_grid=default_b_s_grid())
+        s2 = trace_region(req, self.LAMBDAS, BENCH_LINKS)
+        s0 = trace_region(replace(req, variant=Variant.S0), self.LAMBDAS, BENCH_LINKS)
         union = union_curve(s0, s2)
         for u, a, b in zip(union.points, s2.points, s0.points):
             assert u.lambda_s >= a.lambda_s - 1e-15
@@ -302,7 +300,7 @@ class TestRegionTracing:
         # the S2 scan always includes b_s = 0 (S1 is S2 with b_s = 0), so a
         # b_s grid without 0 still nests S1 in S2 and UNION above every scheme
         lambdas = tuple(0.63 / 63 * i for i in range(64))
-        req = bench_request(Variant.S2, 0.0, b_s_grid=(0.5, 1.0))
+        req = bench_request(Variant.S2, b_s_grid=(0.5, 1.0))
         curves = {
             scheme: [p.lambda_s for p in region_curve(scheme, lambdas, req, BENCH_LINKS).points]
             for scheme in (Variant.SC, Variant.S1, Variant.S2, Variant.S0, "UNION")
@@ -318,23 +316,23 @@ class TestRegionTracing:
         assert b_s_scan_grid(()) == default_b_s_grid()
 
     def test_boundaries_monotone_non_increasing(self):
-        req = bench_request(Variant.S2, 0.0, b_s_grid=default_b_s_grid())
+        req = bench_request(Variant.S2, b_s_grid=default_b_s_grid())
         for scheme in (Variant.SC, Variant.S1, Variant.S2, Variant.S0, "UNION"):
             curve = region_curve(scheme, self.LAMBDAS, req, BENCH_LINKS)
             vals = [p.lambda_s for p in curve.points]
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_curves_reach_zero_at_capacity(self):
-        req = bench_request(Variant.SC, 0.0)
-        curve = trace_region(Variant.SC, (0.0, 0.3, 0.63), req, BENCH_LINKS)
+        req = bench_request(Variant.SC)
+        curve = trace_region(req, (0.0, 0.3, 0.63), BENCH_LINKS)
         assert curve.points[-1].lambda_s == pytest.approx(0.0, abs=1e-12)
-        s0 = trace_region(Variant.S0, (0.0, 0.45, 0.9), req, BENCH_LINKS)
+        s0 = trace_region(bench_request(Variant.S0), (0.0, 0.45, 0.9), BENCH_LINKS)
         assert s0.points[-1].lambda_s == pytest.approx(0.0, abs=1e-12)
 
     def test_switch_policy_records_argmax(self):
-        req = bench_request(Variant.S2, 0.0, b_s_grid=default_b_s_grid())
-        s2 = trace_region(Variant.S2, self.LAMBDAS, req, BENCH_LINKS)
-        s0 = trace_region(Variant.S0, self.LAMBDAS, req, BENCH_LINKS)
+        req = bench_request(Variant.S2, b_s_grid=default_b_s_grid())
+        s2 = trace_region(req, self.LAMBDAS, BENCH_LINKS)
+        s0 = trace_region(replace(req, variant=Variant.S0), self.LAMBDAS, BENCH_LINKS)
         union = union_curve(s0, s2)
         # the union's points carry the winning scheme's label, tau, a_s and b_s
         assert len(union.points) == len(self.LAMBDAS)
@@ -344,43 +342,64 @@ class TestRegionTracing:
     def test_sensing_free_scheme_can_beat_long_sensing(self):
         phy = tradeoff_phy()
         req = OptimizationRequest(
-            variant=Variant.S2, lambda_p=0.0, target_mode=FixedFalseAlarm(0.2),
+            variant=Variant.S2, target_mode=FixedFalseAlarm(0.2),
             tau_grid=(0.9,), b_s_grid=default_b_s_grid(),
         )
         lams = tuple(float(x) for x in np.linspace(0.0, 0.6, 13))
-        s2_long = trace_region(Variant.S2, lams, req, phy)
-        s0 = trace_region(Variant.S0, lams, req, phy)
+        s2_long = trace_region(req, lams, phy)
+        s0 = trace_region(replace(req, variant=Variant.S0), lams, phy)
         wins = [b.lambda_s > a.lambda_s for a, b in zip(s2_long.points, s0.points)]
         assert any(wins)
 
     def test_invalid_grid_rejected(self):
-        req = bench_request(Variant.S1, 0.0)
+        req = bench_request(Variant.S1)
         with pytest.raises(DomainError):
-            trace_region(Variant.S1, (), req, BENCH_LINKS)
+            trace_region(req, (), BENCH_LINKS)
         with pytest.raises(DomainError):
-            trace_region(Variant.S1, (0.3, 0.1), req, BENCH_LINKS)
+            trace_region(req, (0.3, 0.1), BENCH_LINKS)
 
 
 class TestRequestValidation:
     def test_tau_grid_must_be_positive_sorted(self):
         with pytest.raises(DomainError):
-            OptimizationRequest(Variant.S1, 0.1, BENCH_MODE, tau_grid=(0.0, 0.1))
+            OptimizationRequest(Variant.S1, BENCH_MODE, tau_grid=(0.0, 0.1))
         with pytest.raises(DomainError):
-            OptimizationRequest(Variant.S1, 0.1, BENCH_MODE, tau_grid=(0.2, 0.1))
+            OptimizationRequest(Variant.S1, BENCH_MODE, tau_grid=(0.2, 0.1))
 
     @pytest.mark.parametrize("variant", [Variant.S2, Variant.S0])
     def test_unknown_target_mode_rejected(self, variant):
         with pytest.raises(DomainError, match="unknown target mode 'target_pfa'"):
-            optimize(OptimizationRequest(variant, 0.1, "target_pfa", tau_grid=(0.1,)), tradeoff_phy())
+            optimize(OptimizationRequest(variant, "target_pfa", tau_grid=(0.1,)), 0.1, tradeoff_phy())
 
     def test_target_modes_need_phy(self):
-        req = OptimizationRequest(Variant.S1, 0.1, FixedFalseAlarm(0.2), tau_grid=(0.1,))
+        req = OptimizationRequest(Variant.S1, FixedFalseAlarm(0.2), tau_grid=(0.1,))
         with pytest.raises(DomainError):
-            optimize(req, BENCH_LINKS)
+            optimize(req, 0.1, BENCH_LINKS)
+
+    def test_variant_given_by_name_solves_its_problem(self):
+        # p_fa = 0.9: S2's busy-outcome access pays, so S1's optimum is not S2's
+        links, lams = LinkSuccess(0.9, 0.8), (0.0, 0.05, 0.3)
+        for variant in (Variant.SC, Variant.S1, Variant.S2, Variant.S0):
+            by_name, by_member = (OptimizationRequest(v, FixedSensing(SensingPoint(0.05, 0.9, 0.05)),
+                                                      b_s_grid=default_b_s_grid(5)) for v in (variant.value, variant))
+            assert by_name == by_member and by_name.variant is variant
+            assert repr(optimize(by_name, 0.05, links)) == repr(optimize(by_member, 0.05, links))
+            assert trace_region(by_name, lams, links) == trace_region(by_member, lams, links)
+        s1, s2 = (optimize(replace(by_name, variant=name), 0.05, links) for name in ("S1", "S2"))
+        assert s1.best.b_s == 0.0 and s1.lambda_s_max == pytest.approx(0.0753, abs=1e-4)
+        assert s2.best.b_s == 0.75 and s2.lambda_s_max == pytest.approx(0.4750, abs=1e-4)
+        assert scan(replace(by_name, variant="S2"), (0.05,), links).lambda_s[0, 0] == s2.lambda_s_max
+
+    def test_load_outside_unit_interval_rejected(self):
+        for lam in (-0.1, 1.5, math.nan):
+            with pytest.raises(DomainError, match="lambda_p must be in"):
+                optimize(bench_request(Variant.S1), lam, BENCH_LINKS)
+            with pytest.raises(DomainError, match="lambda_p must be in"):
+                trace_region(bench_request(Variant.S1), (lam,), BENCH_LINKS)
 
     def test_dispatch_matches_variants(self):
         for variant in (Variant.SC, Variant.S1, Variant.S2, Variant.S0):
-            req = bench_request(variant, 0.2, b_s_grid=(0.0, 0.5))
-            result = optimize(req, BENCH_LINKS)
-            assert result == OPTIMIZERS_LOOP[variant](req, BENCH_LINKS)
+            req = bench_request(variant, b_s_grid=(0.0, 0.5))
+            result = optimize(req, 0.2, BENCH_LINKS)
+            assert result == OPTIMIZERS_LOOP[variant](req, 0.2, BENCH_LINKS)
             assert result.best.variant is variant

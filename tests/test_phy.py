@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cogaccess import phy
 from cogaccess.errors import DomainError
 from cogaccess.mathcore import q_func, q_inv
 from cogaccess.phy import (
@@ -120,6 +121,21 @@ class TestRoc:
         assert point.p_fa < 1e-13
         expected = q_func(math.sqrt(3.0) * q_inv(0.9) + 10.0)
         assert point.p_fa == pytest.approx(expected, rel=1e-9)
+
+    def test_q_inv_runs_once_per_target_over_a_tau_grid(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(phy, "q_inv", lambda p: calls.append(p) or q_inv(p))
+        phy._target_q_inv.cache_clear()
+        p, taus = make_params(), np.geomspace(1e-6, 1e-3, 24).tolist()
+        targets = (0.05, 0.15, 0.3)
+        for target in targets:
+            for form in (pmd_for_target_pfa, pfa_for_target_pmd):
+                points = [form(p, target, tau) for tau in taus]
+                assert points == [form(p, target, tau) for tau in taus]
+        # pfa_for_target_pmd asks for q_inv(1 - p_md)
+        assert sorted(calls) == sorted([*targets, *(1.0 - t for t in targets)])
+        assert pmd_for_target_pfa(p, 0.05, 1e-4).p_md == 1.0 - q_func(
+            (q_inv(0.05) - math.sqrt(1e-4 * p.f_s) * p.gamma_sense) / math.sqrt(2.0 * p.gamma_sense + 1.0))
 
     def test_longer_sensing_cuts_misdetection_at_fixed_pfa(self):
         p = make_params()

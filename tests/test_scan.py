@@ -1,6 +1,8 @@
 """The numpy scan kernel against the scalar per-cell loops it replaced,
 and the structural facts of the optimized boundaries."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -44,7 +46,7 @@ def _grid(values, *, min_size=1, max_size=6):
 
 @st.composite
 def problems(draw):
-    """A channel, a request (without its variant) and a lambda_p grid."""
+    """A channel, a request (its variant a placeholder) and a lambda_p grid."""
     if draw(st.booleans()):
         channel = LinkSuccess(p_bar_p_pd=draw(unit), p_bar_s_sd=draw(unit))
         mode = FixedSensing(SensingPoint(tau=draw(st.floats(0.0, 0.5)), p_fa=draw(unit), p_md=draw(unit)))
@@ -66,7 +68,7 @@ def problems(draw):
         tau_grid = () if isinstance(mode, FixedSensing) else draw(_grid(st.floats(1e-3, 0.999), max_size=4))
     b_s_grid = draw(st.one_of(st.just(()), _grid(unit)))
     margin = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
-    req = OptimizationRequest(Variant.S2, 0.0, mode, tau_grid=tau_grid, b_s_grid=b_s_grid, margin=margin)
+    req = OptimizationRequest(Variant.S2, mode, tau_grid=tau_grid, b_s_grid=b_s_grid, margin=margin)
     lambdas = draw(st.one_of(
         _grid(unit),
         _grid(unit).map(lambda g: tuple(sorted({0.0, *g}))),
@@ -81,9 +83,9 @@ def test_kernel_matches_scalar_loops(problem):
     """optimize and trace_region give the scalar loops' results, repr for repr."""
     channel, req, lambdas = problem
     for variant in (Variant.SC, Variant.S1, Variant.S2, Variant.S0):
+        r = replace(req, variant=variant)
         for lam in lambdas:
-            r = OptimizationRequest(variant, lam, req.target_mode, req.tau_grid, req.b_s_grid, req.margin)
-            assert repr(optimize(r, channel)) == repr(OPTIMIZERS_LOOP[variant](r, channel))
+            assert repr(optimize(r, lam, channel)) == repr(OPTIMIZERS_LOOP[variant](r, lam, channel))
     for scheme in SCHEMES:
         assert repr(region_curve(scheme, lambdas, req, channel)) == repr(trace_region_loop(scheme, lambdas, req, channel))
 
@@ -95,7 +97,7 @@ def test_kernel_matches_service_rates(problem):
     and 0 where service_rates finds the primary unstable: both take their rates from schemes.rates."""
     channel, req, lambdas = problem
     for variant in (Variant.SC, Variant.S1, Variant.S2, Variant.S0):
-        grid = scan(variant, lambdas, req, channel)
+        grid = scan(replace(req, variant=variant), lambdas, channel)
         for i, j in zip(*np.nonzero(grid.feasible)):
             point = grid.points[j]
             scheme = SchemeConfig(variant, float(grid.a_s[i, j]), float(grid.b_s[i, j]), point)
@@ -110,7 +112,7 @@ def test_kernel_matches_service_rates(problem):
 def test_kernel_matches_scalar_loops_on_dense_grids(case):
     if case == "fixed_roc":
         channel, lambdas = LinkSuccess(0.9, 0.8), tuple(0.63 / 63 * i for i in range(64))
-        req = OptimizationRequest(Variant.S2, 0.0, FixedSensing(SensingPoint(0.05, 0.2, 0.3)))
+        req = OptimizationRequest(Variant.S2, FixedSensing(SensingPoint(0.05, 0.2, 0.3)))
     else:
         channel, req, lambdas = _tradeoff_case()
     for scheme in SCHEMES:
@@ -120,7 +122,7 @@ def test_kernel_matches_scalar_loops_on_dense_grids(case):
 def _tradeoff_case():
     phy = PhyParams(b=1e4, T=1.0, W=1e4, f_s=1e4, gamma_sense=0.05, sigma_u2=1.0,
                     gamma_s_sd=20.0, sigma2_s_sd=1.0, gamma_p_pd=2.4, sigma2_p_pd=1.0)
-    req = OptimizationRequest(Variant.S2, 0.0, FixedFalseAlarm(0.2), tau_grid=(1e-3, 0.01, 0.1, 0.5, 0.9),
+    req = OptimizationRequest(Variant.S2, FixedFalseAlarm(0.2), tau_grid=(1e-3, 0.01, 0.1, 0.5, 0.9),
                               b_s_grid=(0.25, 0.5, 1.0), margin=0.01)
     return phy, req, tuple(float(x) for x in np.linspace(0.0, 0.7, 13))
 
@@ -129,11 +131,11 @@ def _tradeoff_case():
 def test_block_size_changes_no_output(block, monkeypatch):
     phy, req, lambdas = _tradeoff_case()
     before = [repr(region_curve(s, lambdas, req, phy)) for s in SCHEMES]
-    grids = [scan(v, lambdas, req, phy) for v in SCHEMES[:-1]]
+    grids = [scan(replace(req, variant=v), lambdas, phy) for v in SCHEMES[:-1]]
     monkeypatch.setattr(optimizer, "_BLOCK", block)
     assert [repr(region_curve(s, lambdas, req, phy)) for s in SCHEMES] == before
     for v, grid in zip(SCHEMES[:-1], grids):
-        again = scan(v, lambdas, req, phy)
+        again = scan(replace(req, variant=v), lambdas, phy)
         for x, y in zip(grid[1:], again[1:]):
             assert x.dtype == y.dtype and np.array_equal(x, y)
 
@@ -143,7 +145,7 @@ def test_scan_resolves_operating_points_once(monkeypatch):
     calls = []
     real = optimizer.operating_points
     monkeypatch.setattr(optimizer, "operating_points", lambda *a: calls.append(a) or real(*a))
-    grid = scan(Variant.S2, lambdas, req, phy)
+    grid = scan(req, lambdas, phy)
     assert len(calls) == 1
     assert grid.a_s.shape == (len(lambdas), len(req.tau_grid))
 
@@ -153,16 +155,16 @@ def test_scalar_matches_kernel_where_idle_term_underflows():
     p_fa = 1 - 2**-53
     assert optimal_as_s2_given(0.5, 1e-310, 0.3, p_fa, 0.9) == 1.0
     links = LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8)
-    req = OptimizationRequest(Variant.S2, 1e-310, FixedSensing(SensingPoint(0.05, p_fa, 0.3)), b_s_grid=(0.5,))
-    grid = scan(Variant.S2, (1e-310,), req, links)
+    req = OptimizationRequest(Variant.S2, FixedSensing(SensingPoint(0.05, p_fa, 0.3)), b_s_grid=(0.5,))
+    grid = scan(req, (1e-310,), links)
     assert (grid.a_s[0, 0], grid.b_s[0, 0]) == (1.0, 0.5)
-    assert repr(optimize(req, links)) == repr(OPTIMIZERS_LOOP[Variant.S2](req, links))
+    assert repr(optimize(req, 1e-310, links)) == repr(OPTIMIZERS_LOOP[Variant.S2](req, 1e-310, links))
 
 
 def test_zero_primary_link_is_silent_unless_idle():
     # p_bar_p_pd = 0: any primary load is infeasible; an idle primary leaves the channel to the secondary
     links = LinkSuccess(p_bar_p_pd=0.0, p_bar_s_sd=0.8)
-    req = OptimizationRequest(Variant.S2, 0.0, FixedSensing(SensingPoint(0.05, 0.2, 0.3)), b_s_grid=(0.0, 1.0))
+    req = OptimizationRequest(Variant.S2, FixedSensing(SensingPoint(0.05, 0.2, 0.3)), b_s_grid=(0.0, 1.0))
     for scheme in SCHEMES:
         pts = region_curve(scheme, (0.0, 0.1), req, links).points
         assert pts[0].lambda_s > 0.0 and pts[1].lambda_s == 0.0
@@ -178,7 +180,7 @@ def test_tiny_lambda_p_leaves_the_primary_served():
     links = LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8)
     lambdas = (0.0, 1e-300, 0.1)
     for point, b_s_grid in ((SensingPoint(0.05, 0.2, 1.0), ()), (SensingPoint(0.05, 0.9, 0.3), (1.0,))):
-        req = OptimizationRequest(Variant.S2, 0.0, FixedSensing(point), b_s_grid=b_s_grid)
+        req = OptimizationRequest(Variant.S2, FixedSensing(point), b_s_grid=b_s_grid)
         for scheme in SCHEMES:
             curve = region_curve(scheme, lambdas, req, links)
             assert repr(curve) == repr(trace_region_loop(scheme, lambdas, req, links))

@@ -160,5 +160,21 @@ class TestConfigInvariants:
         # a tau = 0 point with any other probabilities is not S0's point
         with pytest.raises(DomainError):
             SchemeConfig(Variant.S0, a_s=0.5, b_s=0.0, sensing=SensingPoint(tau=0.0, p_fa=0.2, p_md=0.3))
-        req = OptimizationRequest(Variant.S0, 0.3, FixedSensing(BENCH_POINT))
-        assert scan(Variant.S0, (0.0, 0.3), req, BENCH_LINKS).points == [NO_SENSING]
+        req = OptimizationRequest(Variant.S0, FixedSensing(BENCH_POINT))
+        assert scan(req, (0.0, 0.3), BENCH_LINKS).points == [NO_SENSING]
+
+    def test_variant_given_by_name_is_coerced(self):
+        # a name is the variant it names: S1's busy-access check applies, and S2's mu_p is S2's
+        point = SensingPoint(tau=0.05, p_fa=0.9, p_md=0.05)
+        with pytest.raises(DomainError, match="S1 never transmits"):
+            SchemeConfig("S1", 0.5, 0.5, point)
+        by_name = SchemeConfig("S2", 0.5, 0.5, point)
+        assert by_name == SchemeConfig(Variant.S2, 0.5, 0.5, point) and by_name.variant is Variant.S2
+        assert service_rates(by_name, BENCH_LINKS, 0.05).mu_p == pytest.approx(0.45, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["s2", "UNION", "", 2])
+    def test_unknown_variant_rejected(self, name):
+        with pytest.raises(DomainError, match="unknown variant"):
+            SchemeConfig(name, 1.0, 0.0, BENCH_POINT)
+        with pytest.raises(DomainError, match="unknown variant"):
+            OptimizationRequest(name, FixedSensing(BENCH_POINT))
