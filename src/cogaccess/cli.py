@@ -41,6 +41,7 @@ from collections import namedtuple
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, replace
 from functools import partial
+from itertools import chain, cycle, repeat
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
@@ -50,10 +51,12 @@ from .optimizer import (
     FixedMisdetection,
     FixedSensing,
     FixedThreshold,
+    GridScan,
     OptimizationRequest,
     OptimizationResult,
     TargetMode,
     UNION,
+    b_s_scan_grid,
     default_b_s_grid,
     default_tau_grid,
     optimize,
@@ -698,6 +701,42 @@ def cmd_estimate(cfg: RunConfig) -> int:
     return 0
 
 
+# rows formatted to one string: whole points where a point has fewer rows, else part of one.  A few
+# hundred rows keep the batch's strings within memory the run has already touched: batches of 4,096
+# raised a 10,416-cell sweep's peak RSS by about 0.5 MiB, and 128 rows by 0.04.
+_SWEEP_ROWS = 128
+
+
+def _sweep_rows(blocks: list[tuple[str, str, float, GridScan]], lambda_p_grid: Sequence[float],
+                b_s_grid: Sequence[float]) -> Iterator[str]:
+    """The CSV rows of each (scheme, target kind, target value, scan) block, point-major, as csv.writer
+    would write them (no field needs quoting), in batches of at most _SWEEP_ROWS rows built a column
+    at a time.  A point's head shows its (p_fa, p_md) on feasible rows and on every S0 row, which names
+    (0, 1).  b_s and the feasible flag come from the strings of `b_s_grid`, S2's scan grid, looked up
+    by value: a feasible S2 cell's b_s is a member, and the grid holds no two equal values (not both
+    0.0 and -0.0).  An infeasible cell and every other scheme write 0.0."""
+    lams = [f"{_fmt(lam)}," for lam in lambda_p_grid]
+    n = len(lams)
+    points_per_batch, lams_per_batch = max(1, _SWEEP_ROWS // n), min(n, _SWEEP_ROWS)
+    for scheme_name, kind, value, grid in blocks:
+        heads = []  # (shown, hidden) per point, indexed by whether the cell is infeasible
+        for pt in grid.points:
+            head = f"{scheme_name},{kind},{_fmt(value)},{_fmt(pt.tau)},"
+            shown = f"{head}{_fmt(pt.p_fa)},{_fmt(pt.p_md)},"
+            heads.append((shown, shown if kind == "none" else f"{head},,"))
+        # b_s and the feasible flag, by whether the cell is infeasible and then by b_s
+        tails = ({b: f"{_fmt(b)},1\r\n" for b in (b_s_grid if scheme_name == "S2" else (0.0,))}, {0.0: "0.0,0\r\n"})
+        for j in range(0, len(heads), points_per_batch):
+            for i in range(0, n, lams_per_batch):
+                cells = slice(i, i + lams_per_batch), slice(j, j + points_per_batch)
+                columns = (~grid.feasible[cells], grid.lambda_s[cells], grid.a_s[cells], grid.b_s[cells])
+                hidden, lam_s, a_s, b_s = (chain.from_iterable(x.T.tolist()) for x in columns)  # point-major
+                lam_p = lams[i : i + lams_per_batch]
+                row_heads = chain.from_iterable(repeat(h, len(lam_p)) for h in heads[j : j + points_per_batch])
+                yield "".join([f"{h[o]}{p}{s!r},{a!r},{tails[o][b]}"
+                               for h, p, o, s, a, b in zip(row_heads, cycle(lam_p), hidden, lam_s, a_s, b_s)])
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.lambda_p_grid is None:
         raise ConfigError("sweep needs grids.lambda_p")
@@ -725,19 +764,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
         blocks.append(("S0", "none", 0.0, scan(cfg.request(Variant.S0), cfg.lambda_p_grid, cfg.channel)))
 
     path = cfg.output_dir / "sweep.csv"
-    lams = [_fmt(lam) for lam in cfg.lambda_p_grid]
-    # the rows csv.writer would write (no field needs quoting), formatted a column at a time
     with _outputs() as create, create(path) as fh:
         fh.write("scheme,target_kind,target_value,tau,p_fa,p_md,lambda_p,lambda_s,a_s,b_s,feasible\r\n")
-        for scheme_name, kind, value, grid in blocks:
-            for j, pt in enumerate(grid.points):
-                head = f"{scheme_name},{kind},{_fmt(value)},{_fmt(pt.tau)},"
-                shown = f"{head}{_fmt(pt.p_fa)},{_fmt(pt.p_md)},"
-                hidden = shown if kind == "none" else f"{head},,"  # S0 rows always name (0, 1)
-                fh.writelines(
-                    f"{shown if ok else hidden}{lam},{lam_s!r},{a_s!r},{b_s!r},{ok:d}\r\n"
-                    for lam, a_s, b_s, lam_s, ok in zip(lams, *(x[:, j].tolist() for x in grid[1:]))
-                )
+        fh.writelines(_sweep_rows(blocks, cfg.lambda_p_grid, b_s_scan_grid(cfg.b_s_grid)))
     rows = sum(grid.lambda_s.size for *_, grid in blocks)
     _emit_json({"schema": SWEEP_CSV_SCHEMA, "file": str(path), "rows": rows, "cells": cells})
     return 0

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -222,13 +223,24 @@ def b_s_scan_grid(grid: Sequence[float]) -> tuple[float, ...]:
 
 def operating_points(mode: TargetMode, tau_grid: Sequence[float], channel: Channel) -> list[SensingPoint]:
     """Resolve a sensing mode into concrete points, one per tau of the grid
-    (a FixedSensing mode ignores the grid: its point is the one point)."""
-    if mode.pinned:
-        return [mode.point]
+    (a FixedSensing mode ignores the grid: its point is the one point).
+    Each (mode, tau grid, channel) is resolved once, so the Sc, S1 and S2
+    scans of a target share its points."""
+    return [mode.point] if mode.pinned else list(_points(mode, tuple(tau_grid), channel))
+
+
+@lru_cache(maxsize=64)
+def _points(mode: TargetMode, tau_grid: tuple[float, ...], channel: Channel) -> tuple[SensingPoint, ...]:
     params = channel.detector()
     if not tau_grid:
         raise DomainError("tau grid must be non-empty for tau-dependent target modes")
-    return [mode.at(params, tau) for tau in tau_grid]
+    return tuple(mode.at(params, tau) for tau in tau_grid)
+
+
+@lru_cache(maxsize=64)
+def _secondary(channel: Channel, taus: tuple[float, ...]) -> tuple[float, ...]:
+    """The secondary link's success probability at each tau, once per (channel, taus) rather than once a scan."""
+    return tuple(channel.links(tau).p_bar_s_sd for tau in taus)
 
 
 # --- grid optimizers ---------------------------------------------------------
@@ -327,7 +339,8 @@ def scan(req: OptimizationRequest, lambda_p_grid: Sequence[float], channel: Chan
         raise DomainError(f"lambda_p must be in [0, 1], got {float(bad[0])!r}")
     variant = req.variant
     points = [NO_SENSING] if variant is Variant.S0 else operating_points(req.target_mode, req.tau_grid, channel)
-    cols = np.array([(p.p_fa, p.p_md, channel.links(p.tau).p_bar_s_sd) for p in points]).T
+    p_s = _secondary(channel, tuple(p.tau for p in points))
+    cols = np.array([[p.p_fa for p in points], [p.p_md for p in points], p_s])
     pp = channel.links(0.0).p_bar_p_pd
     b = np.array(b_s_scan_grid(req.b_s_grid))
     n, m = lam.size, len(points)

@@ -57,7 +57,8 @@ def s2_program(b_s, lam, p_md, p_fa, p_bar_p_pd, margin=0.0):
     is S2's a_s at a fixed b_s; its objective is lambda_s - b_s*p_fa at
     p_bar_s_sd = 1."""
     r = lam / p_bar_p_pd
-    return r * (1.0 - p_fa), r * p_fa * b_s, p_md, p_md + (1.0 - p_md) * (1.0 - b_s), 1.0 - p_fa, (lam + margin) / p_bar_p_pd
+    return (r * (1.0 - p_fa), r * p_fa * b_s, p_md, p_md + (1.0 - p_md) * (1.0 - b_s), 1.0 - p_fa,
+            (lam + margin) / p_bar_p_pd)
 
 
 def random_s2_cell(rng):
@@ -412,7 +413,8 @@ def optimal_as_s2_given(b_s, lambda_p, p_md, p_fa, p_bar_p_pd, *, margin=0.0):
     Degenerate corners (idle primary, perfect sensing, certain false
     alarm) follow from the objective's monotonicity.
     """
-    for name, value in (("b_s", b_s), ("lambda_p", lambda_p), ("p_md", p_md), ("p_fa", p_fa), ("p_bar_p_pd", p_bar_p_pd)):
+    for name, value in (("b_s", b_s), ("lambda_p", lambda_p), ("p_md", p_md), ("p_fa", p_fa),
+                        ("p_bar_p_pd", p_bar_p_pd)):
         _check_unit(name, value)
     if margin < 0.0:
         raise DomainError(f"margin must be >= 0, got {margin!r}")
@@ -650,6 +652,25 @@ def trace_region_loop(
     return RegionCurve(scheme=UNION if union else scheme.value, points=tuple(points))
 
 
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def sweep_rows_rowwise(blocks, lambda_p_grid):
+    """The CSV rows of `sweep`'s (scheme, target kind, target value, GridScan) blocks, a row at a
+    time: the writer that the column writer `cli._sweep_rows` replaced."""
+    lams = [_fmt(lam) for lam in lambda_p_grid]
+    for scheme_name, kind, value, grid in blocks:
+        for j, pt in enumerate(grid.points):
+            head = f"{scheme_name},{kind},{_fmt(value)},{_fmt(pt.tau)},"
+            shown = f"{head}{_fmt(pt.p_fa)},{_fmt(pt.p_md)},"
+            hidden = shown if kind == "none" else f"{head},,"  # S0 rows always name (0, 1)
+            yield from (
+                f"{shown if ok else hidden}{lam},{lam_s!r},{a_s!r},{b_s!r},{ok:d}\r\n"
+                for lam, a_s, b_s, lam_s, ok in zip(lams, *(x[:, j].tolist() for x in grid[1:]))
+            )
+
+
 # --- closed-form predicates of the scheme layer -----------------------------------
 
 class RatePair(NamedTuple):
@@ -723,7 +744,8 @@ def kernel_s2_cell(b_s, lam, p_md, p_fa, p_bar_p_pd, margin=0.0):
         return np.array([float(x)])
 
     with np.errstate(all="ignore"):
-        a, _, lam_s, ok = optimizer._cells(Variant.S2, one(lam), one(p_fa), one(p_md), one(1.0), p_bar_p_pd, margin, one(b_s))
+        a, _, lam_s, ok = optimizer._cells(Variant.S2, one(lam), one(p_fa), one(p_md), one(1.0), p_bar_p_pd, margin,
+                                           one(b_s))
     return float(a[0]), float(lam_s[0]), bool(ok[0])
 
 
@@ -771,7 +793,8 @@ def compare_dominant(cfg) -> DominanceReport:
     sat_cfg = replace(cfg, lambda_s=1.0, initial_qs=max(1, cfg.initial_qs))
     _, sat_orig = traced_run(replace(sat_cfg, mode=sim.SimMode.ORIGINAL))
     _, sat_dom = traced_run(replace(sat_cfg, mode=sim.SimMode.DOMINANT))
-    identical = all(np.array_equal(getattr(sat_orig, k), getattr(sat_dom, k)) for k in ("qp", "qs", "events", "feedback"))
+    identical = all(np.array_equal(getattr(sat_orig, k), getattr(sat_dom, k))
+                    for k in ("qp", "qs", "events", "feedback"))
     return DominanceReport(dominant_ge_original=ge, saturation_indistinguishable=identical)
 
 

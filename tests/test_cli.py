@@ -13,7 +13,9 @@ import sys
 import tempfile
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +29,7 @@ from cogaccess.estimator import EstimatorMode, learning_then_regular
 from cogaccess.optimizer import (
     FixedMisdetection,
     FixedThreshold,
+    GridScan,
     OptimizationRequest,
     default_b_s_grid,
     optimize,
@@ -43,7 +46,7 @@ from cogaccess.phy import (
 from cogaccess.schemes import NO_SENSING, SchemeConfig, Variant, service_rates
 from cogaccess.sim import SimConfig, SimMode
 
-from oracles import measure_stability, region_curve
+from oracles import measure_stability, region_curve, sweep_rows_rowwise
 
 BENCH_BASE = {
     "channel": {"p_bar_p_pd": 0.9, "p_bar_s_sd": 0.8},
@@ -832,6 +835,63 @@ class TestSweep:
         # the primary link never succeeds: only an idle primary leaves a feasible cell
         assert all(r.split(",")[-1] == str(int(float(r.split(",")[6]) == 0.0)) for r in rows)
 
+
+# floats a sweep row prints: the corners, subnormals, the largest double below 1, and any in between
+ROW_FLOATS = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 2.0**-1030, 1.0 - 2.0**-53]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def sweep_blocks(draw):
+    """A lambda_p grid, S2's b_s scan grid (its first entry -0.0 at times) and (scheme, target kind,
+    target value, GridScan) blocks holding what scan leaves: an infeasible cell's rate and b_s are 0,
+    a feasible S2 cell's b_s is a member of the grid, and every other scheme's b_s is 0."""
+    lambdas = draw(st.lists(ROW_FLOATS, min_size=1, max_size=5))
+    b_grid = sorted(set(draw(st.lists(ROW_FLOATS, min_size=1, max_size=4))))
+    if draw(st.booleans()):
+        b_grid = [-0.0, *(b for b in b_grid if b != 0.0)]
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        scheme = draw(st.sampled_from(["S2", "S1", "Sc", "S0"]))
+        kind = "none" if scheme == "S0" else draw(st.sampled_from(["p_fa", "p_md", "epsilon", "fixed"]))
+        value = 0.0 if kind in ("none", "fixed") else draw(ROW_FLOATS)
+        if scheme == "S0":
+            points = [NO_SENSING]
+        else:
+            point = st.builds(SensingPoint, st.one_of(ROW_FLOATS, st.floats(0.0, 1e3)), ROW_FLOATS, ROW_FLOATS)
+            points = draw(st.lists(point, min_size=1, max_size=1 if kind == "fixed" else 4))
+        shape = (len(lambdas), len(points))
+
+        def column(values, dtype=float):
+            size = shape[0] * shape[1]
+            return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=dtype).reshape(shape)
+
+        ok = column(st.booleans(), bool)
+        b_s = np.array(b_grid)[column(st.integers(0, len(b_grid) - 1), int)] if scheme == "S2" else np.zeros(shape)
+        grid = GridScan(points, column(ROW_FLOATS), np.where(ok, b_s, 0.0), np.where(ok, column(ROW_FLOATS), 0.0), ok)
+        blocks.append((scheme, kind, value, grid))
+    return lambdas, tuple(b_grid), blocks
+
+
+class TestSweepRows:
+    """The column writer against the row-at-a-time writer it replaced, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=sweep_blocks(), batch=st.sampled_from([1, 2, 3, 7, cli._SWEEP_ROWS]))
+    def test_column_writer_matches_rowwise(self, drawn, batch):
+        lambdas, b_grid, blocks = drawn
+        with mock.patch.object(cli, "_SWEEP_ROWS", batch):
+            written = "".join(cli._sweep_rows(blocks, lambdas, b_grid))
+        assert written == "".join(sweep_rows_rowwise(blocks, lambdas))
+
+    def test_negative_zero_b_s(self):
+        # a feasible cell at the grid's -0.0 prints it; an infeasible one prints 0.0
+        point = SensingPoint(0.1, 0.2, 0.3)
+        ok = np.array([[True], [False]])
+        grid = GridScan([point], np.full((2, 1), 0.5), np.array([[-0.0], [0.0]]), np.where(ok, 0.25, 0.0), ok)
+        blocks = [("S2", "p_fa", 0.2, grid)]
+        rows = "".join(cli._sweep_rows(blocks, (0.1, 0.2), (-0.0, 1.0)))
+        assert rows == "".join(sweep_rows_rowwise(blocks, (0.1, 0.2)))
+        assert [r.split(",")[-2:] for r in rows.splitlines()] == [["-0.0", "1"], ["0.0", "0"]]
 
 class TestFuzz:
     """Each key of the shipped documents, shrunk to small grids and about 2e4

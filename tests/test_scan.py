@@ -1,7 +1,7 @@
 """The numpy scan kernel against the scalar per-cell loops it replaced,
 and the structural facts of the optimized boundaries."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,10 +16,18 @@ from cogaccess.optimizer import (
     FixedSensing,
     FixedThreshold,
     OptimizationRequest,
+    operating_points,
     optimize,
     scan,
 )
-from cogaccess.phy import LinkSuccess, PhyParams, SensingPoint
+from cogaccess.phy import (
+    LinkSuccess,
+    PhyParams,
+    SensingPoint,
+    pfa_for_target_pmd,
+    pmd_for_target_pfa,
+    roc_from_threshold,
+)
 from cogaccess.schemes import SchemeConfig, Variant, service_rates
 
 from oracles import (
@@ -87,7 +95,8 @@ def test_kernel_matches_scalar_loops(problem):
         for lam in lambdas:
             assert repr(optimize(r, lam, channel)) == repr(OPTIMIZERS_LOOP[variant](r, lam, channel))
     for scheme in SCHEMES:
-        assert repr(region_curve(scheme, lambdas, req, channel)) == repr(trace_region_loop(scheme, lambdas, req, channel))
+        assert repr(region_curve(scheme, lambdas, req, channel)) == repr(
+            trace_region_loop(scheme, lambdas, req, channel))
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -116,7 +125,8 @@ def test_kernel_matches_scalar_loops_on_dense_grids(case):
     else:
         channel, req, lambdas = _tradeoff_case()
     for scheme in SCHEMES:
-        assert repr(region_curve(scheme, lambdas, req, channel)) == repr(trace_region_loop(scheme, lambdas, req, channel))
+        assert repr(region_curve(scheme, lambdas, req, channel)) == repr(
+            trace_region_loop(scheme, lambdas, req, channel))
 
 
 def _tradeoff_case():
@@ -149,6 +159,58 @@ def test_scan_resolves_operating_points_once(monkeypatch):
     assert len(calls) == 1
     assert grid.a_s.shape == (len(lambdas), len(req.tau_grid))
 
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_targets_scans_share_their_operating_points(monkeypatch):
+    """Three targets x {Sc, S1, S2} over 24 taus resolve 72 ROC points, not a scan's 24 each, and read
+    the secondary link once a tau grid, not once a point a scan (parent: 216 ROC and 225 links calls)."""
+    phy, _, lambdas = _tradeoff_case()
+    taus = tuple(np.geomspace(1e-3, 0.9, 24).tolist())
+    roc = _count_calls(monkeypatch, optimizer, "pmd_for_target_pfa")
+    links = _count_calls(monkeypatch, PhyParams, "links")
+    for target in (0.05, 0.15, 0.3):
+        for variant in (Variant.SC, Variant.S1, Variant.S2):
+            grid = scan(OptimizationRequest(variant, FixedFalseAlarm(target), taus), lambdas, phy)
+            assert grid.points == [pmd_for_target_pfa(phy, target, tau) for tau in taus]
+    assert len(roc) == 72
+    assert len(links) == 24 + 9  # the tau grid's once, and p_bar_p_pd once a scan
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(PhyParams)])
+def test_channels_that_differ_never_share_points(field, monkeypatch):
+    phy, taus = _tradeoff_case()[0], (1e-3, 0.1, 0.5)
+    other = replace(phy, **{field: getattr(phy, field) * 1.5})
+    roc = _count_calls(monkeypatch, optimizer, "pmd_for_target_pfa")
+    for channel in (phy, other, phy, other):
+        assert operating_points(FixedFalseAlarm(0.2), taus, channel) == [
+            pmd_for_target_pfa(channel, 0.2, tau) for tau in taus]
+    assert len(roc) == 2 * len(taus)
+
+
+def test_target_modes_at_one_value_never_share_points():
+    phy, taus = _tradeoff_case()[0], (1e-3, 0.1, 0.5)
+    by_p_fa = operating_points(FixedFalseAlarm(0.2), taus, phy)
+    by_p_md = operating_points(FixedMisdetection(0.2), taus, phy)
+    assert [p.p_fa for p in by_p_fa] == [p.p_md for p in by_p_md] == [0.2] * len(taus)
+    assert by_p_md == [pfa_for_target_pmd(phy, 0.2, tau) for tau in taus]
+    assert operating_points(FixedThreshold(1.1), taus, phy) == [roc_from_threshold(phy, 1.1, tau) for tau in taus]
+
+
+def test_each_test_starts_with_empty_caches():
+    # conftest's autouse fixture; each test above leaves points behind
+    assert optimizer._points.cache_info().currsize == optimizer._secondary.cache_info().currsize == 0
+    phy, req, lambdas = _tradeoff_case()
+    scan(req, lambdas, phy)
+    assert optimizer._points.cache_info().currsize == 1
+    assert operating_points(req.target_mode, list(req.tau_grid), phy) == scan(req, lambdas, phy).points
+    assert optimizer._points.cache_info().hits == 2
 
 def test_scalar_matches_kernel_where_idle_term_underflows():
     # a = (lambda_p/p_bar_p_pd)*(1 - p_fa) underflows to 0 while f = (lambda_p/p_bar_p_pd)*p_fa*b_s does not

@@ -424,7 +424,8 @@ def engine_configs(draw):
         b_s=draw(unit_or_random) if variant is Variant.S2 else 0.0,
         lambda_p=draw(unit_or_random),
         lambda_s=draw(unit_or_random),
-        slots=draw(st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1]) | st.integers(1, 999).map(lambda k: 2 * CHUNK + k)),
+        slots=draw(st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1])
+                   | st.integers(1, 999).map(lambda k: 2 * CHUNK + k)),
         seed=draw(st.integers(0, 2**32 - 1)),
         mode=draw(st.sampled_from(list(SimMode))),
         feedback_error=draw(st.integers(0, 900).map(lambda k: k / 1000)),
