@@ -59,6 +59,7 @@ from .optimizer import (
     b_s_scan_grid,
     default_b_s_grid,
     default_tau_grid,
+    operating_points,
     optimize,
     primary_delay,
     scan,
@@ -352,8 +353,12 @@ class RunConfig:
         target = self.target if target is None else target
         req = OptimizationRequest(variant, target, () if target.pinned else self.tau_grid, self.b_s_grid, self.margin)
         if req.tau_grid and req.variant is not Variant.S0:
-            # the ROC's arguments grow with tau: finite at the grid's last, finite at all
-            self._roc(target, req.tau_grid[-1], "grids.tau")
+            try:  # the scans' points, resolved once and cached for them
+                operating_points(target, req.tau_grid, self.channel)
+            except DomainError:
+                # the ROC's arguments grow with tau: finite at the grid's last, finite at all
+                self._roc(target, req.tau_grid[-1], "grids.tau")
+                raise
         return req
 
     def _roc(self, target: TargetMode, tau: float, tau_key: str) -> SensingPoint:

@@ -44,15 +44,19 @@ more slot (see `_solve_queues`).
 Nothing per slot outlives its chunk: `run` adds each chunk, while it is
 in cache, to the exact sums behind the primary queue's stability verdict
 and to the batch counts behind the standard errors, and hands its trace
-columns to an optional sink, the only way they leave the run.  What lives
-per run is made once, at chunk size: the chunk's two queue-size columns
-and the solve's scratch (`_Scratch`: the Lindley walk, which also takes
-each uniform and exponential draw, the gathered open slots, and the mask
-and pattern rows), which every chunk uses through views.  What is made per
-chunk is its boolean draws and outcomes (`_chunk`), freed before the sink
-runs.  What grows with the run is the FIFO delay's arrival bits (1 bit a
-slot) of the chunks since the oldest queued primary arrival, at most 1/8 B
-a slot.
+columns to an optional sink, the only way they leave the run.  The sink
+runs on one worker thread, in slot order and one chunk behind: chunk k + 1
+is drawn and solved while the sink reads chunk k, and at most one call is
+in flight.  Its exception is raised by `run`, and no thread outlives `run`.
+What lives per run is made once, at chunk size, and every chunk uses it
+through views: the queue-size columns (two pairs when traced, with two
+pairs of event and feedback columns, so that the sink reads one while the
+next chunk is solved into the other), the chunk's boolean draws and
+outcomes (`_chunk`), and the solve's scratch (`_Scratch`: the Lindley
+walk, which also takes each uniform and exponential draw, the gathered
+open slots, and the mask and pattern rows).  What grows with the run is
+the FIFO delay's arrival bits (1 bit a slot) of the chunks since the
+oldest queued primary arrival, at most 1/8 B a slot.
 """
 
 from __future__ import annotations
@@ -60,7 +64,9 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+import threading
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterable, NamedTuple
 
@@ -195,17 +201,17 @@ def _batch_edges(n: int, batches: int = 50) -> list[int]:
     return np.linspace(0, n, batches + 1, dtype=np.int64).tolist()
 
 
-def _add_batch_counts(counts: Iterable[list[int]], edges: list[int], lo: int, columns: tuple[np.ndarray, ...]) -> None:
+def _add_batch_counts(counts: Iterable[np.ndarray], edges: list[int], lo: int, columns: tuple[np.ndarray, ...]) -> None:
     """Add the nonzero entries of each boolean column of the chunk that
-    starts at slot lo, batch by batch, to its list of batch counts."""
+    starts at slot lo, batch by batch, to its row of batch counts."""
     hi = lo + len(columns[0])
     for b in range(bisect.bisect_right(edges, lo) - 1, bisect.bisect_left(edges, hi)):  # the batches met
         a, z = max(edges[b], lo) - lo, min(edges[b + 1], hi) - lo
         for count, column in zip(counts, columns):
-            count[b] += int(np.count_nonzero(column[a:z]))
+            count[b] += np.count_nonzero(column[a:z])
 
 
-def _batch_ratio_se(num: list[int], den: list[int]) -> float:
+def _batch_ratio_se(num: Iterable[int], den: Iterable[int]) -> float:
     """Standard error of sum(num)/sum(den) from contiguous batch ratios,
     given each batch's integer sums.
 
@@ -243,14 +249,17 @@ def _lindley(q0: int, service: np.ndarray, arrivals: np.ndarray, out: np.ndarray
     """
     walk = walk[:len(service)]
     walk[0] = q0 - int(service[0])
-    # in int8, which numpy widens into `walk` without buffering both inputs as int64
-    np.subtract(arrivals[:-1].view(np.int8), service[1:].view(np.int8), out=walk[1:])
+    # the steps in int8, in the head of `out`, widened by a copy: a ufunc that casts would allocate its buffers
+    steps = out.view(np.int8)[:len(walk)]
+    np.subtract(arrivals[:-1].view(np.int8), service[1:].view(np.int8), out=steps[1:])
+    walk[1:] = steps[1:]
     np.cumsum(walk, out=walk)
     np.minimum.accumulate(walk, out=out)  # the floor, built in `out`
     np.minimum(out, 0, out=out)
     walk -= out
     out[0] = q0
-    np.add(walk[:-1], arrivals[:-1], out=out[1:])
+    out[1:] = arrivals[:-1]
+    out[1:] += walk[:-1]
     return int(walk[-1]) + int(arrivals[-1])
 
 
@@ -382,71 +391,158 @@ class _Outcomes(NamedTuple):
     s_succ: np.ndarray
 
 
+def _select(c: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(c & x) | (~c & y) of boolean rows, as y ^ (c & (x ^ y)), into out,
+    which may be x: a bitwise select, about 15 times cheaper a slot than
+    `where` on a condition."""
+    np.bitwise_xor(x, y, out=out)
+    out &= c
+    out ^= y
+    return out
+
+
+# a chunk's boolean rows (`_chunk`'s `rows`): its outcomes, then its fades, its access coins and the secondary's
+# service; the last row is free again once `_chunk` returns
+_CHUNK_ROWS = len(_Outcomes._fields) + 5
+
+
 def _chunk(cfg: SimConfig, streams: list[np.random.Generator], thresholds: tuple[float, float], qp0: int, qs0: int,
-           qp: np.ndarray, qs: np.ndarray, scratch: _Scratch) -> tuple[int, int, _Outcomes]:
+           qp: np.ndarray, qs: np.ndarray, scratch: _Scratch, rows: list[np.ndarray]) -> tuple[int, int, _Outcomes]:
     """Draw one chunk of len(qp) slots, solve its queues from sizes qp0 and
     qs0 into qp and qs, and return the sizes after its last slot and its
-    slots' outcomes."""
+    slots' outcomes, in views of `rows` (_CHUNK_ROWS boolean rows)."""
     m = len(qp)
     rng_arr_p, rng_arr_s, rng_sense, rng_coin, rng_chan_p, rng_chan_s, rng_fb = streams
-    dominant = cfg.mode is SimMode.DOMINANT
+    o = _Outcomes(*[row[:m] for row in rows[:len(_Outcomes._fields)]])
+    arrival_p, arrival_s, busy_if_tx, busy_if_idle, fb_heard, ptx, s_has_packet, stx, p_succ, s_succ = o
+    chan_p_ok, chan_s_ok, coin_if_tx, coin_if_idle, s_service = [row[:m] for row in rows[len(o):]]
     u = scratch.work[:m].view(np.float64)  # each draw, before the solve needs `work`
-    arrival_p = rng_arr_p.random(out=u) < cfg.lambda_p
-    arrival_s = rng_arr_s.random(out=u) < cfg.lambda_s
+    np.less(rng_arr_p.random(out=u), cfg.lambda_p, out=arrival_p)
+    np.less(rng_arr_s.random(out=u), cfg.lambda_s, out=arrival_s)
     rng_sense.random(out=u)
-    busy_if_tx = u < 1.0 - cfg.scheme.sensing.p_md
-    busy_if_idle = u < cfg.scheme.sensing.p_fa
+    np.less(u, 1.0 - cfg.scheme.sensing.p_md, out=busy_if_tx)
+    np.less(u, cfg.scheme.sensing.p_fa, out=busy_if_idle)
+    # the access coin as it falls when the primary transmits / is silent, from
+    # one uniform: a_s's coin on an idle outcome, b_s's on a busy one
     rng_coin.random(out=u)
-    coin_idle = u < cfg.scheme.a_s
-    coin_busy = u < cfg.scheme.b_s
-    chan_p_ok = rng_chan_p.standard_exponential(out=u) >= thresholds[0]
-    chan_s_ok = rng_chan_s.standard_exponential(out=u) >= thresholds[1]
-    fb_heard = rng_fb.random(out=u) < 1.0 - cfg.feedback_error
-    # the access coin as it falls when the primary transmits / is silent, by
-    # bitwise selects, about 15 times cheaper a slot than `where` on a condition
-    coin_if_tx = (busy_if_tx & coin_busy) | (~busy_if_tx & coin_idle)
-    coin_if_idle = (busy_if_idle & coin_busy) | (~busy_if_idle & coin_idle)
+    coin_idle, coin_busy = np.less(u, cfg.scheme.a_s, out=s_service), np.less(u, cfg.scheme.b_s, out=coin_if_tx)
+    _select(busy_if_idle, coin_busy, coin_idle, coin_if_idle)
+    _select(busy_if_tx, coin_busy, coin_idle, coin_if_tx)  # in place of coin_busy
+    np.greater_equal(rng_chan_p.standard_exponential(out=u), thresholds[0], out=chan_p_ok)
+    np.greater_equal(rng_chan_s.standard_exponential(out=u), thresholds[1], out=chan_s_ok)
+    np.less(rng_fb.random(out=u), 1.0 - cfg.feedback_error, out=fb_heard)
 
-    qp_end, qs_end = _solve_queues(qp0, qs0, chan_p_ok, coin_if_tx, coin_if_idle & chan_s_ok,
-                                   arrival_p, arrival_s, qp, qs, dominant, scratch)
-    ptx = qp > 0
-    s_has_packet = qs > 0
-    coin = (ptx & coin_if_tx) | (~ptx & coin_if_idle)
-    stx = coin if dominant else coin & s_has_packet
-    return qp_end, qs_end, _Outcomes(arrival_p, arrival_s, busy_if_tx, busy_if_idle, fb_heard, ptx, s_has_packet,
-                                     stx, ptx & ~stx & chan_p_ok, stx & ~ptx & chan_s_ok)
+    dominant = cfg.mode is SimMode.DOMINANT
+    np.logical_and(coin_if_idle, chan_s_ok, out=s_service)
+    qp_end, qs_end = _solve_queues(qp0, qs0, chan_p_ok, coin_if_tx, s_service, arrival_p, arrival_s, qp, qs, dominant,
+                                   scratch)
+    np.greater(qp, 0, out=ptx)
+    np.greater(qs, 0, out=s_has_packet)
+    _select(ptx, coin_if_tx, coin_if_idle, stx)  # the coin, which a backlogged or dummy packet follows
+    if not dominant:
+        stx &= s_has_packet
+    np.greater(ptx, stx, out=p_succ)  # p & ~s is p > s on booleans
+    p_succ &= chan_p_ok
+    np.greater(stx, ptx, out=s_succ)
+    s_succ &= chan_s_ok
+    return qp_end, qs_end, o
 
 
-def _trace_columns(o: _Outcomes) -> tuple[np.ndarray, np.ndarray]:
-    """A chunk's trace columns from its outcomes: event bits and feedback codes."""
-    sensed_busy = (o.ptx & o.busy_if_tx) | (~o.ptx & o.busy_if_idle)
-    events = np.zeros(len(o.ptx), dtype=np.uint8)
-    for flag, bit in ((o.arrival_p, EV_ARRIVAL_P), (o.arrival_s, EV_ARRIVAL_S), (o.ptx, EV_PRIMARY_TX),
-                      (o.stx, EV_SECONDARY_TX), (o.ptx & o.stx, EV_COLLISION), (o.p_succ, EV_PRIMARY_SUCCESS),
-                      (o.s_succ, EV_SECONDARY_SUCCESS), (sensed_busy, EV_SENSED_BUSY)):
-        events |= flag.view(np.uint8) * bit  # flag << k as a product: numpy's uint8 shift is slower
+def _trace_columns(o: _Outcomes, events: np.ndarray, feedback: np.ndarray, spare: np.ndarray) -> None:
+    """A chunk's trace columns from its outcomes, written into events (the
+    event bits) and feedback (the FB_* codes); `spare` is a boolean row."""
+    # the event bits from the top down, each a doubling and an or, in place
+    events[:] = _select(o.ptx, o.busy_if_tx, o.busy_if_idle, spare).view(np.uint8)  # EV_SENSED_BUSY
+    for flag in (o.s_succ, o.p_succ, np.logical_and(o.ptx, o.stx, out=spare), o.stx, o.ptx, o.arrival_s, o.arrival_p):
+        events += events
+        events |= flag.view(np.uint8)
     # FB_* codes: 1 + (NACK) + 2 * (missed), on primary transmissions only
-    feedback = (1 + (~o.p_succ).view(np.uint8) + 2 * (~o.fb_heard).view(np.uint8)) * o.ptx
-    return events, feedback
+    missed = np.logical_not(o.fb_heard, out=spare).view(np.uint8)
+    np.add(missed, missed, out=feedback)
+    feedback += np.logical_not(o.p_succ, out=spare).view(np.uint8)
+    feedback += 1
+    feedback *= o.ptx.view(np.uint8)
+
+
+class _Behind:
+    """A `with` block that calls a sink on one worker thread, one call behind
+    the block.
+
+    `give(*args)` hands `args` to the worker once the call before has ended,
+    so at most one call is in flight and the calls run in order; `wait()`
+    returns once the call in flight has ended.  A call's exception is
+    raised, as the same object, by the next `wait` or `give`, or when the
+    block ends, and no call follows it.  However the block ends, it waits
+    for the last call and joins the worker."""
+
+    def __init__(self, sink: Callable[..., None]) -> None:
+        self._sink, self._args, self._error = sink, None, None
+        self._idle, self._ready = threading.Semaphore(1), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._serve, name="cogaccess.sim sink", daemon=True)
+
+    def __enter__(self) -> _Behind:
+        self._thread.start()
+        return self
+
+    def __exit__(self, exc_type: type | None, *_: object) -> None:
+        self._idle.acquire()
+        self._args = None  # the worker's signal to stop
+        self._ready.release()
+        self._thread.join()
+        if exc_type is None and self._error is not None:
+            raise self._error
+
+    def wait(self) -> None:
+        self._idle.acquire()
+        self._idle.release()
+        if self._error is not None:
+            raise self._error
+
+    def give(self, *args: object) -> None:
+        self.wait()
+        self._idle.acquire()
+        self._args = args
+        self._ready.release()
+
+    def _serve(self) -> None:
+        while True:
+            self._ready.acquire()
+            args, self._args = self._args, None
+            if args is None:
+                return
+            try:
+                self._sink(*args)
+            except BaseException as exc:  # any, SystemExit included: raised again by the thread that gives
+                self._error = exc
+            del args  # the call's arguments go before the block learns it has ended
+            self._idle.release()
 
 
 def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> SimResult:
     """Simulate cfg.slots slots: empirical rates, counts and the primary
     queue's stability.  A sink gets each chunk's first slot and trace
-    columns, in slot order, to read during the call only: qp and qs are
-    views of buffers the run reuses for every chunk."""
+    columns, in slot order, on one worker thread while the run solves the
+    next chunk; the columns are valid during the call only (they are views
+    of buffers the run reuses two chunks later).  An exception from the
+    sink is raised by `run` as the same object, and no call follows it."""
     n = cfg.slots
     links = cfg.phy.links(cfg.scheme.sensing.tau)
     thresholds = (_success_threshold(links.p_bar_p_pd), _success_threshold(links.p_bar_s_sd))
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(7)]
 
     edges = _batch_edges(n)
-    # per-batch counts of the indicator series behind the batch-mean SEs
-    batch = {k: [0] * (len(edges) - 1) for k in ("ptx", "pdep", "ssucc", "snon", "sdep")}
+    # per-batch counts of the indicator series behind the batch-mean SEs, in one array, which the counts do not grow
+    batch = dict(zip(("ptx", "pdep", "ssucc", "snon", "sdep"), np.zeros((5, len(edges) - 1), dtype=np.int64)))
 
-    # per-run buffers at chunk size: the chunk's queue sizes and the solve's scratch
+    # per-run buffers at chunk size: the solve's scratch, the chunk's boolean rows and its trace columns (an
+    # untraced run's without events or feedback), each its own array, which can take heap memory freed before
+    # the run (one block of them was a fresh mapping, about 0.45 MiB more resident).  A traced run has two sets of
+    # trace columns: it solves chunk k + 1 into one while its sink reads chunk k from the other.
     size = min(n, _SIM_CHUNK)
-    queues, scratch = np.empty((2, size), dtype=np.int64), _Scratch.of(size)
+    scratch, rows = _Scratch.of(size), [np.empty(size, dtype=bool) for _ in range(_CHUNK_ROWS)]
+    codes = size if sink is not None else 0
+    columns = [(np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(codes, dtype=np.uint8),
+                np.empty(codes, dtype=np.uint8)) for _ in range(1 if sink is None else 2)]
 
     qp, qs = cfg.initial_qp, cfg.initial_qs
     # FIFO delay: the primary packets still queued are the last qp arrivals
@@ -458,27 +554,31 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
     arrivals = arrival_slot_sum = acks_heard = heard = 0
     sums = (0, 0)  # sum(qp[t]) and sum(t * qp[t]), exact
 
-    for lo in range(0, n, _SIM_CHUNK):
-        qp_c, qs_c = queues[:, :min(_SIM_CHUNK, n - lo)]
-        qp, qs, o = _chunk(cfg, streams, thresholds, qp, qs, qp_c, qs_c, scratch)
-        sums = _add_chunk_sums(sums, qp_c, lo)
+    with nullcontext() if sink is None else _Behind(sink) as behind:
+        for k, lo in enumerate(range(0, n, _SIM_CHUNK)):
+            m = min(_SIM_CHUNK, n - lo)
+            trace = SimTrace(*[column[:m] for column in columns[k % len(columns)]])
+            qp, qs, o = _chunk(cfg, streams, thresholds, qp, qs, trace.qp, trace.qs, scratch, rows)
+            spare = rows[-1][:m]
+            if behind is not None:
+                _trace_columns(o, trace.events, trace.feedback, spare)
+                # the tallies run while no sink call is in flight: what they allocate never adds to what the
+                # sink does, so a traced run's peak does not depend on how the two threads interleave
+                behind.wait()
 
-        heard += int(np.count_nonzero(o.ptx & o.fb_heard))
-        acks_heard += int(np.count_nonzero(o.p_succ & o.fb_heard))
-        _add_batch_counts(batch.values(), edges, lo,  # in batch's key order
-                          (o.ptx, o.p_succ, o.s_succ, o.s_has_packet, o.s_succ & o.s_has_packet))
+            sums = _add_chunk_sums(sums, trace.qp, lo)
+            heard += int(np.count_nonzero(np.logical_and(o.ptx, o.fb_heard, out=spare)))
+            acks_heard += int(np.count_nonzero(np.logical_and(o.p_succ, o.fb_heard, out=spare)))
+            _add_batch_counts(batch.values(), edges, lo,  # in batch's key order
+                              (o.ptx, o.p_succ, o.s_succ, o.s_has_packet,
+                               np.logical_and(o.s_succ, o.s_has_packet, out=spare)))
+            arrived.append((lo, arrivals, arrival_slot_sum, np.packbits(o.arrival_p)))
+            arrivals, arrival_slot_sum = _add_chunk_sums((arrivals, arrival_slot_sum), o.arrival_p, lo)
+            while len(arrived) > 1 and arrived[1][1] <= arrivals - qp:  # chunk 0's arrivals have all left
+                arrived.popleft()
 
-        arrived.append((lo, arrivals, arrival_slot_sum, np.packbits(o.arrival_p)))
-        arrivals, arrival_slot_sum = _add_chunk_sums((arrivals, arrival_slot_sum), o.arrival_p, lo)
-        while len(arrived) > 1 and arrived[1][1] <= arrivals - qp:  # chunk 0's arrivals have all left
-            arrived.popleft()
-
-        trace = None if sink is None else SimTrace(qp_c, qs_c, *_trace_columns(o))
-        # the chunk's per-slot arrays go before the sink runs: what it makes
-        # of the trace (the CSV writer's text) then adds to the trace alone
-        del o
-        if trace is not None:
-            sink(lo, trace)
+            if behind is not None:
+                behind.give(lo, trace)
 
     # Little's identity: sum(qp[t]) counts a departed packet d - a slots
     # (arrival slot a, departure slot d) and a queued one n - 1 - a slots, so
@@ -490,18 +590,16 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
     queued_slot_sum = arrival_slot_sum - before_sum - lo * len(first) - int(first.sum()) - max(-gone, 0)
     delay_sum = sums[0] - qp * (n - 1) + queued_slot_sum
 
-    ptx_slots = sum(batch["ptx"])
-    p_dep_total = sum(batch["pdep"])
-    s_dep_total = sum(batch["sdep"])
+    ptx_slots, p_dep_total, s_dep_total = (int(batch[k].sum()) for k in ("ptx", "pdep", "sdep"))
     mu_p = p_dep_total / ptx_slots if ptx_slots else math.nan
     mu_p_se = _batch_ratio_se(batch["pdep"], batch["ptx"]) if ptx_slots else math.nan
     if cfg.mode is SimMode.DOMINANT:
         # the secondary always has something to send: its service rate is
         # the unconditional per-slot success rate, dummies included
-        mu_s = sum(batch["ssucc"]) / n
+        mu_s = int(batch["ssucc"].sum()) / n
         mu_s_se = _batch_ratio_se(batch["ssucc"], [b - a for a, b in zip(edges, edges[1:])])
     else:
-        snon_slots = sum(batch["snon"])
+        snon_slots = int(batch["snon"].sum())
         mu_s = s_dep_total / snon_slots if snon_slots else math.nan
         mu_s_se = _batch_ratio_se(batch["sdep"], batch["snon"]) if snon_slots else math.nan
 
@@ -517,7 +615,7 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
         primary_departures=p_dep_total,
         secondary_departures=s_dep_total,
         feedback_counts=FeedbackCounts(A=acks_heard, M=heard, N=n),
-        stability=_verdict(n, sums, int(qp_c[-1])),
+        stability=_verdict(n, sums, int(trace.qp[-1])),
     )
 
 
@@ -573,7 +671,10 @@ def _add_chunk_sums(sums: tuple[int, int], q: np.ndarray, lo: int) -> tuple[int,
 
 TRACE_CSV_HEADER = b"slot,qp,qs,events,feedback\r\n"
 _FEEDBACK_NAMES = ("none", "ack", "nack", "ack-missed", "nack-missed")  # indexed by FB_* code
-_TRACE_CSV_CHUNK = 8_192  # rows formatted per write: bounds the formatting's memory (about 110 B a row)
+# rows formatted per write when a row's text is _TRACE_ROW_BYTES bytes, and proportionally fewer of wider rows:
+# the formatting's memory (about three times the text) does not then grow with a run's slot numbers
+_TRACE_CSV_CHUNK = 8_192
+_TRACE_ROW_BYTES = 32  # a row's text before its zero bytes go: a digit a byte, the commas and the 16-byte end
 # FB_* code -> the end of its row, "<name>\r\n" zero-padded to 16 bytes (two uint64s)
 _ROW_ENDS = np.array([list(f"{name}\r\n".encode().ljust(16, b"\0")) for name in _FEEDBACK_NAMES],
                      dtype=np.uint8).view(np.uint64)
@@ -591,15 +692,27 @@ def write_trace_rows(fh: BinaryIO, lo: int, trace: SimTrace) -> None:
     feedback codes gives each row's end, zero-padded.  One transpose makes
     the rows, and dropping every 0, which no CSV byte is, gives the text.
     """
-    for at in range(0, len(trace.qp), _TRACE_CSV_CHUNK):
-        rows = slice(at, at + _TRACE_CSV_CHUNK)
+    n, columns = len(trace.qp), (trace.qp, trace.qs, trace.events)
+    # the widest row's text: digits, four commas and the 16-byte end
+    width = len(str(lo + n - 1)) + sum(len(str(int(column.max(initial=0)))) for column in columns) + 4 + 16
+    step = max(1, _TRACE_CSV_CHUNK * _TRACE_ROW_BYTES // width)
+    for at in range(0, n, step):
+        rows = slice(at, at + step)
         fh.write(_csv_rows(lo + at, (trace.qp[rows], trace.qs[rows], trace.events[rows]), trace.feedback[rows]))
 
 
 def _csv_rows(first: int, columns: tuple[np.ndarray, ...], feedback: np.ndarray) -> np.ndarray:
     """CSV text of rows numbered from `first`, then non-negative integer
     columns and a feedback name."""
-    n = len(feedback)
+    # the digit rows go once the text is made: the zero drop, the peak, holds only the text, its mask and its rows
+    text = np.concatenate((_digit_rows(first, columns, len(feedback)).T,
+                           _ROW_ENDS.take(feedback, axis=0).view(np.uint8)), axis=1)
+    return text[text != 0]
+
+
+def _digit_rows(first: int, columns: tuple[np.ndarray, ...], n: int) -> np.ndarray:
+    """The byte rows of n rows' fields, each followed by a comma: the numbers
+    from `first`, then the columns, with a leading zero as byte 0."""
     top = first + n - 1
     fields = [(np.arange(first, top + 1, dtype=np.min_scalar_type(top)), first, len(str(top)))]  # (values, min, digits)
     for column in columns:
@@ -622,5 +735,4 @@ def _csv_rows(first: int, columns: tuple[np.ndarray, ...], feedback: np.ndarray)
                 np.copyto(num[k], 0, where=v < 10 ** (ones - k))
         num[ones + 1] = ord(",")
         at = ones + 2
-    text = np.concatenate((num.T, _ROW_ENDS.take(feedback, axis=0).view(np.uint8)), axis=1)
-    return text[text != 0]
+    return num

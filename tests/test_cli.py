@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cogaccess
-from cogaccess import cli, estimator, sim
+from cogaccess import cli, estimator, optimizer, sim
 from cogaccess.cli import main
 from cogaccess.errors import ConfigError
 from cogaccess.estimator import EstimatorMode, learning_then_regular
@@ -732,6 +732,21 @@ class TestSweep:
         }
         doc.update(overrides)
         return doc
+
+    def test_benchmark_sweep_resolves_each_roc_point_once(self, tmp_path, capsys, monkeypatch):
+        # the seed-1 `sweep-tau` benchmark document: 3 p_fa targets x 24 taus are 72 distinct ROC points, and
+        # the config check reads them from the cache the Sc, S1 and S2 scans share (it made 9 more calls)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        (op,) = workloads.sweep_ops(1)
+        calls = []
+        real = optimizer.pmd_for_target_pfa
+        monkeypatch.setattr(optimizer, "pmd_for_target_pfa", lambda *a: calls.append(a) or real(*a))
+        path = write_config(tmp_path, dict(op.doc, output_dir=str(tmp_path / "out")), "config.json")
+        code, _, err = run_cli(capsys, ["sweep", "-c", path])
+        assert (code, err) == (0, "")
+        assert len(calls) == len(set(calls)) == 72
 
     def test_sweep_writes_long_csv(self, tmp_path, capsys):
         doc = self.sweep_doc(tmp_path)

@@ -1,8 +1,10 @@
+import errno
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -538,6 +540,28 @@ class TestEngine:
 
         assert peak_kib(20_000_000) - peak_kib(1_000_000) <= 512
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_traced_peak_memory_is_flat_in_the_run_length(self, tmp_path):
+        # the sink runs one chunk behind on a worker thread, with one chunk in flight: a traced run 4 times
+        # longer peaks no higher (VmHWM of fresh interpreters), though its trace CSV is 4 times larger
+        doc = yaml.safe_load((Path(__file__).parent.parent / "configs" / "validate_simulation.yaml").read_text())
+        src = str(Path(sim.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import sys; from cogaccess.cli import main; main(sys.argv[1:]); status = open('/proc/self/status');"
+                  "print([line.split()[1] for line in status if line.startswith('VmHWM')][0], file=sys.stderr)")
+
+        def peak_kib(slots):
+            doc["sim"].update(slots=slots, record_traces=True)
+            doc["output_dir"] = str(tmp_path / "out")
+            (tmp_path / "config.json").write_text(json.dumps(doc))
+            proc = subprocess.run([sys.executable, "-c", script, "simulate", "-c", "config.json"], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            assert (tmp_path / "out" / "trace.csv").stat().st_size > 15 * slots
+            return int(proc.stderr)
+
+        assert peak_kib(4_000_000) - peak_kib(1_000_000) <= 512
+
     @pytest.mark.parametrize("draw", ["random", "standard_exponential"])
     def test_stream_read_in_chunks_equals_one_read(self, draw):
         n = 3 * CHUNK + 17
@@ -715,7 +739,8 @@ class TestChunkSolve:
         solve = sim._solve_queues
 
         def keep_args(*args):
-            chunks.append(args[:7])
+            # copies: a chunk's draws are views of rows the run reuses for every chunk
+            chunks.append(tuple(np.copy(arg) if isinstance(arg, np.ndarray) else arg for arg in args[:7]))
             return solve(*args)
 
         with mock.patch.object(sim, "_solve_queues", keep_args):
@@ -744,3 +769,119 @@ class TestValidation:
                       phy=BENCH_LINKS)
         with pytest.raises(DomainError):
             sim_config(feedback_error=1.0)
+
+
+class TestSinkThread:
+    """The sink runs on one worker thread, one chunk behind the run."""
+
+    CFG = sim_config(variant=Variant.S2, a_s=0.8, b_s=0.3, lambda_p=0.45, lambda_s=0.3, slots=300,
+                     mode=SimMode.ORIGINAL, feedback_error=0.2)
+
+    @staticmethod
+    def counted_chunks(monkeypatch, fail_on=None):
+        """Count `_chunk` calls; the one numbered fail_on (from 0) raises."""
+        calls = []
+        real = sim._chunk
+
+        def chunk(*args):
+            calls.append(args[3:5])
+            if len(calls) - 1 == fail_on:
+                raise RuntimeError("chunk failed")
+            return real(*args)
+
+        monkeypatch.setattr(sim, "_chunk", chunk)
+        monkeypatch.setattr(sim, "_SIM_CHUNK", 7)
+        return calls
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 42])
+    def test_sink_exception_is_raised_as_itself_and_ends_the_calls(self, monkeypatch, k):
+        chunks = self.counted_chunks(monkeypatch)
+        error = OSError(errno.ENOSPC, "no space left on device")
+        seen = []
+
+        def sink(lo, trace):
+            seen.append(lo)
+            if lo == 7 * k:
+                raise error
+
+        with pytest.raises(OSError) as caught:
+            run(self.CFG, sink)
+        assert caught.value is error and caught.value.errno == errno.ENOSPC
+        assert seen == [7 * i for i in range(k + 1)]  # in slot order, and none after the failure
+        assert k + 1 <= len(chunks) <= k + 2  # at most one more chunk drawn
+
+    @pytest.mark.parametrize("case", ["success", "sink failure", "chunk failure", "untraced"])
+    def test_no_thread_outlives_the_run(self, monkeypatch, case):
+        self.counted_chunks(monkeypatch, fail_on=3 if case == "chunk failure" else None)
+        started = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or real_start(thread))
+
+        def sink(lo, trace):
+            if case == "sink failure" and lo == 14:
+                raise OSError(errno.EIO, "input/output error")
+
+        before = threading.enumerate()
+        try:
+            run(self.CFG, None if case == "untraced" else sink)
+        except (OSError, RuntimeError):
+            assert case in ("sink failure", "chunk failure")
+        else:
+            assert case in ("success", "untraced")
+        assert threading.enumerate() == before
+        assert len(started) == (0 if case == "untraced" else 1)
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_sink_reads_each_chunk_while_the_next_is_solved(self, monkeypatch):
+        # the sink of chunk k still sees chunk k's queue columns when chunk k + 1 has been drawn and solved
+        _, whole = traced_run(self.CFG)
+        chunks = self.counted_chunks(monkeypatch)
+        solved = threading.Event()
+        real = sim._chunk
+        seen = []
+
+        def chunk(*args):
+            out = real(*args)
+            if len(chunks) == 2:
+                solved.set()
+            return out
+
+        monkeypatch.setattr(sim, "_chunk", chunk)
+
+        def sink(lo, trace):
+            copy = trace.qp.copy()
+            if lo == 0:
+                assert solved.wait(5)  # chunk 1 is solved into the other buffer meanwhile
+            seen.append((lo, copy, trace.qp.copy()))
+
+        run(self.CFG, sink)
+        for lo, at_start, at_end in seen:
+            assert np.array_equal(at_start, at_end) and np.array_equal(at_start, whole.qp[lo:lo + 7])
+
+    def test_concurrent_runs_stream_their_own_traces(self, monkeypatch):
+        # four traced runs at once, each with its own sink thread, over 7-slot chunks (hundreds of handoffs
+        # each) with the interpreter switching threads as often as it can: every sink sees its run's trace,
+        # chunk by chunk in slot order, and no call is lost or repeated
+        cfgs = [replace(self.CFG, slots=2_000, seed=seed) for seed in range(4)]
+        wholes = [traced_run(cfg)[1] for cfg in cfgs]
+        monkeypatch.setattr(sim, "_SIM_CHUNK", 7)
+        seen = [[] for _ in cfgs]
+
+        def simulate(i):
+            run(cfgs[i], lambda lo, trace: seen[i].append((lo, trace.qp.copy(), trace.events.copy())))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=simulate, args=(i,)) for i in range(len(cfgs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for whole, chunks in zip(wholes, seen):
+            assert [lo for lo, *_ in chunks] == list(range(0, 2_000, 7))
+            assert np.array_equal(np.concatenate([qp for _, qp, _ in chunks]), whole.qp)
+            assert np.array_equal(np.concatenate([events for *_, events in chunks]), whole.events)
