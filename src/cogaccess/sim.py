@@ -410,12 +410,12 @@ def _chunk(cfg: SimConfig, streams: list[np.random.Generator], thresholds: tuple
            qp: np.ndarray, qs: np.ndarray, scratch: _Scratch, rows: list[np.ndarray]) -> tuple[int, int, _Outcomes]:
     """Draw one chunk of len(qp) slots, solve its queues from sizes qp0 and
     qs0 into qp and qs, and return the sizes after its last slot and its
-    slots' outcomes, in views of `rows` (_CHUNK_ROWS boolean rows)."""
+    slots' outcomes, in `rows` (_CHUNK_ROWS boolean rows of len(qp))."""
     m = len(qp)
     rng_arr_p, rng_arr_s, rng_sense, rng_coin, rng_chan_p, rng_chan_s, rng_fb = streams
-    o = _Outcomes(*[row[:m] for row in rows[:len(_Outcomes._fields)]])
+    o = _Outcomes(*rows[:len(_Outcomes._fields)])
     arrival_p, arrival_s, busy_if_tx, busy_if_idle, fb_heard, ptx, s_has_packet, stx, p_succ, s_succ = o
-    chan_p_ok, chan_s_ok, coin_if_tx, coin_if_idle, s_service = [row[:m] for row in rows[len(o):]]
+    chan_p_ok, chan_s_ok, coin_if_tx, coin_if_idle, s_service = rows[len(o):]
     u = scratch.work[:m].view(np.float64)  # each draw, before the solve needs `work`
     np.less(rng_arr_p.random(out=u), cfg.lambda_p, out=arrival_p)
     np.less(rng_arr_s.random(out=u), cfg.lambda_s, out=arrival_s)
@@ -541,8 +541,9 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
     size = min(n, _SIM_CHUNK)
     scratch, rows = _Scratch.of(size), [np.empty(size, dtype=bool) for _ in range(_CHUNK_ROWS)]
     codes = size if sink is not None else 0
-    columns = [(np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(codes, dtype=np.uint8),
+    buffers = [(np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(codes, dtype=np.uint8),
                 np.empty(codes, dtype=np.uint8)) for _ in range(1 if sink is None else 2)]
+    traces = [SimTrace(*arrays) for arrays in buffers]
 
     qp, qs = cfg.initial_qp, cfg.initial_qs
     # FIFO delay: the primary packets still queued are the last qp arrivals
@@ -556,10 +557,12 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
 
     with nullcontext() if sink is None else _Behind(sink) as behind:
         for k, lo in enumerate(range(0, n, _SIM_CHUNK)):
-            m = min(_SIM_CHUNK, n - lo)
-            trace = SimTrace(*[column[:m] for column in columns[k % len(columns)]])
+            if n - lo < size:  # the last chunk is shorter: views of its length
+                rows = [row[:n - lo] for row in rows]
+                traces = [SimTrace(*[array[:n - lo] for array in arrays]) for arrays in buffers]
+            trace = traces[k % len(traces)]
             qp, qs, o = _chunk(cfg, streams, thresholds, qp, qs, trace.qp, trace.qs, scratch, rows)
-            spare = rows[-1][:m]
+            spare = rows[-1]
             if behind is not None:
                 _trace_columns(o, trace.events, trace.feedback, spare)
                 # the tallies run while no sink call is in flight: what they allocate never adds to what the
