@@ -36,7 +36,9 @@ import errno
 import json
 import math
 import os
+import pickle
 import sys
+import threading
 from collections import namedtuple
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, replace
@@ -612,8 +614,73 @@ def _check_sim_slots(slots: int, limit: int, keys: str) -> None:
         raise ConfigError(f"{slots} slots exceed the cap of {limit}; shrink {keys} to at most {limit} slots")
 
 
+@contextmanager
+def _trace_csv(fh: IO) -> Iterator[Callable]:
+    """Write the trace CSV's header to fh, and give a `sim.run` sink that appends each chunk's rows: itself,
+    or where the platform can fork and no other thread runs, through a pipe to a writer process forked here,
+    as (lo, n) and the raw bytes of qp, qs, events and feedback.  However the block ends, leaving it ends the
+    pipe, reaps the writer, and raises its exception (a copy, by pickle) or an error naming how it ended."""
+    import signal
+
+    import numpy as np
+
+    from .sim import TRACE_CSV_HEADER, SimTrace, write_trace_rows
+
+    fh.write(TRACE_CSV_HEADER)
+    if not hasattr(os, "fork") or threading.active_count() > 1:  # a forked child has only the forking thread
+        yield partial(write_trace_rows, fh)
+        return
+    fh.flush()  # else both processes would write what fh holds
+    (rows_r, rows_w), (errors_r, errors_w) = os.pipe(), os.pipe()
+    with suppress(AttributeError, OSError):  # a platform or a limit that refuses keeps the default size
+        import fcntl
+        fcntl.fcntl(rows_w, fcntl.F_SETPIPE_SZ, 2**20)  # about two chunks of trace columns (18 B a slot)
+    # SIGINT stays blocked in the writer, so an interrupt is the parent's to handle
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    pid = os.fork()
+    if pid == 0:  # the writer: it ends with os._exit, so nothing of the parent's runs or is flushed twice
+        try:
+            os.close(rows_w)  # else the pipe would never end
+            with os.fdopen(rows_r, "rb") as pipe:
+                while head := pipe.read(16):
+                    lo, n = np.frombuffer(head, np.int64).tolist()
+                    body = pipe.read(18 * n)
+                    queues, codes = np.frombuffer(body, np.int64, 2 * n), np.frombuffer(body, np.uint8, 2 * n, 16 * n)
+                    write_trace_rows(fh, lo, SimTrace(*queues.reshape(2, n), *codes.reshape(2, n)))
+            fh.flush()
+            os._exit(0)
+        except BaseException as exc:  # noqa: BLE001 - sent to the parent, which raises it
+            with suppress(Exception):
+                os.write(errors_w, pickle.dumps(exc))
+        finally:
+            os._exit(1)
+    os.close(rows_r)
+    os.close(errors_w)
+
+    def send(lo: int, trace: SimTrace) -> None:
+        for column in (np.array([lo, len(trace.qp)], np.int64), trace.qp, trace.qs, trace.events, trace.feedback):
+            view = memoryview(column).cast("B")
+            while view:
+                view = view[os.write(rows_w, view):]
+
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # an interrupt since the fork is raised here
+        with suppress(BrokenPipeError):  # the writer has ended early: what it sent, or how it ended, is raised below
+            yield send
+    finally:
+        os.close(rows_w)  # the end of the writer's input
+        with os.fdopen(errors_r, "rb") as report:
+            error = report.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if error:
+        raise pickle.loads(error)
+    if code:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise CogAccessError(f"the trace writer process {how} before it wrote the trace")
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
-    from .sim import TRACE_CSV_HEADER, run, write_trace_rows
+    from .sim import run
 
     traced = cfg.sim.record_traces
     _check_sim_slots(cfg.sim.slots, MAX_TRACED_SLOTS if traced else MAX_SIM_SLOTS, "sim.slots")
@@ -621,9 +688,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     sim_cfg = _sim_config(cfg, scheme, cfg.sim.slots)
     if traced:
         trace_path = cfg.output_dir / "trace.csv"
-        with _outputs() as create, create(trace_path, "wb") as fh:
-            fh.write(TRACE_CSV_HEADER)
-            result = run(sim_cfg, sink=lambda lo, chunk: write_trace_rows(fh, lo, chunk))
+        with _outputs() as create, create(trace_path, "wb") as fh, _trace_csv(fh) as sink:
+            result = run(sim_cfg, sink=sink)
     else:
         result = run(sim_cfg)
 

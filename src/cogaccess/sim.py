@@ -44,19 +44,16 @@ more slot (see `_solve_queues`).
 Nothing per slot outlives its chunk: `run` adds each chunk, while it is
 in cache, to the exact sums behind the primary queue's stability verdict
 and to the batch counts behind the standard errors, and hands its trace
-columns to an optional sink, the only way they leave the run.  The sink
-runs on one worker thread, in slot order and one chunk behind: chunk k + 1
-is drawn and solved while the sink reads chunk k, and at most one call is
-in flight.  Its exception is raised by `run`, and no thread outlives `run`.
-What lives per run is made once, at chunk size, and every chunk uses it
-through views: the queue-size columns (two pairs when traced, with two
-pairs of event and feedback columns, so that the sink reads one while the
-next chunk is solved into the other), the chunk's boolean draws and
-outcomes (`_chunk`), and the solve's scratch (`_Scratch`: the Lindley
-walk, which also takes each uniform and exponential draw, the gathered
-open slots, and the mask and pattern rows).  What grows with the run is
-the FIFO delay's arrival bits (1 bit a slot) of the chunks since the
-oldest queued primary arrival, at most 1/8 B a slot.
+columns to an optional sink, the only way they leave the run.  The sink is
+a plain call, on the calling thread and in slot order; its exception ends
+the run.  What lives per run is made once, at chunk size, and every chunk
+uses it through views: the queue-size columns (with the event and feedback
+columns when traced), the chunk's boolean draws and outcomes (`_chunk`),
+and the solve's scratch (`_Scratch`: the Lindley walk, which also takes
+each uniform and exponential draw, the gathered open slots, and the mask
+and pattern rows).  What grows with the run is the FIFO delay's arrival
+bits (1 bit a slot) of the chunks since the oldest queued primary arrival,
+at most 1/8 B a slot.
 """
 
 from __future__ import annotations
@@ -64,13 +61,12 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-import threading
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterable, NamedTuple
 
 import numpy as np
+from numpy.random import Generator, SeedSequence, default_rng  # here, before cli forks a traced run's writer
 
 from .errors import DomainError
 from .phy import Channel
@@ -406,7 +402,7 @@ def _select(c: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.
 _CHUNK_ROWS = len(_Outcomes._fields) + 5
 
 
-def _chunk(cfg: SimConfig, streams: list[np.random.Generator], thresholds: tuple[float, float], qp0: int, qs0: int,
+def _chunk(cfg: SimConfig, streams: list[Generator], thresholds: tuple[float, float], qp0: int, qs0: int,
            qp: np.ndarray, qs: np.ndarray, scratch: _Scratch, rows: list[np.ndarray]) -> tuple[int, int, _Outcomes]:
     """Draw one chunk of len(qp) slots, solve its queues from sizes qp0 and
     qs0 into qp and qs, and return the sizes after its last slot and its
@@ -464,71 +460,16 @@ def _trace_columns(o: _Outcomes, events: np.ndarray, feedback: np.ndarray, spare
     feedback *= o.ptx.view(np.uint8)
 
 
-class _Behind:
-    """A `with` block that calls a sink on one worker thread, one call behind
-    the block.
-
-    `give(*args)` hands `args` to the worker once the call before has ended,
-    so at most one call is in flight and the calls run in order; `wait()`
-    returns once the call in flight has ended.  A call's exception is
-    raised, as the same object, by the next `wait` or `give`, or when the
-    block ends, and no call follows it.  However the block ends, it waits
-    for the last call and joins the worker."""
-
-    def __init__(self, sink: Callable[..., None]) -> None:
-        self._sink, self._args, self._error = sink, None, None
-        self._idle, self._ready = threading.Semaphore(1), threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._serve, name="cogaccess.sim sink", daemon=True)
-
-    def __enter__(self) -> _Behind:
-        self._thread.start()
-        return self
-
-    def __exit__(self, exc_type: type | None, *_: object) -> None:
-        self._idle.acquire()
-        self._args = None  # the worker's signal to stop
-        self._ready.release()
-        self._thread.join()
-        if exc_type is None and self._error is not None:
-            raise self._error
-
-    def wait(self) -> None:
-        self._idle.acquire()
-        self._idle.release()
-        if self._error is not None:
-            raise self._error
-
-    def give(self, *args: object) -> None:
-        self.wait()
-        self._idle.acquire()
-        self._args = args
-        self._ready.release()
-
-    def _serve(self) -> None:
-        while True:
-            self._ready.acquire()
-            args, self._args = self._args, None
-            if args is None:
-                return
-            try:
-                self._sink(*args)
-            except BaseException as exc:  # any, SystemExit included: raised again by the thread that gives
-                self._error = exc
-            del args  # the call's arguments go before the block learns it has ended
-            self._idle.release()
-
-
 def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> SimResult:
     """Simulate cfg.slots slots: empirical rates, counts and the primary
     queue's stability.  A sink gets each chunk's first slot and trace
-    columns, in slot order, on one worker thread while the run solves the
-    next chunk; the columns are valid during the call only (they are views
-    of buffers the run reuses two chunks later).  An exception from the
-    sink is raised by `run` as the same object, and no call follows it."""
+    columns, in slot order, on the calling thread; the columns are valid
+    during the call only (they are views of buffers the run reuses for the
+    next chunk), and an exception from the sink ends the run."""
     n = cfg.slots
     links = cfg.phy.links(cfg.scheme.sensing.tau)
     thresholds = (_success_threshold(links.p_bar_p_pd), _success_threshold(links.p_bar_s_sd))
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(7)]
+    streams = [default_rng(s) for s in SeedSequence(cfg.seed).spawn(7)]
 
     edges = _batch_edges(n)
     # per-batch counts of the indicator series behind the batch-mean SEs, in one array, which the counts do not grow
@@ -536,14 +477,13 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
 
     # per-run buffers at chunk size: the solve's scratch, the chunk's boolean rows and its trace columns (an
     # untraced run's without events or feedback), each its own array, which can take heap memory freed before
-    # the run (one block of them was a fresh mapping, about 0.45 MiB more resident).  A traced run has two sets of
-    # trace columns: it solves chunk k + 1 into one while its sink reads chunk k from the other.
+    # the run (one block of them was a fresh mapping, about 0.45 MiB more resident)
     size = min(n, _SIM_CHUNK)
     scratch, rows = _Scratch.of(size), [np.empty(size, dtype=bool) for _ in range(_CHUNK_ROWS)]
     codes = size if sink is not None else 0
-    buffers = [(np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(codes, dtype=np.uint8),
-                np.empty(codes, dtype=np.uint8)) for _ in range(1 if sink is None else 2)]
-    traces = [SimTrace(*arrays) for arrays in buffers]
+    columns = (np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(codes, dtype=np.uint8),
+               np.empty(codes, dtype=np.uint8))
+    trace = SimTrace(*columns)
 
     qp, qs = cfg.initial_qp, cfg.initial_qs
     # FIFO delay: the primary packets still queued are the last qp arrivals
@@ -555,33 +495,26 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
     arrivals = arrival_slot_sum = acks_heard = heard = 0
     sums = (0, 0)  # sum(qp[t]) and sum(t * qp[t]), exact
 
-    with nullcontext() if sink is None else _Behind(sink) as behind:
-        for k, lo in enumerate(range(0, n, _SIM_CHUNK)):
-            if n - lo < size:  # the last chunk is shorter: views of its length
-                rows = [row[:n - lo] for row in rows]
-                traces = [SimTrace(*[array[:n - lo] for array in arrays]) for arrays in buffers]
-            trace = traces[k % len(traces)]
-            qp, qs, o = _chunk(cfg, streams, thresholds, qp, qs, trace.qp, trace.qs, scratch, rows)
-            spare = rows[-1]
-            if behind is not None:
-                _trace_columns(o, trace.events, trace.feedback, spare)
-                # the tallies run while no sink call is in flight: what they allocate never adds to what the
-                # sink does, so a traced run's peak does not depend on how the two threads interleave
-                behind.wait()
+    for lo in range(0, n, _SIM_CHUNK):
+        if n - lo < size:  # the last chunk is shorter: views of its length
+            rows = [row[:n - lo] for row in rows]
+            trace = SimTrace(*[column[:n - lo] for column in columns])
+        qp, qs, o = _chunk(cfg, streams, thresholds, qp, qs, trace.qp, trace.qs, scratch, rows)
+        spare = rows[-1]
+        if sink is not None:
+            _trace_columns(o, trace.events, trace.feedback, spare)
+            sink(lo, trace)
 
-            sums = _add_chunk_sums(sums, trace.qp, lo)
-            heard += int(np.count_nonzero(np.logical_and(o.ptx, o.fb_heard, out=spare)))
-            acks_heard += int(np.count_nonzero(np.logical_and(o.p_succ, o.fb_heard, out=spare)))
-            _add_batch_counts(batch.values(), edges, lo,  # in batch's key order
-                              (o.ptx, o.p_succ, o.s_succ, o.s_has_packet,
-                               np.logical_and(o.s_succ, o.s_has_packet, out=spare)))
-            arrived.append((lo, arrivals, arrival_slot_sum, np.packbits(o.arrival_p)))
-            arrivals, arrival_slot_sum = _add_chunk_sums((arrivals, arrival_slot_sum), o.arrival_p, lo)
-            while len(arrived) > 1 and arrived[1][1] <= arrivals - qp:  # chunk 0's arrivals have all left
-                arrived.popleft()
-
-            if behind is not None:
-                behind.give(lo, trace)
+        sums = _add_chunk_sums(sums, trace.qp, lo)
+        heard += int(np.count_nonzero(np.logical_and(o.ptx, o.fb_heard, out=spare)))
+        acks_heard += int(np.count_nonzero(np.logical_and(o.p_succ, o.fb_heard, out=spare)))
+        _add_batch_counts(batch.values(), edges, lo,  # in batch's key order
+                          (o.ptx, o.p_succ, o.s_succ, o.s_has_packet,
+                           np.logical_and(o.s_succ, o.s_has_packet, out=spare)))
+        arrived.append((lo, arrivals, arrival_slot_sum, np.packbits(o.arrival_p)))
+        arrivals, arrival_slot_sum = _add_chunk_sums((arrivals, arrival_slot_sum), o.arrival_p, lo)
+        while len(arrived) > 1 and arrived[1][1] <= arrivals - qp:  # chunk 0's arrivals have all left
+            arrived.popleft()
 
     # Little's identity: sum(qp[t]) counts a departed packet d - a slots
     # (arrival slot a, departure slot d) and a queued one n - 1 - a slots, so

@@ -8,9 +8,11 @@ import math
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -460,11 +462,12 @@ class TestSimulate:
         assert open(trace).readline().strip() == "slot,qp,qs,events,feedback"
 
     def test_failed_run_leaves_no_trace_file(self, tmp_path, capsys, monkeypatch):
-        written = []
+        written = tmp_path / "written"  # the rows are written by another process: it logs its calls to a file
 
         def failing_rows(fh, lo, trace, real=sim.write_trace_rows):
-            written.append(lo)
-            if len(written) == 3:
+            with open(written, "a") as log:
+                log.write(f"{lo}\n")
+            if lo == 14:
                 raise OSError("no space left on device")
             real(fh, lo, trace)
 
@@ -473,7 +476,7 @@ class TestSimulate:
         doc = self.simulate_doc(tmp_path, sim={"slots": 2_000, "seed": 1, "record_traces": True})
         code, out, err = run_cli(capsys, ["simulate", "-c", write_config(tmp_path, doc)])
         assert (code, out) == (3, "")
-        assert written == [0, 7, 14] and "no space left on device" in err
+        assert written.read_text().split() == ["0", "7", "14"] and "no space left on device" in err
         assert not (tmp_path / "out" / "trace.csv").exists()
 
     def test_one_simulation_per_command(self, tmp_path, capsys, monkeypatch):
@@ -572,6 +575,142 @@ class TestSimulate:
         path = write_config(tmp_path, doc)
         _, out, _ = run_cli(capsys, ["simulate", "-c", path, "--mode", "original"])
         assert json.loads(out)["mode"] == "original"
+
+
+class TestTraceWriter:
+    """Traced `simulate` writes its CSV in a writer process, forked before the run and fed each chunk's
+    trace columns through a pipe."""
+
+    CFG = SimConfig(slots=2_000, seed=1, lambda_p=0.45, lambda_s=0.3,
+                    scheme=SchemeConfig(Variant.S2, 0.8, 0.3, BENCH_POINT),
+                    phy=LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8), mode=SimMode.ORIGINAL, feedback_error=0.2)
+
+    @staticmethod
+    def simulate(capsys, tmp_path, slots=2_000):
+        """The traced `simulate` of CFG's document with `slots` slots: (exit code, stdout, stderr, output dir)."""
+        out = tmp_path / "out"
+        doc = dict(BENCH_BASE, scheme="S2", lambda_p=0.45, lambda_s=0.3, access={"a_s": 0.8, "b_s": 0.3},
+                   output_dir=str(out),
+                   sim={"slots": slots, "seed": 1, "mode": "original", "feedback_error": 0.2, "record_traces": True})
+        return *run_cli(capsys, ["simulate", "-c", write_config(tmp_path, doc)]), out
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the processes `os.fork` makes, as the parent sees them."""
+        pids, real = [], os.fork
+
+        def fork():
+            pid = real()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
+
+    @staticmethod
+    def on_third_chunk(act):
+        """`sim._chunk`, which calls act() before drawing its third chunk."""
+        calls, real = [], sim._chunk
+
+        def chunk(*chunk_args):
+            calls.append(None)
+            if len(calls) == 3:
+                act()
+            return real(*chunk_args)
+
+        return chunk
+
+    @classmethod
+    def inline_trace(cls):
+        """CFG's trace CSV as an inline sink writes it."""
+        inline = io.BytesIO()
+        inline.write(sim.TRACE_CSV_HEADER)
+        sim.run(cls.CFG, partial(sim.write_trace_rows, inline))
+        return inline.getvalue()
+
+    @staticmethod
+    def assert_reaped():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("how", ["forked writer", "no os.fork", "another thread", "F_SETPIPE_SZ refused",
+                                     "no F_SETPIPE_SZ"])
+    def test_trace_bytes_are_those_of_an_inline_sink(self, how, tmp_path, capsys, monkeypatch, forks, request):
+        import fcntl
+
+        if how == "no os.fork":
+            monkeypatch.delattr(os, "fork")
+        elif how == "another thread":  # which a forked child would not have
+            release = threading.Event()
+            other = threading.Thread(target=release.wait, args=(60,))
+            other.start()
+            request.addfinalizer(lambda: release.set() or other.join(60))
+        elif how == "F_SETPIPE_SZ refused":
+            monkeypatch.setattr(fcntl, "fcntl", mock.Mock(side_effect=PermissionError(errno.EPERM, "refused")))
+        elif how == "no F_SETPIPE_SZ":
+            monkeypatch.delattr(fcntl, "F_SETPIPE_SZ")
+        monkeypatch.setattr(sim, "_SIM_CHUNK", 7)  # 286 chunks through the pipe
+        code, _, err, out = self.simulate(capsys, tmp_path)
+        assert (code, err) == (0, "")
+        assert (out / "trace.csv").read_bytes() == self.inline_trace()
+        assert len(forks) == (0 if how in ("no os.fork", "another thread") else 1)
+        if how == "F_SETPIPE_SZ refused":
+            assert fcntl.fcntl.call_count == 1
+        self.assert_reaped()
+
+    def test_writer_error_comes_back_with_its_errno(self, tmp_path, capsys, monkeypatch, forks):
+        def full_disk(fh, lo, trace, real=sim.write_trace_rows):
+            if lo:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            real(fh, lo, trace)
+
+        monkeypatch.setattr(sim, "_SIM_CHUNK", 7)
+        monkeypatch.setattr(sim, "write_trace_rows", full_disk)  # before the fork, so the writer has it
+        code, stdout, err, out = self.simulate(capsys, tmp_path)
+        full = os.strerror(errno.ENOSPC)
+        assert (code, stdout, err) == (2, "", f"config error: cannot write {out / 'trace.csv'}: {full}\n")
+        assert len(forks) == 1 and not out.exists()  # neither trace.csv nor its temporary, nor the directory made
+        self.assert_reaped()
+
+    @pytest.mark.parametrize("slots", [200_000, 2_000], ids=["mid-run", "after the last chunk"])
+    def test_killed_writer_is_an_error_that_names_it(self, slots, tmp_path, capsys, monkeypatch, forks):
+        # mid-run, the parent still has more to send than the pipe holds, so its write fails with EPIPE
+        # (BrokenPipeError, which cli.main takes for a closed stdout); after the last chunk only the status shows
+        monkeypatch.setattr(sim, "write_trace_rows", lambda *_: os.kill(os.getpid(), signal.SIGKILL))
+        code, stdout, err, out = self.simulate(capsys, tmp_path, slots)
+        assert (code, stdout) == (3, "")
+        assert err == (f"error: the trace writer process was killed by signal {signal.SIGKILL} "
+                       "before it wrote the trace\n")
+        assert len(forks) == 1 and not out.exists()
+        self.assert_reaped()
+
+    @pytest.mark.parametrize("case", ["success", "writer error", "chunk failure"])
+    def test_every_way_out_reaps_the_writer(self, case, tmp_path, capsys, monkeypatch, forks):
+        monkeypatch.setattr(sim, "_SIM_CHUNK", 7)
+        if case == "writer error":
+            monkeypatch.setattr(sim, "write_trace_rows", mock.Mock(side_effect=OSError(errno.EIO, "I/O error")))
+        elif case == "chunk failure":
+            def fail():
+                raise RuntimeError("chunk failed")
+
+            monkeypatch.setattr(sim, "_chunk", self.on_third_chunk(fail))
+        code, *_ = self.simulate(capsys, tmp_path)
+        assert code == {"success": 0, "writer error": 2, "chunk failure": 3}[case]
+        assert len(forks) == 1
+        self.assert_reaped()
+
+    def test_writer_ignores_sigint_and_ends_with_the_pipe(self, tmp_path, capsys, monkeypatch, forks):
+        # the third chunk is drawn while the writer waits for it or writes an earlier one
+        monkeypatch.setattr(sim, "_SIM_CHUNK", 7)
+        monkeypatch.setattr(sim, "_chunk", self.on_third_chunk(lambda: os.kill(forks[0], signal.SIGINT)))
+        try:
+            code, _, err, out = self.simulate(capsys, tmp_path)
+        except KeyboardInterrupt:  # the writer's, sent back: not the session's to end
+            pytest.fail("the writer took the interrupt")
+        assert (code, err) == (0, "")
+        assert (out / "trace.csv").read_bytes() == self.inline_trace()
+        self.assert_reaped()
 
 
 class TestEstimateCommand:
@@ -1067,6 +1206,9 @@ def full_disk_after(writes):
             for line in lines:
                 self.write(line)
 
+        def flush(self):
+            self.fh.flush()
+
     return lambda *args, **kwargs: File(open(*args, **kwargs))
 
 
@@ -1435,6 +1577,17 @@ class TestImportSurface:
                   f"print(json.dumps([code, sorted({sorted(self.LAZY)!r} & sys.modules.keys())]), file=sys.stderr)")
         proc = run_module(["-c", script, command, "-c", config], tmp_path, capture_output=True, text=True)
         assert json.loads(proc.stderr) == [0, loaded]
+
+    def test_traced_simulate_loads_no_process_pool(self, tmp_path):
+        # the trace writer is one os.fork and two os.pipe calls: neither import nor a traced run pays for a pool
+        pools = ("multiprocessing", "concurrent.futures")
+        config = write_config(tmp_path, dict(TestOutputDir.DOCS["simulate"], output_dir="out"), "config.json")
+        script = ("import json, sys; import cogaccess.cli;"
+                  f"loaded = [sorted(set({pools!r}) & sys.modules.keys())]; code = cogaccess.cli.main(sys.argv[1:]);"
+                  f"print(json.dumps([code, *loaded, sorted(set({pools!r}) & sys.modules.keys())]), file=sys.stderr)")
+        proc = run_module(["-c", script, "simulate", "-c", config], tmp_path, capture_output=True, text=True)
+        assert json.loads(proc.stderr) == [0, [], []]
+        assert (tmp_path / "out" / "trace.csv").exists()
 
 
 class TestEntryPoint:

@@ -542,15 +542,18 @@ class TestEngine:
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     def test_traced_peak_memory_is_flat_in_the_run_length(self, tmp_path):
-        # the sink runs one chunk behind on a worker thread, with one chunk in flight: a traced run 4 times
-        # longer peaks no higher (VmHWM of fresh interpreters), though its trace CSV is 4 times larger
+        # the sink is a plain call that hands each chunk to the writer process: a traced run 4 times longer
+        # peaks no higher (VmHWM of fresh interpreters), nor does its writer (the largest reaped child's
+        # ru_maxrss), though its trace CSV is 4 times larger
         doc = yaml.safe_load((Path(__file__).parent.parent / "configs" / "validate_simulation.yaml").read_text())
         src = str(Path(sim.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        script = ("import sys; from cogaccess.cli import main; main(sys.argv[1:]); status = open('/proc/self/status');"
-                  "print([line.split()[1] for line in status if line.startswith('VmHWM')][0], file=sys.stderr)")
+        script = ("import resource, sys; from cogaccess.cli import main; main(sys.argv[1:]);"
+                  "status = open('/proc/self/status'); writer = resource.getrusage(resource.RUSAGE_CHILDREN);"
+                  "print([line.split()[1] for line in status if line.startswith('VmHWM')][0], writer.ru_maxrss,"
+                  "file=sys.stderr)")
 
-        def peak_kib(slots):
+        def peaks_kib(slots):
             doc["sim"].update(slots=slots, record_traces=True)
             doc["output_dir"] = str(tmp_path / "out")
             (tmp_path / "config.json").write_text(json.dumps(doc))
@@ -558,9 +561,13 @@ class TestEngine:
                                   env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             assert (tmp_path / "out" / "trace.csv").stat().st_size > 15 * slots
-            return int(proc.stderr)
+            parent, writer = map(int, proc.stderr.split())
+            assert writer > 0  # a writer process ran
+            return parent, writer
 
-        assert peak_kib(4_000_000) - peak_kib(1_000_000) <= 512
+        (parent_short, writer_short), (parent_long, writer_long) = peaks_kib(1_000_000), peaks_kib(4_000_000)
+        assert parent_long - parent_short <= 512
+        assert writer_long - writer_short <= 512
 
     @pytest.mark.parametrize("draw", ["random", "standard_exponential"])
     def test_stream_read_in_chunks_equals_one_read(self, draw):
@@ -772,7 +779,7 @@ class TestValidation:
 
 
 class TestSinkThread:
-    """The sink runs on one worker thread, one chunk behind the run."""
+    """The sink is a plain call: on the calling thread, in slot order."""
 
     CFG = sim_config(variant=Variant.S2, a_s=0.8, b_s=0.3, lambda_p=0.45, lambda_s=0.3, slots=300,
                      mode=SimMode.ORIGINAL, feedback_error=0.2)
@@ -810,12 +817,27 @@ class TestSinkThread:
         assert seen == [7 * i for i in range(k + 1)]  # in slot order, and none after the failure
         assert k + 1 <= len(chunks) <= k + 2  # at most one more chunk drawn
 
+    def test_sink_runs_on_the_calling_thread_in_slot_order(self, monkeypatch):
+        self.counted_chunks(monkeypatch)
+        callers, calls = [], []
+
+        def simulate():
+            callers.append(threading.get_ident())
+            run(self.CFG, lambda lo, trace: calls.append((lo, threading.get_ident())))
+
+        thread = threading.Thread(target=simulate)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert calls == [(lo, callers[0]) for lo in range(0, 300, 7)]
+
     @pytest.mark.parametrize("case", ["success", "sink failure", "chunk failure", "untraced"])
     def test_no_thread_outlives_the_run(self, monkeypatch, case):
+        # no thread or process outlives the run: a library run, traced or not, starts neither
         self.counted_chunks(monkeypatch, fail_on=3 if case == "chunk failure" else None)
         started = []
-        real_start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or real_start(thread))
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("a library run forked")))
 
         def sink(lo, trace):
             if case == "sink failure" and lo == 14:
@@ -829,34 +851,9 @@ class TestSinkThread:
         else:
             assert case in ("success", "untraced")
         assert threading.enumerate() == before
-        assert len(started) == (0 if case == "untraced" else 1)
-        assert not any(thread.is_alive() for thread in started)
-
-    def test_sink_reads_each_chunk_while_the_next_is_solved(self, monkeypatch):
-        # the sink of chunk k still sees chunk k's queue columns when chunk k + 1 has been drawn and solved
-        _, whole = traced_run(self.CFG)
-        chunks = self.counted_chunks(monkeypatch)
-        solved = threading.Event()
-        real = sim._chunk
-        seen = []
-
-        def chunk(*args):
-            out = real(*args)
-            if len(chunks) == 2:
-                solved.set()
-            return out
-
-        monkeypatch.setattr(sim, "_chunk", chunk)
-
-        def sink(lo, trace):
-            copy = trace.qp.copy()
-            if lo == 0:
-                assert solved.wait(5)  # chunk 1 is solved into the other buffer meanwhile
-            seen.append((lo, copy, trace.qp.copy()))
-
-        run(self.CFG, sink)
-        for lo, at_start, at_end in seen:
-            assert np.array_equal(at_start, at_end) and np.array_equal(at_start, whole.qp[lo:lo + 7])
+        assert started == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_concurrent_runs_stream_their_own_traces(self, monkeypatch):
         # four traced runs at once, each with its own sink thread, over 7-slot chunks (hundreds of handoffs
