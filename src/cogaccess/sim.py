@@ -46,14 +46,21 @@ in cache, to the exact sums behind the primary queue's stability verdict
 and to the batch counts behind the standard errors, and hands its trace
 columns to an optional sink, the only way they leave the run.  The sink is
 a plain call, on the calling thread and in slot order; its exception ends
-the run.  What lives per run is made once, at chunk size, and every chunk
-uses it through views: the queue-size columns (with the event and feedback
-columns when traced), the chunk's boolean draws and outcomes (`_chunk`),
-and the solve's scratch (`_Scratch`: the Lindley walk, which also takes
-each uniform and exponential draw, the gathered open slots, and the mask
-and pattern rows).  What grows with the run is the FIFO delay's arrival
-bits (1 bit a slot) of the chunks since the oldest queued primary arrival,
-at most 1/8 B a slot.
+the run.  Each chunk is drawn (`_draw`: the stream reads and the rows they
+decide) and then solved (`_chunk`: the queues and the outcomes).  An
+untraced run of more than one chunk draws on one helper thread, a chunk
+ahead of the calling thread's solve, into two sets of the drawn rows in
+turn (`_drawn_chunks`); numpy's fills and ufuncs release the interpreter
+lock, so the two overlap.  A traced run draws on the calling thread: cli's
+trace writer process already takes the other CPU.  What lives per run is
+made once, at chunk size, and every chunk uses it through views: the
+queue-size columns (with the event and feedback columns when traced), the
+chunk's drawn rows (two sets when drawn ahead, with the helper's own float
+buffer) and the other outcome rows, and the solve's scratch (`_Scratch`:
+the Lindley walk, which also takes each uniform and exponential draw of an
+inline run, the gathered open slots, and the mask and pattern rows).  What
+grows with the run is the FIFO delay's arrival bits (1 bit a slot) of the
+chunks since the oldest queued primary arrival, at most 1/8 B a slot.
 """
 
 from __future__ import annotations
@@ -61,9 +68,11 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+import threading
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterable, NamedTuple
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng  # here, before cli forks a traced run's writer
@@ -372,14 +381,24 @@ def _solve_queues(qp0: int, qs0: int, p_service: np.ndarray, p_blocked: np.ndarr
             qp_end, qs_end = qp_last, qs_last
 
 
-class _Outcomes(NamedTuple):
-    """One chunk's per-slot outcomes, as the tallies and the trace read them."""
+class _Draws(NamedTuple):
+    """One chunk's draws, as boolean rows: what `_draw` writes."""
 
     arrival_p: np.ndarray
     arrival_s: np.ndarray
     busy_if_tx: np.ndarray  # the sensing outcome were the primary transmitting
     busy_if_idle: np.ndarray  # and were it silent
     fb_heard: np.ndarray
+    chan_p_ok: np.ndarray
+    chan_s_ok: np.ndarray
+    coin_if_tx: np.ndarray  # the access coin as it falls were the primary transmitting
+    coin_if_idle: np.ndarray  # and were it silent
+    s_service: np.ndarray  # the secondary's service were the primary silent; free again once `_chunk` returns
+
+
+class _Outcomes(NamedTuple):
+    """One chunk's outcomes, as boolean rows: what `_chunk` writes."""
+
     ptx: np.ndarray
     s_has_packet: np.ndarray
     stx: np.ndarray
@@ -397,63 +416,116 @@ def _select(c: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.
     return out
 
 
-# a chunk's boolean rows (`_chunk`'s `rows`): its outcomes, then its fades, its access coins and the secondary's
-# service; the last row is free again once `_chunk` returns
-_CHUNK_ROWS = len(_Outcomes._fields) + 5
-
-
-def _chunk(cfg: SimConfig, streams: list[Generator], thresholds: tuple[float, float], qp0: int, qs0: int,
-           qp: np.ndarray, qs: np.ndarray, scratch: _Scratch, rows: list[np.ndarray]) -> tuple[int, int, _Outcomes]:
-    """Draw one chunk of len(qp) slots, solve its queues from sizes qp0 and
-    qs0 into qp and qs, and return the sizes after its last slot and its
-    slots' outcomes, in `rows` (_CHUNK_ROWS boolean rows of len(qp))."""
-    m = len(qp)
+def _draw(cfg: SimConfig, streams: list[Generator], thresholds: tuple[float, float], d: _Draws,
+          u: np.ndarray) -> None:
+    """Draw one chunk of len(d.arrival_p) slots into d, each stream's
+    uniforms or exponentials through u, a float64 buffer at least as long."""
+    u = u[:len(d.arrival_p)]
     rng_arr_p, rng_arr_s, rng_sense, rng_coin, rng_chan_p, rng_chan_s, rng_fb = streams
-    o = _Outcomes(*rows[:len(_Outcomes._fields)])
-    arrival_p, arrival_s, busy_if_tx, busy_if_idle, fb_heard, ptx, s_has_packet, stx, p_succ, s_succ = o
-    chan_p_ok, chan_s_ok, coin_if_tx, coin_if_idle, s_service = rows[len(o):]
-    u = scratch.work[:m].view(np.float64)  # each draw, before the solve needs `work`
-    np.less(rng_arr_p.random(out=u), cfg.lambda_p, out=arrival_p)
-    np.less(rng_arr_s.random(out=u), cfg.lambda_s, out=arrival_s)
+    np.less(rng_arr_p.random(out=u), cfg.lambda_p, out=d.arrival_p)
+    np.less(rng_arr_s.random(out=u), cfg.lambda_s, out=d.arrival_s)
     rng_sense.random(out=u)
-    np.less(u, 1.0 - cfg.scheme.sensing.p_md, out=busy_if_tx)
-    np.less(u, cfg.scheme.sensing.p_fa, out=busy_if_idle)
+    np.less(u, 1.0 - cfg.scheme.sensing.p_md, out=d.busy_if_tx)
+    np.less(u, cfg.scheme.sensing.p_fa, out=d.busy_if_idle)
     # the access coin as it falls when the primary transmits / is silent, from
     # one uniform: a_s's coin on an idle outcome, b_s's on a busy one
     rng_coin.random(out=u)
-    coin_idle, coin_busy = np.less(u, cfg.scheme.a_s, out=s_service), np.less(u, cfg.scheme.b_s, out=coin_if_tx)
-    _select(busy_if_idle, coin_busy, coin_idle, coin_if_idle)
-    _select(busy_if_tx, coin_busy, coin_idle, coin_if_tx)  # in place of coin_busy
-    np.greater_equal(rng_chan_p.standard_exponential(out=u), thresholds[0], out=chan_p_ok)
-    np.greater_equal(rng_chan_s.standard_exponential(out=u), thresholds[1], out=chan_s_ok)
-    np.less(rng_fb.random(out=u), 1.0 - cfg.feedback_error, out=fb_heard)
+    coin_idle, coin_busy = np.less(u, cfg.scheme.a_s, out=d.s_service), np.less(u, cfg.scheme.b_s, out=d.coin_if_tx)
+    _select(d.busy_if_idle, coin_busy, coin_idle, d.coin_if_idle)
+    _select(d.busy_if_tx, coin_busy, coin_idle, d.coin_if_tx)  # in place of coin_busy
+    np.greater_equal(rng_chan_p.standard_exponential(out=u), thresholds[0], out=d.chan_p_ok)
+    np.greater_equal(rng_chan_s.standard_exponential(out=u), thresholds[1], out=d.chan_s_ok)
+    np.less(rng_fb.random(out=u), 1.0 - cfg.feedback_error, out=d.fb_heard)
+    np.logical_and(d.coin_if_idle, d.chan_s_ok, out=d.s_service)
 
+
+def _chunk(cfg: SimConfig, d: _Draws, qp0: int, qs0: int, qp: np.ndarray, qs: np.ndarray, scratch: _Scratch,
+           o: _Outcomes) -> tuple[int, int]:
+    """Solve the queues of one chunk of len(qp) slots, drawn into d, from
+    sizes qp0 and qs0 into qp and qs, write its outcomes into o, and return
+    the sizes after its last slot."""
+    ptx, s_has_packet, stx, p_succ, s_succ = o
     dominant = cfg.mode is SimMode.DOMINANT
-    np.logical_and(coin_if_idle, chan_s_ok, out=s_service)
-    qp_end, qs_end = _solve_queues(qp0, qs0, chan_p_ok, coin_if_tx, s_service, arrival_p, arrival_s, qp, qs, dominant,
-                                   scratch)
+    qp_end, qs_end = _solve_queues(qp0, qs0, d.chan_p_ok, d.coin_if_tx, d.s_service, d.arrival_p, d.arrival_s, qp, qs,
+                                   dominant, scratch)
     np.greater(qp, 0, out=ptx)
     np.greater(qs, 0, out=s_has_packet)
-    _select(ptx, coin_if_tx, coin_if_idle, stx)  # the coin, which a backlogged or dummy packet follows
+    _select(ptx, d.coin_if_tx, d.coin_if_idle, stx)  # the coin, which a backlogged or dummy packet follows
     if not dominant:
         stx &= s_has_packet
     np.greater(ptx, stx, out=p_succ)  # p & ~s is p > s on booleans
-    p_succ &= chan_p_ok
+    p_succ &= d.chan_p_ok
     np.greater(stx, ptx, out=s_succ)
-    s_succ &= chan_s_ok
-    return qp_end, qs_end, o
+    s_succ &= d.chan_s_ok
+    return qp_end, qs_end
 
 
-def _trace_columns(o: _Outcomes, events: np.ndarray, feedback: np.ndarray, spare: np.ndarray) -> None:
-    """A chunk's trace columns from its outcomes, written into events (the
-    event bits) and feedback (the FB_* codes); `spare` is a boolean row."""
+def _drawn_chunks(cfg: SimConfig, streams: list[Generator], thresholds: tuple[float, float], rows: _Draws,
+                  work: np.ndarray, ahead: bool) -> Iterator[tuple[int, _Draws]]:
+    """Each chunk's first slot and draws, in slot order; the draws are valid
+    until the next chunk is asked for.
+
+    Inline, each chunk is drawn into `rows` when asked for, through `work`.
+    Ahead, a helper thread draws the chunks into `rows` and a second set in
+    turn, through its own float buffer: chunk k + 2 goes into chunk k's set
+    once chunk k + 1 is asked for.  An exception in the helper is raised
+    here as itself; closing the generator stops and joins the helper."""
+    n, size = cfg.slots, len(rows.arrival_p)
+    sets = [rows, _Draws(*(np.empty(size, dtype=bool) for _ in _Draws._fields))] if ahead else [rows]
+
+    def chunks() -> Iterator[tuple[int, _Draws]]:
+        for k, lo in enumerate(range(0, n, size)):
+            d = sets[k % len(sets)]
+            yield lo, (d if n - lo >= size else _Draws(*(row[:n - lo] for row in d)))  # the last chunk is shorter
+
+    if not ahead:
+        for lo, d in chunks():
+            _draw(cfg, streams, thresholds, d, work)
+            yield lo, d
+        return
+    u = np.empty(size)
+    free, ready = threading.Semaphore(len(sets)), threading.Semaphore(0)  # the sets the helper may fill, and filled
+    failure, stop = [], threading.Event()
+
+    def draw_ahead() -> None:
+        for _, d in chunks():
+            free.acquire()
+            if stop.is_set():
+                return
+            try:
+                _draw(cfg, streams, thresholds, d, u)
+            except BaseException as error:  # raised again in the caller
+                failure.append(error)
+                return
+            finally:
+                ready.release()
+
+    helper = threading.Thread(target=draw_ahead, name="cogaccess-draws", daemon=True)
+    helper.start()
+    try:
+        for lo, d in chunks():
+            ready.acquire()
+            if failure:
+                raise failure[0]
+            yield lo, d
+            free.release()  # the caller is done with chunk k: its set takes chunk k + 2
+    finally:
+        stop.set()
+        free.release()
+        helper.join()
+
+
+def _trace_columns(d: _Draws, o: _Outcomes, events: np.ndarray, feedback: np.ndarray, spare: np.ndarray) -> None:
+    """A chunk's trace columns from its draws and outcomes, written into
+    events (the event bits) and feedback (the FB_* codes); `spare` is a
+    boolean row."""
     # the event bits from the top down, each a doubling and an or, in place
-    events[:] = _select(o.ptx, o.busy_if_tx, o.busy_if_idle, spare).view(np.uint8)  # EV_SENSED_BUSY
-    for flag in (o.s_succ, o.p_succ, np.logical_and(o.ptx, o.stx, out=spare), o.stx, o.ptx, o.arrival_s, o.arrival_p):
+    events[:] = _select(o.ptx, d.busy_if_tx, d.busy_if_idle, spare).view(np.uint8)  # EV_SENSED_BUSY
+    for flag in (o.s_succ, o.p_succ, np.logical_and(o.ptx, o.stx, out=spare), o.stx, o.ptx, d.arrival_s, d.arrival_p):
         events += events
         events |= flag.view(np.uint8)
     # FB_* codes: 1 + (NACK) + 2 * (missed), on primary transmissions only
-    missed = np.logical_not(o.fb_heard, out=spare).view(np.uint8)
+    missed = np.logical_not(d.fb_heard, out=spare).view(np.uint8)
     np.add(missed, missed, out=feedback)
     feedback += np.logical_not(o.p_succ, out=spare).view(np.uint8)
     feedback += 1
@@ -465,7 +537,13 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
     queue's stability.  A sink gets each chunk's first slot and trace
     columns, in slot order, on the calling thread; the columns are valid
     during the call only (they are views of buffers the run reuses for the
-    next chunk), and an exception from the sink ends the run."""
+    next chunk), and an exception from the sink ends the run.
+
+    Without a sink, a run of more than one chunk starts one helper thread,
+    which draws chunk k + 1 while this thread solves chunk k, and joins it
+    however the run ends; an exception in it is raised here as itself.
+    With a sink, or in one chunk, every chunk is drawn on this thread.
+    Either way the result is the same, bit for bit."""
     n = cfg.slots
     links = cfg.phy.links(cfg.scheme.sensing.tau)
     thresholds = (_success_threshold(links.p_bar_p_pd), _success_threshold(links.p_bar_s_sd))
@@ -475,11 +553,13 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
     # per-batch counts of the indicator series behind the batch-mean SEs, in one array, which the counts do not grow
     batch = dict(zip(("ptx", "pdep", "ssucc", "snon", "sdep"), np.zeros((5, len(edges) - 1), dtype=np.int64)))
 
-    # per-run buffers at chunk size: the solve's scratch, the chunk's boolean rows and its trace columns (an
-    # untraced run's without events or feedback), each its own array, which can take heap memory freed before
-    # the run (one block of them was a fresh mapping, about 0.45 MiB more resident)
+    # per-run buffers at chunk size: the solve's scratch, the draws and the outcomes, and the trace
+    # columns (an untraced run's without events or feedback), each its own array, which can take heap memory
+    # freed before the run (one block of them was a fresh mapping, about 0.45 MiB more resident); a run drawn
+    # ahead adds a second set of draws and the helper's float buffer (`_drawn_chunks`)
     size = min(n, _SIM_CHUNK)
-    scratch, rows = _Scratch.of(size), [np.empty(size, dtype=bool) for _ in range(_CHUNK_ROWS)]
+    scratch, drawn = _Scratch.of(size), _Draws(*(np.empty(size, dtype=bool) for _ in _Draws._fields))
+    o = _Outcomes(*(np.empty(size, dtype=bool) for _ in _Outcomes._fields))
     codes = size if sink is not None else 0
     columns = (np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(codes, dtype=np.uint8),
                np.empty(codes, dtype=np.uint8))
@@ -495,26 +575,28 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
     arrivals = arrival_slot_sum = acks_heard = heard = 0
     sums = (0, 0)  # sum(qp[t]) and sum(t * qp[t]), exact
 
-    for lo in range(0, n, _SIM_CHUNK):
-        if n - lo < size:  # the last chunk is shorter: views of its length
-            rows = [row[:n - lo] for row in rows]
-            trace = SimTrace(*[column[:n - lo] for column in columns])
-        qp, qs, o = _chunk(cfg, streams, thresholds, qp, qs, trace.qp, trace.qs, scratch, rows)
-        spare = rows[-1]
-        if sink is not None:
-            _trace_columns(o, trace.events, trace.feedback, spare)
-            sink(lo, trace)
+    ahead = sink is None and n > size  # a traced run draws inline: cli's trace writer takes the other CPU
+    with closing(_drawn_chunks(cfg, streams, thresholds, drawn, scratch.work.view(np.float64), ahead)) as chunks:
+        for lo, d in chunks:
+            if n - lo < size:  # the last chunk is shorter: views of its length
+                o = _Outcomes(*(row[:n - lo] for row in o))
+                trace = SimTrace(*[column[:n - lo] for column in columns])
+            qp, qs = _chunk(cfg, d, qp, qs, trace.qp, trace.qs, scratch, o)
+            spare = d.s_service
+            if sink is not None:
+                _trace_columns(d, o, trace.events, trace.feedback, spare)
+                sink(lo, trace)
 
-        sums = _add_chunk_sums(sums, trace.qp, lo)
-        heard += int(np.count_nonzero(np.logical_and(o.ptx, o.fb_heard, out=spare)))
-        acks_heard += int(np.count_nonzero(np.logical_and(o.p_succ, o.fb_heard, out=spare)))
-        _add_batch_counts(batch.values(), edges, lo,  # in batch's key order
-                          (o.ptx, o.p_succ, o.s_succ, o.s_has_packet,
-                           np.logical_and(o.s_succ, o.s_has_packet, out=spare)))
-        arrived.append((lo, arrivals, arrival_slot_sum, np.packbits(o.arrival_p)))
-        arrivals, arrival_slot_sum = _add_chunk_sums((arrivals, arrival_slot_sum), o.arrival_p, lo)
-        while len(arrived) > 1 and arrived[1][1] <= arrivals - qp:  # chunk 0's arrivals have all left
-            arrived.popleft()
+            sums = _add_chunk_sums(sums, trace.qp, lo)
+            heard += int(np.count_nonzero(np.logical_and(o.ptx, d.fb_heard, out=spare)))
+            acks_heard += int(np.count_nonzero(np.logical_and(o.p_succ, d.fb_heard, out=spare)))
+            _add_batch_counts(batch.values(), edges, lo,  # in batch's key order
+                              (o.ptx, o.p_succ, o.s_succ, o.s_has_packet,
+                               np.logical_and(o.s_succ, o.s_has_packet, out=spare)))
+            arrived.append((lo, arrivals, arrival_slot_sum, np.packbits(d.arrival_p)))
+            arrivals, arrival_slot_sum = _add_chunk_sums((arrivals, arrival_slot_sum), d.arrival_p, lo)
+            while len(arrived) > 1 and arrived[1][1] <= arrivals - qp:  # chunk 0's arrivals have all left
+                arrived.popleft()
 
     # Little's identity: sum(qp[t]) counts a departed packet d - a slots
     # (arrival slot a, departure slot d) and a queued one n - 1 - a slots, so

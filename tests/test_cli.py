@@ -319,13 +319,13 @@ class TestRegion:
         summary = json.loads(out)
         files = summary["files"]
         assert set(files) == {"Sc", "S1", "S2", "S0", "UNION"}
-        first = {name: open(f).read() for name, f in files.items()}
+        first = {name: Path(f).read_text() for name, f in files.items()}
         header = first["S1"].splitlines()[0]
         assert header == "lambda_p,lambda_s,scheme,tau,a_s,b_s"
 
         code, _, _ = run_cli(capsys, ["region", "-c", path])
         assert code == 0
-        second = {name: open(f).read() for name, f in files.items()}
+        second = {name: Path(f).read_text() for name, f in files.items()}
         assert first == second  # byte-identical rerun
 
     def test_union_dominates_in_csv(self, tmp_path, capsys):
@@ -340,7 +340,7 @@ class TestRegion:
         files = json.loads(out)["files"]
 
         def boundaries(path):
-            rows = open(path).read().strip().splitlines()[1:]
+            rows = Path(path).read_text().strip().splitlines()[1:]
             return [float(r.split(",")[1]) for r in rows]
 
         union = boundaries(files["UNION"])
@@ -357,7 +357,7 @@ class TestRegion:
         assert code == 0
         summary = json.loads(out)
         for name, path in summary["files"].items():
-            rates = [float(line.split(",")[1]) for line in open(path).read().splitlines()[1:]]
+            rates = [float(line.split(",")[1]) for line in Path(path).read_text().splitlines()[1:]]
             assert rates[0] > 0.0 and rates[1:] == [0.0] * 3, name
 
     def test_false_alarm_probability_below_float_range(self, tmp_path, capsys):
@@ -373,7 +373,7 @@ class TestRegion:
         }
         code, out, err = run_cli(capsys, ["region", "-c", write_config(tmp_path, doc)])
         assert (code, err) == (0, "")
-        rows = open(json.loads(out)["files"]["S2"]).read().splitlines()[1:]
+        rows = Path(json.loads(out)["files"]["S2"]).read_text().splitlines()[1:]
         assert [r.split(",")[2] for r in rows] == ["S2"] * 3 and float(rows[1].split(",")[1]) > 0.0
 
 
@@ -387,7 +387,7 @@ class TestRegion:
         req = OptimizationRequest(Variant.S2, FixedThreshold(1.03), TAUS, default_b_s_grid(5))
         for name, path in files.items():
             points = region_curve(name, LAMBDAS, req, PHY).points
-            assert open(path).read().splitlines()[1:] == [
+            assert Path(path).read_text().splitlines()[1:] == [
                 f"{p.lambda_p!r},{p.lambda_s!r},{p.scheme},{p.tau!r},{p.a_s!r},{p.b_s!r}" for p in points
             ], name
             assert points[1].lambda_s > 0.0, name
@@ -459,7 +459,8 @@ class TestSimulate:
         payload = json.loads(out)
         trace = payload["trace_file"]
         assert (tmp_path / "out" / "trace.csv").exists()
-        assert open(trace).readline().strip() == "slot,qp,qs,events,feedback"
+        with open(trace) as fh:
+            assert fh.readline().strip() == "slot,qp,qs,events,feedback"
 
     def test_failed_run_leaves_no_trace_file(self, tmp_path, capsys, monkeypatch):
         written = tmp_path / "written"  # the rows are written by another process: it logs its calls to a file
@@ -610,7 +611,7 @@ class TestTraceWriter:
 
     @staticmethod
     def on_third_chunk(act):
-        """`sim._chunk`, which calls act() before drawing its third chunk."""
+        """`sim._chunk`, which calls act() before solving its third chunk."""
         calls, real = [], sim._chunk
 
         def chunk(*chunk_args):
@@ -633,6 +634,20 @@ class TestTraceWriter:
     def assert_reaped():
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_an_untraced_run_before_leaves_the_fork(self, tmp_path, capsys, monkeypatch, forks):
+        # an untraced library run draws ahead on a helper thread and joins it, so the traced `simulate` after
+        # it in the same process still forks its writer: the other-thread fallback does not fire
+        monkeypatch.setattr(sim, "_SIM_CHUNK", 7)
+        started, real = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or real(thread))
+        sim.run(self.CFG)
+        assert len(started) == 1
+        code, _, err, out = self.simulate(capsys, tmp_path)
+        assert (code, err) == (0, "")
+        assert len(forks) == 1
+        assert (out / "trace.csv").read_bytes() == self.inline_trace()
+        self.assert_reaped()
 
     @pytest.mark.parametrize("how", ["forked writer", "no os.fork", "another thread", "F_SETPIPE_SZ refused",
                                      "no F_SETPIPE_SZ"])
@@ -892,7 +907,7 @@ class TestSweep:
         code, out, _ = run_cli(capsys, ["sweep", "-c", write_config(tmp_path, doc)])
         assert code == 0
         payload = json.loads(out)
-        rows = open(payload["file"]).read().strip().splitlines()
+        rows = Path(payload["file"]).read_text().strip().splitlines()
         assert rows[0].startswith("scheme,target_kind,target_value,tau")
         assert payload["rows"] == 2 * 6 + 6  # S2 at two taus + S0
         schemes = {r.split(",")[0] for r in rows[1:]}
@@ -907,7 +922,7 @@ class TestSweep:
         path = write_config(tmp_path, doc)
         code, out, _ = run_cli(capsys, ["sweep", "-c", path])
         assert code == 0
-        sweep_row = open(json.loads(out)["file"]).read().strip().splitlines()[1].split(",")
+        sweep_row = Path(json.loads(out)["file"]).read_text().strip().splitlines()[1].split(",")
 
         opt_doc = self.sweep_doc(tmp_path, scheme="S2", lambda_p=0.2,
                                  grids={"tau": [0.01], "b_s": {"count": 9}})
@@ -946,7 +961,7 @@ class TestSweep:
             expected += cells("S2", kind, value, scan(req, LAMBDAS, PHY))
         s0_req = OptimizationRequest(Variant.S0, modes[0][1], TAUS, default_b_s_grid(5))
         expected += cells("S0", "none", 0.0, scan(s0_req, LAMBDAS, PHY))
-        rows = [r.split(",") for r in open(json.loads(out)["file"]).read().splitlines()[1:]]
+        rows = [r.split(",") for r in Path(json.loads(out)["file"]).read_text().splitlines()[1:]]
         assert [(*r[:2], *(None if x == "" else float(x) for x in r[2:])) for r in rows] == expected
         assert any(e[7] > 0.0 for e in expected if e[0] == "S2")
 
@@ -976,7 +991,7 @@ class TestSweep:
         doc = self.sweep_doc(tmp_path, margin=0.5)
         code, out, _ = run_cli(capsys, ["sweep", "-c", write_config(tmp_path, doc)])
         assert code == 0
-        rows = open(json.loads(out)["file"]).read().strip().splitlines()[1:]
+        rows = Path(json.loads(out)["file"]).read_text().strip().splitlines()[1:]
         assert [r.split(",")[-1] for r in rows if r.split(",")[6] == "0.5"] == ["0"] * 3
 
     def test_overflowing_primary_rate_ratio(self, tmp_path, capsys):
@@ -985,7 +1000,7 @@ class TestSweep:
         doc["phy"]["bandwidth_hz"] = 2
         code, out, _ = run_cli(capsys, ["sweep", "-c", write_config(tmp_path, doc)])
         assert code == 0
-        rows = open(json.loads(out)["file"]).read().strip().splitlines()[1:]
+        rows = Path(json.loads(out)["file"]).read_text().strip().splitlines()[1:]
         # the primary link never succeeds: only an idle primary leaves a feasible cell
         assert all(r.split(",")[-1] == str(int(float(r.split(",")[6]) == 0.0)) for r in rows)
 

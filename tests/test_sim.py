@@ -779,7 +779,8 @@ class TestValidation:
 
 
 class TestSinkThread:
-    """The sink is a plain call: on the calling thread, in slot order."""
+    """The sink is a plain call: on the calling thread, in slot order.  An
+    untraced run draws ahead on one helper thread, which it joins."""
 
     CFG = sim_config(variant=Variant.S2, a_s=0.8, b_s=0.3, lambda_p=0.45, lambda_s=0.3, slots=300,
                      mode=SimMode.ORIGINAL, feedback_error=0.2)
@@ -791,7 +792,7 @@ class TestSinkThread:
         real = sim._chunk
 
         def chunk(*args):
-            calls.append(args[3:5])
+            calls.append(args[2:4])
             if len(calls) - 1 == fail_on:
                 raise RuntimeError("chunk failed")
             return real(*args)
@@ -831,29 +832,91 @@ class TestSinkThread:
         assert not thread.is_alive()
         assert calls == [(lo, callers[0]) for lo in range(0, 300, 7)]
 
-    @pytest.mark.parametrize("case", ["success", "sink failure", "chunk failure", "untraced"])
+    @staticmethod
+    def recorded_starts(monkeypatch):
+        """The threads started, each still started: a run may wait on the one it starts."""
+        started, real = [], threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        return started
+
+    @pytest.mark.parametrize("case", ["success", "sink failure", "chunk failure", "untraced", "untraced one chunk",
+                                      "untraced chunk failure", "untraced draw failure"])
     def test_no_thread_outlives_the_run(self, monkeypatch, case):
-        # no thread or process outlives the run: a library run, traced or not, starts neither
-        self.counted_chunks(monkeypatch, fail_on=3 if case == "chunk failure" else None)
-        started = []
-        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        # no thread or process outlives the run: a traced run starts neither, and an untraced one of more than
+        # one chunk starts one thread, which draws every chunk, and joins it however the run ends
+        self.counted_chunks(monkeypatch, fail_on=3 if "chunk failure" in case else None)
+        error, drawers, real_draw = RuntimeError("draw failed"), [], sim._draw
+
+        def draw(*args):
+            drawers.append(threading.get_ident())
+            if case == "untraced draw failure" and len(drawers) == 4:
+                raise error
+            return real_draw(*args)
+
+        monkeypatch.setattr(sim, "_draw", draw)
+        started = self.recorded_starts(monkeypatch)
         monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("a library run forked")))
 
         def sink(lo, trace):
             if case == "sink failure" and lo == 14:
                 raise OSError(errno.EIO, "input/output error")
 
+        cfg = replace(self.CFG, slots=7) if case == "untraced one chunk" else self.CFG
         before = threading.enumerate()
         try:
-            run(self.CFG, None if case == "untraced" else sink)
-        except (OSError, RuntimeError):
-            assert case in ("sink failure", "chunk failure")
+            run(cfg, sink if case in ("success", "sink failure", "chunk failure") else None)
+        except (OSError, RuntimeError) as failure:
+            assert case in ("sink failure", "chunk failure", "untraced chunk failure", "untraced draw failure")
+            assert case != "untraced draw failure" or failure is error
         else:
-            assert case in ("success", "untraced")
+            assert case in ("success", "untraced", "untraced one chunk")
         assert threading.enumerate() == before
-        assert started == []
+        if case.startswith("untraced") and case != "untraced one chunk":
+            assert len(started) == 1 and set(drawers) == {started[0].ident}
+        else:
+            assert started == [] and set(drawers) == {threading.get_ident()}
+        if case == "untraced draw failure":
+            assert len(drawers) == 4  # no draw after the failed one
+        elif case == "untraced chunk failure":
+            assert len(drawers) <= 5  # at most one chunk past the failed one
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("mode", list(SimMode))
+    def test_drawn_ahead_equals_drawn_inline(self, monkeypatch, mode):
+        # three untraced runs at once, each with its helper, over 7-slot chunks (429 handoffs each) with the
+        # interpreter switching threads as often as it can: each gives, field for field, the result of the same
+        # run drawn inline
+        cfgs = [replace(self.CFG, slots=3_001, mode=mode, seed=seed, initial_qp=4, initial_qs=2) for seed in range(3)]
+        monkeypatch.setattr(sim, "_SIM_CHUNK", 7)
+        inline = [run(cfg, lambda lo, trace: None) for cfg in cfgs]
+        started = self.recorded_starts(monkeypatch)
+        ahead = [None] * len(cfgs)
+
+        def simulate(i):
+            ahead[i] = run(cfgs[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=simulate, args=(i,)) for i in range(len(cfgs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(started) == 2 * len(cfgs)  # the runs' threads and their helpers
+        for a, b in zip(ahead, inline):
+            for f in fields(SimResult):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                assert type(x) is type(y) and repr(x) == repr(y), (f.name, x, y)
 
     def test_concurrent_runs_stream_their_own_traces(self, monkeypatch):
         # four traced runs at once, each with its own sink thread, over 7-slot chunks (hundreds of handoffs
