@@ -80,9 +80,9 @@ SIMULATE_JSON_SCHEMA = "simulate/1"
 ESTIMATE_JSON_SCHEMA = "estimate/1"
 REGION_JSON_SCHEMA = "region-summary/1"
 
-# A sweep evaluates every cell before it writes its CSV, so a bad document fails before any row is
-# written.  It holds 34 B a cell; at the cap, about 330 MiB and a CSV of about 1 GiB (107 B a row), which
-# is what sets the cap.  README gives its measured times.
+# A sweep scans and writes a slab of cells at a time, so its memory does not grow with its cells.  What
+# grows is its CSV, about 107 B a row, and its run time, about 2 us a cell (README): at the cap, a CSV of
+# about 1 GiB and about 20 s.  A grid's count and a region curve's (lambda_p, tau) cells have the same cap.
 MAX_SWEEP_CELLS = 10_000_000
 
 # sim.run holds no per-slot memory but the FIFO delay's arrival bits while an
@@ -216,7 +216,7 @@ _SLOT = object()  # a bound: the slot length, T on phy and 1.0 on channel
 # document, the section's table; its bounds; and its default, without which it is required.
 _Key = namedtuple("_Key", "kind lo hi default", defaults=(None, None, _REQUIRED))
 
-_COUNT = {"count": _Key(_integer, 2)}  # the size of a {start, stop, count} grid
+_COUNT = {"count": _Key(_integer, 2, MAX_SWEEP_CELLS)}  # the size of a {start, stop, count} grid
 
 _PHY = {  # in PhyParams' field order
     "bits_per_packet": _Key(_number, 1e-12),
@@ -353,8 +353,9 @@ class RunConfig:
     def request(self, variant: Variant | str, target: TargetMode | None = None) -> OptimizationRequest:
         """The config's problem for `variant`, at `target` in place of the config's own."""
         target = self.target if target is None else target
-        req = OptimizationRequest(variant, target, () if target.pinned else self.tau_grid, self.b_s_grid, self.margin)
-        if req.tau_grid and req.variant is not Variant.S0:
+        one_point = target.pinned or Variant(variant) is Variant.S0  # S0 senses nothing: it has no tau grid
+        req = OptimizationRequest(variant, target, () if one_point else self.tau_grid, self.b_s_grid, self.margin)
+        if req.tau_grid:
             try:  # the scans' points, resolved once and cached for them
                 operating_points(target, req.tau_grid, self.channel)
             except DomainError:
@@ -545,9 +546,17 @@ def _result_payload(result: OptimizationResult) -> dict:
 
 # --- subcommands -----------------------------------------------------------------
 
+def _check_cells(cells: int, command: str, keys: str) -> None:
+    """Reject a document of more than MAX_SWEEP_CELLS cells, with a sizing hint."""
+    if cells > MAX_SWEEP_CELLS:
+        raise ConfigError(f"{command} would evaluate {cells} cells (> {MAX_SWEEP_CELLS}); shrink {keys}")
+
+
 def cmd_region(cfg: RunConfig) -> int:
     if cfg.lambda_p_grid is None:
         raise ConfigError("region needs grids.lambda_p")
+    n_tau = 1 if cfg.target.pinned or cfg.schemes == ("S0",) else len(cfg.tau_grid)
+    _check_cells(len(cfg.lambda_p_grid) * n_tau, "region", "grids.lambda_p or grids.tau")
     summary: dict[str, Any] = {"schema": REGION_JSON_SCHEMA, "csv_schema": REGION_CSV_SCHEMA, "files": {},
                                "max_boundary": {}, "points_per_curve": len(cfg.lambda_p_grid)}
     union = UNION in cfg.schemes  # UNION reuses the S0 and S2 curves
@@ -777,8 +786,13 @@ def cmd_estimate(cfg: RunConfig) -> int:
 # raised a 10,416-cell sweep's peak RSS by about 0.5 MiB, and 128 rows by 0.04.
 _SWEEP_ROWS = 128
 
+# (lambda_p, tau) cells a sweep scans, writes and drops at a time: whole tau points, at least one.  A scan
+# holds 33 B a cell: with 4,096-cell slabs, a 1,041,600-cell sweep peaked 0.2-0.35 MiB above a 10,416-cell
+# one (VmHWM), and with 16,384-cell slabs 1.0 MiB above.
+_SWEEP_SLAB = 4096
 
-def _sweep_rows(blocks: list[tuple[str, str, float, GridScan]], lambda_p_grid: Sequence[float],
+
+def _sweep_rows(blocks: Iterable[tuple[str, str, float, GridScan]], lambda_p_grid: Sequence[float],
                 b_s_grid: Sequence[float]) -> Iterator[str]:
     """The CSV rows of each (scheme, target kind, target value, scan) block, point-major, as csv.writer
     would write them (no field needs quoting), in batches of at most _SWEEP_ROWS rows built a column
@@ -821,25 +835,26 @@ def cmd_sweep(cfg: RunConfig) -> int:
     sensing_schemes = [s for s in sweep_schemes if s != "S0"]
     n_tau = 1 if target.pinned else len(cfg.tau_grid)
     cells = (len(sensing_schemes) * len(targets) * n_tau + ("S0" in sweep_schemes)) * len(cfg.lambda_p_grid)
-    if cells > MAX_SWEEP_CELLS:
-        raise ConfigError(f"sweep would evaluate {cells} cells (> {MAX_SWEEP_CELLS}); "
-                          "shrink grids.lambda_p, grids.tau, or the target value lists")
+    _check_cells(cells, "sweep", "grids.lambda_p, grids.tau, or the target value lists")
     _check_load(max(cfg.lambda_p_grid), cfg.margin)
 
-    blocks = []  # (scheme, target kind, target value, per-(lambda_p, tau) scan), in row order
-    for scheme_name in sensing_schemes:
-        for mode in targets:
-            blocks.append((scheme_name, mode.kind, mode.value,
-                           scan(cfg.request(scheme_name, mode), cfg.lambda_p_grid, cfg.channel)))
+    # (scheme, target kind, target value, request), in row order; each request is made, and its ROC points
+    # resolved, before any file is
+    requests = [(scheme_name, mode.kind, mode.value, cfg.request(scheme_name, mode))
+                for scheme_name in sensing_schemes for mode in targets]
     if "S0" in sweep_schemes:
-        blocks.append(("S0", "none", 0.0, scan(cfg.request(Variant.S0), cfg.lambda_p_grid, cfg.channel)))
+        requests.append(("S0", "none", 0.0, cfg.request(Variant.S0)))
+    # rows are point-major, so a slab of whole tau points is a run of whole rows; an empty tau grid is one slab
+    per_slab = max(1, _SWEEP_SLAB // len(cfg.lambda_p_grid))
+    slabs = ((scheme_name, kind, value, scan(replace(req, tau_grid=req.tau_grid[i : i + per_slab]),
+                                             cfg.lambda_p_grid, cfg.channel))
+             for scheme_name, kind, value, req in requests for i in range(0, len(req.tau_grid) or 1, per_slab))
 
     path = cfg.output_dir / "sweep.csv"
     with _outputs() as create, create(path) as fh:
         fh.write("scheme,target_kind,target_value,tau,p_fa,p_md,lambda_p,lambda_s,a_s,b_s,feasible\r\n")
-        fh.writelines(_sweep_rows(blocks, cfg.lambda_p_grid, b_s_scan_grid(cfg.b_s_grid)))
-    rows = sum(grid.lambda_s.size for *_, grid in blocks)
-    _emit_json({"schema": SWEEP_CSV_SCHEMA, "file": str(path), "rows": rows, "cells": cells})
+        fh.writelines(_sweep_rows(slabs, cfg.lambda_p_grid, b_s_scan_grid(cfg.b_s_grid)))
+    _emit_json({"schema": SWEEP_CSV_SCHEMA, "file": str(path), "rows": cells, "cells": cells})
     return 0
 
 

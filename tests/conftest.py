@@ -7,5 +7,5 @@ from cogaccess import optimizer, phy
 
 @pytest.fixture(autouse=True)
 def empty_caches():
-    for cache in (optimizer._points, optimizer._secondary, phy._target_q_inv):
+    for cache in (optimizer._point, optimizer._secondary, phy._target_q_inv):
         cache.cache_clear()

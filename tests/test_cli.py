@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -166,6 +167,31 @@ class TestConfigValidation:
         code, out, err = run_cli(capsys, ["optimize", "-c", write_config(tmp_path, doc)])
         assert (code, out) == (2, "")
         assert message in err
+
+    @pytest.mark.parametrize("key, spec", [
+        *(pytest.param(key, {"start": 0.0, "stop": 0.5, "count": cli.MAX_SWEEP_CELLS + 1}, id=f"{key}-span")
+          for key in cli._GRIDS),
+        *(pytest.param(key, {"count": cli.MAX_SWEEP_CELLS + 1}, id=f"{key}-count") for key in ("tau", "b_s")),
+    ])
+    @pytest.mark.parametrize("command", ["region", "optimize", "sweep"])
+    def test_grid_count_past_the_cap_rejected_before_any_grid_is_built(self, tmp_path, capsys, command, key, spec):
+        # a grid longer than the cell cap cannot be swept, and building one takes seconds and hundreds of MiB
+        # whether or not the command reads it: the count is checked first
+        doc = dict(BENCH_BASE, scheme="S2", lambda_p=0.3, grids={key: spec}, output_dir=str(tmp_path / "out"))
+        path = write_config(tmp_path, doc)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, [command, "-c", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert f"grids.{key}.count must be <= {cli.MAX_SWEEP_CELLS}, got {cli.MAX_SWEEP_CELLS + 1}" in err
+        assert peak < 2**20
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_count_at_the_cap_is_accepted(self):
+        assert cli._walk({"count": cli.MAX_SWEEP_CELLS}, cli._COUNT, "grids.tau") == {"count": cli.MAX_SWEEP_CELLS}
 
     @pytest.mark.parametrize("document, name, verb", [
         ("a directory", "config.yaml", "read"),
@@ -406,6 +432,32 @@ class TestRegion:
         assert (code, out) == (2, "")
         assert message in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("schemes, sensing, rejected", [
+        (["S2"], {"mode": "target_pfa", "value": 0.2}, True),
+        (["UNION"], {"mode": "target_pfa", "value": 0.2}, True),  # UNION traces S2
+        (["S0"], {"mode": "target_pfa", "value": 0.2}, False),  # S0 senses nothing: one point a curve
+        (["S2", "S0"], {"mode": "fixed_point", "tau": 0.05, "p_fa": 0.2, "p_md": 0.3}, False),  # one point
+    ])
+    def test_cells_past_the_cap_rejected_with_hint(self, tmp_path, capsys, schemes, sensing, rejected):
+        # 10,001 lambda_p x 1,000 tau are one cell a curve past the cap
+        doc = {"phy": PHY_DOC, "sensing": sensing, "schemes": schemes, "output_dir": str(tmp_path / "out"),
+               "grids": {"lambda_p": {"start": 0.0, "stop": 0.5, "count": 10_001}, "tau": {"count": 1_000},
+                         "b_s": {"count": 3}}}
+        code, out, err = run_cli(capsys, ["region", "-c", write_config(tmp_path, doc)])
+        if rejected:
+            assert (code, out) == (2, "")
+            assert (f"region would evaluate 10001000 cells (> {cli.MAX_SWEEP_CELLS}); "
+                    "shrink grids.lambda_p or grids.tau") in err
+            assert not (tmp_path / "out").exists()
+        else:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["points_per_curve"] == 10_001
+
+    def test_cell_bound_is_inclusive(self):
+        cli._check_cells(cli.MAX_SWEEP_CELLS, "region", "grids.tau")
+        with pytest.raises(ConfigError):
+            cli._check_cells(cli.MAX_SWEEP_CELLS + 1, "region", "grids.tau")
 
 
 class TestSimulate:
@@ -1003,6 +1055,71 @@ class TestSweep:
         rows = Path(json.loads(out)["file"]).read_text().strip().splitlines()[1:]
         # the primary link never succeeds: only an idle primary leaves a feasible cell
         assert all(r.split(",")[-1] == str(int(float(r.split(",")[6]) == 0.0)) for r in rows)
+
+    ALL_SCHEMES = ["Sc", "S1", "S2", "S0", "UNION"]
+    # (document keys, distinct (target, tau) points) for 6 lambda_p and 4 tau
+    SLAB_DOCS = {
+        "every scheme at two p_fa targets": ({"schemes": ALL_SCHEMES, "grids": {"p_fa": [0.1, 0.2]}}, 2 * 4),
+        "fixed point": ({"schemes": ALL_SCHEMES,
+                         "sensing": {"mode": "fixed_point", "tau": 0.05, "p_fa": 0.2, "p_md": 0.3}}, 0),
+        "S0 only": ({"schemes": ["S0"]}, 0),
+    }
+
+    @pytest.mark.parametrize("name", SLAB_DOCS)
+    def test_slabs_write_what_one_slab_writes(self, name, tmp_path, capsys, monkeypatch):
+        # slabs of one tau point (1 to 7 cells), of three (18 cells: 3 + 1 tau) and of every point (unpatched)
+        # write the same bytes, and each (target, tau) point is resolved once
+        keys, distinct = self.SLAB_DOCS[name]
+        grids = {"lambda_p": {"start": 0.0, "stop": 0.5, "count": 6}, "tau": [0.001, 0.01, 0.5, 0.9],
+                 "b_s": {"count": 5}, **keys.pop("grids", {})}
+        path = write_config(tmp_path, self.sweep_doc(tmp_path, grids=grids, **keys))
+        real_roc, real_scan = optimizer.pmd_for_target_pfa, cli.scan
+
+        def run():
+            optimizer._point.cache_clear()
+            roc, taus = [], []
+            monkeypatch.setattr(optimizer, "pmd_for_target_pfa", lambda *a: roc.append(a) or real_roc(*a))
+            monkeypatch.setattr(cli, "scan", lambda req, *a: taus.append(len(req.tau_grid)) or real_scan(req, *a))
+            code, out, err = run_cli(capsys, ["sweep", "-c", path])
+            assert (code, err) == (0, "")
+            assert len(roc) == len(set(roc)) == distinct
+            return out, Path(json.loads(out)["file"]).read_bytes(), taus
+
+        expected_out, expected_csv, _ = run()
+        for slab in (1, 5, 6, 7, 18):
+            with mock.patch.object(cli, "_SWEEP_SLAB", slab):
+                out, csv, taus = run()
+            assert (out, csv) == (expected_out, expected_csv)
+            assert max(taus) <= max(1, slab // 6)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_peak_memory_is_flat_in_the_cell_count(self, tmp_path):
+        # a sweep scans, writes and drops one slab of cells at a time: its 1,041,600 cells peak no higher than
+        # 10,416 cells of the same document at 12 lambda_p (VmHWM of fresh interpreters), and both resolve
+        # each of their 289 ROC points once
+        doc = yaml.safe_load((Path(__file__).parent.parent / "configs" / "sweep_sensing_durations.yaml").read_text())
+        doc.update(schemes=["S2", "S1", "Sc", "S0"], output_dir=str(tmp_path / "out"))
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import sys; from cogaccess import cli, optimizer; real = optimizer.pmd_for_target_pfa; calls = [];"
+                  "optimizer.pmd_for_target_pfa = lambda *a: calls.append(a) or real(*a); cli.main(sys.argv[1:]);"
+                  "status = open('/proc/self/status');"
+                  "print([line.split()[1] for line in status if line.startswith('VmHWM')][0], len(calls),"
+                  "len(set(calls)), file=sys.stderr)")
+
+        def peak_kib(count):
+            doc["grids"] = {"lambda_p": {"start": 0.0, "stop": 0.65, "count": count},
+                            "tau": {"start": 0.001, "stop": 0.9, "count": 289}, "b_s": {"count": 33}}
+            (tmp_path / "config.json").write_text(json.dumps(doc))
+            proc = subprocess.run([sys.executable, "-c", script, "sweep", "-c", "config.json"], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["rows"] == (3 * 289 + 1) * count
+            peak, calls, distinct = map(int, proc.stderr.split())
+            assert calls == distinct == 289
+            return peak
+
+        assert peak_kib(1_200) - peak_kib(12) <= 1024
 
 
 # floats a sweep row prints: the corners, subnormals, the largest double below 1, and any in between

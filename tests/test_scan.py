@@ -205,12 +205,12 @@ def test_target_modes_at_one_value_never_share_points():
 
 def test_each_test_starts_with_empty_caches():
     # conftest's autouse fixture; each test above leaves points behind
-    assert optimizer._points.cache_info().currsize == optimizer._secondary.cache_info().currsize == 0
+    assert optimizer._point.cache_info().currsize == optimizer._secondary.cache_info().currsize == 0
     phy, req, lambdas = _tradeoff_case()
     scan(req, lambdas, phy)
-    assert optimizer._points.cache_info().currsize == 1
+    assert optimizer._point.cache_info().currsize == len(req.tau_grid)
     assert operating_points(req.target_mode, list(req.tau_grid), phy) == scan(req, lambdas, phy).points
-    assert optimizer._points.cache_info().hits == 2
+    assert optimizer._point.cache_info().hits == 2 * len(req.tau_grid)
 
 def test_scalar_matches_kernel_where_idle_term_underflows():
     # a = (lambda_p/p_bar_p_pd)*(1 - p_fa) underflows to 0 while f = (lambda_p/p_bar_p_pd)*p_fa*b_s does not
