@@ -84,6 +84,9 @@ REGION_JSON_SCHEMA = "region-summary/1"
 # grows is its CSV, about 107 B a row, and its run time, about 2 us a cell (README): at the cap, a CSV of
 # about 1 GiB and about 20 s.  A grid's count and a region curve's (lambda_p, tau) cells have the same cap.
 MAX_SWEEP_CELLS = 10_000_000
+# An S2 scan holds about 90 B a b_s point in each (lambda_p, tau) cell of a kernel pass, and a pass holds at
+# least one cell: grids.b_s is capped at about 5.6 MiB a cell.
+MAX_B_S_POINTS = 65_536
 
 # sim.run holds no per-slot memory but the FIFO delay's arrival bits while an
 # overloaded primary's queue grows (at most 1/8 B a slot).  What grows is run
@@ -183,20 +186,24 @@ def _path(value: Any, name: str, **_: Any) -> Path:
     raise ConfigError(f"{name} must be a string path, got {value!r}")
 
 
-def _grid_values(spec: Any, name: str, *, lo: float, hi: float, default: Callable | None = None) -> tuple[float, ...]:
+def _grid_values(spec: Any, name: str, *, lo: float, hi: float, default: Callable | None = None,
+                 most: int | None = None) -> tuple[float, ...]:
     """A grid is either an explicit list or {start, stop, count}; where the axis
-    has a `default` grid on [0, hi], {count} alone is that grid with count points."""
+    has a `default` grid on [0, hi], {count} alone is that grid with count points.
+    A grid of more than `most` points, where that is given, is rejected before it is built."""
     if default and isinstance(spec, dict) and spec.keys() == _COUNT.keys():
-        return default(hi, _walk(spec, _COUNT, name)["count"])
+        return default(hi, _points(_walk(spec, _COUNT, name)["count"], name, most))
     if isinstance(spec, list):
         if not spec:
             raise ConfigError(f"{name} grid must be non-empty")
+        _points(len(spec), name, most)
         values = [_number(v, f"{name} grid entries", lo=lo, hi=hi) for v in spec]
         if values != sorted(set(values)):
             raise ConfigError(f"{name} grid must be strictly increasing")
         return tuple(values)
     span = {"start": _Key(_number, lo, hi), "stop": _Key(_number, lo, hi), **_COUNT}
     start, stop, count = _walk(spec, span, name).values()
+    _points(count, name, most)
     if stop <= start:
         raise ConfigError(f"{name}.stop must exceed {name}.start")
     # the points of np.linspace: start + i*step, the last one exactly stop
@@ -205,6 +212,14 @@ def _grid_values(spec: Any, name: str, *, lo: float, hi: float, default: Callabl
     if values != tuple(sorted(set(values))):  # a step below the spacing of floats repeats values
         raise ConfigError(f"{name} grid must be strictly increasing")
     return values
+
+
+def _points(count: int, name: str, most: int | None) -> int:
+    """count, the points of a grid, checked against `most` (set on grids.b_s only, whence the hint)."""
+    if most is not None and count > most:
+        raise ConfigError(f"{name} has {count} points (> {most}); an S2 scan holds about 90 B a point in each"
+                          f" (lambda_p, tau) cell it works on: shrink {name} to at most {most} points")
+    return count
 
 
 # --- config schema: tables and the walker ---------------------------------------
@@ -265,7 +280,8 @@ _ACCESS = {
 _GRIDS = {  # tau and b_s absent: their default grids
     "lambda_p": _Key(_grid_values, 0.0, 1.0, None),
     "tau": _Key(partial(_grid_values, default=default_tau_grid), 0.0, _SLOT, None),
-    "b_s": _Key(partial(_grid_values, default=lambda _, count: default_b_s_grid(count)), 0.0, 1.0, None),
+    "b_s": _Key(partial(_grid_values, default=lambda _, count: default_b_s_grid(count), most=MAX_B_S_POINTS), 0.0,
+                1.0, None),
     "p_fa": _Key(_grid_values, 0.0, 1.0, ()),
     "p_md": _Key(_grid_values, 0.0, 1.0, ()),
 }

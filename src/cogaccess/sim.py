@@ -51,8 +51,9 @@ decide) and then solved (`_chunk`: the queues and the outcomes).  An
 untraced run of more than one chunk draws on one helper thread, a chunk
 ahead of the calling thread's solve, into two sets of the drawn rows in
 turn (`_drawn_chunks`); numpy's fills and ufuncs release the interpreter
-lock, so the two overlap.  A traced run draws on the calling thread: cli's
-trace writer process already takes the other CPU.  What lives per run is
+lock, so the two overlap.  A traced run, or a run on one CPU, draws on
+the calling thread: cli's trace writer process already takes the other
+CPU, and a lone CPU would only run the two in turn.  What lives per run is
 made once, at chunk size, and every chunk uses it through views: the
 queue-size columns (with the event and feedback columns when traced), the
 chunk's drawn rows (two sets when drawn ahead, with the helper's own float
@@ -68,10 +69,12 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+import os
 import threading
 from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
+from functools import cache
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -515,6 +518,12 @@ def _drawn_chunks(cfg: SimConfig, streams: list[Generator], thresholds: tuple[fl
         helper.join()
 
 
+def _overlaps() -> bool:
+    """Whether a helper thread can run beside the calling one: this process
+    may run on more than one CPU (assumed where the platform cannot tell)."""
+    return not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) > 1
+
+
 def _trace_columns(d: _Draws, o: _Outcomes, events: np.ndarray, feedback: np.ndarray, spare: np.ndarray) -> None:
     """A chunk's trace columns from its draws and outcomes, written into
     events (the event bits) and feedback (the FB_* codes); `spare` is a
@@ -539,10 +548,11 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
     during the call only (they are views of buffers the run reuses for the
     next chunk), and an exception from the sink ends the run.
 
-    Without a sink, a run of more than one chunk starts one helper thread,
-    which draws chunk k + 1 while this thread solves chunk k, and joins it
-    however the run ends; an exception in it is raised here as itself.
-    With a sink, or in one chunk, every chunk is drawn on this thread.
+    Without a sink, a run of more than one chunk on more than one CPU starts
+    one helper thread, which draws chunk k + 1 while this thread solves
+    chunk k, and joins it however the run ends; an exception in it is
+    raised here as itself.  With a sink, in one chunk, or where the process
+    may run on one CPU only, every chunk is drawn on this thread.
     Either way the result is the same, bit for bit."""
     n = cfg.slots
     links = cfg.phy.links(cfg.scheme.sensing.tau)
@@ -575,7 +585,9 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
     arrivals = arrival_slot_sum = acks_heard = heard = 0
     sums = (0, 0)  # sum(qp[t]) and sum(t * qp[t]), exact
 
-    ahead = sink is None and n > size  # a traced run draws inline: cli's trace writer takes the other CPU
+    # a traced run draws inline: cli's trace writer takes the other CPU; on one CPU the helper would only take
+    # turns with this thread
+    ahead = sink is None and n > size and _overlaps()
     with closing(_drawn_chunks(cfg, streams, thresholds, drawn, scratch.work.view(np.float64), ahead)) as chunks:
         for lo, d in chunks:
             if n - lo < size:  # the last chunk is shorter: views of its length
@@ -692,10 +704,17 @@ _FEEDBACK_NAMES = ("none", "ack", "nack", "ack-missed", "nack-missed")  # indexe
 # rows formatted per write when a row's text is _TRACE_ROW_BYTES bytes, and proportionally fewer of wider rows:
 # the formatting's memory (about three times the text) does not then grow with a run's slot numbers
 _TRACE_CSV_CHUNK = 8_192
-_TRACE_ROW_BYTES = 32  # a row's text before its zero bytes go: a digit a byte, the commas and the 16-byte end
-# FB_* code -> the end of its row, "<name>\r\n" zero-padded to 16 bytes (two uint64s)
-_ROW_ENDS = np.array([list(f"{name}\r\n".encode().ljust(16, b"\0")) for name in _FEEDBACK_NAMES],
-                     dtype=np.uint8).view(np.uint64)
+_TRACE_ROW_BYTES = 28  # a row's text before its zero bytes go: a digit a byte, three commas and the 17-byte tail
+_TAIL_BYTES = len(b"255,nack-missed\r\n")  # the widest "<events>,<name>\r\n"
+
+
+@cache
+def _tails() -> np.ndarray:
+    """events * 5 + FB_* code -> the tail of its row, "<events>,<name>\r\n"
+    zero-padded to _TAIL_BYTES bytes, one row each.  Built on first use, so
+    only a process that writes a trace holds it."""
+    tails = (f"{e},{name}\r\n".encode().ljust(_TAIL_BYTES, b"\0") for e in range(256) for name in _FEEDBACK_NAMES)
+    return np.frombuffer(b"".join(tails), dtype=np.uint8).reshape(-1, _TAIL_BYTES)
 
 
 def write_trace_rows(fh: BinaryIO, lo: int, trace: SimTrace) -> None:
@@ -703,28 +722,34 @@ def write_trace_rows(fh: BinaryIO, lo: int, trace: SimTrace) -> None:
     sink (bound to fh) it streams a run's trace.
 
     The bytes are those of csv.writer (CRLF line ends, nothing quoted).
-    Each chunk of rows is formatted one byte position at a time: an
-    integer column is a block of digit rows, as many as the chunk's largest
-    value has digits, computed in the narrowest unsigned dtype that holds
-    that value, with a leading zero written as byte 0; one lookup of the
-    feedback codes gives each row's end, zero-padded.  One transpose makes
-    the rows, and dropping every 0, which no CSV byte is, gives the text.
+    Each chunk of rows is formatted one byte position at a time: the slot,
+    qp and qs columns are each a block of digit rows, as many as the
+    chunk's largest value has digits, computed in the narrowest unsigned
+    dtype that holds that value, with a leading zero written as byte 0; one
+    lookup of events * 5 + feedback gives each row's tail, zero-padded.  One
+    transpose makes the rows, and dropping every 0, which no CSV byte is,
+    gives the text.  An events value outside 0-255 or a feedback code
+    outside 0-4 is a DomainError.
     """
-    n, columns = len(trace.qp), (trace.qp, trace.qs, trace.events)
-    # the widest row's text: digits, four commas and the 16-byte end
-    width = len(str(lo + n - 1)) + sum(len(str(int(column.max(initial=0)))) for column in columns) + 4 + 16
-    step = max(1, _TRACE_CSV_CHUNK * _TRACE_ROW_BYTES // width)
+    n = len(trace.qp)
+    # the widest row's text: digits, three commas and the tail
+    width = sum(len(str(top)) for top in (lo + n - 1, int(trace.qp.max(initial=0)), int(trace.qs.max(initial=0))))
+    step = max(1, _TRACE_CSV_CHUNK * _TRACE_ROW_BYTES // (width + 3 + _TAIL_BYTES))
     for at in range(0, n, step):
         rows = slice(at, at + step)
-        fh.write(_csv_rows(lo + at, (trace.qp[rows], trace.qs[rows], trace.events[rows]), trace.feedback[rows]))
+        fh.write(_csv_rows(lo + at, (trace.qp[rows], trace.qs[rows]), trace.events[rows], trace.feedback[rows]))
 
 
-def _csv_rows(first: int, columns: tuple[np.ndarray, ...], feedback: np.ndarray) -> np.ndarray:
+def _csv_rows(first: int, columns: tuple[np.ndarray, ...], events: np.ndarray, feedback: np.ndarray) -> np.ndarray:
     """CSV text of rows numbered from `first`, then non-negative integer
-    columns and a feedback name."""
+    columns, then an events value (0-255) and a feedback name (FB_* code)."""
+    for values, top, name in ((events, 255, "events"), (feedback, FB_NACK_MISSED, "feedback codes")):
+        if not 0 <= int(values.min()) <= int(values.max()) <= top:
+            raise DomainError(f"trace {name} must be in [0, {top}]")
+    key = np.multiply(events, len(_FEEDBACK_NAMES), dtype=np.intp)
+    key += feedback
     # the digit rows go once the text is made: the zero drop, the peak, holds only the text, its mask and its rows
-    text = np.concatenate((_digit_rows(first, columns, len(feedback)).T,
-                           _ROW_ENDS.take(feedback, axis=0).view(np.uint8)), axis=1)
+    text = np.concatenate((_digit_rows(first, columns, len(feedback)).T, _tails().take(key, axis=0)), axis=1)
     return text[text != 0]
 
 

@@ -193,6 +193,34 @@ class TestConfigValidation:
     def test_grid_count_at_the_cap_is_accepted(self):
         assert cli._walk({"count": cli.MAX_SWEEP_CELLS}, cli._COUNT, "grids.tau") == {"count": cli.MAX_SWEEP_CELLS}
 
+    @pytest.mark.parametrize("form", ["count", "span", "list"])
+    @pytest.mark.parametrize("points", [cli.MAX_B_S_POINTS, cli.MAX_B_S_POINTS + 1], ids=["at the cap", "past it"])
+    @pytest.mark.parametrize("command", ["region", "optimize", "sweep"])
+    def test_b_s_grid_is_capped_before_it_is_built(self, tmp_path, capsys, command, points, form):
+        # an S2 scan holds about 90 B a b_s point in each cell it works on: a b_s grid past the cap is a config
+        # error, raised before the grid is built, that names the key with a sizing hint
+        spec = {"count": {"count": points}, "span": {"start": 0.0, "stop": 1.0, "count": points},
+                "list": [k / points for k in range(points)]}[form]
+        doc = dict(BENCH_BASE, scheme="S2", lambda_p=0.3, grids={"b_s": spec, "lambda_p": [0.3]},
+                   output_dir=str(tmp_path / "out"))
+        path = write_config(tmp_path, doc, "config.json")
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, [command, "-c", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if points == cli.MAX_B_S_POINTS:
+            assert (code, err) == (0, "")
+            return
+        assert (code, out) == (2, "")
+        assert err == (f"config error: grids.b_s has {points} points (> {cli.MAX_B_S_POINTS}); an S2 scan holds"
+                       f" about 90 B a point in each (lambda_p, tau) cell it works on: shrink grids.b_s to at most"
+                       f" {cli.MAX_B_S_POINTS} points\n")
+        assert not (tmp_path / "out").exists()
+        if form != "list":  # a list is in the document, which is read first
+            assert peak < 2**20
+
     @pytest.mark.parametrize("document, name, verb", [
         ("a directory", "config.yaml", "read"),
         ("not UTF-8", "config.yaml", "read"),
@@ -689,8 +717,10 @@ class TestTraceWriter:
 
     def test_an_untraced_run_before_leaves_the_fork(self, tmp_path, capsys, monkeypatch, forks):
         # an untraced library run draws ahead on a helper thread and joins it, so the traced `simulate` after
-        # it in the same process still forks its writer: the other-thread fallback does not fire
+        # it in the same process still forks its writer: the other-thread fallback does not fire (the run draws
+        # ahead as on two CPUs wherever the test runs)
         monkeypatch.setattr(sim, "_SIM_CHUNK", 7)
+        monkeypatch.setattr(sim, "_overlaps", lambda: True)
         started, real = [], threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or real(thread))
         sim.run(self.CFG)

@@ -1,4 +1,5 @@
 import errno
+import io
 import json
 import math
 import os
@@ -404,6 +405,47 @@ class TestTraceExport:
         with pytest.raises(DomainError):
             write_csv(bad, tmp_path / "trace.csv")
 
+    @pytest.mark.parametrize("column, value", [("feedback", 5), ("feedback", 255), ("events", 256), ("events", -1)])
+    def test_events_or_feedback_code_out_of_range_rejected(self, column, value):
+        # a row's tail is looked up by events * 5 + code: a code of 5 would give events + 1 and "none", a key
+        # past the table an IndexError, and a negative one a row from its end
+        _, trace = traced_run(sim_config(slots=100))
+        values = getattr(trace, column).astype(np.int64 if column == "events" else np.uint8)
+        values[37] = value
+        with pytest.raises(DomainError, match=f"trace {column}"):
+            write_trace_rows(io.BytesIO(), 0, replace(trace, **{column: values}))
+
+    def test_every_events_and_feedback_pair(self, tmp_path):
+        # one row for each of the 1,280 (events, code) pairs, in a shuffled order, numbered across 10**6
+        rng = np.random.default_rng(7)
+        pairs = rng.permutation(256 * 5)
+        trace = sim.SimTrace(qp=rng.integers(0, 1_000, len(pairs)), qs=rng.integers(0, 12, len(pairs)),
+                             events=(pairs // 5).astype(np.uint8), feedback=(pairs % 5).astype(np.uint8))
+        write_csv(trace, tmp_path / "fast.csv", 10**6 - 640)
+        write_trace_csv_rowwise(trace, str(tmp_path / "reference.csv"), first=10**6 - 640)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_tail_table_is_built_only_by_a_writer(self, tmp_path):
+        # the rows' tail table is built on first use: not at import, not by an untraced run, and not in the
+        # process of a traced `simulate`, whose writer process (forked where the platform can) builds its own
+        doc = yaml.safe_load((Path(__file__).parent.parent / "configs" / "validate_simulation.yaml").read_text())
+        doc["sim"].update(slots=50_000, record_traces=True)
+        doc["output_dir"] = str(tmp_path / "out")
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        src = str(Path(sim.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import os, sys; from cogaccess import cli, sim; built = lambda: sim._tails.cache_info().currsize;"
+                  "after = [built()]; cfg = cli.load_config('config.json');"
+                  "sim.run(cli._sim_config(cfg, cli._resolve_scheme_config(cfg)[0], cfg.sim.slots));"
+                  "after.append(built()); cli.main(['simulate', '-c', 'config.json']);"
+                  "print(*after, built(), hasattr(os, 'fork'), file=sys.stderr)")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        *built, forks = proc.stderr.split()
+        assert built == ["0", "0", "0" if forks == "True" else "1"]
+        assert (tmp_path / "out" / "trace.csv").stat().st_size > 15 * 50_000
+
 
 def assert_same_result(fast, reference):
     """Two (SimResult, SimTrace) pairs identical: every result field of the
@@ -780,10 +822,33 @@ class TestValidation:
 
 class TestSinkThread:
     """The sink is a plain call: on the calling thread, in slot order.  An
-    untraced run draws ahead on one helper thread, which it joins."""
+    untraced run on more than one CPU draws ahead on one helper thread, which
+    it joins."""
 
     CFG = sim_config(variant=Variant.S2, a_s=0.8, b_s=0.3, lambda_p=0.45, lambda_s=0.3, slots=300,
                      mode=SimMode.ORIGINAL, feedback_error=0.2)
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        """Draw ahead here on one CPU too, so that the handoff is tested wherever these tests run."""
+        monkeypatch.setattr(sim, "_overlaps", lambda: True)
+
+    @pytest.mark.parametrize("cpus, ahead", [({0}, False), ({0, 1}, True), (None, True)],
+                             ids=["one CPU", "two CPUs", "no affinity call"])
+    def test_draws_ahead_only_beside_another_cpu(self, monkeypatch, cpus, ahead):
+        # on one CPU a helper would only take turns with the solve: the run draws inline, with the same result
+        monkeypatch.undo()  # the check itself, not the fixture's
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+        self.counted_chunks(monkeypatch)
+        started = self.recorded_starts(monkeypatch)
+        result = run(self.CFG)
+        assert len(started) == ahead
+        inline = run(self.CFG, lambda lo, trace: None)
+        for f in fields(SimResult):
+            assert repr(getattr(result, f.name)) == repr(getattr(inline, f.name)), f.name
 
     @staticmethod
     def counted_chunks(monkeypatch, fail_on=None):
