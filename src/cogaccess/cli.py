@@ -43,7 +43,7 @@ from collections import namedtuple
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, replace
 from functools import partial
-from itertools import chain, cycle, repeat
+from itertools import chain, cycle, repeat, starmap
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
@@ -279,11 +279,11 @@ _ACCESS = {
 }
 _GRIDS = {  # tau and b_s absent: their default grids
     "lambda_p": _Key(_grid_values, 0.0, 1.0, None),
-    "tau": _Key(partial(_grid_values, default=default_tau_grid), 0.0, _SLOT, None),
+    "tau": _Key(partial(_grid_values, default=default_tau_grid), 1e-12, _SLOT, None),
     "b_s": _Key(partial(_grid_values, default=lambda _, count: default_b_s_grid(count), most=MAX_B_S_POINTS), 0.0,
                 1.0, None),
-    "p_fa": _Key(_grid_values, 0.0, 1.0, ()),
-    "p_md": _Key(_grid_values, 0.0, 1.0, ()),
+    "p_fa": _Key(_grid_values, 1e-12, 1.0 - 1e-12, ()),
+    "p_md": _Key(_grid_values, 1e-12, 1.0 - 1e-12, ()),
 }
 _SIM = {
     "slots": _Key(_integer, 1, default=100_000),
@@ -817,25 +817,31 @@ def _sweep_rows(blocks: Iterable[tuple[str, str, float, GridScan]], lambda_p_gri
     by value: a feasible S2 cell's b_s is a member, and the grid holds no two equal values (not both
     0.0 and -0.0).  An infeasible cell and every other scheme write 0.0."""
     lams = [f"{_fmt(lam)}," for lam in lambda_p_grid]
+    # a generator per block, which chain drops, with the block's scan and strings, before the next is scanned
+    return chain.from_iterable(starmap(partial(_block_rows, lams=lams, b_s_grid=b_s_grid), blocks))
+
+
+def _block_rows(scheme_name: str, kind: str, value: float, grid: GridScan, lams: list[str],
+                b_s_grid: Sequence[float]) -> Iterator[str]:
+    """One block's rows for `_sweep_rows`; `lams` are the lambda_p fields with their commas."""
     n = len(lams)
     points_per_batch, lams_per_batch = max(1, _SWEEP_ROWS // n), min(n, _SWEEP_ROWS)
-    for scheme_name, kind, value, grid in blocks:
-        heads = []  # (shown, hidden) per point, indexed by whether the cell is infeasible
-        for pt in grid.points:
-            head = f"{scheme_name},{kind},{_fmt(value)},{_fmt(pt.tau)},"
-            shown = f"{head}{_fmt(pt.p_fa)},{_fmt(pt.p_md)},"
-            heads.append((shown, shown if kind == "none" else f"{head},,"))
-        # b_s and the feasible flag, by whether the cell is infeasible and then by b_s
-        tails = ({b: f"{_fmt(b)},1\r\n" for b in (b_s_grid if scheme_name == "S2" else (0.0,))}, {0.0: "0.0,0\r\n"})
-        for j in range(0, len(heads), points_per_batch):
-            for i in range(0, n, lams_per_batch):
-                cells = slice(i, i + lams_per_batch), slice(j, j + points_per_batch)
-                columns = (~grid.feasible[cells], grid.lambda_s[cells], grid.a_s[cells], grid.b_s[cells])
-                hidden, lam_s, a_s, b_s = (chain.from_iterable(x.T.tolist()) for x in columns)  # point-major
-                lam_p = lams[i : i + lams_per_batch]
-                row_heads = chain.from_iterable(repeat(h, len(lam_p)) for h in heads[j : j + points_per_batch])
-                yield "".join([f"{h[o]}{p}{s!r},{a!r},{tails[o][b]}"
-                               for h, p, o, s, a, b in zip(row_heads, cycle(lam_p), hidden, lam_s, a_s, b_s)])
+    heads = []  # (shown, hidden) per point, indexed by whether the cell is infeasible
+    for pt in grid.points:
+        head = f"{scheme_name},{kind},{_fmt(value)},{_fmt(pt.tau)},"
+        shown = f"{head}{_fmt(pt.p_fa)},{_fmt(pt.p_md)},"
+        heads.append((shown, shown if kind == "none" else f"{head},,"))
+    # b_s and the feasible flag, by whether the cell is infeasible and then by b_s
+    tails = ({b: f"{_fmt(b)},1\r\n" for b in (b_s_grid if scheme_name == "S2" else (0.0,))}, {0.0: "0.0,0\r\n"})
+    for j in range(0, len(heads), points_per_batch):
+        for i in range(0, n, lams_per_batch):
+            cells = slice(i, i + lams_per_batch), slice(j, j + points_per_batch)
+            columns = (~grid.feasible[cells], grid.lambda_s[cells], grid.a_s[cells], grid.b_s[cells])
+            hidden, lam_s, a_s, b_s = (chain.from_iterable(x.T.tolist()) for x in columns)  # point-major
+            lam_p = lams[i : i + lams_per_batch]
+            row_heads = chain.from_iterable(repeat(h, len(lam_p)) for h in heads[j : j + points_per_batch])
+            yield "".join([f"{h[o]}{p}{s!r},{a!r},{tails[o][b]}"
+                           for h, p, o, s, a, b in zip(row_heads, cycle(lam_p), hidden, lam_s, a_s, b_s)])
 
 
 def cmd_sweep(cfg: RunConfig) -> int:

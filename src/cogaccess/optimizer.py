@@ -241,10 +241,11 @@ def _point(mode: TargetMode, params: PhyParams, tau: float) -> SensingPoint:
     return mode.at(params, tau)
 
 
-@lru_cache(maxsize=64)
-def _secondary(channel: Channel, taus: tuple[float, ...]) -> tuple[float, ...]:
-    """The secondary link's success probability at each tau, once per (channel, taus) rather than once a scan."""
-    return tuple(channel.links(tau).p_bar_s_sd for tau in taus)
+# the latest 2**14 taus, as many as `_point` keeps points: about 2.7 MiB when full (172 B a tau)
+@lru_cache(maxsize=2**14)
+def _secondary(channel: Channel, tau: float) -> float:
+    """The secondary link's success probability at tau, once per (channel, tau) rather than once a scan."""
+    return channel.links(tau).p_bar_s_sd
 
 
 # --- grid optimizers ---------------------------------------------------------
@@ -343,7 +344,7 @@ def scan(req: OptimizationRequest, lambda_p_grid: Sequence[float], channel: Chan
         raise DomainError(f"lambda_p must be in [0, 1], got {float(bad[0])!r}")
     variant = req.variant
     points = [NO_SENSING] if variant is Variant.S0 else operating_points(req.target_mode, req.tau_grid, channel)
-    p_s = _secondary(channel, tuple(p.tau for p in points))
+    p_s = [_secondary(channel, p.tau) for p in points]
     cols = np.array([[p.p_fa for p in points], [p.p_md for p in points], p_s])
     pp = channel.links(0.0).p_bar_p_pd
     b = np.array(b_s_scan_grid(req.b_s_grid))

@@ -51,17 +51,17 @@ decide) and then solved (`_chunk`: the queues and the outcomes).  An
 untraced run of more than one chunk draws on one helper thread, a chunk
 ahead of the calling thread's solve, into two sets of the drawn rows in
 turn (`_drawn_chunks`); numpy's fills and ufuncs release the interpreter
-lock, so the two overlap.  A traced run, or a run on one CPU, draws on
-the calling thread: cli's trace writer process already takes the other
-CPU, and a lone CPU would only run the two in turn.  What lives per run is
-made once, at chunk size, and every chunk uses it through views: the
-queue-size columns (with the event and feedback columns when traced), the
-chunk's drawn rows (two sets when drawn ahead, with the helper's own float
-buffer) and the other outcome rows, and the solve's scratch (`_Scratch`:
-the Lindley walk, which also takes each uniform and exponential draw of an
-inline run, the gathered open slots, and the mask and pattern rows).  What
-grows with the run is the FIFO delay's arrival bits (1 bit a slot) of the
-chunks since the oldest queued primary arrival, at most 1/8 B a slot.
+lock, so the two overlap.  A traced run, or a run of one chunk, draws on
+the calling thread; a traced run's other CPU goes to cli's trace writer
+process.  What lives per run is made once, at chunk size, and every
+chunk uses it through views: the queue-size columns (with the event and
+feedback columns when traced), the chunk's drawn rows (two sets when
+drawn ahead, with the helper's own float buffer) and the other outcome
+rows, and the solve's scratch (`_Scratch`: the Lindley walk, which also
+takes each uniform and exponential draw of an inline run, the gathered
+open slots, and the mask and pattern rows).  What grows with the run is
+the FIFO delay's arrival bits (1 bit a slot) of the chunks since the
+oldest queued primary arrival, at most 1/8 B a slot.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-import os
 import threading
 from collections import deque
 from contextlib import closing
@@ -518,12 +517,6 @@ def _drawn_chunks(cfg: SimConfig, streams: list[Generator], thresholds: tuple[fl
         helper.join()
 
 
-def _overlaps() -> bool:
-    """Whether a helper thread can run beside the calling one: this process
-    may run on more than one CPU (assumed where the platform cannot tell)."""
-    return not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) > 1
-
-
 def _trace_columns(d: _Draws, o: _Outcomes, events: np.ndarray, feedback: np.ndarray, spare: np.ndarray) -> None:
     """A chunk's trace columns from its draws and outcomes, written into
     events (the event bits) and feedback (the FB_* codes); `spare` is a
@@ -548,11 +541,10 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
     during the call only (they are views of buffers the run reuses for the
     next chunk), and an exception from the sink ends the run.
 
-    Without a sink, a run of more than one chunk on more than one CPU starts
-    one helper thread, which draws chunk k + 1 while this thread solves
-    chunk k, and joins it however the run ends; an exception in it is
-    raised here as itself.  With a sink, in one chunk, or where the process
-    may run on one CPU only, every chunk is drawn on this thread.
+    Without a sink, a run of more than one chunk starts one helper thread,
+    which draws chunk k + 1 while this thread solves chunk k, and joins it
+    however the run ends; an exception in it is raised here as itself.
+    With a sink, or in one chunk, every chunk is drawn on this thread.
     Either way the result is the same, bit for bit."""
     n = cfg.slots
     links = cfg.phy.links(cfg.scheme.sensing.tau)
@@ -585,9 +577,8 @@ def run(cfg: SimConfig, sink: Callable[[int, SimTrace], None] | None = None) -> 
     arrivals = arrival_slot_sum = acks_heard = heard = 0
     sums = (0, 0)  # sum(qp[t]) and sum(t * qp[t]), exact
 
-    # a traced run draws inline: cli's trace writer takes the other CPU; on one CPU the helper would only take
-    # turns with this thread
-    ahead = sink is None and n > size and _overlaps()
+    # a traced run draws inline: cli's trace writer process takes the other CPU
+    ahead = sink is None and n > size
     with closing(_drawn_chunks(cfg, streams, thresholds, drawn, scratch.work.view(np.float64), ahead)) as chunks:
         for lo, d in chunks:
             if n - lo < size:  # the last chunk is shorter: views of its length

@@ -132,6 +132,25 @@ class TestConfigValidation:
         assert "grids.b_s grid must be strictly increasing" in err
         assert not (tmp_path / "out").exists()
 
+    # each grid entry outside what the library takes, with the commands that read it: a tau-dependent target
+    # scans grids.tau in region, optimize and sweep, and sweep takes its target values from grids.p_fa or
+    # grids.p_md; simulate pins its target to sensing.tau and reads no grid, but checks every key present
+    @pytest.mark.parametrize("mode, key, grid, command", [
+        *[("target_pfa", "tau", grid, command) for grid in ([0.0, 0.5], {"start": 0.0, "stop": 0.5, "count": 3})
+          for command in ("region", "optimize", "sweep", "simulate")],
+        *[(mode, key, grid, "sweep") for mode, key in (("target_pfa", "p_fa"), ("target_pmd", "p_md"))
+          for grid in ([0.0, 0.2], [0.2, 1.0])],
+    ])
+    def test_grid_entry_outside_the_library_range_names_its_key(self, tmp_path, capsys, mode, key, grid, command):
+        sensing = {"mode": mode, "value": 0.2, **({"tau": 0.05} if command == "simulate" else {})}
+        doc = {"phy": PHY_DOC, "sensing": sensing, "scheme": "S2", "access": {"a_s": 0.5}, "lambda_p": 0.3,
+               "grids": {"lambda_p": [0.0, 0.3], "b_s": {"count": 5}, key: grid}, "sim": {"slots": 1_000},
+               "output_dir": str(tmp_path / "out")}
+        code, out, err = run_cli(capsys, [command, "-c", write_config(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: grids.{key}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["region", "optimize"])
     def test_grid_ends_exactly_at_stop(self, tmp_path, capsys, command):
         # 0.08 + 3 * ((1.0 - 0.08) / 3) is 1.0000000000000002
@@ -169,7 +188,7 @@ class TestConfigValidation:
         assert message in err
 
     @pytest.mark.parametrize("key, spec", [
-        *(pytest.param(key, {"start": 0.0, "stop": 0.5, "count": cli.MAX_SWEEP_CELLS + 1}, id=f"{key}-span")
+        *(pytest.param(key, {"start": 0.1, "stop": 0.5, "count": cli.MAX_SWEEP_CELLS + 1}, id=f"{key}-span")
           for key in cli._GRIDS),
         *(pytest.param(key, {"count": cli.MAX_SWEEP_CELLS + 1}, id=f"{key}-count") for key in ("tau", "b_s")),
     ])
@@ -447,7 +466,7 @@ class TestRegion:
             assert points[1].lambda_s > 0.0, name
 
     @pytest.mark.parametrize("on_phy, tau, message", [
-        (True, [0.0, 0.5], "tau grid entries must be > 0"),
+        (True, [0.0, 0.5], "grids.tau grid entries must be >= 1e-12, got 0.0"),
         (False, [0.5], "tau-dependent target modes need full PhyParams"),
     ])
     def test_config_error_leaves_no_output_directory(self, tmp_path, capsys, on_phy, tau, message):
@@ -717,10 +736,8 @@ class TestTraceWriter:
 
     def test_an_untraced_run_before_leaves_the_fork(self, tmp_path, capsys, monkeypatch, forks):
         # an untraced library run draws ahead on a helper thread and joins it, so the traced `simulate` after
-        # it in the same process still forks its writer: the other-thread fallback does not fire (the run draws
-        # ahead as on two CPUs wherever the test runs)
+        # it in the same process still forks its writer: the other-thread fallback does not fire
         monkeypatch.setattr(sim, "_SIM_CHUNK", 7)
-        monkeypatch.setattr(sim, "_overlaps", lambda: True)
         started, real = [], threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or real(thread))
         sim.run(self.CFG)
@@ -1121,6 +1138,38 @@ class TestSweep:
                 out, csv, taus = run()
             assert (out, csv) == (expected_out, expected_csv)
             assert max(taus) <= max(1, slab // 6)
+
+    def test_one_tau_slabs_read_each_secondary_link_once(self, tmp_path, capsys, monkeypatch):
+        # slabs of one tau point each (3 lambda_p, slab 3): every scheme's scans read the secondary link once a
+        # distinct tau (S0's included), and p_bar_p_pd once a scan
+        grids = {"lambda_p": [0.0, 0.2, 0.4], "tau": {"start": 0.001, "stop": 0.9, "count": 70}, "b_s": {"count": 9}}
+        path = write_config(tmp_path, self.sweep_doc(tmp_path, schemes=self.ALL_SCHEMES, grids=grids))
+        links, scans = [], []
+        real_links, real_scan = PhyParams.links, cli.scan
+        monkeypatch.setattr(PhyParams, "links", lambda *a: links.append(a[1]) or real_links(*a))
+        monkeypatch.setattr(cli, "scan", lambda *a: scans.append(a) or real_scan(*a))
+        monkeypatch.setattr(cli, "_SWEEP_SLAB", 3)
+        code, _, err = run_cli(capsys, ["sweep", "-c", path])
+        assert (code, err) == (0, "")
+        assert len(scans) == 3 * 70 + 1
+        assert len(links) <= len(set(links)) + len(scans)
+
+    def test_a_block_is_dropped_before_the_next_is_scanned(self, tmp_path):
+        # one cell and 65,536 b_s points: S2's scan and its b_s strings are the sweep's largest objects, and
+        # S0's block, scanned after S2's is dropped, adds little to the peak (tracemalloc, after the document
+        # is read); kept while S0's is scanned, S2's block put 5.25 MiB on it
+        grids = {"lambda_p": [0.3], "tau": [0.05], "b_s": {"count": cli.MAX_B_S_POINTS}}
+
+        def peak(schemes):
+            cfg = cli.load_config(write_config(tmp_path, self.sweep_doc(tmp_path, schemes=schemes, grids=grids)))
+            tracemalloc.start()
+            try:
+                assert cli.cmd_sweep(cfg) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(self.ALL_SCHEMES) - peak(["S2"]) < 2 * 2**20
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     def test_peak_memory_is_flat_in_the_cell_count(self, tmp_path):

@@ -822,31 +822,27 @@ class TestValidation:
 
 class TestSinkThread:
     """The sink is a plain call: on the calling thread, in slot order.  An
-    untraced run on more than one CPU draws ahead on one helper thread, which
-    it joins."""
+    untraced run of more than one chunk draws ahead on one helper thread,
+    which it joins."""
 
     CFG = sim_config(variant=Variant.S2, a_s=0.8, b_s=0.3, lambda_p=0.45, lambda_s=0.3, slots=300,
                      mode=SimMode.ORIGINAL, feedback_error=0.2)
 
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        """Draw ahead here on one CPU too, so that the handoff is tested wherever these tests run."""
-        monkeypatch.setattr(sim, "_overlaps", lambda: True)
-
-    @pytest.mark.parametrize("cpus, ahead", [({0}, False), ({0, 1}, True), (None, True)],
-                             ids=["one CPU", "two CPUs", "no affinity call"])
-    def test_draws_ahead_only_beside_another_cpu(self, monkeypatch, cpus, ahead):
-        # on one CPU a helper would only take turns with the solve: the run draws inline, with the same result
-        monkeypatch.undo()  # the check itself, not the fixture's
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}, None], ids=["one CPU", "two CPUs", "no affinity call"])
+    @pytest.mark.parametrize("kind, starts", [("untraced", 1), ("traced", 0), ("one chunk", 0)])
+    def test_draws_ahead_by_the_run_alone(self, monkeypatch, cpus, kind, starts):
+        # whether a run draws ahead depends on the run only, never on the CPUs the process may use, and the
+        # result is that of the same run drawn inline
         if cpus is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+        cfg = replace(self.CFG, slots=7) if kind == "one chunk" else self.CFG
         self.counted_chunks(monkeypatch)
+        inline = run(cfg, lambda lo, trace: None)
         started = self.recorded_starts(monkeypatch)
-        result = run(self.CFG)
-        assert len(started) == ahead
-        inline = run(self.CFG, lambda lo, trace: None)
+        result = run(cfg, lambda lo, trace: None) if kind == "traced" else run(cfg)
+        assert len(started) == starts
         for f in fields(SimResult):
             assert repr(getattr(result, f.name)) == repr(getattr(inline, f.name)), f.name
 
