@@ -61,7 +61,6 @@ from .optimizer import (
     b_s_scan_grid,
     default_b_s_grid,
     default_tau_grid,
-    operating_points,
     optimize,
     primary_delay,
     scan,
@@ -371,13 +370,8 @@ class RunConfig:
         target = self.target if target is None else target
         one_point = target.pinned or Variant(variant) is Variant.S0  # S0 senses nothing: it has no tau grid
         req = OptimizationRequest(variant, target, () if one_point else self.tau_grid, self.b_s_grid, self.margin)
-        if req.tau_grid:
-            try:  # the scans' points, resolved once and cached for them
-                operating_points(target, req.tau_grid, self.channel)
-            except DomainError:
-                # the ROC's arguments grow with tau: finite at the grid's last, finite at all
-                self._roc(target, req.tau_grid[-1], "grids.tau")
-                raise
+        if req.tau_grid:  # the ROC's arguments grow with tau: finite at the grid's last, finite at all
+            self._roc(target, req.tau_grid[-1], "grids.tau")
         return req
 
     def _roc(self, target: TargetMode, tau: float, tau_key: str) -> SensingPoint:
@@ -860,8 +854,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     _check_cells(cells, "sweep", "grids.lambda_p, grids.tau, or the target value lists")
     _check_load(max(cfg.lambda_p_grid), cfg.margin)
 
-    # (scheme, target kind, target value, request), in row order; each request is made, and its ROC points
-    # resolved, before any file is
+    # (scheme, target kind, target value, request), in row order; each request is made, and its ROC checked at
+    # its last tau, before any file is
     requests = [(scheme_name, mode.kind, mode.value, cfg.request(scheme_name, mode))
                 for scheme_name in sensing_schemes for mode in targets]
     if "S0" in sweep_schemes:

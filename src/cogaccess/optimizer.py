@@ -12,9 +12,9 @@ An OptimizationRequest is the problem and the primary load is where it
 is solved: every solver takes (request, load, channel).  One numpy
 kernel, `scan`, solves every access problem in the package: `optimize`,
 region tracing, sweeps and the estimator's policy.  It evaluates
-(lambda_p, tau, b_s) cells, resolving each (target mode, tau) operating
-point once, in passes of about _BLOCK elements, which bounds its
-temporaries.
+(lambda_p, tau, b_s) cells, resolving each tau's operating point and
+secondary link once a scan, in passes of about _BLOCK elements, which
+bounds its temporaries.  Nothing is kept between scans.
 The variants are pinned versions of S2 (S1: b_s = 0; Sc: also a_s = 1;
 S0: p_fa = 0, p_md = 1): the kernel has roots per variant, rates from
 `schemes.rates`, whose S1 form is not S2's at b_s = 0 (that differs in
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -152,8 +151,8 @@ class OptimizationRequest:
             raise DomainError(f"unknown target mode {self.target_mode!r}")
         object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
         object.__setattr__(self, "b_s_grid", tuple(float(b) for b in self.b_s_grid))
-        if any(t <= 0.0 for t in self.tau_grid):
-            raise DomainError("tau grid entries must be > 0 (tau = 0 is the S0 scheme)")
+        if not all(0.0 < t < math.inf for t in self.tau_grid):  # NaN fails too
+            raise DomainError("tau grid entries must be finite and > 0 (tau = 0 is the S0 scheme)")
         if list(self.tau_grid) != sorted(set(self.tau_grid)):
             raise DomainError("tau grid must be strictly increasing")
         if any(not 0.0 <= b <= 1.0 for b in self.b_s_grid):
@@ -225,27 +224,13 @@ def b_s_scan_grid(grid: Sequence[float]) -> tuple[float, ...]:
 def operating_points(mode: TargetMode, tau_grid: Sequence[float], channel: Channel) -> list[SensingPoint]:
     """Resolve a sensing mode into concrete points, one per tau of the grid
     (a FixedSensing mode ignores the grid: its point is the one point).
-    Each (mode, detector, tau) point is resolved once while it stays cached,
-    so the Sc, S1 and S2 scans of a target, and a sweep's tau slabs, share it."""
+    Each call resolves every point afresh; nothing is kept."""
     if mode.pinned:
         return [mode.point]
     params = channel.detector()
     if not tau_grid:
         raise DomainError("tau grid must be non-empty for tau-dependent target modes")
-    return [_point(mode, params, tau) for tau in tau_grid]
-
-
-# the latest 2**14 points: about 3.5 MiB when full (213 B a point); a hit takes about 0.6 us (2-CPU Intel Xeon)
-@lru_cache(maxsize=2**14)
-def _point(mode: TargetMode, params: PhyParams, tau: float) -> SensingPoint:
-    return mode.at(params, tau)
-
-
-# the latest 2**14 taus, as many as `_point` keeps points: about 2.7 MiB when full (172 B a tau)
-@lru_cache(maxsize=2**14)
-def _secondary(channel: Channel, tau: float) -> float:
-    """The secondary link's success probability at tau, once per (channel, tau) rather than once a scan."""
-    return channel.links(tau).p_bar_s_sd
+    return [mode.at(params, tau) for tau in tau_grid]
 
 
 # --- grid optimizers ---------------------------------------------------------
@@ -336,15 +321,16 @@ def _cells(variant, lam, p_fa, p_md, p_s, pp, margin, b):
 
 def scan(req: OptimizationRequest, lambda_p_grid: Sequence[float], channel: Channel) -> GridScan:
     """Solve the request at every (lambda_p, tau) cell of `lambda_p_grid` and
-    its tau grid.  Operating points are resolved once, and the cells are
-    evaluated in passes of about _BLOCK elements."""
+    its tau grid.  Each tau's operating point and secondary link are
+    resolved once a scan, and the cells are evaluated in passes of about
+    _BLOCK elements."""
     lam = np.asarray(lambda_p_grid, dtype=float)
     bad = lam[~((lam >= 0.0) & (lam <= 1.0))]
     if bad.size:
         raise DomainError(f"lambda_p must be in [0, 1], got {float(bad[0])!r}")
     variant = req.variant
     points = [NO_SENSING] if variant is Variant.S0 else operating_points(req.target_mode, req.tau_grid, channel)
-    p_s = [_secondary(channel, p.tau) for p in points]
+    p_s = [channel.links(p.tau).p_bar_s_sd for p in points]
     cols = np.array([[p.p_fa for p in points], [p.p_md for p in points], p_s])
     pp = channel.links(0.0).p_bar_p_pd
     b = np.array(b_s_scan_grid(req.b_s_grid))

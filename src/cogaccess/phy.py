@@ -183,7 +183,10 @@ def roc_from_threshold(params: PhyParams, epsilon: float, tau: float) -> Sensing
 
 @lru_cache(maxsize=64)
 def _target_q_inv(p: float) -> float:
-    """q_inv of a ROC target, a 20 us bisection, once per target rather than once per tau."""
+    """q_inv of a ROC target, a 20 us bisection, once per target rather than once per tau.
+
+    It is the package's one ROC cache because it pays: without it, perfbench's `run_s` rose 0.0267 -> 0.0293 s
+    on `sweep-tau` and 0.0104 -> 0.0118 s on `region-union` (2-CPU Intel Xeon)."""
     return q_inv(p)
 
 

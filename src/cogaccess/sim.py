@@ -139,16 +139,18 @@ class SimConfig:
     initial_qs: int = 0
 
     def __post_init__(self) -> None:
-        if self.slots < 1:
-            raise DomainError(f"slots must be >= 1, got {self.slots!r}")
+        for name, lo in (("slots", 1), ("seed", 0), ("initial_qp", 0), ("initial_qs", 0)):
+            value = getattr(self, name)
+            # an int or a numpy integer (what operator.index takes), but not a bool
+            if isinstance(value, bool) or not hasattr(type(value), "__index__") or operator.index(value) < lo:
+                raise DomainError(f"SimConfig.{name} must be an integer >= {lo}, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         for name in ("lambda_p", "lambda_s"):
             value = getattr(self, name)
             if not (math.isfinite(value) and 0.0 <= value <= 1.0):
                 raise DomainError(f"SimConfig.{name} must be in [0, 1], got {value!r}")
         if not (0.0 <= self.feedback_error < 1.0):
             raise DomainError(f"feedback_error must be in [0, 1), got {self.feedback_error!r}")
-        if self.initial_qp < 0 or self.initial_qs < 0:
-            raise DomainError("initial queue sizes must be >= 0")
 
 
 @dataclass(frozen=True)

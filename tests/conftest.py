@@ -1,11 +1,11 @@
-"""Every test starts with the package's caches empty, so that none depends on what an earlier test left there."""
+"""Every test starts with the ROC targets' q_inv cache empty, so that none depends on what an earlier test left
+there."""
 
 import pytest
 
-from cogaccess import optimizer, phy
+from cogaccess import phy
 
 
 @pytest.fixture(autouse=True)
 def empty_caches():
-    for cache in (optimizer._point, optimizer._secondary, phy._target_q_inv):
-        cache.cache_clear()
+    phy._target_q_inv.cache_clear()

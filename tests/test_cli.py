@@ -987,8 +987,9 @@ class TestSweep:
         return doc
 
     def test_benchmark_sweep_resolves_each_roc_point_once(self, tmp_path, capsys, monkeypatch):
-        # the seed-1 `sweep-tau` benchmark document: 3 p_fa targets x 24 taus are 72 distinct ROC points, and
-        # the config check reads them from the cache the Sc, S1 and S2 scans share (it made 9 more calls)
+        # the seed-1 `sweep-tau` benchmark document: 3 p_fa targets x 24 taus are 72 distinct ROC points; each
+        # of the 9 requests (a target's Sc, S1 or S2) checks its last tau's point once and its scan resolves
+        # each of its 24 points once
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         import workloads
 
@@ -999,7 +1000,7 @@ class TestSweep:
         path = write_config(tmp_path, dict(op.doc, output_dir=str(tmp_path / "out")), "config.json")
         code, _, err = run_cli(capsys, ["sweep", "-c", path])
         assert (code, err) == (0, "")
-        assert len(calls) == len(set(calls)) == 72
+        assert (len(calls), len(set(calls))) == (9 * (1 + 24), 72)
 
     def test_sweep_writes_long_csv(self, tmp_path, capsys):
         doc = self.sweep_doc(tmp_path)
@@ -1104,32 +1105,33 @@ class TestSweep:
         assert all(r.split(",")[-1] == str(int(float(r.split(",")[6]) == 0.0)) for r in rows)
 
     ALL_SCHEMES = ["Sc", "S1", "S2", "S0", "UNION"]
-    # (document keys, distinct (target, tau) points) for 6 lambda_p and 4 tau
+    # (document keys, distinct (target, tau) points, ROC calls) for 6 lambda_p and 4 tau: each sensing request
+    # checks its last tau once and resolves each tau once in the slab that holds it
     SLAB_DOCS = {
-        "every scheme at two p_fa targets": ({"schemes": ALL_SCHEMES, "grids": {"p_fa": [0.1, 0.2]}}, 2 * 4),
+        "every scheme at two p_fa targets": ({"schemes": ALL_SCHEMES, "grids": {"p_fa": [0.1, 0.2]}}, 2 * 4,
+                                             3 * 2 * (1 + 4)),
         "fixed point": ({"schemes": ALL_SCHEMES,
-                         "sensing": {"mode": "fixed_point", "tau": 0.05, "p_fa": 0.2, "p_md": 0.3}}, 0),
-        "S0 only": ({"schemes": ["S0"]}, 0),
+                         "sensing": {"mode": "fixed_point", "tau": 0.05, "p_fa": 0.2, "p_md": 0.3}}, 0, 0),
+        "S0 only": ({"schemes": ["S0"]}, 0, 0),
     }
 
     @pytest.mark.parametrize("name", SLAB_DOCS)
     def test_slabs_write_what_one_slab_writes(self, name, tmp_path, capsys, monkeypatch):
         # slabs of one tau point (1 to 7 cells), of three (18 cells: 3 + 1 tau) and of every point (unpatched)
-        # write the same bytes, and each (target, tau) point is resolved once
-        keys, distinct = self.SLAB_DOCS[name]
+        # write the same bytes and resolve the same ROC points, as many times
+        keys, distinct, calls = self.SLAB_DOCS[name]
         grids = {"lambda_p": {"start": 0.0, "stop": 0.5, "count": 6}, "tau": [0.001, 0.01, 0.5, 0.9],
                  "b_s": {"count": 5}, **keys.pop("grids", {})}
         path = write_config(tmp_path, self.sweep_doc(tmp_path, grids=grids, **keys))
         real_roc, real_scan = optimizer.pmd_for_target_pfa, cli.scan
 
         def run():
-            optimizer._point.cache_clear()
             roc, taus = [], []
             monkeypatch.setattr(optimizer, "pmd_for_target_pfa", lambda *a: roc.append(a) or real_roc(*a))
             monkeypatch.setattr(cli, "scan", lambda req, *a: taus.append(len(req.tau_grid)) or real_scan(req, *a))
             code, out, err = run_cli(capsys, ["sweep", "-c", path])
             assert (code, err) == (0, "")
-            assert len(roc) == len(set(roc)) == distinct
+            assert (len(roc), len(set(roc))) == (calls, distinct)
             return out, Path(json.loads(out)["file"]).read_bytes(), taus
 
         expected_out, expected_csv, _ = run()
@@ -1138,21 +1140,6 @@ class TestSweep:
                 out, csv, taus = run()
             assert (out, csv) == (expected_out, expected_csv)
             assert max(taus) <= max(1, slab // 6)
-
-    def test_one_tau_slabs_read_each_secondary_link_once(self, tmp_path, capsys, monkeypatch):
-        # slabs of one tau point each (3 lambda_p, slab 3): every scheme's scans read the secondary link once a
-        # distinct tau (S0's included), and p_bar_p_pd once a scan
-        grids = {"lambda_p": [0.0, 0.2, 0.4], "tau": {"start": 0.001, "stop": 0.9, "count": 70}, "b_s": {"count": 9}}
-        path = write_config(tmp_path, self.sweep_doc(tmp_path, schemes=self.ALL_SCHEMES, grids=grids))
-        links, scans = [], []
-        real_links, real_scan = PhyParams.links, cli.scan
-        monkeypatch.setattr(PhyParams, "links", lambda *a: links.append(a[1]) or real_links(*a))
-        monkeypatch.setattr(cli, "scan", lambda *a: scans.append(a) or real_scan(*a))
-        monkeypatch.setattr(cli, "_SWEEP_SLAB", 3)
-        code, _, err = run_cli(capsys, ["sweep", "-c", path])
-        assert (code, err) == (0, "")
-        assert len(scans) == 3 * 70 + 1
-        assert len(links) <= len(set(links)) + len(scans)
 
     def test_a_block_is_dropped_before_the_next_is_scanned(self, tmp_path):
         # one cell and 65,536 b_s points: S2's scan and its b_s strings are the sweep's largest objects, and
@@ -1175,7 +1162,7 @@ class TestSweep:
     def test_peak_memory_is_flat_in_the_cell_count(self, tmp_path):
         # a sweep scans, writes and drops one slab of cells at a time: its 1,041,600 cells peak no higher than
         # 10,416 cells of the same document at 12 lambda_p (VmHWM of fresh interpreters), and both resolve
-        # each of their 289 ROC points once
+        # their 289 ROC points the same way: each of the 3 p_fa requests checks its last tau and scans all 289
         doc = yaml.safe_load((Path(__file__).parent.parent / "configs" / "sweep_sensing_durations.yaml").read_text())
         doc.update(schemes=["S2", "S1", "Sc", "S0"], output_dir=str(tmp_path / "out"))
         src = str(Path(cli.__file__).resolve().parent.parent)
@@ -1195,7 +1182,7 @@ class TestSweep:
             assert proc.returncode == 0, proc.stderr
             assert json.loads(proc.stdout)["rows"] == (3 * 289 + 1) * count
             peak, calls, distinct = map(int, proc.stderr.split())
-            assert calls == distinct == 289
+            assert (calls, distinct) == (3 * 290, 289)
             return peak
 
         assert peak_kib(1_200) - peak_kib(12) <= 1024

@@ -366,6 +366,15 @@ class TestRequestValidation:
         with pytest.raises(DomainError):
             OptimizationRequest(Variant.S1, BENCH_MODE, tau_grid=(0.2, 0.1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("mode", [FixedFalseAlarm(0.2), BENCH_MODE], ids=["tau-dependent", "pinned"])
+    @pytest.mark.parametrize("variant", [Variant.S2, Variant.S0])
+    def test_tau_grid_must_be_finite(self, bad, mode, variant):
+        # NaN passes both `t <= 0` and the sort check; a pinned or S0 request would keep it silently
+        for grid in ((bad,), (0.1, bad)):
+            with pytest.raises(DomainError, match="tau grid entries must be finite"):
+                OptimizationRequest(variant, mode, tau_grid=grid)
+
     @pytest.mark.parametrize("variant", [Variant.S2, Variant.S0])
     def test_unknown_target_mode_rejected(self, variant):
         with pytest.raises(DomainError, match="unknown target mode 'target_pfa'"):

@@ -819,6 +819,19 @@ class TestValidation:
         with pytest.raises(DomainError):
             sim_config(feedback_error=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("slots", 2.5), ("slots", True), ("slots", "10"), ("seed", 1.0), ("seed", False),
+        ("initial_qp", 2.5), ("initial_qp", -1), ("initial_qs", np.float64(3.0)), ("initial_qs", np.True_),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(DomainError, match=f"SimConfig.{field} must be an integer"):
+            replace(sim_config(), **{field: value})
+
+    def test_numpy_integer_counts_are_taken_as_ints(self):
+        cfg = replace(sim_config(), slots=np.int64(300), seed=np.uint8(7), initial_qp=np.int32(2), initial_qs=0)
+        assert [type(x) for x in (cfg.slots, cfg.seed, cfg.initial_qp)] == [int] * 3
+        assert cfg == replace(sim_config(), slots=300, seed=7, initial_qp=2)
+
 
 class TestSinkThread:
     """The sink is a plain call: on the calling thread, in slot order.  An
