@@ -476,6 +476,11 @@ def load_config(path: str | Path, overrides: dict[str, Any] | None = None) -> Ru
 
 # --- output helpers ------------------------------------------------------------
 
+# region and sweep CSV rows formatted to one string (for sweep, whole points where a point has fewer rows).
+# A few hundred rows keep the batch's strings within memory the run has already touched: batches of 4,096
+# raised a 10,416-cell sweep's peak RSS by about 0.5 MiB, and 128 rows by 0.04.
+_SWEEP_ROWS = 128
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -580,10 +585,11 @@ def cmd_region(cfg: RunConfig) -> int:
             path = cfg.output_dir / f"region_{name}.csv"
             with create(path) as fh:
                 fh.write("lambda_p,lambda_s,scheme,tau,a_s,b_s\r\n")
-                fh.writelines(f"{_fmt(p.lambda_p)},{_fmt(p.lambda_s)},{p.scheme},{_fmt(p.tau)},"
-                              f"{_fmt(p.a_s)},{_fmt(p.b_s)}\r\n" for p in curve.points)
+                for i in range(0, len(curve.lambda_p), _SWEEP_ROWS):
+                    rows = zip(*(column[i : i + _SWEEP_ROWS].tolist() for column in curve[1:]))
+                    fh.write("".join([f"{p!r},{s!r},{v},{t!r},{a!r},{b!r}\r\n" for p, s, v, t, a, b in rows]))
             summary["files"][name] = str(path)
-            summary["max_boundary"][name] = max(p.lambda_s for p in curve.points)
+            summary["max_boundary"][name] = float(curve.lambda_s.max())
     _emit_json(summary)
     return 0
 
@@ -791,11 +797,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
     return 0
 
 
-# rows formatted to one string: whole points where a point has fewer rows, else part of one.  A few
-# hundred rows keep the batch's strings within memory the run has already touched: batches of 4,096
-# raised a 10,416-cell sweep's peak RSS by about 0.5 MiB, and 128 rows by 0.04.
-_SWEEP_ROWS = 128
-
 # (lambda_p, tau) cells a sweep scans, writes and drops at a time: whole tau points, at least one.  A scan
 # holds 33 B a cell: with 4,096-cell slabs, a 1,041,600-cell sweep peaked 0.2-0.35 MiB above a 10,416-cell
 # one (VmHWM), and with 16,384-cell slabs 1.0 MiB above.
@@ -845,14 +846,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     # a target's axis takes the values of its grid where the document gives one, else the target's own
     target = cfg.target
     values = {"p_fa": cfg.p_fa_values, "p_md": cfg.p_md_values}.get(target.kind)
-    targets = [replace(target, **{target.kind: v}) for v in values] if values else [target]
 
     sweep_schemes = [s for s in cfg.schemes if s != UNION] or ["S2", "S0"]
     sensing_schemes = [s for s in sweep_schemes if s != "S0"]
     n_tau = 1 if target.pinned else len(cfg.tau_grid)
-    cells = (len(sensing_schemes) * len(targets) * n_tau + ("S0" in sweep_schemes)) * len(cfg.lambda_p_grid)
+    n_targets = len(values) if values else 1
+    cells = (len(sensing_schemes) * n_targets * n_tau + ("S0" in sweep_schemes)) * len(cfg.lambda_p_grid)
     _check_cells(cells, "sweep", "grids.lambda_p, grids.tau, or the target value lists")
     _check_load(max(cfg.lambda_p_grid), cfg.margin)
+    targets = [replace(target, **{target.kind: v}) for v in values] if values else [target]
 
     # (scheme, target kind, target value, request), in row order; each request is made, and its ROC checked at
     # its last tau, before any file is

@@ -54,7 +54,6 @@ __all__ = [
     "OptimizationRequest",
     "TauResult",
     "OptimizationResult",
-    "RegionPoint",
     "RegionCurve",
     "UNION",
     "default_tau_grid",
@@ -178,27 +177,19 @@ class OptimizationResult:
     designed_delay_bound: float  # (1 - lambda_p)/margin, inf at margin 0
 
 
-@dataclass(frozen=True)
-class RegionPoint:
-    lambda_p: float
-    lambda_s: float
+class RegionCurve(NamedTuple):
+    """A stability-region boundary, one column entry per lambda_p: the
+    largest stable secondary rate, the scheme that reaches it (for UNION,
+    the winner of S0 and S2) and its tau, a_s and b_s.  An infeasible
+    lambda_p has a zero rate and a silent policy (tau = a_s = b_s = 0)."""
+
     scheme: str
-    tau: float
-    a_s: float
-    b_s: float
-
-
-@dataclass(frozen=True)
-class RegionCurve:
-    scheme: str
-    points: tuple[RegionPoint, ...]
-
-    def __post_init__(self) -> None:
-        lams = [p.lambda_p for p in self.points]
-        if lams != sorted(set(lams)):
-            raise DomainError("region curve lambda_p values must be strictly increasing")
-        if any(p.lambda_s < 0.0 for p in self.points):
-            raise DomainError("region boundary values must be non-negative")
+    lambda_p: np.ndarray
+    lambda_s: np.ndarray
+    schemes: np.ndarray
+    tau: np.ndarray
+    a_s: np.ndarray
+    b_s: np.ndarray
 
 
 def default_tau_grid(slot_duration: float, count: int = 64) -> tuple[float, ...]:
@@ -384,20 +375,21 @@ def trace_region(req: OptimizationRequest, lambda_p_grid: Sequence[float], chann
 
     Infeasible points map to a zero boundary with a silent policy.
     """
-    grid = [float(x) for x in lambda_p_grid]
-    if not grid or grid != sorted(set(grid)):
+    lam = np.array(lambda_p_grid, dtype=float)
+    if lam.ndim != 1 or not lam.size or not (np.diff(lam) > 0.0).all():
         raise DomainError("lambda_p grid must be non-empty and strictly increasing")
-    res, name = scan(req, grid, channel), req.variant.value
-    points = tuple(
-        RegionPoint(lam, float(res.lambda_s[i, j]), name, res.points[j].tau, float(res.a_s[i, j]), float(res.b_s[i, j]))
-        if feasible else RegionPoint(lam, 0.0, name, 0.0, 0.0, 0.0)
-        for i, (lam, j, feasible) in enumerate(zip(grid, *res.best()))
-    )
-    return RegionCurve(scheme=name, points=points)
+    res, name = scan(req, lam, channel), req.variant.value
+    j, ok = res.best()
+    i = np.arange(lam.size)
+    tau = np.array([p.tau for p in res.points])[j]
+    a_s, b_s, lam_s = (np.where(ok, x[i, j], 0.0) for x in (res.a_s, res.b_s, res.lambda_s))
+    return RegionCurve(name, lam, lam_s, np.full(lam.size, name), np.where(ok, tau, 0.0), a_s, b_s)
 
 
 def union_curve(s0: RegionCurve, s2: RegionCurve) -> RegionCurve:
-    """Pointwise maximum of traced S0 and S2 curves, each point labelled with
-    the winning scheme (ties prefer S0: no sensing at equal throughput)."""
-    points = tuple(p2 if p2.lambda_s > p0.lambda_s else p0 for p0, p2 in zip(s0.points, s2.points))
-    return RegionCurve(scheme=UNION, points=points)
+    """Pointwise maximum of S0 and S2 curves traced on one lambda_p grid, each point
+    labelled with the winning scheme (ties prefer S0: no sensing at equal throughput)."""
+    if not np.array_equal(s0.lambda_p, s2.lambda_p):
+        raise DomainError("union_curve needs S0 and S2 curves on the same lambda_p grid")
+    wins = s2.lambda_s > s0.lambda_s
+    return RegionCurve(UNION, s0.lambda_p, *(np.where(wins, c2, c0) for c0, c2 in zip(s0[2:], s2[2:])))

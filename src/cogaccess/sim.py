@@ -149,6 +149,9 @@ class SimConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and 0.0 <= value <= 1.0):
                 raise DomainError(f"SimConfig.{name} must be in [0, 1], got {value!r}")
+        if self.mode not in list(SimMode):  # a member or its value (SimMode is a str Enum)
+            raise DomainError(f"SimConfig.mode must be 'original' or 'dominant', got {self.mode!r}")
+        object.__setattr__(self, "mode", SimMode(self.mode))
         if not (0.0 <= self.feedback_error < 1.0):
             raise DomainError(f"feedback_error must be in [0, 1), got {self.feedback_error!r}")
 

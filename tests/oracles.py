@@ -27,7 +27,6 @@ from cogaccess.optimizer import (
     OptimizationRequest,
     OptimizationResult,
     RegionCurve,
-    RegionPoint,
     TauResult,
     b_s_scan_grid,
     operating_points,
@@ -619,7 +618,7 @@ def trace_region_loop(
     if not union:
         scheme = Variant(scheme)
 
-    points = []
+    rows = []  # (lambda_p, lambda_s, scheme, tau, a_s, b_s) per lambda_p
     for lam in grid:
         if union:
             candidates = [
@@ -635,21 +634,16 @@ def trace_region_loop(
             res = OPTIMIZERS_LOOP[scheme](replace(req, variant=scheme), lam, channel)
         if res.feasible:
             cfg = res.best
-            points.append(
-                RegionPoint(
-                    lambda_p=lam,
-                    lambda_s=res.lambda_s_max,
-                    scheme=label,
-                    tau=cfg.sensing.tau,
-                    a_s=cfg.a_s,
-                    b_s=cfg.b_s,
-                )
-            )
+            rows.append((lam, res.lambda_s_max, label, cfg.sensing.tau, cfg.a_s, cfg.b_s))
         else:
-            points.append(
-                RegionPoint(lambda_p=lam, lambda_s=0.0, scheme=label, tau=0.0, a_s=0.0, b_s=0.0)
-            )
-    return RegionCurve(scheme=UNION if union else scheme.value, points=tuple(points))
+            rows.append((lam, 0.0, label, 0.0, 0.0, 0.0))
+    return RegionCurve(UNION if union else scheme.value, *(np.array(column) for column in zip(*rows)))
+
+
+def curve_values(curve: RegionCurve) -> tuple:
+    """A region curve's name and its columns as lists of each value's repr, so that two curves compare
+    equal when every value is the same, the sign of a zero too (an array's own repr rounds)."""
+    return (curve.scheme, *([repr(x) for x in column.tolist()] for column in curve[1:]))
 
 
 def _fmt(x: float) -> str:

@@ -191,12 +191,12 @@ def test_criterion_05_region_structure():
     s2_forced = trace_region(replace(base, b_s_grid=(0.0,)), lams, BENCH_LINKS)
     s0 = trace_region(replace(base, variant=Variant.S0), lams, BENCH_LINKS)
     union = union_curve(s0, s2)
-    for p2, p1, pf, pu, p0 in zip(s2.points, s1.points, s2_forced.points, union.points, s0.points):
-        assert p2.lambda_s >= p1.lambda_s - 1e-15
-        assert p1.lambda_s >= 0.0
-        assert abs(pf.lambda_s - p1.lambda_s) <= 1e-12
-        assert pu.lambda_s >= p2.lambda_s - 1e-15
-        assert pu.lambda_s >= p0.lambda_s - 1e-15
+    for p2, p1, pf, pu, p0 in zip(*(c.lambda_s.tolist() for c in (s2, s1, s2_forced, union, s0))):
+        assert p2 >= p1 - 1e-15
+        assert p1 >= 0.0
+        assert abs(pf - p1) <= 1e-12
+        assert pu >= p2 - 1e-15
+        assert pu >= p0 - 1e-15
 
     perfect = SensingPoint(tau=0.05, p_fa=0.0, p_md=0.0)
     req = replace(base, target_mode=FixedSensing(perfect))
@@ -204,9 +204,9 @@ def test_criterion_05_region_structure():
         trace_region(replace(req, variant=v), tuple(float(x) for x in np.linspace(0.0, 0.89, 50)), BENCH_LINKS)
         for v in (Variant.SC, Variant.S1, Variant.S2)
     ]
-    for pc, p1, p2 in zip(*[c.points for c in curves]):
-        assert abs(pc.lambda_s - p1.lambda_s) <= 1e-12
-        assert abs(pc.lambda_s - p2.lambda_s) <= 1e-12
+    for pc, p1, p2 in zip(*[c.lambda_s.tolist() for c in curves]):
+        assert abs(pc - p1) <= 1e-12
+        assert abs(pc - p2) <= 1e-12
     announce(5, "region nesting, b_s=0 collapse, union dominance, degenerate-sensor collapse")
 
 
@@ -221,7 +221,7 @@ def test_criterion_06_monotonicity():
         assert all(b <= a + 1e-15 for a, b in zip(series, series[1:]))
     for scheme in (Variant.SC, Variant.S1, Variant.S2, Variant.S0, "UNION"):
         curve = region_curve(scheme, lams, base, BENCH_LINKS)
-        vals = [p.lambda_s for p in curve.points]
+        vals = curve.lambda_s.tolist()
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:])), scheme
     announce(6, "a_s*(lambda_p) and optimized boundaries non-increasing for all schemes")
 

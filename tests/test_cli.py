@@ -459,11 +459,11 @@ class TestRegion:
         assert set(files) == {"Sc", "S1", "S2", "S0", "UNION"}
         req = OptimizationRequest(Variant.S2, FixedThreshold(1.03), TAUS, default_b_s_grid(5))
         for name, path in files.items():
-            points = region_curve(name, LAMBDAS, req, PHY).points
+            curve = region_curve(name, LAMBDAS, req, PHY)
             assert Path(path).read_text().splitlines()[1:] == [
-                f"{p.lambda_p!r},{p.lambda_s!r},{p.scheme},{p.tau!r},{p.a_s!r},{p.b_s!r}" for p in points
+                f"{p!r},{s!r},{v},{t!r},{a!r},{b!r}" for p, s, v, t, a, b in zip(*(c.tolist() for c in curve[1:]))
             ], name
-            assert points[1].lambda_s > 0.0, name
+            assert curve.lambda_s[1] > 0.0, name
 
     @pytest.mark.parametrize("on_phy, tau, message", [
         (True, [0.0, 0.5], "grids.tau grid entries must be >= 1e-12, got 0.0"),
@@ -500,6 +500,26 @@ class TestRegion:
         else:
             assert (code, err) == (0, "")
             assert json.loads(out)["points_per_curve"] == 10_001
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_peak_memory_per_lambda_p_point(self, tmp_path):
+        # a curve is six columns, about 48 B a lambda_p point: five curves of 100,000 points peak within
+        # 48 MiB of 1,000 points of the same document (VmHWM of fresh interpreters)
+        doc = {"channel": {"p_bar_p_pd": 0.9, "p_bar_s_sd": 0.8}, "schemes": ["Sc", "S1", "S2", "S0", "UNION"],
+               "sensing": {"mode": "fixed_point", "tau": 0.05, "p_fa": 0.2, "p_md": 0.3}, "output_dir": "out"}
+        script = ("import sys; from cogaccess import cli; code = cli.main(sys.argv[1:]);"
+                  "print(code, [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')][0],"
+                  "file=sys.stderr)")
+
+        def peak_kib(count):
+            doc["grids"] = {"lambda_p": {"start": 0.0, "stop": 0.63, "count": count}, "b_s": {"count": 33}}
+            config = write_config(tmp_path, doc, "config.json")
+            proc = run_module(["-c", script, "region", "-c", config], tmp_path, capture_output=True, text=True)
+            code, peak = map(int, proc.stderr.split())
+            assert code == 0 and json.loads(proc.stdout)["points_per_curve"] == count
+            return peak
+
+        assert peak_kib(100_000) - peak_kib(1_000) <= 48 * 1024
 
     def test_cell_bound_is_inclusive(self):
         cli._check_cells(cli.MAX_SWEEP_CELLS, "region", "grids.tau")
@@ -1079,6 +1099,19 @@ class TestSweep:
         assert code == 2
         assert "shrink" in err
 
+    def test_target_list_past_the_cap_rejected_before_any_target_is_made(self, tmp_path, capsys, monkeypatch):
+        # a million p_fa targets x 64 tau x 2,000 lambda_p: the cap is checked on the list's length, before one
+        # target a value is made
+        doc = self.sweep_doc(tmp_path, grids={"lambda_p": {"start": 0.0, "stop": 0.5, "count": 2_000},
+                                              "tau": {"count": 64}, "b_s": {"count": 3},
+                                              "p_fa": {"start": 0.01, "stop": 0.5, "count": 1_000_000}})
+        calls, real = [], cli.replace
+        monkeypatch.setattr(cli, "replace", lambda *a, **k: calls.append(a) or real(*a, **k))
+        code, out, err = run_cli(capsys, ["sweep", "-c", write_config(tmp_path, doc, "config.json")])
+        assert (code, out, calls) == (2, "", [])
+        assert (f"sweep would evaluate 128000002000 cells (> {cli.MAX_SWEEP_CELLS}); "
+                "shrink grids.lambda_p, grids.tau, or the target value lists") in err
+
     def test_margin_past_one_packet_per_slot_rejected_before_writing(self, tmp_path, capsys):
         # lambda_p reaches 0.5, so margin 0.6 overloads the last column
         doc = self.sweep_doc(tmp_path, margin=0.6)
@@ -1459,8 +1492,10 @@ class TestOutputDir:
             (out / name).unlink()
             (out / name).mkdir()
             failing, strerror = name, "Is a directory"
-        else:  # the fifth write of the run fails: mid-file, in region's second file
+        else:  # the fifth write of the run fails: mid-file, in region's second file, which writes a row a write
             monkeypatch.setattr(sim, "_TRACE_CSV_CHUNK", 100)
+            if command == "region":
+                monkeypatch.setattr(cli, "_SWEEP_ROWS", 1)
             monkeypatch.setattr(cli, "open", full_disk_after(4), raising=False)
             strerror = os.strerror(errno.ENOSPC)
         before = {path: path.is_file() and path.read_bytes() for path in out.rglob("*")}

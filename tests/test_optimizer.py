@@ -22,6 +22,7 @@ from cogaccess.schemes import SchemeConfig, Variant, service_rates
 
 from oracles import (
     OPTIMIZERS_LOOP,
+    curve_values,
     gain_for_success_prob,
     grid_max_access,
     optimal_as_s0,
@@ -291,10 +292,10 @@ class TestRegionTracing:
         s2 = trace_region(req, self.LAMBDAS, BENCH_LINKS)
         s0 = trace_region(replace(req, variant=Variant.S0), self.LAMBDAS, BENCH_LINKS)
         union = union_curve(s0, s2)
-        for u, a, b in zip(union.points, s2.points, s0.points):
-            assert u.lambda_s >= a.lambda_s - 1e-15
-            assert u.lambda_s >= b.lambda_s - 1e-15
-            assert u.lambda_s == pytest.approx(max(a.lambda_s, b.lambda_s), abs=1e-15)
+        for u, a, b in zip(*(c.lambda_s.tolist() for c in (union, s2, s0))):
+            assert u >= a - 1e-15
+            assert u >= b - 1e-15
+            assert u == pytest.approx(max(a, b), abs=1e-15)
 
     def test_union_is_the_union_without_zero_in_b_s_grid(self):
         # the S2 scan always includes b_s = 0 (S1 is S2 with b_s = 0), so a
@@ -302,7 +303,7 @@ class TestRegionTracing:
         lambdas = tuple(0.63 / 63 * i for i in range(64))
         req = bench_request(Variant.S2, b_s_grid=(0.5, 1.0))
         curves = {
-            scheme: [p.lambda_s for p in region_curve(scheme, lambdas, req, BENCH_LINKS).points]
+            scheme: region_curve(scheme, lambdas, req, BENCH_LINKS).lambda_s.tolist()
             for scheme in (Variant.SC, Variant.S1, Variant.S2, Variant.S0, "UNION")
         }
         for i in range(len(lambdas)):
@@ -319,15 +320,15 @@ class TestRegionTracing:
         req = bench_request(Variant.S2, b_s_grid=default_b_s_grid())
         for scheme in (Variant.SC, Variant.S1, Variant.S2, Variant.S0, "UNION"):
             curve = region_curve(scheme, self.LAMBDAS, req, BENCH_LINKS)
-            vals = [p.lambda_s for p in curve.points]
+            vals = curve.lambda_s.tolist()
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_curves_reach_zero_at_capacity(self):
         req = bench_request(Variant.SC)
         curve = trace_region(req, (0.0, 0.3, 0.63), BENCH_LINKS)
-        assert curve.points[-1].lambda_s == pytest.approx(0.0, abs=1e-12)
+        assert curve.lambda_s[-1] == pytest.approx(0.0, abs=1e-12)
         s0 = trace_region(bench_request(Variant.S0), (0.0, 0.45, 0.9), BENCH_LINKS)
-        assert s0.points[-1].lambda_s == pytest.approx(0.0, abs=1e-12)
+        assert s0.lambda_s[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_switch_policy_records_argmax(self):
         req = bench_request(Variant.S2, b_s_grid=default_b_s_grid())
@@ -335,9 +336,10 @@ class TestRegionTracing:
         s0 = trace_region(replace(req, variant=Variant.S0), self.LAMBDAS, BENCH_LINKS)
         union = union_curve(s0, s2)
         # the union's points carry the winning scheme's label, tau, a_s and b_s
-        assert len(union.points) == len(self.LAMBDAS)
-        for point, a, b in zip(union.points, s2.points, s0.points):
-            assert point == (a if a.lambda_s > b.lambda_s else b)
+        assert union.scheme == "UNION" and union.lambda_p.tolist() == list(self.LAMBDAS)
+        rows = (list(zip(*(column.tolist() for column in c[1:]))) for c in (union, s2, s0))
+        for point, a, b in zip(*rows, strict=True):
+            assert point == (a if a[1] > b[1] else b)
 
     def test_sensing_free_scheme_can_beat_long_sensing(self):
         phy = tradeoff_phy()
@@ -348,7 +350,7 @@ class TestRegionTracing:
         lams = tuple(float(x) for x in np.linspace(0.0, 0.6, 13))
         s2_long = trace_region(req, lams, phy)
         s0 = trace_region(replace(req, variant=Variant.S0), lams, phy)
-        wins = [b.lambda_s > a.lambda_s for a, b in zip(s2_long.points, s0.points)]
+        wins = [b > a for a, b in zip(s2_long.lambda_s.tolist(), s0.lambda_s.tolist())]
         assert any(wins)
 
     def test_invalid_grid_rejected(self):
@@ -357,6 +359,16 @@ class TestRegionTracing:
             trace_region(req, (), BENCH_LINKS)
         with pytest.raises(DomainError):
             trace_region(req, (0.3, 0.1), BENCH_LINKS)
+        with pytest.raises(DomainError, match="non-empty and strictly increasing"):
+            trace_region(req, ((0.1, 0.2), (0.3, 0.4)), BENCH_LINKS)
+
+    def test_union_needs_one_lambda_p_grid(self):
+        # S0 and S2 curves on different grids have no pointwise maximum
+        req = bench_request(Variant.S2, b_s_grid=default_b_s_grid())
+        s0 = trace_region(replace(req, variant=Variant.S0), (0.1, 0.2), BENCH_LINKS)
+        for lams in ((0.0, 0.3, 0.5), (0.1, 0.3), (0.1,)):
+            with pytest.raises(DomainError, match="same lambda_p grid"):
+                union_curve(s0, trace_region(req, lams, BENCH_LINKS))
 
 
 class TestRequestValidation:
@@ -393,7 +405,8 @@ class TestRequestValidation:
                                                       b_s_grid=default_b_s_grid(5)) for v in (variant.value, variant))
             assert by_name == by_member and by_name.variant is variant
             assert repr(optimize(by_name, 0.05, links)) == repr(optimize(by_member, 0.05, links))
-            assert trace_region(by_name, lams, links) == trace_region(by_member, lams, links)
+            assert curve_values(trace_region(by_name, lams, links)) == curve_values(
+                trace_region(by_member, lams, links))
         s1, s2 = (optimize(replace(by_name, variant=name), 0.05, links) for name in ("S1", "S2"))
         assert s1.best.b_s == 0.0 and s1.lambda_s_max == pytest.approx(0.0753, abs=1e-4)
         assert s2.best.b_s == 0.75 and s2.lambda_s_max == pytest.approx(0.4750, abs=1e-4)

@@ -33,6 +33,7 @@ from cogaccess.schemes import SchemeConfig, Variant, service_rates
 
 from oracles import (
     OPTIMIZERS_LOOP,
+    curve_values,
     optimal_as_s0,
     optimal_as_s1,
     optimal_as_s2_given,
@@ -89,14 +90,14 @@ def problems(draw):
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(problem=problems())
 def test_kernel_matches_scalar_loops(problem):
-    """optimize and trace_region give the scalar loops' results, repr for repr."""
+    """optimize and trace_region give the scalar loops' results, repr for repr (a curve's value by value)."""
     channel, req, lambdas = problem
     for variant in (Variant.SC, Variant.S1, Variant.S2, Variant.S0):
         r = replace(req, variant=variant)
         for lam in lambdas:
             assert repr(optimize(r, lam, channel)) == repr(OPTIMIZERS_LOOP[variant](r, lam, channel))
     for scheme in SCHEMES:
-        assert repr(region_curve(scheme, lambdas, req, channel)) == repr(
+        assert curve_values(region_curve(scheme, lambdas, req, channel)) == curve_values(
             trace_region_loop(scheme, lambdas, req, channel))
 
 
@@ -126,7 +127,7 @@ def test_kernel_matches_scalar_loops_on_dense_grids(case):
     else:
         channel, req, lambdas = _tradeoff_case()
     for scheme in SCHEMES:
-        assert repr(region_curve(scheme, lambdas, req, channel)) == repr(
+        assert curve_values(region_curve(scheme, lambdas, req, channel)) == curve_values(
             trace_region_loop(scheme, lambdas, req, channel))
 
 
@@ -218,8 +219,8 @@ def test_zero_primary_link_is_silent_unless_idle():
     links = LinkSuccess(p_bar_p_pd=0.0, p_bar_s_sd=0.8)
     req = OptimizationRequest(Variant.S2, FixedSensing(SensingPoint(0.05, 0.2, 0.3)), b_s_grid=(0.0, 1.0))
     for scheme in SCHEMES:
-        pts = region_curve(scheme, (0.0, 0.1), req, links).points
-        assert pts[0].lambda_s > 0.0 and pts[1].lambda_s == 0.0
+        lam_s = region_curve(scheme, (0.0, 0.1), req, links).lambda_s
+        assert lam_s[0] > 0.0 and lam_s[1] == 0.0
     assert optimal_as_s1(0.0, 0.3, 0.0) == 1.0
     assert optimal_as_s0(0.0, 0.0) == 1.0
     with pytest.raises(InfeasibleError):
@@ -235,11 +236,11 @@ def test_tiny_lambda_p_leaves_the_primary_served():
         req = OptimizationRequest(Variant.S2, FixedSensing(point), b_s_grid=b_s_grid)
         for scheme in SCHEMES:
             curve = region_curve(scheme, lambdas, req, links)
-            assert repr(curve) == repr(trace_region_loop(scheme, lambdas, req, links))
-            at_0, tiny, far = curve.points
-            assert at_0.lambda_s >= tiny.lambda_s >= far.lambda_s
+            assert curve_values(curve) == curve_values(trace_region_loop(scheme, lambdas, req, links))
+            at_0, tiny, far = curve.lambda_s.tolist()
+            assert at_0 >= tiny >= far
             if scheme is not Variant.SC:  # Sc at p_md = 1 truly leaves the primary no service
-                assert tiny.lambda_s == pytest.approx(at_0.lambda_s, rel=1e-12)
+                assert tiny == pytest.approx(at_0, rel=1e-12)
 
 
 # --- structural properties of the optimized boundaries ----------------------------------
@@ -250,7 +251,7 @@ def test_boundary_structure(problem):
     """S2 >= S1 >= Sc at a shared sensing point, UNION >= every scheme, every
     boundary non-increasing in lambda_p, rates in [0, 1]."""
     channel, req, lambdas = problem
-    value = {s: [p.lambda_s for p in region_curve(s, lambdas, req, channel).points] for s in SCHEMES}
+    value = {s: region_curve(s, lambdas, req, channel).lambda_s.tolist() for s in SCHEMES}
     tol = 1e-12
     for i in range(len(lambdas)):
         assert value[Variant.S2][i] >= value[Variant.S1][i] - tol

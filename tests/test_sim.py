@@ -827,6 +827,17 @@ class TestValidation:
         with pytest.raises(DomainError, match=f"SimConfig.{field} must be an integer"):
             replace(sim_config(), **{field: value})
 
+    @pytest.mark.parametrize("mode", ["dominant", "original"])
+    def test_mode_given_by_value_runs_that_mode(self, mode):
+        by_value = replace(sim_config(slots=20_000), mode=mode)
+        assert by_value.mode is SimMode(mode)
+        assert repr(run(by_value)) == repr(run(replace(by_value, mode=SimMode(mode))))
+
+    @pytest.mark.parametrize("mode", ["bogus", "DOMINANT", None, 1])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(DomainError, match=f"SimConfig.mode must be 'original' or 'dominant', got {mode!r}"):
+            replace(sim_config(), mode=mode)
+
     def test_numpy_integer_counts_are_taken_as_ints(self):
         cfg = replace(sim_config(), slots=np.int64(300), seed=np.uint8(7), initial_qp=np.int32(2), initial_qs=0)
         assert [type(x) for x in (cfg.slots, cfg.seed, cfg.initial_qp)] == [int] * 3
