@@ -481,6 +481,7 @@ def load_config(path: str | Path, overrides: dict[str, Any] | None = None) -> Ru
 # raised a 10,416-cell sweep's peak RSS by about 0.5 MiB, and 128 rows by 0.04.
 _SWEEP_ROWS = 128
 
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
