@@ -47,7 +47,7 @@ from itertools import chain, cycle, repeat, starmap
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
-from .errors import CogAccessError, ConfigError, DomainError, PrimaryUnstableError
+from .errors import CogAccessError, ConfigError, DomainError, PrimaryUnstableError, increasing, integer, real
 from .optimizer import (
     FixedFalseAlarm,
     FixedMisdetection,
@@ -83,6 +83,9 @@ REGION_JSON_SCHEMA = "region-summary/1"
 # grows is its CSV, about 107 B a row, and its run time, about 2 us a cell (README): at the cap, a CSV of
 # about 1 GiB and about 20 s.  A grid's count and a region curve's (lambda_p, tau) cells have the same cap.
 MAX_SWEEP_CELLS = 10_000_000
+# region holds its curves whole, about 0.29 KiB a lambda_p point for all five (README): its lambda_p grid is
+# capped lower, at about 0.3 GiB held, since a fixed point's curves have one tau and so one cell a point.
+MAX_REGION_POINTS = 1_000_000
 # An S2 scan holds about 90 B a b_s point in each (lambda_p, tau) cell of a kernel pass, and a pass holds at
 # least one cell: grids.b_s is capped at about 5.6 MiB a cell.
 MAX_B_S_POINTS = 65_536
@@ -101,8 +104,8 @@ _CURVE_NAMES = (*_SCHEME_NAMES, UNION)
 
 
 # --- config schema: kinds -----------------------------------------------------
-# A kind parses the value of one key, named by its dotted path, within the
-# bounds lo and hi of the key's schema entry; it raises ConfigError on anything else.
+# A kind parses the value of one key, named by its dotted path, within the bounds lo and hi of the key's schema
+# entry; it raises ConfigError, or DomainError from errors.real and errors.integer, which _walk makes a ConfigError.
 
 def _as_mapping(obj: Any, name: str) -> dict:
     if not isinstance(obj, dict):
@@ -110,41 +113,15 @@ def _as_mapping(obj: Any, name: str) -> dict:
     return obj
 
 
-def _within(value: float, name: str, lo: float | None, hi: float | None) -> float:
-    if lo is not None and value < lo:
-        raise ConfigError(f"{name} must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{name} must be <= {hi}, got {value}")
-    return value
-
-
-def _number(value: Any, name: str, *, lo: float | None = None, hi: float | None = None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer past the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite")
-    return _within(value, name, lo, hi)
-
-
 def _decibels(value: Any, name: str, **bounds: Any) -> float:
     """A number in dB, as a linear ratio, which must be positive and finite."""
     try:
-        ratio = 10.0 ** (_number(value, name, **bounds) / 10.0)
+        ratio = 10.0 ** (real(value, name, **bounds) / 10.0)
     except OverflowError:
         ratio = math.inf
     if not 0.0 < ratio < math.inf:
         raise ConfigError(f"{name} must be a dB value whose linear ratio is a positive finite number, got {value!r}")
     return ratio
-
-
-def _integer(value: Any, name: str, *, lo: int | None = None, hi: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return _within(value, name, lo, hi)
 
 
 def _boolean(value: Any, name: str, **_: Any) -> bool:
@@ -196,11 +173,8 @@ def _grid_values(spec: Any, name: str, *, lo: float, hi: float, default: Callabl
         if not spec:
             raise ConfigError(f"{name} grid must be non-empty")
         _points(len(spec), name, most)
-        values = [_number(v, f"{name} grid entries", lo=lo, hi=hi) for v in spec]
-        if values != sorted(set(values)):
-            raise ConfigError(f"{name} grid must be strictly increasing")
-        return tuple(values)
-    span = {"start": _Key(_number, lo, hi), "stop": _Key(_number, lo, hi), **_COUNT}
+        return increasing(tuple(real(v, f"{name} grid entries", lo, hi) for v in spec), name)
+    span = {"start": _Key(real, lo, hi), "stop": _Key(real, lo, hi), **_COUNT}
     start, stop, count = _walk(spec, span, name).values()
     _points(count, name, most)
     if stop <= start:
@@ -208,9 +182,7 @@ def _grid_values(spec: Any, name: str, *, lo: float, hi: float, default: Callabl
     # the points of np.linspace: start + i*step, the last one exactly stop
     step = (stop - start) / (count - 1)
     values = tuple(start + i * step for i in range(count - 1)) + (stop,)
-    if values != tuple(sorted(set(values))):  # a step below the spacing of floats repeats values
-        raise ConfigError(f"{name} grid must be strictly increasing")
-    return values
+    return increasing(values, name)  # a step below the spacing of floats repeats values
 
 
 def _points(count: int, name: str, most: int | None) -> int:
@@ -230,41 +202,41 @@ _SLOT = object()  # a bound: the slot length, T on phy and 1.0 on channel
 # document, the section's table; its bounds; and its default, without which it is required.
 _Key = namedtuple("_Key", "kind lo hi default", defaults=(None, None, _REQUIRED))
 
-_COUNT = {"count": _Key(_integer, 2, MAX_SWEEP_CELLS)}  # the size of a {start, stop, count} grid
+_COUNT = {"count": _Key(integer, 2, MAX_SWEEP_CELLS)}  # the size of a {start, stop, count} grid
 
 _PHY = {  # in PhyParams' field order
-    "bits_per_packet": _Key(_number, 1e-12),
-    "slot_seconds": _Key(_number, 1e-12),
-    "bandwidth_hz": _Key(_number, 1e-12),
-    "sampling_hz": _Key(_number, 1e-12),
+    "bits_per_packet": _Key(real, 1e-12),
+    "slot_seconds": _Key(real, 1e-12),
+    "bandwidth_hz": _Key(real, 1e-12),
+    "sampling_hz": _Key(real, 1e-12),
     "sense_snr_db": _Key(_decibels),
-    "noise_variance": _Key(_number, 1e-12, default=1.0),
+    "noise_variance": _Key(real, 1e-12, default=1.0),
     "secondary_snr_db": _Key(_decibels),
-    "secondary_mean_gain": _Key(_number, 1e-12, default=1.0),
+    "secondary_mean_gain": _Key(real, 1e-12, default=1.0),
     "primary_snr_db": _Key(_decibels),
-    "primary_mean_gain": _Key(_number, 1e-12, default=1.0),
+    "primary_mean_gain": _Key(real, 1e-12, default=1.0),
 }
 _CHANNEL = {
-    "p_bar_p_pd": _Key(_number, 0.0, 1.0),
-    "p_bar_s_sd": _Key(_number, 0.0, 1.0),
+    "p_bar_p_pd": _Key(real, 0.0, 1.0),
+    "p_bar_s_sd": _Key(real, 0.0, 1.0),
 }
-_PINNED_TAU = _Key(_number, 1e-12, _SLOT, None)  # pins a tau-dependent target to one point (simulate/estimate)
+_PINNED_TAU = _Key(real, 1e-12, _SLOT, None)  # pins a tau-dependent target to one point (simulate/estimate)
 _SENSING = {  # each sensing.mode: the target it sets, and the table of the keys beside mode
     "fixed_point": (FixedSensing, {
-        "tau": _Key(_number, 0.0, _SLOT),
-        "p_fa": _Key(_number, 0.0, 1.0),
-        "p_md": _Key(_number, 0.0, 1.0),
+        "tau": _Key(real, 0.0, _SLOT),
+        "p_fa": _Key(real, 0.0, 1.0),
+        "p_md": _Key(real, 0.0, 1.0),
     }),
     "target_pfa": (FixedFalseAlarm, {
-        "value": _Key(_number, 1e-12, 1.0 - 1e-12),
+        "value": _Key(real, 1e-12, 1.0 - 1e-12),
         "tau": _PINNED_TAU,
     }),
     "target_pmd": (FixedMisdetection, {
-        "value": _Key(_number, 1e-12, 1.0 - 1e-12),
+        "value": _Key(real, 1e-12, 1.0 - 1e-12),
         "tau": _PINNED_TAU,
     }),
     "threshold": (FixedThreshold, {
-        "epsilon": _Key(_number, 1e-12),
+        "epsilon": _Key(real, 1e-12),
         "tau": _PINNED_TAU,
     }),
 }
@@ -273,8 +245,8 @@ _ROC_KEYS = {"threshold": ", phy.noise_variance, sensing.epsilon"}
 _MODE = _Key(partial(_one_of, _SENSING))  # sensing.mode, which picks the table of the other sensing keys
 _ACCESS = {
     "optimal": _Key(_boolean, default=False),
-    "a_s": _Key(_number, 0.0, 1.0, None),  # required unless optimal
-    "b_s": _Key(_number, 0.0, 1.0, 0.0),
+    "a_s": _Key(real, 0.0, 1.0, None),  # required unless optimal
+    "b_s": _Key(real, 0.0, 1.0, 0.0),
 }
 _GRIDS = {  # tau and b_s absent: their default grids
     "lambda_p": _Key(_grid_values, 0.0, 1.0, None),
@@ -285,17 +257,17 @@ _GRIDS = {  # tau and b_s absent: their default grids
     "p_md": _Key(_grid_values, 1e-12, 1.0 - 1e-12, ()),
 }
 _SIM = {
-    "slots": _Key(_integer, 1, default=100_000),
-    "seed": _Key(_integer, 0, default=0),
+    "slots": _Key(integer, 1, default=100_000),
+    "seed": _Key(integer, 0, default=0),
     "mode": _Key(partial(_one_of, SimMode), default=SimMode.ORIGINAL),
-    "feedback_error": _Key(_number, 0.0, 0.999999, 0.0),
+    "feedback_error": _Key(real, 0.0, 0.999999, 0.0),
     "record_traces": _Key(_boolean, default=False),
 }
 _ESTIMATE = {
-    "lp_slots": _Key(_integer, 1, default=10_000),
-    "rp_slots": _Key(_integer, 10, default=100_000),
+    "lp_slots": _Key(integer, 1, default=10_000),
+    "rp_slots": _Key(integer, 10, default=100_000),
     "estimator_mode": _Key(partial(_one_of, EstimatorMode), default=EstimatorMode.UNBIASED),
-    "margin": _Key(partial(_or_null, _number), 0.0, default=None),  # null: the recommended margin
+    "margin": _Key(partial(_or_null, real), 0.0, default=None),  # null: the recommended margin
 }
 _CONFIG = {
     "phy": _Key(_PHY, default=None),
@@ -304,9 +276,9 @@ _CONFIG = {
     "scheme": _Key(partial(_one_of, Variant), default=None),
     "schemes": _Key(partial(_list_of, partial(_one_of, _CURVE_NAMES)), default=_CURVE_NAMES),
     "access": _Key(_ACCESS, default=None),
-    "lambda_p": _Key(_number, 0.0, 1.0, 0.0),
-    "lambda_s": _Key(_number, 0.0, 1.0, 0.0),
-    "margin": _Key(_number, 0.0, default=0.0),
+    "lambda_p": _Key(real, 0.0, 1.0, 0.0),
+    "lambda_s": _Key(real, 0.0, 1.0, 0.0),
+    "margin": _Key(real, 0.0, default=0.0),
     "grids": _Key(_GRIDS, default={}),
     "sim": _Key(_SIM, default={}),
     "estimate": _Key(_ESTIMATE, default={}),
@@ -330,7 +302,10 @@ def _walk(section: Any, table: dict[str, _Key], name: str, slot: float = 1.0) ->
         elif isinstance(kind, dict):
             values[key] = _as_mapping(section[key], key)
         else:
-            values[key] = kind(section[key], f"{name}.{key}", lo=lo, hi=slot if hi is _SLOT else hi)
+            try:
+                values[key] = kind(section[key], f"{name}.{key}", lo=lo, hi=slot if hi is _SLOT else hi)
+            except DomainError as exc:  # a number's check, in the document's terms
+                raise ConfigError(str(exc)) from exc
     return values
 
 
@@ -571,6 +546,9 @@ def _check_cells(cells: int, command: str, keys: str) -> None:
 def cmd_region(cfg: RunConfig) -> int:
     if cfg.lambda_p_grid is None:
         raise ConfigError("region needs grids.lambda_p")
+    if len(cfg.lambda_p_grid) > MAX_REGION_POINTS:
+        raise ConfigError(f"region would hold {len(cfg.lambda_p_grid)} lambda_p points a curve (> {MAX_REGION_POINTS}),"
+                          " about 0.29 KiB each for all five curves; shrink grids.lambda_p")
     n_tau = 1 if cfg.target.pinned or cfg.schemes == ("S0",) else len(cfg.tau_grid)
     _check_cells(len(cfg.lambda_p_grid) * n_tau, "region", "grids.lambda_p or grids.tau")
     summary: dict[str, Any] = {"schema": REGION_JSON_SCHEMA, "csv_schema": REGION_CSV_SCHEMA, "files": {},
@@ -611,15 +589,22 @@ def cmd_optimize(cfg: RunConfig) -> int:
 
 
 def _resolve_scheme_config(cfg: RunConfig) -> tuple[SchemeConfig, dict]:
-    """Scheme + access probabilities for a simulate run, and the payload of the optimization behind them."""
-    point = cfg.sensing_point()
+    """Scheme + access probabilities for a simulate run, and the payload of the optimization behind them.  A
+    fixed access is run as given: one the scheme cannot take is a config error, not replaced."""
+    point, access = cfg.sensing_point(), cfg.access
+    if access is not None and not access.optimal:
+        if access.b_s != 0.0 and cfg.scheme is not Variant.S2:
+            raise ConfigError(f"access.b_s must be 0 under scheme {cfg.scheme.value} (only S2 transmits on a busy "
+                              f"sensing outcome), got {access.b_s}")
+        if access.a_s != 1.0 and cfg.scheme is Variant.SC:
+            raise ConfigError(f"access.a_s must be 1 under scheme Sc (it always transmits on an idle sensing "
+                              f"outcome), got {access.a_s}")
     if cfg.scheme is Variant.SC:
         return SchemeConfig(variant=cfg.scheme, a_s=1.0, b_s=0.0, sensing=point), {}
-    if cfg.access is None:
+    if access is None:
         raise ConfigError("simulate needs an `access` section (fixed a_s/b_s or optimal: true)")
-    if not cfg.access.optimal:
-        b_s = cfg.access.b_s if cfg.scheme is Variant.S2 else 0.0
-        return SchemeConfig(variant=cfg.scheme, a_s=cfg.access.a_s, b_s=b_s, sensing=point), {}
+    if not access.optimal:
+        return SchemeConfig(variant=cfg.scheme, a_s=access.a_s, b_s=access.b_s, sensing=point), {}
     _check_load(cfg.lambda_p, cfg.margin)
     result = optimize(cfg.request(cfg.scheme, FixedSensing(point)), cfg.lambda_p, cfg.channel)
     if not result.feasible:

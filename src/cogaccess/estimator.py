@@ -22,7 +22,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass, replace
 
-from .errors import DomainError, InfeasibleError
+from .errors import DomainError, InfeasibleError, integer, real
 from .optimizer import FixedSensing, OptimizationRequest, scan
 from .phy import LinkSuccess
 from .schemes import NO_SENSING, EstimatorMode, SchemeConfig, Variant
@@ -64,12 +64,11 @@ def estimate(
     M = 0 leaves the link-quality estimate unavailable (flagged None, not
     fabricated); the arrival-rate estimate is still produced.
     """
-    A, M, N = counts
-    if not (0 <= A <= M <= N):
+    A, M, N = (integer(count, f"feedback count {name}", lo=0) for count, name in zip(counts, "AMN"))
+    if not A <= M <= N:
         raise DomainError(f"feedback counts must satisfy 0 <= A <= M <= N, got A={A!r} M={M!r} N={N!r}")
-    if not (0.0 <= p_e < 1.0):
-        raise DomainError(f"p_e must be in [0, 1), got {p_e!r}")
-    if N <= 0:
+    p_e = real(p_e, "p_e", 0.0, below=1.0)
+    if N == 0:
         raise DomainError("estimation needs at least one learning slot")
     mode = EstimatorMode(mode)
 
@@ -141,16 +140,14 @@ def learning_then_regular(
     without a link estimate or without a feasible policy falls back to the
     silent policy and is flagged.
     """
-    if lp_slots < 1:
-        raise DomainError("learning phase needs at least one slot")
+    lp_slots = integer(lp_slots, "lp_slots", lo=1)
     if template.slots < 10 * lp_slots:
         raise DomainError("regular phase must be at least 10x the learning phase")
-    if margin is not None and not (math.isfinite(margin) and margin >= 0.0):
-        raise DomainError(f"margin must be >= 0, got {margin!r}")
+    margin = None if margin is None else real(margin, "margin", lo=0.0)
 
     lp_result = run(replace(template, slots=lp_slots, scheme=_SILENT, mode=SimMode.ORIGINAL))
     report = estimate(lp_result.feedback_counts, template.feedback_error, mode)
-    mu_pe = report.recommended_mu_pe if margin is None else float(margin)
+    mu_pe = report.recommended_mu_pe if margin is None else margin
     policy = _SILENT
     if report.p_bar_p_pd_est:  # a link estimate, and a primary link that ever succeeds
         with suppress(InfeasibleError):

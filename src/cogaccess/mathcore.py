@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, real
 
 __all__ = ["q_func", "q_inv"]
 
@@ -17,8 +17,9 @@ def q_func(z: float) -> float:
     to better than 1e-14 relative error over the |z| <= 8 range the ROC
     formulas exercise.
     """
-    z = float(z)
-    if not math.isfinite(z):
+    if type(z) is not float:
+        z = real(z, "q_func's argument")
+    if not math.isfinite(z):  # a ROC formula's argument past the float range: the message shows it
         raise DomainError(f"q_func requires a finite argument, got {z!r}")
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
@@ -34,9 +35,7 @@ def q_inv(p: float) -> float:
     over speed here; this is never an inner loop: the optimizer resolves
     each (sensing target, tau) operating point once per grid.
     """
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"q_inv requires 0 < p < 1, got {p!r}")
+    p = real(p, "q_inv's argument", above=0.0, below=1.0)
     lo, hi = -_Q_INV_BRACKET, _Q_INV_BRACKET
     # q_func is strictly decreasing: q_func(lo) > p > q_func(hi) for any
     # p representable away from the (0, 1) endpoints at this bracket.

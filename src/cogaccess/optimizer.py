@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, increasing, real
 from .phy import (
     TAU_EDGE,
     Channel,
@@ -144,20 +144,13 @@ class OptimizationRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variant", Variant(self.variant))
-        if not (math.isfinite(self.margin) and self.margin >= 0.0):
-            raise DomainError(f"margin must be >= 0, got {self.margin!r}")
+        object.__setattr__(self, "margin", real(self.margin, "margin", lo=0.0))
         if not isinstance(self.target_mode, TargetMode):
             raise DomainError(f"unknown target mode {self.target_mode!r}")
-        object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
-        object.__setattr__(self, "b_s_grid", tuple(float(b) for b in self.b_s_grid))
-        if not all(0.0 < t < math.inf for t in self.tau_grid):  # NaN fails too
-            raise DomainError("tau grid entries must be finite and > 0 (tau = 0 is the S0 scheme)")
-        if list(self.tau_grid) != sorted(set(self.tau_grid)):
-            raise DomainError("tau grid must be strictly increasing")
-        if any(not 0.0 <= b <= 1.0 for b in self.b_s_grid):
-            raise DomainError("b_s grid entries must be probabilities")
-        if list(self.b_s_grid) != sorted(set(self.b_s_grid)):
-            raise DomainError("b_s grid must be strictly increasing")
+        tau = tuple(real(t, "tau grid entries", above=0.0) for t in self.tau_grid)  # tau = 0 is the S0 scheme
+        object.__setattr__(self, "tau_grid", increasing(tau, "tau"))
+        b_s = tuple(real(b, "b_s grid entries", 0.0, 1.0) for b in self.b_s_grid)
+        object.__setattr__(self, "b_s_grid", increasing(b_s, "b_s"))
 
 
 class TauResult(NamedTuple):
@@ -194,8 +187,7 @@ class RegionCurve(NamedTuple):
 
 def default_tau_grid(slot_duration: float, count: int = 64) -> tuple[float, ...]:
     """Log-spaced sensing times from the 0-adjacent edge up to (1-edge)*T."""
-    if slot_duration <= 0.0:
-        raise DomainError("slot duration must be > 0")
+    slot_duration = real(slot_duration, "slot duration", above=0.0)
     grid = np.geomspace(TAU_EDGE * slot_duration, (1.0 - TAU_EDGE) * slot_duration, count)
     return tuple(float(t) for t in grid)
 
@@ -359,8 +351,7 @@ def primary_delay(lambda_p: float, mu_p: float) -> float:
 
     Returns inf at or beyond the stability boundary (unbounded delay).
     """
-    if not (0.0 <= lambda_p <= 1.0 and 0.0 <= mu_p <= 1.0):
-        raise DomainError(f"primary_delay needs lambda_p and mu_p in [0, 1], got {lambda_p!r}, {mu_p!r}")
+    lambda_p, mu_p = real(lambda_p, "lambda_p", 0.0, 1.0), real(mu_p, "mu_p", 0.0, 1.0)
     if mu_p <= lambda_p:
         return math.inf
     return (1.0 - lambda_p) / (mu_p - lambda_p)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, real
 from .mathcore import q_func, q_inv
 
 __all__ = [
@@ -71,9 +71,7 @@ class PhyParams:
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-                raise DomainError(f"PhyParams.{name} must be a positive finite number, got {value!r}")
+            object.__setattr__(self, name, real(getattr(self, name), f"PhyParams.{name}", above=0.0))
         if not math.isfinite(self.b / (self.T * self.W)):
             raise DomainError("PhyParams requires finite b/(T*W)")
 
@@ -101,12 +99,8 @@ class SensingPoint:
     p_md: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tau) and self.tau >= 0.0):
-            raise DomainError(f"SensingPoint.tau must be >= 0, got {self.tau!r}")
-        for name in ("p_fa", "p_md"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-                raise DomainError(f"SensingPoint.{name} must be in [0, 1], got {value!r}")
+        for name, hi in (("tau", None), ("p_fa", 1.0), ("p_md", 1.0)):
+            object.__setattr__(self, name, real(getattr(self, name), f"SensingPoint.{name}", 0.0, hi))
 
 
 @dataclass(frozen=True)
@@ -124,9 +118,7 @@ class LinkSuccess:
 
     def __post_init__(self) -> None:
         for name in ("p_bar_p_pd", "p_bar_s_sd"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-                raise DomainError(f"LinkSuccess.{name} must be in [0, 1], got {value!r}")
+            object.__setattr__(self, name, real(getattr(self, name), f"LinkSuccess.{name}", 0.0, 1.0))
 
     def links(self, tau: float) -> LinkSuccess:
         return self
@@ -146,8 +138,7 @@ def secondary_success_prob(params: PhyParams, tau: float) -> float:
     non-increasing in tau.  tau >= T leaves no transmission time and
     returns 0 (degenerate limit rather than an error, for sweep code).
     """
-    if tau < 0.0:
-        raise DomainError(f"sensing time must be >= 0, got {tau!r}")
+    tau = real(tau, "sensing time", lo=0.0)
     if tau >= params.T:
         return 0.0
     rate_ratio = params.b / (params.T * params.W * (1.0 - tau / params.T))
@@ -170,10 +161,7 @@ def roc_from_threshold(params: PhyParams, epsilon: float, tau: float) -> Sensing
     p_fa = Q((eps/sigma_u2 - 1) * sqrt(tau*f_s))
     p_md = 1 - Q((eps/sigma_u2 - gamma - 1) * sqrt(tau*f_s / (2*gamma + 1)))
     """
-    if tau <= 0.0:
-        raise DomainError("roc_from_threshold needs tau > 0: the detector has no samples otherwise")
-    if epsilon <= 0.0:
-        raise DomainError(f"detection threshold must be > 0, got {epsilon!r}")
+    tau, epsilon = real(tau, "sensing time", above=0.0), real(epsilon, "detection threshold", above=0.0)
     samples = tau * params.f_s
     gamma = params.gamma_sense
     p_fa = q_func((epsilon / params.sigma_u2 - 1.0) * math.sqrt(samples))
@@ -196,10 +184,7 @@ def pfa_for_target_pmd(params: PhyParams, p_md_target: float, tau: float) -> Sen
     p_fa = Q(sqrt(2*gamma + 1) * Qinv(1 - p_md) + sqrt(tau*f_s) * gamma);
     decreasing in tau, so longer sensing buys a lower false-alarm rate.
     """
-    if tau <= 0.0:
-        raise DomainError("pfa_for_target_pmd needs tau > 0")
-    if not (0.0 < p_md_target < 1.0):
-        raise DomainError(f"target p_md must be inside (0, 1), got {p_md_target!r}")
+    tau, p_md_target = real(tau, "sensing time", above=0.0), real(p_md_target, "target p_md", above=0.0, below=1.0)
     gamma = params.gamma_sense
     arg = math.sqrt(2.0 * gamma + 1.0) * _target_q_inv(1.0 - p_md_target) + math.sqrt(tau * params.f_s) * gamma
     return SensingPoint(tau=tau, p_fa=q_func(arg), p_md=p_md_target)
@@ -210,10 +195,7 @@ def pmd_for_target_pfa(params: PhyParams, p_fa_target: float, tau: float) -> Sen
 
     p_md = 1 - Q((Qinv(p_fa) - sqrt(tau*f_s) * gamma) / sqrt(2*gamma + 1)).
     """
-    if tau <= 0.0:
-        raise DomainError("pmd_for_target_pfa needs tau > 0")
-    if not (0.0 < p_fa_target < 1.0):
-        raise DomainError(f"target p_fa must be inside (0, 1), got {p_fa_target!r}")
+    tau, p_fa_target = real(tau, "sensing time", above=0.0), real(p_fa_target, "target p_fa", above=0.0, below=1.0)
     gamma = params.gamma_sense
     arg = (_target_q_inv(p_fa_target) - math.sqrt(tau * params.f_s) * gamma) / math.sqrt(2.0 * gamma + 1.0)
     return SensingPoint(tau=tau, p_fa=p_fa_target, p_md=1.0 - q_func(arg))

@@ -18,12 +18,11 @@ below its service rate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import DomainError, PrimaryUnstableError
+from .errors import DomainError, PrimaryUnstableError, real
 from .phy import LinkSuccess, SensingPoint
 
 __all__ = [
@@ -66,11 +65,6 @@ class EstimatorMode(str, Enum):
 NO_SENSING = SensingPoint(tau=0.0, p_fa=0.0, p_md=1.0)
 
 
-def _check_prob(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and 0.0 <= value <= 1.0):
-        raise DomainError(f"{name} must be a probability in [0, 1], got {value!r}")
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
     """A scheme variant together with its access probabilities.
@@ -87,8 +81,8 @@ class SchemeConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variant", Variant(self.variant))
-        _check_prob("SchemeConfig.a_s", self.a_s)
-        _check_prob("SchemeConfig.b_s", self.b_s)
+        for name in ("a_s", "b_s"):
+            object.__setattr__(self, name, real(getattr(self, name), f"SchemeConfig.{name}", 0.0, 1.0))
         if self.variant is Variant.SC and (self.a_s != 1.0 or self.b_s != 0.0):
             raise DomainError("Sc transmits with probability one on idle and never on busy")
         if self.variant is Variant.S1 and self.b_s != 0.0:
@@ -134,7 +128,7 @@ def service_rates(cfg: SchemeConfig, links: LinkSuccess, lambda_p: float) -> Ser
     PrimaryUnstableError; exact equality reports mu_s = p_empty = 0 so
     that boundary tracing stays continuous.
     """
-    _check_prob("lambda_p", lambda_p)
+    lambda_p = real(lambda_p, "lambda_p", 0.0, 1.0)
     point = cfg.sensing
     mu_p, access_rate = rates(cfg.variant, cfg.a_s, cfg.b_s, point.p_fa, point.p_md, links.p_bar_p_pd, links.p_bar_s_sd)
 

@@ -79,7 +79,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 from numpy.random import Generator, SeedSequence, default_rng  # here, before cli forks a traced run's writer
 
-from .errors import DomainError
+from .errors import DomainError, integer, real
 from .phy import Channel
 from .schemes import SchemeConfig, SimMode
 
@@ -140,20 +140,14 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         for name, lo in (("slots", 1), ("seed", 0), ("initial_qp", 0), ("initial_qs", 0)):
-            value = getattr(self, name)
-            # an int or a numpy integer (what operator.index takes), but not a bool
-            if isinstance(value, bool) or not hasattr(type(value), "__index__") or operator.index(value) < lo:
-                raise DomainError(f"SimConfig.{name} must be an integer >= {lo}, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+            object.__setattr__(self, name, integer(getattr(self, name), f"SimConfig.{name}", lo))
         for name in ("lambda_p", "lambda_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-                raise DomainError(f"SimConfig.{name} must be in [0, 1], got {value!r}")
+            object.__setattr__(self, name, real(getattr(self, name), f"SimConfig.{name}", 0.0, 1.0))
         if self.mode not in list(SimMode):  # a member or its value (SimMode is a str Enum)
             raise DomainError(f"SimConfig.mode must be 'original' or 'dominant', got {self.mode!r}")
         object.__setattr__(self, "mode", SimMode(self.mode))
-        if not (0.0 <= self.feedback_error < 1.0):
-            raise DomainError(f"feedback_error must be in [0, 1), got {self.feedback_error!r}")
+        object.__setattr__(self, "feedback_error", real(self.feedback_error, "SimConfig.feedback_error", 0.0,
+                                                        below=1.0))
 
 
 @dataclass(frozen=True)

@@ -212,6 +212,20 @@ class TestConfigValidation:
     def test_grid_count_at_the_cap_is_accepted(self):
         assert cli._walk({"count": cli.MAX_SWEEP_CELLS}, cli._COUNT, "grids.tau") == {"count": cli.MAX_SWEEP_CELLS}
 
+    def test_span_order_is_checked_without_a_copy(self, tmp_path):
+        # a span of 1e6 points is a tuple of 1e6 floats, about 31 MiB; sorting a set of it to check the order
+        # made two more copies, and peaked at 78.5 MiB
+        doc = dict(BENCH_BASE, grids={"lambda_p": {"start": 0.0, "stop": 1.0, "count": 1_000_000}})
+        path = write_config(tmp_path, doc, "config.json")
+        tracemalloc.start()
+        try:
+            cfg = cli.load_config(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cfg.lambda_p_grid) == 1_000_000 and cfg.lambda_p_grid[-1] == 1.0
+        assert peak < 48 * 2**20
+
     @pytest.mark.parametrize("form", ["count", "span", "list"])
     @pytest.mark.parametrize("points", [cli.MAX_B_S_POINTS, cli.MAX_B_S_POINTS + 1], ids=["at the cap", "past it"])
     @pytest.mark.parametrize("command", ["region", "optimize", "sweep"])
@@ -521,6 +535,31 @@ class TestRegion:
 
         assert peak_kib(100_000) - peak_kib(1_000) <= 48 * 1024
 
+    def test_lambda_p_grid_past_the_point_cap_rejected_before_any_curve(self, tmp_path, capsys, monkeypatch):
+        # region holds its curves whole: 1,000,001 points of a fixed point's one-tau curves are within the cell
+        # cap, but past the lambda_p cap, and rejected before a curve is traced
+        def no_curve(*_):
+            raise AssertionError("region traced a curve")
+
+        monkeypatch.setattr(cli, "trace_region", no_curve)
+        doc = dict(BENCH_BASE, grids={"lambda_p": {"start": 0.0, "stop": 1.0, "count": 1_000_001}},
+                   output_dir=str(tmp_path / "out"))
+        code, out, err = run_cli(capsys, ["region", "-c", write_config(tmp_path, doc, "config.json")])
+        assert (code, out) == (2, "")
+        assert err == (f"config error: region would hold 1000001 lambda_p points a curve (> {cli.MAX_REGION_POINTS}),"
+                       " about 0.29 KiB each for all five curves; shrink grids.lambda_p\n")
+        assert cli.MAX_REGION_POINTS == 1_000_000
+        assert not (tmp_path / "out").exists()
+
+    def test_lambda_p_point_cap_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_REGION_POINTS", 4)
+        doc = dict(BENCH_BASE, schemes=["S1"], grids={"lambda_p": LAMBDAS}, output_dir=str(tmp_path / "out"))
+        code, _, err = run_cli(capsys, ["region", "-c", write_config(tmp_path, doc)])
+        assert (code, err) == (0, "")
+        doc["grids"] = {"lambda_p": [*LAMBDAS, 0.5]}
+        code, _, err = run_cli(capsys, ["region", "-c", write_config(tmp_path, doc)])
+        assert code == 2 and "shrink grids.lambda_p" in err
+
     def test_cell_bound_is_inclusive(self):
         cli._check_cells(cli.MAX_SWEEP_CELLS, "region", "grids.tau")
         with pytest.raises(ConfigError):
@@ -681,14 +720,28 @@ class TestSimulate:
         assert message in err
 
     @pytest.mark.parametrize("variant, scheme", [
-        ("Sc", SchemeConfig(Variant.SC, 1.0, 0.0, BENCH_POINT)),  # access is ignored: Sc always transmits on idle
+        ("Sc", SchemeConfig(Variant.SC, 1.0, 0.0, BENCH_POINT)),  # Sc always transmits on idle
         ("S0", SchemeConfig(Variant.S0, 0.5, 0.0, NO_SENSING)),  # the sensing section is ignored
     ])
     def test_pinned_schemes_match_run(self, tmp_path, capsys, variant, scheme):
-        doc = self.simulate_doc(tmp_path, scheme=variant)
+        doc = self.simulate_doc(tmp_path, scheme=variant, access={"a_s": scheme.a_s})
         code, out, err = run_cli(capsys, ["simulate", "-c", write_config(tmp_path, doc)])
         assert (code, err) == (0, "")
         self.assert_matches_run(json.loads(out), scheme, LinkSuccess(p_bar_p_pd=0.9, p_bar_s_sd=0.8))
+
+    @pytest.mark.parametrize("scheme, access, message", [
+        *[(scheme, {"a_s": 0.5, "b_s": 0.5}, f"access.b_s must be 0 under scheme {scheme} (only S2 transmits on a "
+                                             "busy sensing outcome), got 0.5") for scheme in ("S1", "S0")],
+        ("Sc", {"a_s": 0.3}, "access.a_s must be 1 under scheme Sc (it always transmits on an idle sensing outcome), "
+                             "got 0.3"),
+    ])
+    def test_fixed_access_the_scheme_cannot_take_rejected(self, tmp_path, capsys, scheme, access, message):
+        # a fixed access is run as given or not at all: it is never replaced by the scheme's own
+        doc = self.simulate_doc(tmp_path, scheme=scheme, access=access,
+                                sim={"slots": 20_000, "record_traces": True})
+        code, out, err = run_cli(capsys, ["simulate", "-c", write_config(tmp_path, doc)])
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_mode_override(self, tmp_path, capsys):
         doc = self.simulate_doc(tmp_path)
@@ -1665,12 +1718,12 @@ def kind_strategies(key, spec, slot):
     lo, hi = spec.lo, slot if spec.hi is cli._SLOT else spec.hi
     kind = spec.kind
     name = (kind.func if isinstance(kind, partial) else kind).__name__
-    if name in ("_number", "_decibels", "_or_null"):
+    if name in ("real", "_decibels", "_or_null"):
         bounds = [x for b, inside in ((lo, up), (hi, down)) if b is not None for x in (b, inside(b))]
         valid = st.one_of(st.sampled_from(bounds or [0.0]), st.floats(lo, hi, allow_nan=False, allow_infinity=False))
         outside = [out(b) for b, out in ((lo, down), (hi, up)) if b is not None]
         return (st.one_of(st.none(), valid) if name == "_or_null" else valid), outside + ["0.5"]
-    if name == "_integer":
+    if name == "integer":
         return st.integers(lo, RUN_CAPS.get(key, 2**64)), [lo - 1, 2.5, "3"]
     if name == "_boolean":
         return st.booleans(), [0, 1, "true"]

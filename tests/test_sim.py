@@ -824,7 +824,9 @@ class TestValidation:
         ("initial_qp", 2.5), ("initial_qp", -1), ("initial_qs", np.float64(3.0)), ("initial_qs", np.True_),
     ])
     def test_counts_must_be_integers(self, field, value):
-        with pytest.raises(DomainError, match=f"SimConfig.{field} must be an integer"):
+        # a negative int is an integer below the field's bound, in errors.integer's shared wording
+        message = f"SimConfig.{field} must be >= 0" if value == -1 else f"SimConfig.{field} must be an integer"
+        with pytest.raises(DomainError, match=message):
             replace(sim_config(), **{field: value})
 
     @pytest.mark.parametrize("mode", ["dominant", "original"])
