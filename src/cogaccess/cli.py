@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Five subcommands over one validated config document (YAML or JSON):
+Five commands over one validated config document (YAML or JSON):
 
     region    trace stability-region boundary curves to CSV
     optimize  solve one access-probability problem, JSON to stdout
@@ -874,19 +874,18 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # one parser for every command: the command is a positional argument, and the options may come before it
     parser = argparse.ArgumentParser(
-        prog="cogaccess",
+        prog="cogaccess", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Spectrum-access policies, stability regions and Monte Carlo validation",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("-c", "--config", required=True, help="JSON (.json) or YAML config document")
-        p.add_argument("--seed", type=int, default=None, help="override sim.seed")
-        p.add_argument("--output-dir", default=None, help="override output_dir")
-        p.add_argument("--mode", choices=["original", "dominant"], default=None, help="override sim.mode")
-        p.add_argument("--margin", type=float, default=None,
-                       help="override margin (estimate reads estimate.margin, which this does not set)")
+        epilog=__doc__ and "\n\n".join(__doc__.split("\n\n")[1:3]))  # the command list; python -OO has no __doc__
+    parser.add_argument("command", choices=_COMMANDS, help="the command to run (listed below)")
+    parser.add_argument("-c", "--config", required=True, help="JSON (.json) or YAML config document")
+    parser.add_argument("--seed", type=int, default=None, help="override sim.seed")
+    parser.add_argument("--output-dir", default=None, help="override output_dir")
+    parser.add_argument("--mode", choices=["original", "dominant"], default=None, help="override sim.mode")
+    parser.add_argument("--margin", type=float, default=None,
+                        help="override margin (estimate reads estimate.margin, which this does not set)")
     return parser
 
 

@@ -6,11 +6,13 @@ per row or per cell) and never call the code paths they are used to
 check.  The helpers at the end drive the package the way several tests
 need: a run with its whole trace, one kernel cell, the run's stability
 verdict for any series, a stability window, the coupled dominance check,
-trace ingestion.
+trace ingestion.  Last is the CLI's argument parser as one subparser per
+command, the reference for what each command line parses to.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import math
 from collections import deque
@@ -801,3 +803,18 @@ def feedback_log_from_trace_csv(path: str) -> sim.FeedbackCounts:
             m += row["feedback"] in ("ack", "nack")
             a += row["feedback"] == "ack"
     return sim.FeedbackCounts(A=a, M=m, N=n)
+
+
+def subcommand_parser() -> argparse.ArgumentParser:
+    """The CLI's arguments as one subparser per command, each with the same five options: every command line
+    this takes, the CLI's one parser reads as the same command and option values."""
+    parser = argparse.ArgumentParser(prog="cogaccess")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ("region", "optimize", "simulate", "estimate", "sweep"):
+        p = sub.add_parser(name)
+        p.add_argument("-c", "--config", required=True)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--output-dir", default=None)
+        p.add_argument("--mode", choices=["original", "dominant"], default=None)
+        p.add_argument("--margin", type=float, default=None)
+    return parser

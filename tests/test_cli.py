@@ -49,7 +49,7 @@ from cogaccess.phy import (
 from cogaccess.schemes import NO_SENSING, SchemeConfig, Variant, service_rates
 from cogaccess.sim import SimConfig, SimMode
 
-from oracles import measure_stability, region_curve, sweep_rows_rowwise
+from oracles import measure_stability, region_curve, subcommand_parser, sweep_rows_rowwise
 
 BENCH_BASE = {
     "channel": {"p_bar_p_pd": 0.9, "p_bar_s_sd": 0.8},
@@ -1702,6 +1702,15 @@ class TestSchema:
 # run takes are capped here, never in the CLI: these keys' values, and grids.
 RUN_CAPS = {"slots": 20_000, "lp_slots": 2_000, "rp_slots": 20_000, "count": 6}
 HOSTILE = [None, "x", [], {}, True, math.nan, math.inf, -math.inf, 10**400, {"bogus": 1}]
+# Narrower bounds for a fault-free document, where a key's own bounds admit values no run can take: dB values
+# and phy sizes whose links and ROC stay in the float range, a sensing time > 0 (tau = 0 is NO_SENSING, which
+# only S0 runs), and lambda_p and margins that sum to at most one packet per slot.
+RUNNABLE = {**dict.fromkeys(["sense_snr_db", "secondary_snr_db", "primary_snr_db"], {"lo": -30.0, "hi": 30.0}),
+            **dict.fromkeys(["bits_per_packet", "bandwidth_hz", "sampling_hz"], {"lo": 1.0, "hi": 1e6}),
+            **dict.fromkeys(["noise_variance", "secondary_mean_gain", "primary_mean_gain", "epsilon"],
+                            {"lo": 1e-3, "hi": 1e3}),
+            "slot_seconds": {"lo": 1e-3, "hi": 1e3}, "tau": {"lo": 1e-6}, "lambda_p": {"hi": 0.5},
+            "margin": {"hi": 0.5}}
 
 
 def down(x):
@@ -1743,7 +1752,7 @@ def kind_strategies(key, spec, slot):
     points = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
     valid = [st.lists(points, min_size=1, max_size=RUN_CAPS["count"], unique=True).map(sorted),
              st.builds(lambda a, b, count: span(min(a, b), max(a, b), count), points, points,
-                       st.integers(2, RUN_CAPS["count"])),
+                       st.integers(2, RUN_CAPS["count"])).filter(lambda grid: grid["start"] < grid["stop"]),
              st.sampled_from([[lo], [up(lo)], [hi], [down(hi)], span(lo, hi), span(up(lo), down(hi))])]
     if "default" in getattr(kind, "keywords", {}):  # an axis with a default grid takes {count} alone
         valid.append(st.builds(lambda count: {"count": count}, st.integers(2, RUN_CAPS["count"])))
@@ -1753,23 +1762,26 @@ def kind_strategies(key, spec, slot):
 
 
 @st.composite
-def sections(draw, table, fault, rng, slot=1.0, essential=()):
+def sections(draw, table, fault, rng, slot=1.0, essential=(), runnable=False):
     """A section drawn from its table: a required or essential key present, and
-    any other half the time; each key missing or invalid where `fault()` says so."""
+    any other half the time; each key missing or invalid where `fault()` says so.
+    A `runnable` section draws its values inside RUNNABLE's bounds."""
     doc = {}
     for key, spec in table.items():
         wanted = spec.default is cli._REQUIRED or key in essential
         if fault() if wanted else draw(st.booleans()):
             continue
-        valid, invalid = kind_strategies(key, spec, slot)
+        valid, invalid = kind_strategies(key, spec._replace(**RUNNABLE.get(key, {})) if runnable else spec, slot)
         doc[key] = draw(st.sampled_from(invalid if rng.random() < 0.5 else HOSTILE) if fault() else valid)
     return doc
 
 
 @st.composite
 def documents(draw, command):
-    """A whole document for `command`, with the keys it needs, and a share of faults drawn per document."""
-    rate, rng = draw(st.sampled_from([0.0, 0.0, 0.05, 0.2, 0.5])), random.Random(draw(st.integers(0, 2**32)))
+    """A whole document for `command`, with the keys it needs, and a share of faults drawn per document.
+    A fault-free document also keeps the rules across keys, so that it runs."""
+    rate, rng = draw(st.sampled_from([0.0, 0.0, 0.0, 0.05, 0.2, 0.5])), random.Random(draw(st.integers(0, 2**32)))
+    runnable = not rate
 
     def fault():  # the share `rate` of the document's keys, uniformly
         return rng.random() < rate
@@ -1777,21 +1789,33 @@ def documents(draw, command):
     doc = {}
     links = draw(st.sampled_from(["phy", "channel"] * 4 + (["both", "neither"] if rate else [])))
     if links in ("phy", "both"):
-        doc["phy"] = draw(sections(cli._PHY, fault, rng))
+        doc["phy"] = draw(sections(cli._PHY, fault, rng, runnable=runnable))
     if links in ("channel", "both"):
         doc["channel"] = draw(sections(cli._CHANNEL, fault, rng))
     slot = doc.get("phy", {}).get("slot_seconds", 1.0)
     slot = slot if isinstance(slot, float) and cli._PHY["slot_seconds"].lo <= slot < math.inf else 1.0
-    if draw(st.booleans()):
-        mode = draw(st.sampled_from(list(cli._SENSING) + (["x"] if rate else [])))
-        doc["sensing"] = {"mode": mode, **draw(sections(cli._SENSING.get(mode, (None, {}))[1], fault, rng, slot))}
+    pinned = runnable and command in ("simulate", "estimate")  # a run at one sensing point, with tau > 0
+    if draw(st.booleans()) or pinned:
+        # tau-dependent modes need phy
+        modes = ["fixed_point"] if runnable and "phy" not in doc else list(cli._SENSING) + (["x"] if rate else [])
+        mode = draw(st.sampled_from(modes))
+        doc["sensing"] = {"mode": mode, **draw(sections(cli._SENSING.get(mode, (None, {}))[1], fault, rng, slot,
+                                                        essential=["tau"] if pinned else (), runnable=runnable))}
     essential = {"region": ["grids"], "sweep": ["grids"], "optimize": ["scheme"],
                  "simulate": ["scheme", "access", "sim"], "estimate": ["scheme", "access", "estimate"]}[command]
     leaves = {key: spec for key, spec in cli._CONFIG.items() if not isinstance(spec.kind, dict)}
-    doc.update(draw(sections(leaves, fault, rng, essential=essential)))
+    doc.update(draw(sections(leaves, fault, rng, essential=essential, runnable=runnable)))
     for key in ("access", "grids", "sim", "estimate"):
         if key in essential or draw(st.booleans()):
-            doc[key] = draw(sections(cli._CONFIG[key].kind, fault, rng, slot, essential=["a_s", "lambda_p", *RUN_CAPS]))
+            doc[key] = draw(sections(cli._CONFIG[key].kind, fault, rng, slot, essential=["a_s", "lambda_p", *RUN_CAPS],
+                                     runnable=runnable))
+    if runnable and "access" in doc:  # simulate runs a fixed access as given, so it must be one the scheme takes
+        if doc.get("scheme") != "S2":
+            doc["access"]["b_s"] = 0.0
+        if doc.get("scheme") == "Sc":
+            doc["access"]["a_s"] = 1.0
+    if runnable and "estimate" in doc:
+        doc["estimate"]["rp_slots"] = max(doc["estimate"]["rp_slots"], 10 * doc["estimate"]["lp_slots"])
     if fault():
         doc[draw(st.sampled_from(["bogus", 1]))] = 1
     return doc
@@ -1816,21 +1840,28 @@ class TestWholeDocumentFuzz:
     exits 0 or 2, an exit 2 writes no output file, and a rerun gives the same bytes."""
 
     @pytest.mark.parametrize("command", ["region", "optimize", "simulate", "estimate", "sweep"])
-    @settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
-    @given(data=st.data())
-    def test_drawn_documents(self, command, data):
-        doc = data.draw(documents(command))
-        runs = []
-        with tempfile.TemporaryDirectory() as tmp:
-            for run in ("first", "rerun"):
-                run_dir = Path(tmp) / run
-                run_dir.mkdir()
-                (run_dir / "config.yaml").write_text(yaml.safe_dump(doc, sort_keys=False))
-                runs.append(run_in(run_dir, [command, "-c", "config.yaml"]))
-        code, _, err, files = runs[0]
-        assert code in (0, 2), err
-        assert code == 0 or files == {}
-        assert runs[1] == runs[0]
+    def test_drawn_documents(self, command):
+        codes = []
+
+        @settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+        @given(data=st.data())
+        def drawn(data):
+            doc = data.draw(documents(command))
+            runs = []
+            with tempfile.TemporaryDirectory() as tmp:
+                for run in ("first", "rerun"):
+                    run_dir = Path(tmp) / run
+                    run_dir.mkdir()
+                    (run_dir / "config.yaml").write_text(yaml.safe_dump(doc, sort_keys=False))
+                    runs.append(run_in(run_dir, [command, "-c", "config.yaml"]))
+            code, _, err, files = runs[0]
+            assert code in (0, 2), err
+            assert code == 0 or files == {}
+            assert runs[1] == runs[0]
+            codes.append(code)
+
+        drawn()
+        assert codes.count(0) >= 15, codes  # the rerun's bytes are compared on runs, not only on config errors
 
 
 def run_module(args, cwd, **kwargs):
@@ -1840,6 +1871,82 @@ def run_module(args, cwd, **kwargs):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd, timeout=120, **kwargs)
+
+
+# each command's purpose, as `cogaccess -h` gives it
+PURPOSES = {
+    "region": "trace stability-region boundary curves to CSV",
+    "optimize": "solve one access-probability problem, JSON to stdout",
+    "simulate": "Monte Carlo run with empirical-vs-analytic comparison",
+    "estimate": "learning-phase -> regular-phase end-to-end run",
+    "sweep": "long-format CSV over (tau, sensing target, lambda_p) cells",
+}
+# each option's spellings, and the text of the values it takes
+OPTIONS = {
+    "config": (["-c", "--config"], st.text()),
+    "seed": (["--seed"], st.integers().map(str)),
+    "output_dir": (["--output-dir"], st.text()),
+    "mode": (["--mode"], st.sampled_from(["original", "dominant"])),
+    "margin": (["--margin"], st.one_of(st.floats(allow_nan=False).map(repr), st.integers().map(str))),
+}
+
+
+class TestArguments:
+    """One parser for every command: the command lines that a subparser per command took parse to the same
+    values, help exits 0 and a usage error exits 2 before any output."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_parses_as_one_subparser_per_command(self, data):
+        command = data.draw(st.sampled_from(list(PURPOSES)))
+        keys = ["config", *data.draw(st.lists(st.sampled_from(list(OPTIONS)[1:]), unique=True))]
+        values, flags = {}, []
+        for key in data.draw(st.permutations(keys)):
+            spellings, text = OPTIONS[key]
+            option, values[key] = data.draw(st.sampled_from(spellings)), data.draw(text)
+            if values[key].startswith("-") or data.draw(st.booleans()):  # a value like an option: one word
+                flags.append(f"{option}={values[key]}")
+            else:
+                flags += [option, values[key]]
+        expected = {"command": command, **dict.fromkeys(OPTIONS), **values}
+        expected.update(seed=expected["seed"] and int(expected["seed"]),
+                        margin=expected["margin"] and float(expected["margin"]))
+        assert vars(subcommand_parser().parse_args([command, *flags])) == expected
+        assert vars(cli._build_parser().parse_args([command, *flags])) == expected
+        assert vars(cli._build_parser().parse_args([*flags, command])) == expected  # options may come first
+
+    @pytest.mark.parametrize("argv", [[flag] for flag in ("-h", "--help")] +
+                             [[command, flag] for command in PURPOSES for flag in ("-h", "--help")])
+    def test_help_exits_0_with_the_usage_on_stdout(self, argv, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (stop.value.code, err) == (0, "")
+        assert out.startswith("usage: cogaccess ")
+
+    def test_help_says_what_each_command_does(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["-h"])
+        out = capsys.readouterr().out
+        for command, purpose in PURPOSES.items():
+            assert re.search(rf"^ +{command} +{re.escape(purpose)}$", out, re.M), command
+        for option in ("-c CONFIG, --config CONFIG", "--seed SEED", "--output-dir OUTPUT_DIR",
+                       "--mode {original,dominant}", "--margin MARGIN"):
+            assert option in out
+
+    @pytest.mark.parametrize("argv", [["bogus", "-c", "config.yaml"], ["-c", "config.yaml"], ["region"],
+                                      ["region", "-c", "config.yaml", "--mode", "bogus"],
+                                      ["region", "-c", "config.yaml", "--seed", "1.5"],
+                                      ["region", "-c", "config.yaml", "--margin", "x"]])
+    def test_usage_error_exits_2_before_any_output(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, TestOutputDir.DOCS["region"])  # a document that runs
+        with pytest.raises(SystemExit) as stop:
+            main([*argv, "--output-dir", "out"])
+        out, err = capsys.readouterr()
+        assert (stop.value.code, out) == (2, "")
+        assert err.startswith("usage: cogaccess ") and "cogaccess: error: " in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestImportSurface:
