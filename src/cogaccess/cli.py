@@ -848,9 +848,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 for scheme_name in sensing_schemes for mode in targets]
     if "S0" in sweep_schemes:
         requests.append(("S0", "none", 0.0, cfg.request(Variant.S0)))
-    # rows are point-major, so a slab of whole tau points is a run of whole rows; an empty tau grid is one slab
+    # a slab of whole tau points is a run of whole (point-major) rows; a grid of one slab or none is scanned as req
     per_slab = max(1, _SWEEP_SLAB // len(cfg.lambda_p_grid))
-    slabs = ((scheme_name, kind, value, scan(replace(req, tau_grid=req.tau_grid[i : i + per_slab]),
+    slabs = ((scheme_name, kind, value, scan(req if len(req.tau_grid) <= per_slab else
+                                             replace(req, tau_grid=req.tau_grid[i : i + per_slab]),
                                              cfg.lambda_p_grid, cfg.channel))
              for scheme_name, kind, value, req in requests for i in range(0, len(req.tau_grid) or 1, per_slab))
 

@@ -265,30 +265,33 @@ def _cells(variant, lam, p_fa, p_md, p_s, pp, margin, b):
     b_s = 0, because p_md + (1 - p_md) need not round to 1.  The
     substitutions that are exact are used: Sc is S1 with a_s = 1 and its
     own feasibility test, and S0 is S1 at NO_SENSING (every product with
-    1.0 is exact).  S2 maximizes over the b_s axis; its degenerate
-    corners (idle primary, perfect sensing, certain false alarm, a primary
-    link that never succeeds) are masks, applied in reverse order of
-    precedence.
+    1.0 is exact).  S2 maximizes over b_s, its arrays' first axis, so each
+    operation runs along the cells; its degenerate corners (idle primary,
+    perfect sensing, certain false alarm, a dead primary link) are masks,
+    applied in reverse order of precedence, to passes that hold them.
     """
     lm = lam + margin
     if variant is Variant.S2:
-        lam, lm, p_fa, p_md, p_s = (x[:, None] for x in (lam, lm, p_fa, p_md, p_s))
-        e = (1.0 - p_md) * (1.0 - b)  # primary service left by busy outcomes, per unit p_bar_p_pd
+        bs = b[:, None]
+        e = (1.0 - p_md) * (1.0 - bs)  # primary service left by busy outcomes, per unit p_bar_p_pd
         c, d, w, r, k = p_md, p_md + e, lm / pp, lam / pp, 1.0 - p_fa
         ok = ~(d < w)  # pp = 0 makes w inf (infeasible) or nan at lm = 0 (feasible)
-        cap = np.where(c == 0.0, 1.0, np.minimum(1.0, (d - w) / c))
-        f = r * p_fa * b
-        root = np.where(f == 0.0, (d - np.sqrt(r * d)) / c, (d - np.sqrt((r * k * d + c * f) / k)) / c)
-        a = np.minimum(np.maximum(root, 0.0), cap)
-        a = np.where((a == 1.0) & (e == 0.0), _BELOW_ONE, a)  # a_s = 1 would leave mu_p = 0
-        a = np.where(p_fa >= 1.0, 0.0, a)
-        a = np.where((lam == 0.0) | (c == 0.0), cap, a)
-        a = np.where(pp == 0.0, 1.0, a)
-        mu_p, access = rates(variant, a, b, p_fa, p_md, pp, p_s)
+        cap, no_c = np.minimum(1.0, (d - w) / c), c == 0.0
+        if no_c.any():
+            cap = np.where(no_c, 1.0, cap)
+        f = r * p_fa * bs
+        a = np.minimum(np.maximum((d - np.sqrt(np.where(f == 0.0, r * d, (r * k * d + c * f) / k))) / c, 0.0), cap)
+        if not e.all():
+            a = np.where((a == 1.0) & (e == 0.0), _BELOW_ONE, a)  # a_s = 1 would leave mu_p = 0
+        for corner, value in ((p_fa >= 1.0, 0.0), ((lam == 0.0) | no_c, cap), (pp == 0.0, 1.0)):
+            if np.any(corner):
+                a = np.where(corner, value, a)
+        del d, e, f, cap  # held through rates and the copy argmax makes to reduce axis 0, they raised peak RSS
+        mu_p, access = rates(variant, a, bs, p_fa, p_md, pp, p_s)
         lam_s = access * _empty_factor(lam, mu_p)
-        j = np.argmax(np.where(ok, lam_s, -np.inf), axis=1)  # first b_s of the largest rate
-        i, ok = np.arange(j.size), ok.any(axis=1)
-        return np.where(ok, a[i, j], 0.0), np.where(ok, b[j], 0.0), np.where(ok, lam_s[i, j], 0.0), ok
+        j = np.argmax(np.where(ok, lam_s, -np.inf), axis=0)  # first b_s of the largest rate
+        i, ok = np.arange(j.size), ok.any(axis=0)
+        return np.where(ok, a[j, i], 0.0), np.where(ok, b[j], 0.0), np.where(ok, lam_s[j, i], 0.0), ok
     if variant is Variant.SC:
         a = np.ones_like(lam)
         ok = ~(lm > pp * (1.0 - p_md))

@@ -99,6 +99,9 @@ class SensingPoint:
     p_md: float
 
     def __post_init__(self) -> None:
+        if (type(self.tau) is type(self.p_fa) is type(self.p_md) is float and 0.0 <= self.tau < math.inf
+                and 0.0 <= self.p_fa <= 1.0 and 0.0 <= self.p_md <= 1.0):
+            return  # plain floats in range, as the ROC functions make them, which real() would store as they are
         for name, hi in (("tau", None), ("p_fa", 1.0), ("p_md", 1.0)):
             object.__setattr__(self, name, real(getattr(self, name), f"SensingPoint.{name}", 0.0, hi))
 
@@ -117,6 +120,9 @@ class LinkSuccess:
     slot = 1.0
 
     def __post_init__(self) -> None:
+        pp, ps = self.p_bar_p_pd, self.p_bar_s_sd
+        if type(pp) is type(ps) is float and 0.0 <= pp <= 1.0 and 0.0 <= ps <= 1.0:
+            return  # plain floats in range, as links() makes them, which real() would store as they are
         for name in ("p_bar_p_pd", "p_bar_s_sd"):
             object.__setattr__(self, name, real(getattr(self, name), f"LinkSuccess.{name}", 0.0, 1.0))
 

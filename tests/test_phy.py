@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogaccess import phy
-from cogaccess.errors import DomainError
+from cogaccess.errors import DomainError, real
 from cogaccess.mathcore import q_func, q_inv
 from cogaccess.phy import (
     LinkSuccess,
@@ -189,3 +191,66 @@ class TestTypes:
         assert p.detector() is p
         with pytest.raises(DomainError, match="tau-dependent target modes need full PhyParams"):
             fixed.detector()
+
+
+# What a SensingPoint or LinkSuccess field may be given: floats across and past each field's domain, its corners,
+# subnormals, nan and the infinities, and what only the checked path takes or names (ints, bools, numpy scalars,
+# strings and None).
+FIELD_VALUES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(-0.5, 1.5),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, 1.0 - 2.0**-53, 1.0 + 2.0**-52, math.nan, math.inf, -math.inf]),
+    st.integers(-2, 3) | st.integers(-2, 3).map(np.int64) | st.booleans(),
+    st.floats(-0.5, 1.5).map(np.float64) | st.floats(-0.5, 1.5, width=32).map(np.float32),
+    st.sampled_from(["0.5", None]),
+)
+BOUNDS = {SensingPoint: {"tau": None, "p_fa": 1.0, "p_md": 1.0}, LinkSuccess: {"p_bar_p_pd": 1.0, "p_bar_s_sd": 1.0}}
+
+
+def made(make):
+    """What a call returns, or the text of its DomainError; values by type and repr, so -0.0 is not 0.0."""
+    try:
+        return [(type(x), repr(x)) for x in make()]
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestConstructorFastPath:
+    """SensingPoint and LinkSuccess take plain in-range floats without errors.real: what they store, and what
+    they reject with which message, is still what errors.real gives, field by field."""
+
+    @settings(max_examples=400)
+    @given(cls=st.sampled_from(list(BOUNDS)), data=st.data())
+    def test_same_values_and_messages_as_the_checked_path(self, cls, data):
+        bounds = BOUNDS[cls]
+        values = {name: data.draw(FIELD_VALUES, label=name) for name in bounds}
+        checked = made(lambda: [real(v, f"{cls.__name__}.{name}", 0.0, bounds[name]) for name, v in values.items()])
+        assert made(lambda: vars(cls(**values)).values()) == checked
+        if all(type(v) is float for v in values.values()) and not isinstance(checked, str):
+            assert all(x is v for x, v in zip(vars(cls(**values)).values(), values.values()))  # the same floats
+
+    @pytest.mark.parametrize("cls,name", [(cls, name) for cls in BOUNDS for name in BOUNDS[cls]])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -5e-324, -0.5, 1.0 + 2.0**-52, 2, True, "0.5",
+                                     None, np.float64(1.5), np.int64(-1)])
+    def test_each_field_rejects_as_the_checked_path(self, cls, name, bad):
+        # one field out of its domain, the others plain in-range floats
+        values = dict.fromkeys(BOUNDS[cls], 0.5) | {name: bad}
+        checked = made(lambda: [real(v, f"{cls.__name__}.{n}", 0.0, BOUNDS[cls][n]) for n, v in values.items()])
+        assert made(lambda: vars(cls(**values)).values()) == checked
+        assert isinstance(checked, str) or name == "tau"  # all out of range, but tau has no upper bound
+
+    @settings(max_examples=200)
+    @given(gamma_db=st.floats(-40.0, 40.0), f_s=st.floats(1.0, 1e9), tau=st.floats(1e-9, 10.0),
+           target=st.floats(1e-12, 1.0 - 1e-12, exclude_min=True), epsilon=st.floats(1e-3, 1e3),
+           rate_db=st.floats(-30.0, 40.0), snr_db=st.floats(-30.0, 60.0))
+    def test_resolved_points_and_links_equal_their_checked_rebuild(self, gamma_db, f_s, tau, target, epsilon,
+                                                                    rate_db, snr_db):
+        # np.float64 is a float subclass, so a field given as one takes the checked path and is stored as a float
+        p = make_params(gamma_sense=10 ** (gamma_db / 10), f_s=f_s, W=1e6 * 10 ** (-rate_db / 10),
+                        gamma_s_sd=10 ** (snr_db / 10), gamma_p_pd=10 ** (snr_db / 10))
+        points = [pmd_for_target_pfa(p, target, tau), pfa_for_target_pmd(p, target, tau),
+                  roc_from_threshold(p, epsilon, tau)]
+        for obj in [*points, p.links(tau), p.links(0.0)]:
+            rebuilt = type(obj)(**{name: np.float64(x) for name, x in vars(obj).items()})
+            assert made(lambda: vars(rebuilt).values()) == made(lambda: vars(obj).values())

@@ -3,10 +3,11 @@ and the structural facts of the optimized boundaries."""
 
 import tracemalloc
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cogaccess import optimizer
@@ -99,6 +100,32 @@ def test_kernel_matches_scalar_loops(problem):
     for scheme in SCHEMES:
         assert curve_values(region_curve(scheme, lambdas, req, channel)) == curve_values(
             trace_region_loop(scheme, lambdas, req, channel))
+
+
+def _threshold_case(epsilon, gamma_sense, b_s_grid, lambdas):
+    """A tau grid whose first point holds no ROC corner and whose longer taus do, and a lambda_p grid that ends at
+    p_bar_p_pd, where S2's cap at b_s = 0 is 0/0 when p_md = 0."""
+    phy = PhyParams(b=1e4, T=1.0, W=1e4, f_s=1e4, gamma_sense=gamma_sense, sigma_u2=1.0,
+                    gamma_s_sd=2.0, sigma2_s_sd=1.0, gamma_p_pd=2.0, sigma2_p_pd=1.0)
+    req = OptimizationRequest(Variant.S2, FixedThreshold(epsilon), (1e-3, 0.01, 0.5), b_s_grid)
+    return phy, req, lambdas + (phy.links(0.0).p_bar_p_pd,)
+
+
+@pytest.mark.parametrize("block", [1, 7, 33])  # S2 passes of one cell, or of a few over a short b_s scan
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problem=problems())
+# the longer taus hold p_fa = 1 and p_md = 0 (c = 0) ...
+@example(problem=_threshold_case(0.5, 1.0, (0.25, 0.5), (0.0, 0.1, 0.3)))
+# ... or p_md = 1 (e = 0 at every b_s), with a lambda_p so small that a_s rounds up to 1 ...
+@example(problem=_threshold_case(2.0, 0.01, (0.25, 0.5), (0.0, 1e-300, 0.2)))
+# ... and a primary link that never succeeds, with b_s = 1 (e = 0 in every pass)
+@example(problem=(LinkSuccess(0.0, 0.8), OptimizationRequest(Variant.S2, FixedSensing(SensingPoint(0.05, 0.2, 0.3)),
+                                                             b_s_grid=(0.5, 1.0)), (0.0, 0.1)))
+def test_passes_of_any_size_match_scalar_loops(block, problem):
+    """test_kernel_matches_scalar_loops in passes of a cell or a few, where S2's corner masks run in the passes
+    that hold their corner and are skipped in the rest (lambda_p = 0 is one row)."""
+    with mock.patch.object(optimizer, "_BLOCK", block):
+        test_kernel_matches_scalar_loops.hypothesis.inner_test(problem)
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
