@@ -40,7 +40,7 @@ import pickle
 import sys
 import threading
 from collections import namedtuple
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import chain, cycle, repeat, starmap
@@ -79,13 +79,10 @@ SIMULATE_JSON_SCHEMA = "simulate/1"
 ESTIMATE_JSON_SCHEMA = "estimate/1"
 REGION_JSON_SCHEMA = "region-summary/1"
 
-# A sweep scans and writes a slab of cells at a time, so its memory does not grow with its cells.  What
-# grows is its CSV, about 107 B a row, and its run time, about 2 us a cell (README): at the cap, a CSV of
-# about 1 GiB and about 20 s.  A grid's count and a region curve's (lambda_p, tau) cells have the same cap.
+# sweep and region scan and write a slab of cells at a time, so their memory does not grow with their cells.
+# What grows is the CSVs, about 107 B a sweep row, and the run time, about 2 us a sweep cell (README): at the
+# cap, a CSV of about 1 GiB and about 20 s.  A grid's count and a region curve's cells have the same cap.
 MAX_SWEEP_CELLS = 10_000_000
-# region holds its curves whole, about 0.29 KiB a lambda_p point for all five (README): its lambda_p grid is
-# capped lower, at about 0.3 GiB held, since a fixed point's curves have one tau and so one cell a point.
-MAX_REGION_POINTS = 1_000_000
 # An S2 scan holds about 90 B a b_s point in each (lambda_p, tau) cell of a kernel pass, and a pass holds at
 # least one cell: grids.b_s is capped at about 5.6 MiB a cell.
 MAX_B_S_POINTS = 65_536
@@ -455,6 +452,10 @@ def load_config(path: str | Path, overrides: dict[str, Any] | None = None) -> Ru
 # A few hundred rows keep the batch's strings within memory the run has already touched: batches of 4,096
 # raised a 10,416-cell sweep's peak RSS by about 0.5 MiB, and 128 rows by 0.04.
 _SWEEP_ROWS = 128
+# (lambda_p, tau) cells scanned, written and dropped at a time: a sweep's slab is whole tau points, and a region's
+# whole lambda_p rows, at most _SWEEP_SLAB rows and 4 * _SWEEP_SLAB cells (README); each at least one.  A scan
+# holds 33 B a cell: a 1,041,600-cell sweep peaked 0.2-0.35 MiB above a 10,416-cell one (VmHWM), 1.0 at 16,384 a slab.
+_SWEEP_SLAB = 4096
 
 
 def _fmt(x: float) -> str:
@@ -481,28 +482,33 @@ def _jsonable(obj: Any) -> Any:
 
 @contextmanager
 def _outputs() -> Iterator[Callable[..., IO]]:
-    """Output files that appear whole or not at all.  The block gets `create(path, mode)`, which makes
-    output_dir and opens the file under a temporary name beside `path`.  Leaving the block without error
-    moves each file to its path; leaving it any other way removes them, and the directories it made that
-    are left empty.  A file in the way of output_dir, a directory in the way of a file, and an OS error
-    while a file is written are config errors."""
-    temporaries, made, path = {}, [], None
+    """Output files that appear whole or not at all.  The block gets `create(path, mode)`, which makes output_dir
+    and opens the file under a temporary name beside `path`, or gives the file opened there before: an OS error
+    names the file last asked for.  Leaving the block without error closes each file and moves it to its path;
+    leaving it any other way removes them, and the directories it made that are left empty.  A file in the way
+    of output_dir, a directory in the way of a file, and an OS error while a file is written are config errors."""
+    temporaries, opened, made, path, files = {}, {}, [], None, ExitStack()
 
     def create(final: Path, mode: str = "w") -> IO:
         nonlocal path
         path = final
-        made.extend(reversed([d for d in path.parents if not d.exists()]))  # outermost first
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output_dir {str(path.parent)!r}: {exc.strerror}") from exc
-        if path.is_dir():  # the one target os.replace refuses a file
-            raise ConfigError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
-        temporaries[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        return open(temporaries[path], mode, newline=None if "b" in mode else "")
+        if path not in opened:
+            made.extend(reversed([d for d in path.parents if not d.exists()]))  # outermost first
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output_dir {str(path.parent)!r}: {exc.strerror}") from exc
+            if path.is_dir():  # the one target os.replace refuses a file
+                raise ConfigError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+            temporaries[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            opened[path] = files.enter_context(open(temporaries[path], mode, newline=None if "b" in mode else ""))
+        return opened[path]
 
     try:
-        yield create
+        with files:
+            yield create
+            for path, fh in opened.items():  # what a file still buffers fails here, under its name
+                fh.flush()
         for path, temporary in temporaries.items():
             os.replace(temporary, path)
     except OSError as exc:
@@ -546,30 +552,29 @@ def _check_cells(cells: int, command: str, keys: str) -> None:
 def cmd_region(cfg: RunConfig) -> int:
     if cfg.lambda_p_grid is None:
         raise ConfigError("region needs grids.lambda_p")
-    if len(cfg.lambda_p_grid) > MAX_REGION_POINTS:
-        raise ConfigError(f"region would hold {len(cfg.lambda_p_grid)} lambda_p points a curve (> {MAX_REGION_POINTS}),"
-                          " about 0.29 KiB each for all five curves; shrink grids.lambda_p")
     n_tau = 1 if cfg.target.pinned or cfg.schemes == ("S0",) else len(cfg.tau_grid)
     _check_cells(len(cfg.lambda_p_grid) * n_tau, "region", "grids.lambda_p or grids.tau")
-    summary: dict[str, Any] = {"schema": REGION_JSON_SCHEMA, "csv_schema": REGION_CSV_SCHEMA, "files": {},
-                               "max_boundary": {}, "points_per_curve": len(cfg.lambda_p_grid)}
-    union = UNION in cfg.schemes  # UNION reuses the S0 and S2 curves
-    curves = {name: trace_region(cfg.request(name), cfg.lambda_p_grid, cfg.channel)
-              for name in _SCHEME_NAMES if name in cfg.schemes or (union and name in ("S0", "S2"))}
-    if union:
-        curves[UNION] = union_curve(curves["S0"], curves["S2"])
+    traced = {*cfg.schemes, "S0", "S2"} if UNION in cfg.schemes else cfg.schemes  # UNION reuses the S0 and S2 curves
+    requests = {name: cfg.request(name) for name in _SCHEME_NAMES if name in traced}
+    files, peaks = {name: cfg.output_dir / f"region_{name}.csv" for name in cfg.schemes}, {}
+    # a slab of whole lambda_p rows: a curve's row depends only on its own lambda_p, and UNION is pointwise
+    per_slab = max(1, min(_SWEEP_SLAB, 4 * _SWEEP_SLAB // n_tau))
     with _outputs() as create:
-        for name in cfg.schemes:
-            curve = curves[name]
-            path = cfg.output_dir / f"region_{name}.csv"
-            with create(path) as fh:
-                fh.write("lambda_p,lambda_s,scheme,tau,a_s,b_s\r\n")
-                for i in range(0, len(curve.lambda_p), _SWEEP_ROWS):
+        for start in range(0, len(cfg.lambda_p_grid), per_slab):
+            slab = cfg.lambda_p_grid[start : start + per_slab]
+            curves = {name: trace_region(req, slab, cfg.channel) for name, req in requests.items()}
+            if UNION in cfg.schemes:
+                curves[UNION] = union_curve(curves["S0"], curves["S2"])
+            for name in cfg.schemes:
+                fh, curve = create(files[name]), curves[name]
+                if not start:
+                    fh.write("lambda_p,lambda_s,scheme,tau,a_s,b_s\r\n")
+                for i in range(0, len(slab), _SWEEP_ROWS):
                     rows = zip(*(column[i : i + _SWEEP_ROWS].tolist() for column in curve[1:]))
                     fh.write("".join([f"{p!r},{s!r},{v},{t!r},{a!r},{b!r}\r\n" for p, s, v, t, a, b in rows]))
-            summary["files"][name] = str(path)
-            summary["max_boundary"][name] = float(curve.lambda_s.max())
-    _emit_json(summary)
+                peaks[name] = curve.lambda_s.max(initial=peaks.get(name, -math.inf))
+    _emit_json({"schema": REGION_JSON_SCHEMA, "csv_schema": REGION_CSV_SCHEMA, "files": files, "max_boundary": peaks,
+                "points_per_curve": len(cfg.lambda_p_grid)})  # a path as its string, a float64 as its float
     return 0
 
 
@@ -699,7 +704,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     sim_cfg = _sim_config(cfg, scheme, cfg.sim.slots)
     if traced:
         trace_path = cfg.output_dir / "trace.csv"
-        with _outputs() as create, create(trace_path, "wb") as fh, _trace_csv(fh) as sink:
+        with _outputs() as create, _trace_csv(create(trace_path, "wb")) as sink:
             result = run(sim_cfg, sink=sink)
     else:
         result = run(sim_cfg)
@@ -783,12 +788,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
     return 0
 
 
-# (lambda_p, tau) cells a sweep scans, writes and drops at a time: whole tau points, at least one.  A scan
-# holds 33 B a cell: with 4,096-cell slabs, a 1,041,600-cell sweep peaked 0.2-0.35 MiB above a 10,416-cell
-# one (VmHWM), and with 16,384-cell slabs 1.0 MiB above.
-_SWEEP_SLAB = 4096
-
-
 def _sweep_rows(blocks: Iterable[tuple[str, str, float, GridScan]], lambda_p_grid: Sequence[float],
                 b_s_grid: Sequence[float]) -> Iterator[str]:
     """The CSV rows of each (scheme, target kind, target value, scan) block, point-major, as csv.writer
@@ -856,7 +855,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
              for scheme_name, kind, value, req in requests for i in range(0, len(req.tau_grid) or 1, per_slab))
 
     path = cfg.output_dir / "sweep.csv"
-    with _outputs() as create, create(path) as fh:
+    with _outputs() as create:
+        fh = create(path)
         fh.write("scheme,target_kind,target_value,tau,p_fa,p_md,lambda_p,lambda_s,a_s,b_s,feasible\r\n")
         fh.writelines(_sweep_rows(slabs, cfg.lambda_p_grid, b_s_scan_grid(cfg.b_s_grid)))
     _emit_json({"schema": SWEEP_CSV_SCHEMA, "file": str(path), "rows": cells, "cells": cells})

@@ -515,50 +515,87 @@ class TestRegion:
             assert (code, err) == (0, "")
             assert json.loads(out)["points_per_curve"] == 10_001
 
+    # five curves of a fixed point with 33 b_s, and of 32 p_fa-target tau on phy with 5 (a slab's memory does
+    # not grow with b_s, and S2's run time does)
+    PEAK_DOCS = {
+        "fixed point": {"channel": {"p_bar_p_pd": 0.9, "p_bar_s_sd": 0.8}, "grids": {"b_s": {"count": 33}},
+                        "sensing": {"mode": "fixed_point", "tau": 0.05, "p_fa": 0.2, "p_md": 0.3}},
+        "32 tau": {"phy": PHY_DOC, "sensing": {"mode": "target_pfa", "value": 0.2},
+                   "grids": {"tau": [0.01 + 0.028 * i for i in range(32)], "b_s": {"count": 5}}},
+    }
+
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
-    def test_peak_memory_per_lambda_p_point(self, tmp_path):
-        # a curve is six columns, about 48 B a lambda_p point: five curves of 100,000 points peak within
-        # 48 MiB of 1,000 points of the same document (VmHWM of fresh interpreters)
-        doc = {"channel": {"p_bar_p_pd": 0.9, "p_bar_s_sd": 0.8}, "schemes": ["Sc", "S1", "S2", "S0", "UNION"],
-               "sensing": {"mode": "fixed_point", "tau": 0.05, "p_fa": 0.2, "p_md": 0.3}, "output_dir": "out"}
+    @pytest.mark.parametrize("name", PEAK_DOCS)
+    def test_peak_memory_per_lambda_p_point(self, name, tmp_path):
+        # region scans, writes and drops a slab of lambda_p rows at a time: five curves of 100,000 points peak
+        # within 8 MiB of 1,000 points of the same document (VmHWM of fresh interpreters).  What grows is
+        # mostly the parsed lambda_p grid, about 40 B a point
+        doc = {**self.PEAK_DOCS[name], "schemes": ["Sc", "S1", "S2", "S0", "UNION"], "output_dir": "out"}
+        grids = doc.pop("grids")
         script = ("import sys; from cogaccess import cli; code = cli.main(sys.argv[1:]);"
                   "print(code, [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')][0],"
                   "file=sys.stderr)")
 
         def peak_kib(count):
-            doc["grids"] = {"lambda_p": {"start": 0.0, "stop": 0.63, "count": count}, "b_s": {"count": 33}}
+            doc["grids"] = {"lambda_p": {"start": 0.0, "stop": 0.63, "count": count}, **grids}
             config = write_config(tmp_path, doc, "config.json")
             proc = run_module(["-c", script, "region", "-c", config], tmp_path, capture_output=True, text=True)
             code, peak = map(int, proc.stderr.split())
             assert code == 0 and json.loads(proc.stdout)["points_per_curve"] == count
             return peak
 
-        assert peak_kib(100_000) - peak_kib(1_000) <= 48 * 1024
+        assert peak_kib(100_000) - peak_kib(1_000) <= 8 * 1024
 
-    def test_lambda_p_grid_past_the_point_cap_rejected_before_any_curve(self, tmp_path, capsys, monkeypatch):
-        # region holds its curves whole: 1,000,001 points of a fixed point's one-tau curves are within the cell
-        # cap, but past the lambda_p cap, and rejected before a curve is traced
-        def no_curve(*_):
-            raise AssertionError("region traced a curve")
-
-        monkeypatch.setattr(cli, "trace_region", no_curve)
-        doc = dict(BENCH_BASE, grids={"lambda_p": {"start": 0.0, "stop": 1.0, "count": 1_000_001}},
+    def test_a_million_lambda_p_points(self, tmp_path, capsys):
+        # no lambda_p cap but the cell cap: 1,000,001 points of a fixed point's one-tau curve run
+        doc = dict(BENCH_BASE, schemes=["S1"], grids={"lambda_p": {"start": 0.0, "stop": 1.0, "count": 1_000_001}},
                    output_dir=str(tmp_path / "out"))
         code, out, err = run_cli(capsys, ["region", "-c", write_config(tmp_path, doc, "config.json")])
-        assert (code, out) == (2, "")
-        assert err == (f"config error: region would hold 1000001 lambda_p points a curve (> {cli.MAX_REGION_POINTS}),"
-                       " about 0.29 KiB each for all five curves; shrink grids.lambda_p\n")
-        assert cli.MAX_REGION_POINTS == 1_000_000
-        assert not (tmp_path / "out").exists()
-
-    def test_lambda_p_point_cap_is_inclusive(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_REGION_POINTS", 4)
-        doc = dict(BENCH_BASE, schemes=["S1"], grids={"lambda_p": LAMBDAS}, output_dir=str(tmp_path / "out"))
-        code, _, err = run_cli(capsys, ["region", "-c", write_config(tmp_path, doc)])
         assert (code, err) == (0, "")
-        doc["grids"] = {"lambda_p": [*LAMBDAS, 0.5]}
-        code, _, err = run_cli(capsys, ["region", "-c", write_config(tmp_path, doc)])
-        assert code == 2 and "shrink grids.lambda_p" in err
+        assert json.loads(out)["points_per_curve"] == 1_000_001
+
+    ALL_SCHEMES = ["Sc", "S1", "S2", "S0", "UNION"]
+    # document keys over 20 lambda_p: a slab of 4 tau is at most _SWEEP_SLAB rows, and one of 40 tau is
+    # also at most 4 * _SWEEP_SLAB cells
+    SLAB_DOCS = {
+        "fixed point": {"schemes": ALL_SCHEMES},
+        "four p_fa-target tau": {"phy": PHY_DOC, "sensing": {"mode": "target_pfa", "value": 0.2},
+                                 "schemes": ALL_SCHEMES, "grids": {"tau": [0.001, 0.01, 0.5, 0.9]}},
+        "forty p_fa-target tau": {"phy": PHY_DOC, "sensing": {"mode": "target_pfa", "value": 0.2},
+                                  "schemes": ALL_SCHEMES, "grids": {"tau": {"count": 40}}},
+        "S0 only": {"schemes": ["S0"]},
+    }
+
+    @pytest.mark.parametrize("name", SLAB_DOCS)
+    def test_slabs_write_what_one_slab_writes(self, name, tmp_path, capsys, monkeypatch):
+        # slabs of 1, 5, 7 and 18 lambda_p rows, and of every row (unpatched), print and write the same bytes
+        keys = copy.deepcopy(self.SLAB_DOCS[name])
+        doc = {**BENCH_BASE, **keys, "output_dir": str(tmp_path / "out"),
+               "grids": {"lambda_p": {"start": 0.0, "stop": 0.6, "count": 20}, "b_s": {"count": 5},
+                         **keys.get("grids", {})}}
+        if "phy" in doc:
+            del doc["channel"]
+        path = write_config(tmp_path, doc)
+        real_scan = optimizer.scan
+
+        def run():
+            scans = []  # (lambda_p rows, tau) of each scan
+            monkeypatch.setattr(optimizer, "scan", lambda req, lam, *a: scans.append(
+                (len(lam), len(req.tau_grid) or 1)) or real_scan(req, lam, *a))
+            code, out, err = run_cli(capsys, ["region", "-c", path])
+            assert (code, err) == (0, "")
+            files = json.loads(out)["files"]
+            assert set(files) == set(doc["schemes"])
+            return out, {name: Path(f).read_bytes() for name, f in files.items()}, scans
+
+        expected_out, expected_csvs, whole = run()
+        assert {rows for rows, _ in whole} == {20}
+        for slab in (1, 5, 7, 18):
+            with mock.patch.object(cli, "_SWEEP_SLAB", slab):
+                out, csvs, scans = run()
+            assert (out, csvs) == (expected_out, expected_csvs)
+            assert sum(rows for rows, _ in scans) == 20 * len(whole)
+            assert all(rows <= slab and rows * tau <= max(tau, 4 * slab) for rows, tau in scans)
 
     def test_cell_bound_is_inclusive(self):
         cli._check_cells(cli.MAX_SWEEP_CELLS, "region", "grids.tau")
@@ -1563,6 +1600,56 @@ class TestOutputDir:
             code, stdout, err = run_cli(capsys, [command, "-c", config])
             assert (code, stdout, err) == (2, "", f"config error: cannot write {fresh / failing}: {strerror}\n")
             assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("fault", ["curve fails", "full disk"])
+    def test_failure_in_a_later_slab_leaves_the_earlier_outputs_as_they_were(self, fault, tmp_path, capsys,
+                                                                            monkeypatch):
+        # slabs of one lambda_p row: the second slab traces Sc first and writes Sc's file first, the file
+        # created first, after every file has been created and written to
+        monkeypatch.setattr(cli, "_SWEEP_SLAB", 1)
+        out, real = tmp_path / "out", cli.trace_region
+        assert run_cli(capsys, ["region", "-c", write_config(tmp_path, dict(self.DOCS["region"], output_dir=str(out)))
+                                ])[0] == 0
+        before = {path: path.is_file() and path.read_bytes() for path in out.rglob("*")}
+        for output_dir in (out, tmp_path / "new" / "out"):  # with no earlier run, the directories it made go too
+            if fault == "curve fails":  # the fifth curve traced is the second slab's first
+                traced = itertools.count(1)
+
+                def trace_region(*args):
+                    if next(traced) == 5:
+                        raise ConfigError("no curve in slab 2")
+                    return real(*args)
+
+                monkeypatch.setattr(cli, "trace_region", trace_region)
+                message = "no curve in slab 2"
+            else:  # the first slab is ten writes, a header and a row for each of the five files
+                monkeypatch.setattr(cli, "open", full_disk_after(10), raising=False)
+                message = f"cannot write {output_dir / 'region_Sc.csv'}: {os.strerror(errno.ENOSPC)}"
+            config = write_config(tmp_path, dict(self.DOCS["region"], output_dir=str(output_dir),
+                                                 **self.CHANGED["region"]))
+            code, stdout, err = run_cli(capsys, ["region", "-c", config])
+            assert (code, stdout, err) == (2, "", f"config error: {message}\n")
+        assert {path: path.is_file() and path.read_bytes() for path in out.rglob("*")} == before
+        assert not (tmp_path / "new").exists()
+
+    def test_a_file_that_fails_when_flushed_is_named(self, tmp_path, capsys, monkeypatch):
+        # every row is written; what region_Sc.csv, the first file, still buffers fails when the run ends
+        def full_disk():
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def failing_open(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            if Path(file).name.startswith(".region_Sc.csv."):
+                fh.flush = full_disk
+            return fh
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        out = tmp_path / "new" / "out"
+        code, stdout, err = run_cli(capsys, ["region", "-c", write_config(tmp_path, dict(self.DOCS["region"],
+                                                                                         output_dir=str(out)))])
+        assert (code, stdout) == (2, "")
+        assert err == f"config error: cannot write {out / 'region_Sc.csv'}: {os.strerror(errno.ENOSPC)}\n"
+        assert not (tmp_path / "new").exists()
 
 
 NEEDS_PHY_PARAMS = "tau-dependent target modes need full PhyParams; fixed link probabilities only support FixedSensing"
